@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GroundSetError, TruncationError, NotSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
 

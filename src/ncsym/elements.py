@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -19,6 +20,15 @@ from .intpartitions import IntPartition
 from .setpartitions import SetPartition, lattice
 
 NC_BASES = ("m", "p", "e", "h")
+
+
+def exact(c) -> Fraction:
+    """A coefficient as a Fraction; floats and complex numbers are refused."""
+    if isinstance(c, (float, complex)):
+        raise TypeError(
+            f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string"
+        )
+    return Fraction(c)
 
 
 class NCSymElement:
@@ -31,7 +41,11 @@ class NCSymElement:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         data = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        self.terms = {pi: Fraction(c) for pi, c in data.items() if Fraction(c) != 0}
+        self.terms = {}
+        for pi, c in data.items():
+            c = exact(c)
+            if c:
+                self.terms[pi] = c
 
     @classmethod
     def unit(cls, basis: str = "m") -> "NCSymElement":
@@ -75,7 +89,7 @@ class NCSymElement:
         return (-1) * self
 
     def __mul__(self, scalar) -> "NCSymElement":
-        c = Fraction(scalar)
+        c = exact(scalar)
         return NCSymElement(self.basis, {pi: c * v for pi, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -260,14 +274,35 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
-    """Product in the ambient free algebra, collected back into the m basis.
+    """Product in the ambient free algebra, returned in the m basis.
 
-    Computed through the word-expansion oracle at enough variables to be
-    faithful for the degree of the product.
+    Both factors are converted to m, and each pair of terms multiplies by the
+    monomial rule m_pi * m_sigma = sum of m_rho over the rho with
+    rho meet (top | top) = pi | sigma: the rho obtained from pi | sigma by
+    merging some blocks of pi one-to-one into blocks of the shifted sigma.
     """
-    from .words import collect, expand
+    fm, gm = convert(f, "m"), convert(g, "m")
+    out: dict[SetPartition, Fraction] = {}
+    for pi, a in fm.terms.items():
+        for sigma, b in gm.terms.items():
+            ab = a * b
+            for rho in _merges(pi, sigma):
+                out[rho] = out.get(rho, Fraction(0)) + ab
+    return NCSymElement("m", out)
 
-    total = f.degree() + g.degree()
-    k = max(total, 1)
-    product = expand(f, k) * expand(g, k)
-    return collect(product, total)
+
+def _merges(pi: SetPartition, sigma: SetPartition):
+    """Every rho with rho meet (top | top) = pi | sigma, each exactly once.
+
+    A rho is a partial injective matching of sigma's blocks (shifted by pi.n)
+    into pi's blocks; matched blocks merge, the rest stay apart.
+    """
+    right = [tuple(e + pi.n for e in b) for b in sigma.blocks]
+    for r in range(min(len(pi.blocks), len(right)) + 1):
+        for chosen in combinations(range(len(right)), r):
+            rest = [b for j, b in enumerate(right) if j not in chosen]
+            for targets in permutations(range(len(pi.blocks)), r):
+                blocks = list(pi.blocks)
+                for i, j in zip(targets, chosen):
+                    blocks[i] += right[j]
+                yield SetPartition(blocks + rest)

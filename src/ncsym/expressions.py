@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .classical import SYM_BASES, SymElement, sym_convert
-from .elements import NC_BASES, NCSymElement, convert
+from .elements import NC_BASES, NCSymElement, convert, exact
 from .intpartitions import IntPartition
 from .setpartitions import SetPartition
 
@@ -183,7 +183,7 @@ def ncsym_from_json(data) -> NCSymElement:
     terms: dict[SetPartition, Fraction] = {}
     for entry in obj["terms"]:
         pi = SetPartition(entry["blocks"])
-        terms[pi] = terms.get(pi, Fraction(0)) + Fraction(entry["coeff"])
+        terms[pi] = terms.get(pi, Fraction(0)) + exact(entry["coeff"])
     return NCSymElement(obj["basis"], terms)
 
 

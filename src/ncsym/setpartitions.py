@@ -251,7 +251,6 @@ class PartitionLattice:
             self.above.append(tuple(ups))
 
         self.type_fact = [p.type.fact_parts() for p in self.elements]
-        self.mults_fact = [p.type.fact_mults() for p in self.elements]
         self.signs = [p.sign for p in self.elements]
         self._mu: dict[tuple[int, int], int] = {}
         for i in range(size):

@@ -26,7 +26,7 @@ from .macmahon import (
 from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, lattice, mobius, set_partitions
 from .tableaux import DottedEntry, DottedTableau, dotted_tableaux
-from .words import expand, expand_position_action, kernel
+from .words import expand, expand_position_action, kernel, oracle_product
 
 
 @dataclass
@@ -725,7 +725,8 @@ def suite_rsk(max_n: int | None = None) -> list[CheckResult]:
 
 
 def suite_product(max_n: int | None = None) -> list[CheckResult]:
-    """The multiplication examples and the shifted-concatenation observation."""
+    """The multiplication examples, the shifted-concatenation observation and
+    the closed-form product against the word oracle."""
     results: list[CheckResult] = []
     one = SetPartition.parse("1")
     p1 = _basis_elem("p", one)
@@ -760,6 +761,18 @@ def suite_product(max_n: int | None = None) -> list[CheckResult]:
                     if got != convert(_basis_elem("p", concat), "m"):
                         fails.append(f"{pi} | {sg}")
     _result(results, "product.power_sums_concatenate_with_shift", fails)
+
+    fails = []
+    cap = _cap(4, max_n)
+    for n1 in range(cap + 1):
+        for n2 in range(cap - n1 + 1):
+            for pi in set_partitions(n1):
+                for sg in set_partitions(n2):
+                    for basis in ("m", "p", "e", "h"):
+                        f, g = _basis_elem(basis, pi), _basis_elem(basis, sg)
+                        if multiply(f, g) != oracle_product(f, g):
+                            fails.append(f"{basis}[{pi}] * {basis}[{sg}]")
+    _result(results, "product.closed_form_matches_word_oracle", fails)
     return results
 
 

@@ -209,6 +209,16 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
     return NCSymElement("m", out)
 
 
+def oracle_product(f: NCSymElement, g: NCSymElement) -> NCSymElement:
+    """Product by brute force: multiply the word expansions, collect into m.
+
+    The reference that the closed-form ``elements.multiply`` is checked against.
+    """
+    total = f.degree() + g.degree()
+    k = max(total, 1)
+    return collect(expand(f, k) * expand(g, k), total)
+
+
 def equal(f: NCSymElement, g: NCSymElement) -> bool:
     """Decide equality in the algebra by expanding both at the joint degree."""
     k = max(f.degree(), g.degree(), 1)

@@ -80,5 +80,5 @@ def test_criterion_11_cli_golden_and_verify(capsys):
 
 
 def test_multiplication_examples():
-    # supplementary: the product route through the word oracle
-    _run_criterion(12, "products through the word oracle", ["product"])
+    # supplementary: the closed-form product, checked against the word oracle
+    _run_criterion(12, "closed-form products against the word oracle", ["product"])

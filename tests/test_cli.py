@@ -47,6 +47,13 @@ def test_exit_code_semantic_error(capsys):
     assert "ground set" in err
 
 
+def test_float_json_coefficient_is_a_clean_error(capsys):
+    expr = '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": 0.5}]}'
+    code, _, err = run(capsys, "convert", expr, "--to", "p")
+    assert code == 3
+    assert "inexact coefficient" in err
+
+
 def test_strict_rationals_flag(capsys):
     code, out, _ = run(
         capsys, "inner", "m[1,3/2,4]", "h[1,3/2,4]", "--strict-rationals"

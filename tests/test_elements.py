@@ -18,7 +18,7 @@ from ncsym.elements import (
 )
 from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.setpartitions import SetPartition, lattice, set_partitions
-from ncsym.words import equal
+from ncsym.words import equal, oracle_product
 
 P = SetPartition.parse
 BASES = ("m", "p", "e", "h")
@@ -206,6 +206,43 @@ def test_multiply_distributes_over_sums():
         NCSymElement("m", {P("12"): 2}), g
     )
     assert lhs == rhs
+
+
+def test_multiply_matches_word_oracle_up_to_degree_4():
+    # every basis, every pair of set partitions of total degree <= 4,
+    # the empty partition included
+    pairs = 0
+    for total in range(5):
+        for n in range(total + 1):
+            for a in set_partitions(n):
+                for b in set_partitions(total - n):
+                    for basis in BASES:
+                        f = NCSymElement(basis, {a: 1})
+                        g = NCSymElement(basis, {b: 1})
+                        assert multiply(f, g) == oracle_product(f, g), (basis, a, b)
+                        pairs += 1
+    assert pairs == 264
+
+
+def test_multiply_mixed_and_inhomogeneous_match_word_oracle():
+    f = NCSymElement("e", {P("13/2"): Fraction(-2, 3)})
+    g = NCSymElement("p", {P("1/2"): Fraction(5, 7)})
+    assert multiply(f, g) == oracle_product(f, g)
+    f = NCSymElement("h", {SetPartition(): Fraction(1, 2), P("1"): 3, P("12"): Fraction(-1, 4)})
+    g = NCSymElement("h", {P("1"): Fraction(2, 5), P("1/2"): Fraction(7, 3)})
+    got = multiply(f, g)
+    assert got == oracle_product(f, g)
+    assert got.degrees() == [1, 2, 3, 4]
+
+
+def test_inexact_coefficients_are_refused():
+    with pytest.raises(TypeError, match="inexact"):
+        NCSymElement("m", {P("1/2"): 0.1})
+    with pytest.raises(TypeError, match="inexact"):
+        NCSymElement("m", {P("1/2"): 1j})
+    with pytest.raises(TypeError, match="inexact"):
+        0.5 * elem("m", "1/2")
+    assert NCSymElement("m", {P("1/2"): "3/4"}).terms == {P("1/2"): Fraction(3, 4)}
 
 
 def test_type_sum_of_h_lifts_commutative_h():

@@ -110,6 +110,14 @@ def test_json_roundtrip():
     assert '"basis": "h"' in obj and '"coeff": "3/2"' in obj
 
 
+def test_json_refuses_float_coefficients():
+    text = '{"basis": "m", "terms": [{"blocks": [[1], [2]], "coeff": 0.1}]}'
+    with pytest.raises(TypeError, match="inexact"):
+        ncsym_from_json(text)
+    exact = text.replace("0.1", '"1/10"')
+    assert ncsym_from_json(exact) == NCSymElement("m", {P("1/2"): Fraction(1, 10)})
+
+
 def test_word_polynomial_text_roundtrip():
     f = NCSymElement("p", {P("12"): Fraction(2, 3)})
     poly = expand(f, 2)
