@@ -30,7 +30,7 @@ from .expressions import (
     sym_from_json,
     sym_to_json,
 )
-from .intpartitions import IntPartition, int_partitions, kostka, lex_compare
+from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .macmahon import (
     MultiPolynomial,
     Truncation,
@@ -47,7 +47,6 @@ from .macmahon import (
     phi_to_set_partition,
     schur_ncsym,
     schur_tableau_sum,
-    weak_compositions,
 )
 from .rsk import Biword, CauchyReport, cauchy_check, rsk_forward, rsk_inverse
 from .setpartitions import (
@@ -55,7 +54,6 @@ from .setpartitions import (
     PartitionLattice,
     SetPartition,
     bell_number,
-    identity_permutation,
     lattice,
     mobius,
     set_partitions,

@@ -11,27 +11,30 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
-from .intpartitions import IntPartition, int_partitions, kostka
+from .combination import Combination, format_terms
+from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .linalg import exact_solve
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 
 
-class SymElement:
+class SymElement(Combination):
     """Linear combination of one basis, sparse over integer partitions."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    basis = Combination.tag  # the tag under its public name
 
-    def __init__(self, basis: str, terms: Mapping[IntPartition, Fraction] = ()):
+    @staticmethod
+    def _check_tag(basis) -> None:
         if basis not in SYM_BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        data = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        self.terms = {
-            lam: Fraction(c) for lam, c in data.items() if Fraction(c) != 0
-        }
+
+    @staticmethod
+    def _check_key(basis, lam) -> IntPartition:
+        if not isinstance(lam, IntPartition):
+            raise TypeError(f"key {lam!r} is not an IntPartition")
+        return lam
 
     def degrees(self) -> list[int]:
         return sorted({lam.n for lam in self.terms})
@@ -40,84 +43,22 @@ class SymElement:
         return max((lam.n for lam in self.terms), default=0)
 
     def homogeneous_component(self, n: int) -> "SymElement":
-        return SymElement(
+        return self._make(
             self.basis, {lam: c for lam, c in self.terms.items() if lam.n == n}
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_basis(self, other: "SymElement") -> None:
-        if self.basis != other.basis:
-            raise ValueError(
-                f"basis mismatch: {self.basis!r} vs {other.basis!r}; convert first"
-            )
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        self._require_same_basis(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymElement(self.basis, out)
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SymElement":
-        return (-1) * self
-
-    def __mul__(self, scalar) -> "SymElement":
-        c = Fraction(scalar)
-        return SymElement(self.basis, {lam: c * v for lam, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SymElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         return format_sym(self)
 
-    def __repr__(self) -> str:
-        return f"<SymElement {format_sym(self)}>"
-
-
-def _coeff_prefix(c: Fraction, strict: bool) -> str:
-    if not strict and c == 1:
-        return ""
-    if not strict and c.denominator == 1:
-        return f"{c.numerator}*"
-    return f"{c.numerator}/{c.denominator}*"
-
-
-def format_rational(c: Fraction, strict: bool = False) -> str:
-    if c.denominator == 1 and not strict:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
 
 def format_sym(f: SymElement, strict_rationals: bool = False) -> str:
-    if not f.terms:
-        return "0"
-    pieces = []
-    for lam in sorted(f.terms, key=lambda t: (t.n, t.parts)):
-        c = f.terms[lam]
-        body = _coeff_prefix(abs(c), strict_rationals) + f.basis + "[" + ",".join(
-            str(p) for p in lam.parts
-        ) + "]"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(
+        (
+            (f.terms[lam], f"{f.basis}[{','.join(str(p) for p in lam.parts)}]")
+            for lam in sorted(f.terms, key=lambda t: (t.n, t.parts))
+        ),
+        strict_rationals,
+    )
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -127,16 +68,6 @@ def _poly_mul(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return out
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _generator_poly(basis: str, r: int, k: int) -> dict:
@@ -157,7 +88,7 @@ def _generator_poly(basis: str, r: int, k: int) -> dict:
                 exps[i] = 1
             out[tuple(exps)] = 1
     elif basis == "h":
-        for exps in _weak_compositions(r, k):
+        for exps in weak_compositions(r, k):
             out[exps] = 1
     else:
         raise ValueError(f"no polynomial generator for basis {basis!r}")
@@ -227,13 +158,13 @@ def sym_convert(f: SymElement, target: str) -> SymElement:
     if target not in SYM_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
-        return SymElement(f.basis, f.terms)
+        return SymElement._make(f.basis, f.terms)
     out: dict[IntPartition, Fraction] = {}
     for n in f.degrees():
         part = _to_m_dict(f.homogeneous_component(n))
         for lam, c in _from_m_dict(target, n, part).items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-    return SymElement(target, out)
+            out[lam] = out.get(lam, 0) + c
+    return SymElement._make(target, out)
 
 
 def sym_inner(f: SymElement, g: SymElement) -> Fraction:
@@ -253,11 +184,11 @@ def sym_inner(f: SymElement, g: SymElement) -> Fraction:
 def omega_commutative(f: SymElement) -> SymElement:
     """The involution swapping e and h, applied in whatever basis f uses."""
     if f.basis == "e":
-        return SymElement("h", f.terms)
+        return SymElement._make("h", f.terms)
     if f.basis == "h":
-        return SymElement("e", f.terms)
+        return SymElement._make("e", f.terms)
     if f.basis == "p":
-        return SymElement(
+        return SymElement._make(
             "p",
             {lam: c * (-1) ** (lam.n - lam.length) for lam, c in f.terms.items()},
         )

@@ -11,7 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .classical import format_rational, format_sym
+from .classical import format_sym
+from .combination import format_rational
 from .elements import NCSymElement, convert, format_ncsym, inner, lift, omega, project
 from .expressions import (
     ParseError,

@@ -1,0 +1,141 @@
+"""Exact sparse linear combinations, the one core of every element class.
+
+An element is a tag (a basis letter, a variable count or a truncation) and a
+dict of terms from keys (set partitions, integer partitions, words, monomials)
+to nonzero exact rationals.  The public constructor validates the tag, every
+key and every coefficient; closed operations build their results with
+``_make``, which trusts its keys and only drops zero coefficients.
+Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
+compare and hash alike.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+
+def exact(c):
+    """A coefficient as an exact rational; floats and complex numbers are refused.
+
+    ``int`` and ``Fraction`` pass through unchanged; anything else, such as a
+    'p/q' string, goes through ``Fraction``.
+    """
+    if type(c) is int or isinstance(c, Fraction):
+        return c
+    if isinstance(c, (float, complex)):
+        raise TypeError(
+            f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string"
+        )
+    return Fraction(c)
+
+
+class Combination:
+    """Finite rational combination of keys under one tag.
+
+    A subclass supplies ``_check_tag`` and ``_check_key`` for its public
+    constructor; a polynomial class adds its own algebra product.
+    """
+
+    __slots__ = ("tag", "terms")
+
+    def __init__(self, tag, terms=()):
+        """Terms are a mapping or (key, coefficient) pairs; equal keys add up."""
+        self._check_tag(tag)
+        out: dict = {}
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+            key = self._check_key(tag, key)
+            out[key] = out.get(key, 0) + exact(c)
+        self.tag = tag
+        self.terms = {key: c for key, c in out.items() if c}
+
+    @classmethod
+    def _make(cls, tag, terms: Mapping):
+        """Trusted constructor for closed operations: keys are taken as valid."""
+        self = object.__new__(cls)
+        self.tag = tag
+        self.terms = {key: c for key, c in terms.items() if c}
+        return self
+
+    @staticmethod
+    def _check_tag(tag) -> None:
+        raise NotImplementedError
+
+    @staticmethod
+    def _check_key(tag, key):
+        """The key in canonical form; raises if it does not belong under tag."""
+        raise NotImplementedError
+
+    def _require_same_tag(self, other: "Combination") -> None:
+        if self.tag != other.tag:
+            raise ValueError(
+                f"cannot combine {type(self).__name__}s over "
+                f"{self.tag!r} and {other.tag!r}"
+            )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same_tag(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return self._make(self.tag, out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self._make(self.tag, {key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        c = exact(scalar)
+        return self._make(self.tag, {key: c * v for key, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.tag == other.tag
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tag, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+def format_rational(c, strict: bool = False) -> str:
+    """``p/q``, or a bare integer unless ``strict``."""
+    if c.denominator == 1 and not strict:
+        return str(c.numerator)
+    return f"{c.numerator}/{c.denominator}"
+
+
+def format_terms(terms: Iterable[tuple], strict: bool = False) -> str:
+    """Join (coefficient, body) pairs as "a*x + y - b*z"; "0" when there are none.
+
+    A coefficient of magnitude 1 is left off unless ``strict``; an empty body
+    is a constant term and prints as its coefficient alone.
+    """
+    out = ""
+    for c, body in terms:
+        mag = abs(c)
+        if not body:
+            text = format_rational(mag, strict)
+        elif mag == 1 and not strict:
+            text = body
+        else:
+            text = f"{format_rational(mag, strict)}*{body}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {text}"
+        else:
+            out = f"-{text}" if c < 0 else text
+    return out or "0"

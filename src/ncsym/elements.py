@@ -13,44 +13,37 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .classical import SymElement, format_rational, sym_convert
+from .classical import SymElement, sym_convert
+from .combination import Combination, format_terms
 from .intpartitions import IntPartition
 from .setpartitions import SetPartition, lattice
 
 NC_BASES = ("m", "p", "e", "h")
 
 
-def exact(c) -> Fraction:
-    """A coefficient as a Fraction; floats and complex numbers are refused."""
-    if isinstance(c, (float, complex)):
-        raise TypeError(
-            f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string"
-        )
-    return Fraction(c)
-
-
-class NCSymElement:
+class NCSymElement(Combination):
     """Sparse rational combination of one basis, indexed by set partitions."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    basis = Combination.tag  # the tag under its public name
 
-    def __init__(self, basis: str, terms: Mapping[SetPartition, Fraction] = ()):
+    @staticmethod
+    def _check_tag(basis) -> None:
         if basis not in NC_BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        data = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        self.terms = {}
-        for pi, c in data.items():
-            c = exact(c)
-            if c:
-                self.terms[pi] = c
+
+    @staticmethod
+    def _check_key(basis, pi) -> SetPartition:
+        if not isinstance(pi, SetPartition):
+            raise TypeError(f"key {pi!r} is not a SetPartition")
+        return pi
 
     @classmethod
     def unit(cls, basis: str = "m") -> "NCSymElement":
         """The empty-partition symbol, the multiplicative identity."""
-        return cls(basis, {SetPartition(): Fraction(1)})
+        return cls(basis, {SetPartition(): 1})
 
     def degrees(self) -> list[int]:
         return sorted({pi.n for pi in self.terms})
@@ -58,77 +51,27 @@ class NCSymElement:
     def degree(self) -> int:
         return max((pi.n for pi in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
     def homogeneous_component(self, n: int) -> "NCSymElement":
-        return NCSymElement(
+        return self._make(
             self.basis, {pi: c for pi, c in self.terms.items() if pi.n == n}
         )
-
-    def _require_same_basis(self, other: "NCSymElement") -> None:
-        if self.basis != other.basis:
-            raise ValueError(
-                f"basis mismatch: {self.basis!r} vs {other.basis!r}; convert first"
-            )
-
-    def __add__(self, other: "NCSymElement") -> "NCSymElement":
-        self._require_same_basis(other)
-        out = dict(self.terms)
-        for pi, c in other.terms.items():
-            out[pi] = out.get(pi, Fraction(0)) + c
-        return NCSymElement(self.basis, out)
-
-    def __sub__(self, other: "NCSymElement") -> "NCSymElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "NCSymElement":
-        return (-1) * self
-
-    def __mul__(self, scalar) -> "NCSymElement":
-        c = exact(scalar)
-        return NCSymElement(self.basis, {pi: c * v for pi, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NCSymElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         return format_ncsym(self)
 
-    def __repr__(self) -> str:
-        return f"<NCSymElement {format_ncsym(self)}>"
-
 
 def format_ncsym(f: NCSymElement, strict_rationals: bool = False) -> str:
     """Render with terms sorted by (degree, type, growth string)."""
-    if not f.terms:
-        return "0"
-    pieces = []
-    for pi in sorted(f.terms, key=SetPartition.sort_key):
-        c = f.terms[pi]
-        mag = abs(c)
-        if mag == 1 and not strict_rationals:
-            coeff = ""
-        else:
-            coeff = format_rational(mag, strict_rationals) + "*"
-        pieces.append(("-" if c < 0 else "+", f"{coeff}{f.basis}[{pi}]"))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(
+        (
+            (f.terms[pi], f"{f.basis}[{pi}]")
+            for pi in sorted(f.terms, key=SetPartition.sort_key)
+        ),
+        strict_rationals,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -140,13 +83,13 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     alternative routes is checked by the verification suites instead.
     """
     if basis == target:
-        return ((pi, Fraction(1)),)
+        return ((pi, 1),)
     lat = lattice(pi.n)
     i = lat.index[pi]
     acc: dict[int, Fraction] = {}
 
     def add(j: int, value) -> None:
-        acc[j] = acc.get(j, Fraction(0)) + Fraction(value)
+        acc[j] = acc.get(j, 0) + value
 
     pair = (basis, target)
     if pair == ("p", "m"):
@@ -196,23 +139,22 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     if target not in NC_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
-        return NCSymElement(f.basis, f.terms)
+        return NCSymElement._make(f.basis, f.terms)
     out: dict[SetPartition, Fraction] = {}
     for pi, c in f.terms.items():
         for sigma, q in _symbol_expansion(f.basis, target, pi):
-            key = sigma
-            out[key] = out.get(key, Fraction(0)) + c * q
-    return NCSymElement(target, out)
+            out[sigma] = out.get(sigma, 0) + c * q
+    return NCSymElement._make(target, out)
 
 
 def omega(f: NCSymElement) -> NCSymElement:
     """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi)."""
     if f.basis == "e":
-        return NCSymElement("h", f.terms)
+        return NCSymElement._make("h", f.terms)
     if f.basis == "h":
-        return NCSymElement("e", f.terms)
+        return NCSymElement._make("e", f.terms)
     if f.basis == "p":
-        return NCSymElement("p", {pi: c * pi.sign for pi, c in f.terms.items()})
+        return NCSymElement._make("p", {pi: c * pi.sign for pi, c in f.terms.items()})
     return convert(omega(convert(f, "p")), "m")
 
 
@@ -231,8 +173,8 @@ def project(f: NCSymElement) -> SymElement:
             scale = 1
         else:
             scale = lam.fact_parts()
-        out[lam] = out.get(lam, Fraction(0)) + c * scale
-    return SymElement(f.basis, out)
+        out[lam] = out.get(lam, 0) + c * scale
+    return SymElement._make(f.basis, out)
 
 
 def lift(f: SymElement) -> NCSymElement:
@@ -245,8 +187,8 @@ def lift(f: SymElement) -> NCSymElement:
         scale = c * Fraction(lam.fact_parts(), factorial(n))
         for idx in lat.by_type[lam]:
             pi = lat.elements[idx]
-            out[pi] = out.get(pi, Fraction(0)) + scale
-    return NCSymElement("m", out)
+            out[pi] = out.get(pi, 0) + scale
+    return NCSymElement._make("m", out)
 
 
 def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
@@ -266,11 +208,11 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
     if not f.is_homogeneous():
         raise ValueError("place action needs a homogeneous element")
     if f.is_zero():
-        return NCSymElement(f.basis)
+        return NCSymElement._make(f.basis, {})
     n = f.degree()
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
-    return NCSymElement(f.basis, {pi.act(perm): c for pi, c in f.terms.items()})
+    return NCSymElement._make(f.basis, {pi.act(perm): c for pi, c in f.terms.items()})
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
@@ -287,8 +229,8 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
         for sigma, b in gm.terms.items():
             ab = a * b
             for rho in _merges(pi, sigma):
-                out[rho] = out.get(rho, Fraction(0)) + ab
-    return NCSymElement("m", out)
+                out[rho] = out.get(rho, 0) + ab
+    return NCSymElement._make("m", out)
 
 
 def _merges(pi: SetPartition, sigma: SetPartition):

@@ -17,7 +17,8 @@ import json
 from fractions import Fraction
 
 from .classical import SYM_BASES, SymElement, sym_convert
-from .elements import NC_BASES, NCSymElement, convert, exact
+from .combination import format_rational
+from .elements import NC_BASES, NCSymElement, convert
 from .intpartitions import IntPartition
 from .setpartitions import SetPartition
 
@@ -160,16 +161,12 @@ def parse_sym(text: str) -> SymElement:
     return total
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def ncsym_to_json(f: NCSymElement) -> str:
     return json.dumps(
         {
             "basis": f.basis,
             "terms": [
-                {"blocks": [list(b) for b in pi.blocks], "coeff": _coeff_str(c)}
+                {"blocks": [list(b) for b in pi.blocks], "coeff": format_rational(c)}
                 for pi, c in sorted(
                     f.terms.items(), key=lambda kv: kv[0].sort_key()
                 )
@@ -180,11 +177,10 @@ def ncsym_to_json(f: NCSymElement) -> str:
 
 def ncsym_from_json(data) -> NCSymElement:
     obj = json.loads(data) if isinstance(data, str) else data
-    terms: dict[SetPartition, Fraction] = {}
-    for entry in obj["terms"]:
-        pi = SetPartition(entry["blocks"])
-        terms[pi] = terms.get(pi, Fraction(0)) + exact(entry["coeff"])
-    return NCSymElement(obj["basis"], terms)
+    return NCSymElement(
+        obj["basis"],
+        [(SetPartition(entry["blocks"]), entry["coeff"]) for entry in obj["terms"]],
+    )
 
 
 def sym_to_json(f: SymElement) -> str:
@@ -192,7 +188,7 @@ def sym_to_json(f: SymElement) -> str:
         {
             "basis": f.basis,
             "terms": [
-                {"parts": list(lam.parts), "coeff": _coeff_str(c)}
+                {"parts": list(lam.parts), "coeff": format_rational(c)}
                 for lam, c in sorted(
                     f.terms.items(), key=lambda kv: (kv[0].n, kv[0].parts)
                 )
@@ -203,11 +199,10 @@ def sym_to_json(f: SymElement) -> str:
 
 def sym_from_json(data) -> SymElement:
     obj = json.loads(data) if isinstance(data, str) else data
-    terms: dict[IntPartition, Fraction] = {}
-    for entry in obj["terms"]:
-        lam = IntPartition(entry["parts"])
-        terms[lam] = terms.get(lam, Fraction(0)) + Fraction(entry["coeff"])
-    return SymElement(obj["basis"], terms)
+    return SymElement(
+        obj["basis"],
+        [(IntPartition(entry["parts"]), entry["coeff"]) for entry in obj["terms"]],
+    )
 
 
 def word_polynomial_to_json(P) -> str:
@@ -215,7 +210,7 @@ def word_polynomial_to_json(P) -> str:
         {
             "variables": P.k,
             "terms": [
-                {"word": list(w), "coeff": _coeff_str(c)}
+                {"word": list(w), "coeff": format_rational(c)}
                 for w, c in sorted(P.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
             ],
         }
@@ -233,7 +228,7 @@ def multipolynomial_to_json(P) -> str:
             "terms": [
                 {
                     "monomial": [[i, j, e] for (i, j), e in mono],
-                    "coeff": _coeff_str(c),
+                    "coeff": format_rational(c),
                 }
                 for mono, c in sorted(
                     P.terms.items(), key=lambda kv: (mono_degree(kv[0]), kv[0])

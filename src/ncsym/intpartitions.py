@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class IntPartition:
@@ -112,14 +112,15 @@ class IntPartition:
         return f"IntPartition({self.parts!r})"
 
 
-def lex_compare(a: IntPartition, b: IntPartition) -> int:
-    """-1/0/+1 under lexicographic order, a linear extension of dominance."""
-    ka, kb = (a.n, a.parts), (b.n, b.parts)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative integers summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .classical import format_rational
+from .combination import Combination, format_terms
 from .elements import NCSymElement
-from .intpartitions import IntPartition, int_partitions, kostka
+from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .setpartitions import SetPartition, lattice
 from .tableaux import dotted_tableaux
 from .words import WordPolynomial, collect
@@ -60,76 +60,51 @@ def format_monomial(mono: Monomial) -> str:
     return " ".join(factors)
 
 
-class MultiPolynomial:
+class MultiPolynomial(Combination):
     """Sparse rational polynomial inside a fixed truncation."""
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ()
+    trunc = Combination.tag  # the tag under its public name
 
-    def __init__(self, trunc: Truncation, terms: Mapping[Monomial, Fraction] = ()):
-        self.trunc = trunc
-        data = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        self.terms: dict[Monomial, Fraction] = {}
-        for mono, c in data.items():
-            mono = tuple(sorted((tuple(k), e) for k, e in mono if e))
-            for (i, j), _ in mono:
-                if not (1 <= i <= trunc.variables and 1 <= j <= trunc.alphabets):
-                    raise TruncationError(
-                        f"variable x{i}^({j}) outside truncation {trunc}"
-                    )
-            if mono_degree(mono) > trunc.degree:
-                raise TruncationError(
-                    f"monomial of degree {mono_degree(mono)} exceeds cap {trunc.degree}"
-                )
-            c = Fraction(c)
-            if c:
-                self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in self.terms.items() if c}
+    @staticmethod
+    def _check_tag(trunc) -> None:
+        if not isinstance(trunc, Truncation):
+            raise TypeError(f"{trunc!r} is not a Truncation")
+
+    @staticmethod
+    def _check_key(trunc: Truncation, mono) -> Monomial:
+        mono = tuple(sorted((tuple(k), e) for k, e in mono if e))
+        for (i, j), _ in mono:
+            if not (1 <= i <= trunc.variables and 1 <= j <= trunc.alphabets):
+                raise TruncationError(f"variable x{i}^({j}) outside truncation {trunc}")
+        if mono_degree(mono) > trunc.degree:
+            raise TruncationError(
+                f"monomial of degree {mono_degree(mono)} exceeds cap {trunc.degree}"
+            )
+        return mono
 
     @classmethod
     def one(cls, trunc: Truncation) -> "MultiPolynomial":
-        return cls(trunc, {(): Fraction(1)})
+        return cls(trunc, {(): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_trunc(self, other: "MultiPolynomial") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-
-    def __add__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        self._require_same_trunc(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return MultiPolynomial(self.trunc, out)
-
-    def __sub__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        return self + (-1) * other
-
-    def __neg__(self) -> "MultiPolynomial":
-        return (-1) * self
-
-    def __mul__(self, other) -> "MultiPolynomial":
-        if isinstance(other, MultiPolynomial):
-            self._require_same_trunc(other)
-            cap = self.trunc.degree
-            out: dict[Monomial, Fraction] = {}
-            for ma, ca in self.terms.items():
-                da = mono_degree(ma)
-                for mb, cb in other.terms.items():
-                    if da + mono_degree(mb) > cap:
-                        continue
-                    m = mono_mul(ma, mb)
-                    out[m] = out.get(m, Fraction(0)) + ca * cb
-            return MultiPolynomial(self.trunc, out)
-        c = Fraction(other)
-        return MultiPolynomial(self.trunc, {m: c * v for m, v in self.terms.items()})
-
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        if not isinstance(other, MultiPolynomial):
+            return super().__mul__(other)
+        self._require_same_tag(other)
+        cap = self.trunc.degree
+        out: dict[Monomial, Fraction] = {}
+        for ma, ca in self.terms.items():
+            da = mono_degree(ma)
+            for mb, cb in other.terms.items():
+                if da + mono_degree(mb) > cap:
+                    continue
+                m = mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+        return self._make(self.trunc, out)
 
     def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
         vec = tuple(vec)
-        return MultiPolynomial(
+        return self._make(
             self.trunc,
             {
                 m: c
@@ -139,17 +114,7 @@ class MultiPolynomial:
         )
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiPolynomial)
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trunc, frozenset(self.terms.items())))
+        return self.terms.get(tuple(sorted(mono)), 0)
 
     def __str__(self) -> str:
         return format_multipolynomial(self)
@@ -159,25 +124,13 @@ class MultiPolynomial:
 
 
 def format_multipolynomial(P: MultiPolynomial, strict_rationals: bool = False) -> str:
-    if not P.terms:
-        return "0"
-    pieces = []
-    for mono in sorted(P.terms, key=lambda m: (mono_degree(m), m)):
-        c = P.terms[mono]
-        mag = abs(c)
-        body = format_monomial(mono)
-        if body == "1":
-            text = format_rational(mag, strict_rationals)
-        elif mag == 1 and not strict_rationals:
-            text = body
-        else:
-            text = f"{format_rational(mag, strict_rationals)}*{body}"
-        pieces.append(("-" if c < 0 else "+", text))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(
+        (
+            (P.terms[mono], format_monomial(mono) if mono else "")
+            for mono in sorted(P.terms, key=lambda m: (mono_degree(m), m))
+        ),
+        strict_rationals,
+    )
 
 
 class VectorPartition:
@@ -272,17 +225,6 @@ def _check_vector(t: Sequence[int], trunc: Truncation) -> tuple[int, ...]:
     return t
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomial:
     """Sum of the distinct monomials whose multiexponent is the given multiset."""
     if vec_lambda.dimension != trunc.alphabets:
@@ -301,8 +243,8 @@ def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomi
             for j, v in enumerate(part, start=1):
                 if v:
                     exps[(i, j)] = exps.get((i, j), 0) + v
-        terms[tuple(sorted(exps.items()))] = Fraction(1)  # multiset: repeats coincide
-    return MultiPolynomial(trunc, terms)
+        terms[tuple(sorted(exps.items()))] = 1  # multiset: repeats coincide
+    return MultiPolynomial._make(trunc, terms)
 
 
 def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
@@ -321,7 +263,7 @@ def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     def rec(i: int, remaining: tuple[int, ...], chosen: list[tuple[int, int]]):
         if not any(remaining):
             mono = tuple(((s, j), 1) for s, j in chosen)
-            terms[mono] = Fraction(1)
+            terms[mono] = 1
             return
         if i > trunc.variables or sum(remaining) > trunc.variables - i + 1:
             return
@@ -335,7 +277,7 @@ def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
                 chosen.pop()
 
     rec(1, t, [])
-    return MultiPolynomial(trunc, terms)
+    return MultiPolynomial._make(trunc, terms)
 
 
 def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
@@ -363,7 +305,7 @@ def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
                     if v:
                         exps[(s, j)] = exps.get((s, j), 0) + v
             mono = tuple(sorted(exps.items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
             return
         if i > trunc.variables:
             return
@@ -381,7 +323,7 @@ def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
                 rec(i + 1, remaining, chosen, coeff)
 
     rec(1, t, [], 1)
-    return MultiPolynomial(trunc, terms)
+    return MultiPolynomial._make(trunc, terms)
 
 
 _MM_GENERATORS = {"p": mm_power, "e": mm_elementary, "h": mm_complete}
@@ -437,7 +379,7 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
         for (i, j), e in mono:
             letters[j - 1] = i
         words[tuple(letters)] = c
-    return collect(WordPolynomial(P.trunc.variables, words), n)
+    return collect(WordPolynomial._make(P.trunc.variables, words), n)
 
 
 def schur_tableau_sum(
@@ -463,8 +405,8 @@ def schur_tableau_sum(
             key = (e.value, e.dots)
             exps[key] = exps.get(key, 0) + 1
         mono = tuple(sorted(exps.items()))
-        terms[mono] = terms.get(mono, Fraction(0)) + 1
-    return MultiPolynomial(trunc, terms)
+        terms[mono] = terms.get(mono, 0) + 1
+    return MultiPolynomial._make(trunc, terms)
 
 
 def schur_ncsym(lam: IntPartition) -> NCSymElement:
@@ -480,10 +422,10 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
         count = kostka(lam, mu)
         if not count:
             continue
-        coeff = Fraction(mu.fact_parts() * count)
+        coeff = mu.fact_parts() * count
         for idx in lat.by_type[mu]:
             terms[lat.elements[idx]] = coeff
-    return NCSymElement("m", terms)
+    return NCSymElement._make("m", terms)
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +446,7 @@ def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> Multi
             elif degree == 0:
                 row.append(MultiPolynomial.one(trunc))
             else:
-                total = MultiPolynomial(trunc)
+                total = MultiPolynomial._make(trunc, {})
                 for t in weak_compositions(degree, trunc.alphabets):
                     total = total + generator(t, trunc)
                 row.append(total)
@@ -512,7 +454,7 @@ def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> Multi
 
     from itertools import permutations
 
-    det = MultiPolynomial(trunc)
+    det = MultiPolynomial._make(trunc, {})
     for perm in permutations(range(size)):
         if any(entries[i][perm[i]] is None for i in range(size)):
             continue

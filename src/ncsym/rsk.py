@@ -10,14 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intpartitions import int_partitions
-from .macmahon import (
-    MultiPolynomial,
-    Truncation,
-    mono_degree,
-    schur_tableau_sum,
-    weak_compositions,
-)
+from .intpartitions import int_partitions, weak_compositions
+from .macmahon import MultiPolynomial, Truncation, mono_degree, schur_tableau_sum
 from .tableaux import DottedEntry, DottedTableau, parse_entry
 
 

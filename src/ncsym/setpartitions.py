@@ -214,10 +214,6 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
     return value
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 class PartitionLattice:
     """Precomputed order, meet, join and Mobius tables for all of one degree."""
 

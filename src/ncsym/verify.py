@@ -14,15 +14,8 @@ from math import factorial
 
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
 from .elements import NCSymElement, convert, inner, lift, multiply, omega, place_act, project
-from .intpartitions import IntPartition, int_partitions
-from .macmahon import (
-    Truncation,
-    jacobi_trudi,
-    phi_collect,
-    schur_ncsym,
-    schur_tableau_sum,
-    weak_compositions,
-)
+from .intpartitions import IntPartition, int_partitions, weak_compositions
+from .macmahon import Truncation, jacobi_trudi, phi_collect, schur_ncsym, schur_tableau_sum
 from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, lattice, mobius, set_partitions
 from .tableaux import DottedEntry, DottedTableau, dotted_tableaux

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from .combination import Combination, format_rational
 from .elements import NCSymElement
 from .setpartitions import SetPartition, lattice
 
@@ -41,66 +42,34 @@ def format_word(word: Word) -> str:
     return " ".join(f"x{i}" for i in word)
 
 
-class WordPolynomial:
+class WordPolynomial(Combination):
     """Finite rational combination of words over variables 1..k."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ()
+    k = Combination.tag  # the tag under its public name
 
-    def __init__(self, k: int, terms: Mapping[Word, Fraction] = ()):
+    @staticmethod
+    def _check_tag(k) -> None:
         if k < 1:
             raise ValueError("need at least one variable")
-        self.k = k
-        data = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        self.terms = {}
-        for word, c in data.items():
-            word = tuple(word)
-            if any(not 1 <= letter <= k for letter in word):
-                raise ValueError(f"letter out of range 1..{k} in {word!r}")
-            c = Fraction(c)
-            if c:
-                self.terms[word] = c
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _check_key(k, word) -> Word:
+        word = tuple(word)
+        if any(not 1 <= letter <= k for letter in word):
+            raise ValueError(f"letter out of range 1..{k} in {word!r}")
+        return word
 
-    def __add__(self, other: "WordPolynomial") -> "WordPolynomial":
-        if self.k != other.k:
-            raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return WordPolynomial(self.k, out)
-
-    def __sub__(self, other: "WordPolynomial") -> "WordPolynomial":
-        return self + (-1) * other
-
-    def __neg__(self) -> "WordPolynomial":
-        return (-1) * self
-
-    def __mul__(self, other) -> "WordPolynomial":
-        if isinstance(other, WordPolynomial):
-            if self.k != other.k:
-                raise ValueError("variable counts differ")
-            out: dict[Word, Fraction] = {}
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    w = wa + wb
-                    out[w] = out.get(w, Fraction(0)) + ca * cb
-            return WordPolynomial(self.k, out)
-        c = Fraction(other)
-        return WordPolynomial(self.k, {w: c * v for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WordPolynomial)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, frozenset(self.terms.items())))
+    def __mul__(self, other):
+        if not isinstance(other, WordPolynomial):
+            return super().__mul__(other)
+        self._require_same_tag(other)
+        out: dict[Word, Fraction] = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                w = wa + wb
+                out[w] = out.get(w, 0) + ca * cb
+        return self._make(self.k, out)
 
     def __str__(self) -> str:
         return format_word_polynomial(self)
@@ -113,12 +82,10 @@ def format_word_polynomial(P: WordPolynomial) -> str:
     """One term per line: coefficient, then the word (or "1" for the empty word)."""
     if not P.terms:
         return "0"
-    lines = []
-    for word in sorted(P.terms, key=lambda w: (len(w), w)):
-        c = P.terms[word]
-        body = format_word(word) if word else "1"
-        lines.append(f"{c.numerator}{'' if c.denominator == 1 else f'/{c.denominator}'} {body}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{format_rational(P.terms[word])} {format_word(word) if word else '1'}"
+        for word in sorted(P.terms, key=lambda w: (len(w), w))
+    )
 
 
 def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
@@ -156,13 +123,12 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     sigma meeting pi in the bottom for e, and c times the part factorial of
     sigma meet pi for h.
     """
-    if k < 1:
-        raise ValueError("need at least one variable")
+    WordPolynomial._check_tag(k)
     out: dict[Word, Fraction] = {}
     for pi, c in f.terms.items():
         n = pi.n
         if n == 0:
-            out[()] = out.get((), Fraction(0)) + c
+            out[()] = out.get((), 0) + c
             continue
         lat = lattice(n)
         i = lat.index[pi]
@@ -180,8 +146,8 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
             if not coeff:
                 continue
             for word in _words_with_kernel(sigma, k):
-                out[word] = out.get(word, Fraction(0)) + coeff
-    return WordPolynomial(k, out)
+                out[word] = out.get(word, 0) + coeff
+    return WordPolynomial._make(k, out)
 
 
 def collect(P: WordPolynomial, n: int) -> NCSymElement:
@@ -204,9 +170,8 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
             coeff = P.terms.get(word, Fraction(0))
             if coeff != reference:
                 raise NotSymmetricError(witness, word, reference, coeff)
-        if reference:
-            out[kern] = reference
-    return NCSymElement("m", out)
+        out[kern] = reference
+    return NCSymElement._make("m", out)
 
 
 def oracle_product(f: NCSymElement, g: NCSymElement) -> NCSymElement:
@@ -238,5 +203,5 @@ def expand_position_action(perm: Sequence[int], P: WordPolynomial) -> WordPolyno
         for pos in range(n):
             moved[perm[pos] - 1] = word[pos]
         key = tuple(moved)
-        out[key] = out.get(key, Fraction(0)) + c
-    return WordPolynomial(P.k, out)
+        out[key] = out.get(key, 0) + c
+    return WordPolynomial._make(P.k, out)

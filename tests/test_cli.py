@@ -48,10 +48,14 @@ def test_exit_code_semantic_error(capsys):
 
 
 def test_float_json_coefficient_is_a_clean_error(capsys):
-    expr = '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": 0.5}]}'
-    code, _, err = run(capsys, "convert", expr, "--to", "p")
-    assert code == 3
-    assert "inexact coefficient" in err
+    for argv in [
+        ("convert", '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": 0.5}]}', "--to", "p"),
+        ("lift", '{"basis":"m","terms":[{"parts":[2,1],"coeff":0.1}]}'),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "inexact coefficient" in err
 
 
 def test_strict_rationals_flag(capsys):

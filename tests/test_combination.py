@@ -1,0 +1,219 @@
+"""The shared sparse-combination core: boundary checks and the trusted path.
+
+Closed operations build their results without re-validating them, so every
+result here is checked against the public constructor: rebuilding it from its
+tag and terms must give the same element, with no zero coefficient stored.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncsym.classical import (
+    SYM_BASES,
+    SymElement,
+    format_sym,
+    omega_commutative,
+    sym_convert,
+)
+from ncsym.elements import (
+    NC_BASES,
+    NCSymElement,
+    convert,
+    format_ncsym,
+    lift,
+    multiply,
+    omega,
+    place_act,
+    project,
+)
+from ncsym.expressions import (
+    ncsym_from_json,
+    ncsym_to_json,
+    parse_multipolynomial,
+    parse_ncsym,
+    parse_sym,
+    sym_from_json,
+    sym_to_json,
+)
+from ncsym.intpartitions import IntPartition, int_partitions, weak_compositions
+from ncsym.macmahon import (
+    MultiPolynomial,
+    Truncation,
+    VectorPartition,
+    _jt_determinant,
+    format_multipolynomial,
+    jacobi_trudi,
+    mm_complete,
+    mm_elementary,
+    mm_monomial,
+    mm_multiplicative,
+    mm_power,
+    phi_collect,
+    phi_from_set_partition,
+    schur_ncsym,
+    schur_tableau_sum,
+)
+from ncsym.setpartitions import SetPartition, set_partitions
+from ncsym.words import collect, expand, expand_position_action
+
+
+def assert_canonical(r):
+    """r is what the validating constructor would build from its own data."""
+    assert type(r)(r.tag, r.terms) == r
+    assert 0 not in r.terms.values()
+    assert all(type(c) in (int, Fraction) for c in r.terms.values())
+
+
+def test_noncommutative_closed_operations_are_canonical():
+    symbols = [(pi, b) for n in range(5) for pi in set_partitions(n) for b in NC_BASES]
+    for pi, b in symbols:
+        f = NCSymElement(b, {pi: 1})
+        n = pi.n
+        perm = tuple(range(n, 0, -1))
+        words = expand(f, max(n, 1))
+        results = [convert(f, t) for t in NC_BASES] + [
+            omega(f),
+            project(f),
+            lift(project(f)),
+            place_act(perm, f),
+            words,
+            collect(words, n),
+            expand_position_action(perm, words),
+            f + f,
+            f - f,
+            -f,
+            Fraction(2, 3) * f,
+            f.homogeneous_component(n),
+        ]
+        results += [
+            multiply(f, NCSymElement(b, {sigma: 1}))
+            for sigma, c in symbols
+            if c == b and n + sigma.n <= 4
+        ]
+        for r in results:
+            assert_canonical(r)
+
+
+def test_commutative_closed_operations_are_canonical():
+    for n in range(5):
+        for lam in int_partitions(n):
+            for b in SYM_BASES:
+                g = SymElement(b, {lam: 1})
+                for r in [sym_convert(g, t) for t in SYM_BASES]:
+                    assert_canonical(r)
+                assert_canonical(omega_commutative(g))
+                assert_canonical(lift(g))
+                assert_canonical(g.homogeneous_component(n))
+
+
+def test_macmahon_closed_operations_are_canonical():
+    for m in range(1, 5):
+        tr = Truncation(2, m, m)
+        for lam in int_partitions(m):
+            for variant in ("h", "e"):
+                assert_canonical(_jt_determinant(lam, variant, tr))
+            for vec in weak_compositions(m, 2):
+                assert_canonical(jacobi_trudi(lam, vec, "h", tr))
+                assert_canonical(jacobi_trudi(lam, vec, "e", tr))
+                assert_canonical(schur_tableau_sum(lam, vec, tr))
+        assert_canonical(schur_ncsym(IntPartition((m,))))
+    for n in (1, 2, 3):
+        tr = Truncation(n, n, n)
+        for pi in set_partitions(n):
+            vp = phi_from_set_partition(pi)
+            assert_canonical(mm_monomial(vp, tr))
+            for basis in ("p", "e", "h"):
+                poly = mm_multiplicative(basis, vp, tr)
+                assert_canonical(poly)
+                assert_canonical(phi_collect(poly))
+    tr = Truncation(2, 3, 4)
+    x = mm_power((1, 0), tr)
+    y = mm_complete((1, 1), tr)
+    z = mm_elementary((0, 2), tr)
+    for r in (x, y, z, x + y, x * y, y * z, (x + z) * y * x, x - x):
+        assert_canonical(r)
+    assert_canonical((y * y).extract_multidegree((2, 2)))
+    assert_canonical(mm_monomial(VectorPartition([(2, 1), (3, 0)]), Truncation(2, 2, 6)))
+
+
+def test_keys_of_the_wrong_type_are_refused():
+    with pytest.raises(TypeError, match="'1/2'"):
+        NCSymElement("m", {"1/2": 1})
+    with pytest.raises(TypeError, match=r"\(2, 1\)"):
+        SymElement("m", {(2, 1): 1})
+
+
+def test_integral_coefficients_stay_int():
+    f = convert(NCSymElement("h", {SetPartition.parse("13/24"): 1}), "m")
+    assert {type(c) for c in f.terms.values()} == {int}
+    g = NCSymElement("m", {pi: Fraction(c) for pi, c in f.terms.items()})
+    assert f == g and hash(f) == hash(g)
+
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def ncsym_elements(draw):
+    keys = draw(
+        st.lists(
+            st.sampled_from([pi for n in range(5) for pi in set_partitions(n)]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return NCSymElement(
+        draw(st.sampled_from(NC_BASES)), {pi: draw(coefficients) for pi in keys}
+    )
+
+
+@st.composite
+def sym_elements(draw):
+    keys = draw(
+        st.lists(
+            st.sampled_from([lam for n in range(6) for lam in int_partitions(n)]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return SymElement(
+        draw(st.sampled_from(SYM_BASES)), {lam: draw(coefficients) for lam in keys}
+    )
+
+
+TRUNC = Truncation(2, 3, 4)
+VARIABLES = [(i, j) for i in range(1, 4) for j in range(1, 3)]
+
+
+@st.composite
+def multipolynomials(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=6, max_size=6))
+        if sum(exps) <= TRUNC.degree:
+            mono = tuple((var, e) for var, e in zip(VARIABLES, exps) if e)
+            terms[mono] = draw(coefficients)
+    return MultiPolynomial(TRUNC, terms)
+
+
+@given(ncsym_elements(), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_ncsym_text_and_json_roundtrip(f, strict):
+    assert parse_ncsym(format_ncsym(f, strict)) == f
+    assert ncsym_from_json(ncsym_to_json(f)) == f
+
+
+@given(sym_elements(), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_sym_text_and_json_roundtrip(f, strict):
+    assert parse_sym(format_sym(f, strict)) == f
+    assert sym_from_json(sym_to_json(f)) == f
+
+
+@given(multipolynomials(), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_multipolynomial_text_roundtrip(P, strict):
+    assert parse_multipolynomial(format_multipolynomial(P, strict), TRUNC) == P

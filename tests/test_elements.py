@@ -17,8 +17,9 @@ from ncsym.elements import (
     project,
 )
 from ncsym.intpartitions import IntPartition, int_partitions
+from ncsym.macmahon import MultiPolynomial, Truncation
 from ncsym.setpartitions import SetPartition, lattice, set_partitions
-from ncsym.words import equal, oracle_product
+from ncsym.words import WordPolynomial, equal, oracle_product
 
 P = SetPartition.parse
 BASES = ("m", "p", "e", "h")
@@ -242,6 +243,14 @@ def test_inexact_coefficients_are_refused():
         NCSymElement("m", {P("1/2"): 1j})
     with pytest.raises(TypeError, match="inexact"):
         0.5 * elem("m", "1/2")
+    with pytest.raises(TypeError, match="inexact"):
+        SymElement("m", {IntPartition((2, 1)): 0.1})
+    with pytest.raises(TypeError, match="inexact"):
+        0.5 * SymElement("m", {IntPartition((2, 1)): 1})
+    with pytest.raises(TypeError, match="inexact"):
+        WordPolynomial(2, {(1, 2): 0.1})
+    with pytest.raises(TypeError, match="inexact"):
+        MultiPolynomial(Truncation(1, 2, 2), {(((1, 1), 1),): 0.1})
     assert NCSymElement("m", {P("1/2"): "3/4"}).terms == {P("1/2"): Fraction(3, 4)}
 
 

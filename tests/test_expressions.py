@@ -116,6 +116,11 @@ def test_json_refuses_float_coefficients():
         ncsym_from_json(text)
     exact = text.replace("0.1", '"1/10"')
     assert ncsym_from_json(exact) == NCSymElement("m", {P("1/2"): Fraction(1, 10)})
+    text = '{"basis": "m", "terms": [{"parts": [2, 1], "coeff": 0.1}]}'
+    with pytest.raises(TypeError, match="inexact"):
+        sym_from_json(text)
+    exact = text.replace("0.1", '"1/10"')
+    assert sym_from_json(exact) == SymElement("m", {IntPartition((2, 1)): Fraction(1, 10)})
 
 
 def test_word_polynomial_text_roundtrip():

@@ -6,7 +6,6 @@ from ncsym.setpartitions import (
     GroundSetError,
     SetPartition,
     bell_number,
-    identity_permutation,
     lattice,
     mobius,
     set_partitions,
@@ -96,7 +95,7 @@ def test_enumeration_counts_and_order():
 
 def test_act_examples():
     pi = P("13/24")
-    assert pi.act(identity_permutation(4)) == pi
+    assert pi.act((1, 2, 3, 4)) == pi
     swap = (2, 1, 3, 4)
     assert pi.act(swap) == P("14/23")
     g = (2, 3, 4, 1)
