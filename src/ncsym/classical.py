@@ -130,16 +130,20 @@ def _to_m_dict(f: SymElement) -> dict[IntPartition, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _m_matrix(basis: str, n: int) -> tuple:
-    """Matrix with column lam = m-expansion of basis_lam, rows/cols over partitions of n."""
+def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
+    """Each m_mu of degree n in the given basis, as mu -> ((lam, coeff), ...):
+    the columns of the inverse of the matrix whose column lam is basis_lam in m."""
     ps = int_partitions(n)
     pos = {lam: i for i, lam in enumerate(ps)}
-    size = len(ps)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    matrix = [[0] * len(ps) for _ in ps]
     for c, lam in enumerate(ps):
         for mu, q in _basis_m_coeffs(basis, lam):
             matrix[pos[mu]][c] = q
-    return tuple(ps), matrix
+    out = {}
+    for c, mu in enumerate(ps):
+        column = exact_solve(matrix, [int(r == c) for r in range(len(ps))])
+        out[mu] = tuple((lam, v) for lam, v in zip(ps, column) if v)
+    return out
 
 
 def _from_m_dict(
@@ -147,10 +151,12 @@ def _from_m_dict(
 ) -> dict[IntPartition, Fraction]:
     if basis == "m":
         return dict(coeffs)
-    ps, matrix = _m_matrix(basis, n)
-    rhs = [coeffs.get(lam, Fraction(0)) for lam in ps]
-    solution = exact_solve([row[:] for row in matrix], rhs)
-    return {lam: v for lam, v in zip(ps, solution) if v}
+    inverse = _m_inverse(basis, n)
+    out: dict[IntPartition, Fraction] = {}
+    for mu, c in coeffs.items():
+        for lam, v in inverse[mu]:
+            out[lam] = out.get(lam, 0) + c * v
+    return {lam: v for lam, v in out.items() if v}
 
 
 def sym_convert(f: SymElement, target: str) -> SymElement:

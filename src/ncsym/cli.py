@@ -34,7 +34,7 @@ from .macmahon import (
     schur_tableau_sum,
 )
 from .rsk import Biword, rsk_forward, rsk_inverse
-from .setpartitions import GroundSetError, SetPartition, lattice, mobius
+from .setpartitions import GroundSetError, SetPartition, bell_number, lattice, mobius
 from .tableaux import DottedTableau
 from .words import NotSymmetricError, expand, format_word_polynomial
 from . import verify as verify_module
@@ -161,6 +161,11 @@ def _cmd_mobius(args) -> int:
 def _cmd_lattice(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
+    if args.n > 7:  # lattice(7) takes minutes to build
+        size = bell_number(args.n)
+        raise ValueError(
+            f"--n {args.n}: B_{args.n} = {size} partitions, a {size} x {size} table; n <= 7"
+        )
     lat = lattice(args.n)
     labels = [str(p) if p.blocks else "()" for p in lat.elements]
     if args.table == "mobius":

@@ -2,10 +2,11 @@
 
 An element is a sparse rational linear combination of basis symbols b_pi,
 one basis tag among m/p/e/h, with set partitions of possibly several sizes
-(the element is a finite sum of homogeneous components).  Basis changes run
-over the partition lattice: sums against the order relation, meets, and
-Mobius coefficients.  All coefficients are exact rationals; floats are never
-introduced.
+(the element is a finite sum of homogeneous components).  Basis changes sum
+over the interval above a partition, the interval below it, or the partitions
+meeting it in the bottom, enumerated on restricted growth strings with Mobius
+numbers in closed form; no lattice tables are built.  All coefficients are
+exact rationals; floats are never introduced.
 """
 from __future__ import annotations
 
@@ -18,7 +19,16 @@ from typing import Sequence
 from .classical import SymElement, sym_convert
 from .combination import Combination, format_terms
 from .intpartitions import IntPartition
-from .setpartitions import SetPartition, lattice
+from .setpartitions import (
+    SetPartition,
+    lower_sums,
+    meet_walk,
+    mobius_bottom,
+    mobius_bottom_top,
+    partition_key,
+    partitions_of_type,
+    upper_interval,
+)
 
 NC_BASES = ("m", "p", "e", "h")
 
@@ -80,57 +90,46 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
 
     Each ordered pair of distinct bases has its own direct summation formula,
     so no conversion routes through an intermediate basis; agreement between
-    alternative routes is checked by the verification suites instead.
+    alternative routes is checked by the verification suites instead.  The
+    sums run over intervals above or below pi, or over every sigma with its
+    meet statistic, on growth strings and without lattice tables; ``verify``
+    keeps the same sums over the tables as the reference.
     """
     if basis == target:
         return ((pi, 1),)
-    lat = lattice(pi.n)
-    i = lat.index[pi]
-    acc: dict[int, Fraction] = {}
-
-    def add(j: int, value) -> None:
-        acc[j] = acc.get(j, 0) + value
+    scale = 1  # acc below maps partition keys to coefficients times scale
 
     pair = (basis, target)
     if pair == ("p", "m"):
-        for j in lat.above[i]:
-            add(j, 1)
-    elif pair == ("e", "m"):
-        for j in range(lat.size):
-            if lat.meet[i][j] == lat.zero:
-                add(j, 1)
-    elif pair == ("h", "m"):
-        for j in range(lat.size):
-            add(j, lat.type_fact[lat.meet[i][j]])
+        acc = {partition_key(s): 1 for s, _ in upper_interval(pi.rgs)}
     elif pair == ("m", "p"):
-        for j in lat.above[i]:
-            add(j, lat.mu(i, j))
+        acc = {partition_key(s): mu for s, mu in upper_interval(pi.rgs)}
+    elif pair in (("e", "m"), ("h", "m")):
+        acc = meet_walk(pi.rgs, bottom_only=basis == "e")
     elif pair in (("m", "e"), ("m", "h")):
-        # double sum: over sigma above pi, then tau below sigma
-        for s in lat.above[i]:
-            denom = lat.mu0[s] if pair == ("m", "e") else lat.abs_mu0[s]
-            outer = Fraction(lat.mu(i, s), denom)
-            for t in lat.below[s]:
-                add(t, outer * lat.mu(t, s))
-    elif pair == ("e", "p"):
-        for s in lat.below[i]:
-            add(s, lat.mu0[s])
-    elif pair == ("h", "p"):
-        for s in lat.below[i]:
-            add(s, lat.abs_mu0[s])
-    elif pair == ("p", "e"):
-        for s in lat.below[i]:
-            add(s, Fraction(lat.mu(s, i), lat.mu0[i]))
-    elif pair == ("p", "h"):
-        for s in lat.below[i]:
-            add(s, Fraction(lat.mu(s, i), lat.abs_mu0[i]))
+        # over sigma above pi, then tau below sigma; |mu(bottom, sigma)|
+        # divides (n-1)!, so the sums scaled by (n-1)! stay integers
+        scale = factorial(max(pi.n - 1, 0))
+        outer = []
+        for s, mu in upper_interval(pi.rgs):
+            mu0 = mobius_bottom(s)
+            outer.append((s, mu * (scale // (mu0 if target == "e" else abs(mu0)))))
+        acc = lower_sums(outer, lambda k, _: mobius_bottom_top(k))
+    elif pair in (("e", "p"), ("h", "p")):
+        acc = lower_sums([(pi.rgs, 1)], lambda _, mu: mu if basis == "e" else abs(mu))
+    elif pair in (("p", "e"), ("p", "h")):
+        mu0 = mobius_bottom(pi.rgs)
+        scale = mu0 if target == "e" else abs(mu0)
+        acc = lower_sums([(pi.rgs, 1)], lambda k, _: mobius_bottom_top(k))
     elif pair in (("e", "h"), ("h", "e")):
-        for s in lat.below[i]:
-            add(s, lat.signs[s] * lat.interval_fact(s, i))
+        # sign(tau) * lam(tau, pi)!; sign(tau) is the sign of mu(bottom, tau)
+        acc = lower_sums([(pi.rgs, 1)], lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
     else:  # pragma: no cover - the pairs above are exhaustive
         raise ValueError(f"no conversion from {basis!r} to {target!r}")
     return tuple(
-        (lat.elements[j], c) for j, c in sorted(acc.items()) if c
+        (SetPartition.from_key(k, pi.n), c if scale == 1 else Fraction(c, scale))
+        for k, c in sorted(acc.items())
+        if c
     )
 
 
@@ -182,11 +181,8 @@ def lift(f: SymElement) -> NCSymElement:
     fm = sym_convert(f, "m")
     out: dict[SetPartition, Fraction] = {}
     for lam, c in fm.terms.items():
-        n = lam.n
-        lat = lattice(n)
-        scale = c * Fraction(lam.fact_parts(), factorial(n))
-        for idx in lat.by_type[lam]:
-            pi = lat.elements[idx]
+        scale = c * Fraction(lam.fact_parts(), factorial(lam.n))
+        for pi in partitions_of_type(lam):
             out[pi] = out.get(pi, 0) + scale
     return NCSymElement._make("m", out)
 

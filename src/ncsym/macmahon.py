@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .combination import Combination, format_terms
 from .elements import NCSymElement
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
-from .setpartitions import SetPartition, lattice
+from .setpartitions import SetPartition, partitions_of_type
 from .tableaux import dotted_tableaux
 from .words import WordPolynomial, collect
 
@@ -73,7 +73,8 @@ class MultiPolynomial(Combination):
 
     @staticmethod
     def _check_key(trunc: Truncation, mono) -> Monomial:
-        mono = tuple(sorted((tuple(k), e) for k, e in mono if e))
+        # multiplying by 1 sorts the variables and adds up a repeated one's exponents
+        mono = tuple((k, e) for k, e in mono_mul((), ((tuple(k), e) for k, e in mono)) if e)
         for (i, j), _ in mono:
             if not (1 <= i <= trunc.variables and 1 <= j <= trunc.alphabets):
                 raise TruncationError(f"variable x{i}^({j}) outside truncation {trunc}")
@@ -114,7 +115,7 @@ class MultiPolynomial(Combination):
         )
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), 0)
+        return self.terms.get(mono_mul((), mono), 0)
 
     def __str__(self) -> str:
         return format_multipolynomial(self)
@@ -415,16 +416,14 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
     The coefficient on every m_sigma of type mu is mu! times the Kostka
     number for the shape, and vanishes unless mu is dominated by the shape.
     """
-    n = lam.n
-    lat = lattice(n)
     terms: dict[SetPartition, Fraction] = {}
-    for mu in int_partitions(n):
+    for mu in int_partitions(lam.n):
         count = kostka(lam, mu)
         if not count:
             continue
         coeff = mu.fact_parts() * count
-        for idx in lat.by_type[mu]:
-            terms[lat.elements[idx]] = coeff
+        for pi in partitions_of_type(mu):
+            terms[pi] = coeff
     return NCSymElement._make("m", terms)
 
 

@@ -8,8 +8,8 @@ immutable and every operation is pure.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Sequence
+from math import factorial, prod
+from typing import Callable, Iterable, Sequence
 
 from .intpartitions import IntPartition
 
@@ -48,6 +48,16 @@ class SetPartition:
         for pos, lab in enumerate(labels, start=1):
             groups.setdefault(lab, []).append(pos)
         return cls(groups.values())
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def from_key(key: int, n: int) -> "SetPartition":
+        """The partition of [n] with this ``partition_key``, one shared object per key."""
+        labels = []
+        for _ in range(n):
+            key, minimum = divmod(key, n)
+            labels.append(minimum)
+        return SetPartition.from_labels(labels[::-1])
 
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
@@ -210,8 +220,112 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
         return 0
     value = 1
     for a in sigma.interval_type(pi).parts:
-        value *= (-1) ** (a - 1) * factorial(a - 1)
+        value *= mobius_bottom_top(a)
     return value
+
+
+def mobius_bottom_top(a: int) -> int:
+    """mu(bottom, top) in the partition lattice of [a]."""
+    return (-1) ** (a - 1) * factorial(a - 1) if a else 1
+
+
+# The interval enumerators below name a partition of {0..n-1} by its key: the
+# integer whose base-n digits, most significant first, are the block minimum
+# of each element.  Keys sort like growth strings, and the keys of partitions
+# of disjoint blocks add up to the key of their union.
+
+
+def partition_key(labels: Sequence[int]) -> int:
+    """Key of the partition with this block labelling of positions 0..n-1."""
+    first: dict[int, int] = {}
+    key = 0
+    for pos, label in enumerate(labels):
+        key = key * len(labels) + first.setdefault(label, pos)
+    return key
+
+
+def mobius_bottom(rgs: Sequence[int]) -> int:
+    """mu(bottom, sigma) for sigma given by its growth string."""
+    return prod(mobius_bottom_top(rgs.count(v)) for v in range(max(rgs, default=-1) + 1))
+
+
+@lru_cache(maxsize=None)
+def _refinements(a: int) -> tuple:
+    """(r, each position's block minimum, block count, mu(bottom, r)) per partition r of [a]."""
+    return tuple(
+        (r, tuple(r.index(x) for x in r), max(r, default=-1) + 1, mobius_bottom(r))
+        for r in (p.rgs for p in set_partitions(a))
+    )
+
+
+def upper_interval(rgs: Sequence[int]):
+    """(growth string, mu(pi, sigma)) for each sigma >= pi, pi given by its growth
+    string: sigma is a partition r of pi's blocks, and mu(pi, sigma) = mu(bottom, r)."""
+    for r, _, _, mu in _refinements(max(rgs, default=-1) + 1):
+        yield tuple([r[x] for x in rgs]), mu
+
+
+def lower_sums(
+    terms: Iterable[tuple[Sequence[int], int]], weight: Callable[[int, int], int]
+) -> dict[int, int]:
+    """Key of tau -> sum over (sigma, c) in ``terms`` with tau <= sigma of c times
+    the product over the blocks B of sigma of weight(blocks of tau in B,
+    mu(bottom, tau restricted to B)), each sigma given by its growth string.
+    The map for one sigma is a product of one small map per block."""
+    out: dict[int, int] = {}
+    options: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # block -> (key part, weight)
+    for rgs, c in terms:
+        n = len(rgs)
+        sums = {0: c}
+        for v in range(max(rgs, default=-1) + 1):
+            block = tuple(pos for pos, x in enumerate(rgs) if x == v)
+            if block not in options:
+                options[block] = [
+                    (sum(block[m] * n ** (n - 1 - p) for p, m in zip(block, mins)), weight(k, mu))
+                    for _, mins, k, mu in _refinements(len(block))
+                ]
+            sums = {t + d: x * w for t, x in sums.items() for d, w in options[block]}
+        for t, x in sums.items():
+            out[t] = out.get(t, 0) + x
+    return out
+
+
+def meet_walk(rgs: Sequence[int], bottom_only: bool) -> dict[int, int]:
+    """Key of sigma -> lam(sigma meet pi)! for every sigma of pi's degree, pi given
+    by its growth string; with ``bottom_only``, only the sigma meeting pi in the
+    bottom.  One backtracking walk keeps the size of each block intersection:
+    placing an element where c others lie multiplies the weight by c + 1."""
+    n, ell = len(rgs), max(rgs, default=-1) + 1
+    counts: list[list[int]] = []  # counts[v][b]: |block v of sigma meet block b of pi|
+    minima: list[int] = []  # the first position of each block of sigma
+    out: dict[int, int] = {}
+
+    def walk(i: int, key: int, weight: int) -> None:
+        if i == n:
+            out[key] = weight
+            return
+        b = rgs[i]
+        for v in range(len(counts) + 1):
+            if v == len(counts):  # open a new block of sigma at i
+                counts.append([0] * ell)
+                minima.append(i)
+            row = counts[v]
+            c = row[b]
+            if not (bottom_only and c):
+                row[b] = c + 1
+                walk(i + 1, key * n + minima[v], weight * (c + 1))
+                row[b] = c
+        counts.pop()
+        minima.pop()
+
+    walk(0, 0, 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def partitions_of_type(lam: IntPartition) -> tuple[SetPartition, ...]:
+    """Every set partition of type lam, sorted by restricted growth string."""
+    return tuple(p for p in set_partitions(lam.n) if p.type == lam)
 
 
 class PartitionLattice:
@@ -224,7 +338,6 @@ class PartitionLattice:
         self.size = size
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.zero = self.index[SetPartition.bottom(n)]
-        self.one = self.index[SetPartition.top(n)]
 
         self.leq_sets = [set() for _ in range(size)]  # i -> indices above i
         self.above: list[tuple[int, ...]] = []
@@ -254,12 +367,6 @@ class PartitionLattice:
                 self._mu[(i, j)] = mobius(self.elements[i], self.elements[j])
         self.mu0 = [self._mu[(self.zero, j)] for j in range(size)]
         self.abs_mu0 = [abs(v) for v in self.mu0]
-
-        self.by_type: dict[IntPartition, tuple[int, ...]] = {}
-        for i, p in enumerate(self.elements):
-            self.by_type.setdefault(p.type, ())
-        for i, p in enumerate(self.elements):
-            self.by_type[p.type] += (i,)
 
     def leq_idx(self, i: int, j: int) -> bool:
         return j in self.leq_sets[i]

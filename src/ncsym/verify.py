@@ -64,6 +64,41 @@ def _mobius_recursive(lat) -> dict[tuple[int, int], int]:
     return table
 
 
+def _expansion_by_lattice_tables(basis: str, target: str, pi: SetPartition) -> tuple:
+    """basis_pi in the target basis as ((sigma, coeff), ...), summed over the
+    full order, meet and Mobius tables of lattice(n)."""
+    lat = lattice(pi.n)
+    i = lat.index[pi]
+    mu0 = lat.mu0 if "e" in (basis, target) else lat.abs_mu0  # for the pairs with m or p
+    pair = (basis, target)
+    if basis == target:
+        terms = [(i, 1)]
+    elif pair == ("p", "m"):
+        terms = [(j, 1) for j in lat.above[i]]
+    elif pair == ("m", "p"):
+        terms = [(j, lat.mu(i, j)) for j in lat.above[i]]
+    elif pair == ("e", "m"):
+        terms = [(j, 1) for j in range(lat.size) if lat.meet[i][j] == lat.zero]
+    elif pair == ("h", "m"):
+        terms = [(j, lat.type_fact[lat.meet[i][j]]) for j in range(lat.size)]
+    elif basis == "m":  # to e or h: over sigma above pi, then tau below sigma
+        terms = [
+            (t, Fraction(lat.mu(i, s), mu0[s]) * lat.mu(t, s))
+            for s in lat.above[i]
+            for t in lat.below[s]
+        ]
+    elif target == "p":  # from e or h
+        terms = [(s, mu0[s]) for s in lat.below[i]]
+    elif basis == "p":  # to e or h
+        terms = [(s, Fraction(lat.mu(s, i), mu0[i])) for s in lat.below[i]]
+    else:  # e -> h and h -> e
+        terms = [(s, lat.signs[s] * lat.interval_fact(s, i)) for s in lat.below[i]]
+    acc: dict[int, Fraction] = {}
+    for j, c in terms:
+        acc[j] = acc.get(j, 0) + c
+    return tuple((lat.elements[j], c) for j, c in sorted(acc.items()) if c)
+
+
 def _classical_insertion(bottom: list[int], top: list[int]):
     """Plain integer RSK used as the reference for the undotting check."""
     ins: list[list[int]] = []
@@ -201,6 +236,14 @@ def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
                 if direct != routed:
                     fails.append(f"m->{target} vs m->p->{target} at {pi}")
         _result(results, f"roundtrip.n{n}.double_sum_matches_route_via_p", fails)
+        fails = []
+        for pi in elems:
+            for b1 in bases:
+                for b2 in bases:
+                    want = NCSymElement(b2, _expansion_by_lattice_tables(b1, b2, pi))
+                    if convert(_basis_elem(b1, pi), b2) != want:
+                        fails.append(f"{b1}->{b2} at {pi}")
+        _result(results, f"roundtrip.n{n}.convert_matches_lattice_tables", fails)
     return results
 
 
@@ -517,9 +560,9 @@ def suite_projection(max_n: int | None = None) -> list[CheckResult]:
         fails = []
         for mu in int_partitions(n):
             total = NCSymElement("h")
-            lat = lattice(n)
-            for idx in lat.by_type[mu]:
-                total = total + _basis_elem("h", lat.elements[idx])
+            for pi in lattice(n).elements:
+                if pi.type == mu:
+                    total = total + _basis_elem("h", pi)
             target = lift(SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())}))
             if convert(total, "m") != target:
                 fails.append(str(mu))

@@ -4,11 +4,13 @@ import pytest
 
 from ncsym.classical import (
     SymElement,
+    _basis_m_coeffs,
     omega_commutative,
     sym_convert,
     sym_inner,
 )
 from ncsym.intpartitions import IntPartition, int_partitions
+from ncsym.linalg import exact_solve
 
 IP = IntPartition
 
@@ -44,6 +46,18 @@ def test_conversion_roundtrip(basis, n):
     for lam in int_partitions(n):
         f = one(basis, lam.parts)
         assert sym_convert(sym_convert(f, "m"), basis) == f
+
+
+@pytest.mark.parametrize("basis", ["p", "e", "h", "s"])
+def test_conversion_from_m_matches_exact_solve(basis):
+    # the cached inverse against solving the change-of-basis system afresh
+    for n in range(7):
+        ps = int_partitions(n)
+        matrix = [[dict(_basis_m_coeffs(basis, lam)).get(mu, 0) for lam in ps] for mu in ps]
+        for c, mu in enumerate(ps):
+            column = exact_solve(matrix, [int(r == c) for r in range(len(ps))])
+            want = SymElement(basis, {lam: v for lam, v in zip(ps, column)})
+            assert sym_convert(one("m", mu.parts), basis) == want
 
 
 def test_inner_examples():

@@ -88,6 +88,12 @@ def test_lattice_table(capsys):
     assert payload["n"] == 3 and len(payload["rows"]) == 5
 
 
+def test_lattice_refuses_large_n(capsys):
+    code, out, err = run(capsys, "lattice", "--n", "8", "--table", "meet")
+    assert code == 3 and out == ""
+    assert "B_8 = 4140" in err and "4140 x 4140" in err
+
+
 def test_schur_and_jacobi_trudi(capsys):
     code, out, _ = run(capsys, "schur", "(2)")
     assert code == 0 and out == "m[1/2] + 2*m[1,2]\n"

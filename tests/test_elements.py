@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ncsym.classical import SymElement, sym_inner
 from ncsym.elements import (
     NCSymElement,
+    _symbol_expansion,
     convert,
     inner,
     lift,
@@ -16,9 +17,10 @@ from ncsym.elements import (
     place_act,
     project,
 )
-from ncsym.intpartitions import IntPartition, int_partitions
-from ncsym.macmahon import MultiPolynomial, Truncation
-from ncsym.setpartitions import SetPartition, lattice, set_partitions
+from ncsym.intpartitions import IntPartition, int_partitions, kostka
+from ncsym.macmahon import MultiPolynomial, Truncation, schur_ncsym
+from ncsym.setpartitions import SetPartition, lattice, partitions_of_type, set_partitions
+from ncsym.verify import _expansion_by_lattice_tables
 from ncsym.words import WordPolynomial, equal, oracle_product
 
 P = SetPartition.parse
@@ -257,11 +259,10 @@ def test_inexact_coefficients_are_refused():
 def test_type_sum_of_h_lifts_commutative_h():
     # the sum of h over one type equals the lift of n!/type-multiplicities * h
     for n in range(1, 5):
-        lat = lattice(n)
         for mu in int_partitions(n):
             total = NCSymElement("h")
-            for idx in lat.by_type[mu]:
-                total = total + NCSymElement("h", {lat.elements[idx]: 1})
+            for pi in partitions_of_type(mu):
+                total = total + NCSymElement("h", {pi: 1})
             target = lift(
                 SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())})
             )
@@ -297,3 +298,51 @@ def test_element_arithmetic_and_errors():
         NCSymElement("q", {})
     with pytest.raises(ValueError):
         convert(f, "s")
+
+
+def test_symbol_expansion_matches_lattice_tables():
+    # the interval enumerators against sums over the full lattice tables
+    for n in range(7):
+        for pi in set_partitions(n):
+            for b in BASES:
+                for t in BASES:
+                    want = _expansion_by_lattice_tables(b, t, pi)
+                    assert _symbol_expansion(b, t, pi) == want, (b, t, pi)
+
+
+def test_lift_and_schur_match_lattice_grouping():
+    for n in range(7):
+        elements = lattice(n).elements
+        for lam in int_partitions(n):
+            of_type = [pi for pi in elements if pi.type == lam]
+            assert partitions_of_type(lam) == tuple(of_type)
+            scale = Fraction(lam.fact_parts(), factorial(n))
+            assert lift(SymElement("m", {lam: 1})) == NCSymElement(
+                "m", {pi: scale for pi in of_type}
+            )
+            want = {
+                pi: pi.type.fact_parts() * kostka(lam, pi.type)
+                for pi in elements
+                if kostka(lam, pi.type)
+            }
+            assert schur_ncsym(lam) == NCSymElement("m", want)
+
+
+def test_degree_7_round_trips():
+    f = NCSymElement("m", {SetPartition.bottom(7): 1})
+    for b in ("p", "e"):
+        assert convert(convert(f, b), "m") == f
+
+
+def test_basis_changes_build_no_lattice():
+    before = lattice.cache_info()
+    bottom = SetPartition.bottom(6)
+    for b in BASES:
+        for t in BASES:
+            _symbol_expansion.__wrapped__(b, t, bottom)
+    convert(NCSymElement("m", {bottom: 1}), "e")
+    for lam in int_partitions(6):
+        partitions_of_type.__wrapped__(lam)
+        lift(SymElement("m", {lam: 1}))
+        schur_ncsym(lam)
+    assert lattice.cache_info() == before

@@ -277,3 +277,13 @@ def test_multipolynomial_truncation_rules():
         MultiPolynomial(tr, {mono((1, 1, 3)): Fraction(1)})
     with pytest.raises(TruncationError):
         MultiPolynomial(tr, {mono((3, 1, 1)): Fraction(1)})
+
+
+def test_repeated_variable_exponents_add_up():
+    tr = Truncation(1, 2, 2)
+    x = MultiPolynomial(tr, {mono((1, 1, 1)): 1})
+    repeated = (((1, 1), 1), ((1, 1), 1))
+    square = MultiPolynomial(tr, {repeated: 1})
+    assert square == x * x
+    assert str(square) == "x1'^2"
+    assert (x * x).coefficient(repeated) == 1
