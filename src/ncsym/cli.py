@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .classical import format_sym
+from .classical import SymElement, format_sym
 from .combination import format_rational
 from .elements import NCSymElement, convert, format_ncsym, inner, lift, omega, project
 from .expressions import (
@@ -25,8 +25,8 @@ from .expressions import (
 )
 from .intpartitions import IntPartition
 from .macmahon import (
+    MultiPolynomial,
     Truncation,
-    TruncationError,
     format_multipolynomial,
     jacobi_trudi,
     parse_vector,
@@ -34,9 +34,9 @@ from .macmahon import (
     schur_tableau_sum,
 )
 from .rsk import Biword, rsk_forward, rsk_inverse
-from .setpartitions import GroundSetError, SetPartition, bell_number, lattice, mobius
+from .setpartitions import SetPartition, bell_number, lattice, mobius
 from .tableaux import DottedTableau
-from .words import NotSymmetricError, expand, format_word_polynomial
+from .words import WordPolynomial, expand, format_word_polynomial
 from . import verify as verify_module
 
 USAGE_ERROR, PARSE_ERROR, SEMANTIC_ERROR, VERIFY_ERROR = 1, 2, 3, 4
@@ -133,29 +133,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_rational(value: Fraction, args) -> None:
-    if args.format == "json":
-        print(json.dumps({"value": format_rational(value, args.strict_rationals)}))
-    else:
-        print(format_rational(value, args.strict_rationals))
+# text writer (value, strict_rationals) and JSON writer (value) of each value class
+_WRITERS = {
+    NCSymElement: (format_ncsym, ncsym_to_json),
+    SymElement: (format_sym, sym_to_json),
+    MultiPolynomial: (format_multipolynomial, multipolynomial_to_json),
+    WordPolynomial: (lambda P, strict: format_word_polynomial(P), word_polynomial_to_json),
+}
 
 
-def _print_ncsym(f: NCSymElement, args) -> None:
-    if args.format == "json":
-        print(ncsym_to_json(f))
-    else:
-        print(format_ncsym(f, args.strict_rationals))
-
-
-def _cmd_convert(args) -> int:
-    _print_ncsym(convert(parse_ncsym(args.expr), args.to), args)
+def _emit(value, args) -> int:
+    """Print the value a command computed, in the chosen format; exit code 0."""
+    if isinstance(value, (int, Fraction)):
+        text = format_rational(value, args.strict_rationals)
+        print(json.dumps({"value": text}) if args.format == "json" else text)
+        return 0
+    text, to_json = _WRITERS[type(value)]
+    print(to_json(value) if args.format == "json" else text(value, args.strict_rationals))
     return 0
 
 
-def _cmd_mobius(args) -> int:
-    value = mobius(SetPartition.parse(args.sigma), SetPartition.parse(args.pi))
-    _print_rational(Fraction(value), args)
-    return 0
+def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
+    """One alphabet per vector entry, k variables each (default the degree)."""
+    return Truncation(len(vec), k if k is not None else max(shape.n, 1), shape.n)
+
+
+def _schur(args):
+    shape = IntPartition.parse(args.shape)
+    if args.vec is not None:
+        vec = parse_vector(args.vec)
+        return schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
+    element = schur_ncsym(shape)
+    return element if args.expand is None else expand(element, args.expand)
+
+
+def _jacobi_trudi(args) -> MultiPolynomial:
+    shape, vec = IntPartition.parse(args.shape), parse_vector(args.vec)
+    return jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
 
 
 def _cmd_lattice(args) -> int:
@@ -181,67 +195,6 @@ def _cmd_lattice(args) -> int:
         print("\t".join(["*"] + labels))
         for label, row in zip(labels, cells):
             print("\t".join([label] + row))
-    return 0
-
-
-def _cmd_inner(args) -> int:
-    _print_rational(inner(parse_ncsym(args.expr1), parse_ncsym(args.expr2)), args)
-    return 0
-
-
-def _cmd_omega(args) -> int:
-    _print_ncsym(omega(parse_ncsym(args.expr)), args)
-    return 0
-
-
-def _cmd_project(args) -> int:
-    image = project(parse_ncsym(args.expr))
-    if args.format == "json":
-        print(sym_to_json(image))
-    else:
-        print(format_sym(image, args.strict_rationals))
-    return 0
-
-
-def _cmd_lift(args) -> int:
-    _print_ncsym(lift(parse_sym(args.expr)), args)
-    return 0
-
-
-def _cmd_schur(args) -> int:
-    shape = IntPartition.parse(args.shape)
-    if args.vec is not None:
-        vec = parse_vector(args.vec)
-        k = args.expand if args.expand is not None else max(shape.n, 1)
-        trunc = Truncation(len(vec), k, shape.n)
-        poly = schur_tableau_sum(shape, vec, trunc)
-        if args.format == "json":
-            print(multipolynomial_to_json(poly))
-        else:
-            print(format_multipolynomial(poly, args.strict_rationals))
-        return 0
-    element = schur_ncsym(shape)
-    if args.expand is not None:
-        poly = expand(element, args.expand)
-        if args.format == "json":
-            print(word_polynomial_to_json(poly))
-        else:
-            print(format_word_polynomial(poly))
-        return 0
-    _print_ncsym(element, args)
-    return 0
-
-
-def _cmd_jacobi_trudi(args) -> int:
-    shape = IntPartition.parse(args.shape)
-    vec = parse_vector(args.vec)
-    k = args.vars if args.vars is not None else max(shape.n, 1)
-    trunc = Truncation(len(vec), k, shape.n)
-    poly = jacobi_trudi(shape, vec, args.variant, trunc)
-    if args.format == "json":
-        print(multipolynomial_to_json(poly))
-    else:
-        print(format_multipolynomial(poly, args.strict_rationals))
     return 0
 
 
@@ -282,15 +235,6 @@ def _cmd_rsk(args) -> int:
     return 0
 
 
-def _cmd_expand(args) -> int:
-    poly = expand(parse_ncsym(args.expr), args.vars)
-    if args.format == "json":
-        print(word_polynomial_to_json(poly))
-    else:
-        print(format_word_polynomial(poly))
-    return 0
-
-
 def _cmd_verify(args) -> int:
     results = verify_module.run([args.suite], args.max_n)
     ok = all(r.ok for r in results)
@@ -311,18 +255,20 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERIFY_ERROR
 
 
+# Each command maps parsed arguments to an exit code.  Those that compute one
+# value hand it to _emit; lattice, rsk and verify print their own tables.
 _COMMANDS = {
-    "convert": _cmd_convert,
-    "mobius": _cmd_mobius,
+    "convert": lambda a: _emit(convert(parse_ncsym(a.expr), a.to), a),
+    "mobius": lambda a: _emit(mobius(SetPartition.parse(a.sigma), SetPartition.parse(a.pi)), a),
     "lattice": _cmd_lattice,
-    "inner": _cmd_inner,
-    "omega": _cmd_omega,
-    "project": _cmd_project,
-    "lift": _cmd_lift,
-    "schur": _cmd_schur,
-    "jacobi-trudi": _cmd_jacobi_trudi,
+    "inner": lambda a: _emit(inner(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
+    "omega": lambda a: _emit(omega(parse_ncsym(a.expr)), a),
+    "project": lambda a: _emit(project(parse_ncsym(a.expr)), a),
+    "lift": lambda a: _emit(lift(parse_sym(a.expr)), a),
+    "schur": lambda a: _emit(_schur(a), a),
+    "jacobi-trudi": lambda a: _emit(_jacobi_trudi(a), a),
     "rsk": _cmd_rsk,
-    "expand": _cmd_expand,
+    "expand": lambda a: _emit(expand(parse_ncsym(a.expr), a.vars), a),
     "verify": _cmd_verify,
 }
 
@@ -341,9 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (GroundSetError, TruncationError, NotSymmetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SEMANTIC_ERROR
+    # GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR

@@ -20,6 +20,7 @@ from .classical import SYM_BASES, SymElement, sym_convert
 from .combination import format_rational
 from .elements import NC_BASES, NCSymElement, convert
 from .intpartitions import IntPartition
+from .macmahon import MultiPolynomial, mono_degree
 from .setpartitions import SetPartition
 
 
@@ -121,127 +122,103 @@ def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
     return collected
 
 
-def parse_ncsym(text: str) -> NCSymElement:
-    """Parse an expression over the m/p/e/h bases indexed by set partitions."""
+def _from_json(data, cls, field: str, index):
+    """Read {"basis": b, "terms": [{field: ..., "coeff": c}, ...]} into cls.
+
+    ``data`` is JSON text or an already decoded object.  A malformed shape or
+    index is a ParseError naming the field; coefficients are checked by the
+    element constructor, which refuses floats.
+    """
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    if not isinstance(data, dict) or "basis" not in data:
+        raise ParseError('expected a JSON object with "basis" and "terms"', 0)
+    if not isinstance(data.get("terms"), list):
+        raise ParseError('"terms" must be a list of terms', 0)
+    pairs = []
+    for number, entry in enumerate(data["terms"], start=1):
+        if not isinstance(entry, dict) or field not in entry or "coeff" not in entry:
+            raise ParseError(f'term {number} needs "{field}" and "coeff"', 0)
+        try:
+            pairs.append((index(entry[field]), entry["coeff"]))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f'term {number}: bad "{field}": {exc}', 0) from None
+    return cls(data["basis"], pairs)
+
+
+def _parse_element(text: str, cls, bases, parse_index, from_json, to_m):
+    """One expression (or JSON object) in cls; a mixed sum comes back in m."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return ncsym_from_json(stripped)
+        return from_json(stripped)
     if stripped == "0":
-        return NCSymElement("m")
-    collected = _parse_terms(text, NC_BASES, SetPartition.parse)
-    parts = [NCSymElement(b, terms) for b, terms in collected.items()]
+        return cls("m")
+    collected = _parse_terms(text, bases, parse_index)
+    parts = [cls(b, terms) for b, terms in collected.items()]
     parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return NCSymElement("m")
     if len(parts) == 1:
         return parts[0]
-    total = NCSymElement("m")
-    for p in parts:
-        total = total + convert(p, "m")
-    return total
+    return sum((to_m(p, "m") for p in parts), cls("m"))
+
+
+def parse_ncsym(text: str) -> NCSymElement:
+    """Parse an expression over the m/p/e/h bases indexed by set partitions."""
+    return _parse_element(
+        text, NCSymElement, NC_BASES, SetPartition.parse, ncsym_from_json, convert
+    )
 
 
 def parse_sym(text: str) -> SymElement:
     """Parse an expression over the m/p/e/h/s bases indexed by integer partitions."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return sym_from_json(stripped)
-    if stripped == "0":
-        return SymElement("m")
-    collected = _parse_terms(text, SYM_BASES, IntPartition.parse)
-    parts = [SymElement(b, terms) for b, terms in collected.items()]
-    parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return SymElement("m")
-    if len(parts) == 1:
-        return parts[0]
-    total = SymElement("m")
-    for p in parts:
-        total = total + sym_convert(p, "m")
-    return total
-
-
-def ncsym_to_json(f: NCSymElement) -> str:
-    return json.dumps(
-        {
-            "basis": f.basis,
-            "terms": [
-                {"blocks": [list(b) for b in pi.blocks], "coeff": format_rational(c)}
-                for pi, c in sorted(
-                    f.terms.items(), key=lambda kv: kv[0].sort_key()
-                )
-            ],
-        }
+    return _parse_element(
+        text, SymElement, SYM_BASES, IntPartition.parse, sym_from_json, sym_convert
     )
 
 
 def ncsym_from_json(data) -> NCSymElement:
-    obj = json.loads(data) if isinstance(data, str) else data
-    return NCSymElement(
-        obj["basis"],
-        [(SetPartition(entry["blocks"]), entry["coeff"]) for entry in obj["terms"]],
+    return _from_json(data, NCSymElement, "blocks", SetPartition)
+
+
+def sym_from_json(data) -> SymElement:
+    return _from_json(data, SymElement, "parts", IntPartition)
+
+
+def _to_json(header: dict, f, field: str, encode, order) -> str:
+    """The header's fields, then "terms" in display order, coefficients as 'p/q'."""
+    terms = sorted(f.terms.items(), key=lambda kv: order(kv[0]))
+    rows = [{field: encode(key), "coeff": format_rational(c)} for key, c in terms]
+    return json.dumps({**header, "terms": rows})
+
+
+def ncsym_to_json(f: NCSymElement) -> str:
+    return _to_json(
+        {"basis": f.basis}, f, "blocks", lambda pi: [list(b) for b in pi.blocks],
+        SetPartition.sort_key,
     )
 
 
 def sym_to_json(f: SymElement) -> str:
-    return json.dumps(
-        {
-            "basis": f.basis,
-            "terms": [
-                {"parts": list(lam.parts), "coeff": format_rational(c)}
-                for lam, c in sorted(
-                    f.terms.items(), key=lambda kv: (kv[0].n, kv[0].parts)
-                )
-            ],
-        }
-    )
-
-
-def sym_from_json(data) -> SymElement:
-    obj = json.loads(data) if isinstance(data, str) else data
-    return SymElement(
-        obj["basis"],
-        [(IntPartition(entry["parts"]), entry["coeff"]) for entry in obj["terms"]],
+    return _to_json(
+        {"basis": f.basis}, f, "parts", lambda lam: list(lam.parts), lambda lam: (lam.n, lam.parts)
     )
 
 
 def word_polynomial_to_json(P) -> str:
-    return json.dumps(
-        {
-            "variables": P.k,
-            "terms": [
-                {"word": list(w), "coeff": format_rational(c)}
-                for w, c in sorted(P.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ],
-        }
-    )
+    return _to_json({"variables": P.k}, P, "word", list, lambda w: (len(w), w))
 
 
 def multipolynomial_to_json(P) -> str:
-    from .macmahon import mono_degree
-
-    return json.dumps(
-        {
-            "alphabets": P.trunc.alphabets,
-            "variables": P.trunc.variables,
-            "degree": P.trunc.degree,
-            "terms": [
-                {
-                    "monomial": [[i, j, e] for (i, j), e in mono],
-                    "coeff": format_rational(c),
-                }
-                for mono, c in sorted(
-                    P.terms.items(), key=lambda kv: (mono_degree(kv[0]), kv[0])
-                )
-            ],
-        }
+    return _to_json(
+        P.trunc._asdict(), P, "monomial", lambda mono: [[i, j, e] for (i, j), e in mono],
+        lambda mono: (mono_degree(mono), mono),
     )
 
 
-def parse_multipolynomial(text: str, trunc) -> "object":
+def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
     """Parse the dotted-monomial text form, e.g. "x1'^2 x1'' + 2*x2''^3"."""
-    from .macmahon import MultiPolynomial
-
     sc = _Scanner(text)
     terms: dict[tuple, Fraction] = {}
     first = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -209,10 +210,6 @@ def parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
-def format_vector(vec: Sequence[int]) -> str:
-    return "[" + ",".join(str(v) for v in vec) + "]"
-
-
 def _check_vector(t: Sequence[int], trunc: Truncation) -> tuple[int, ...]:
     t = tuple(int(v) for v in t)
     if len(t) != trunc.alphabets:
@@ -234,8 +231,6 @@ def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomi
         raise TruncationError(
             f"degree {vec_lambda.degree()} exceeds cap {trunc.degree}"
         )
-    from itertools import permutations
-
     terms: dict[Monomial, Fraction] = {}
     parts = vec_lambda.parts
     for subscripts in permutations(range(1, trunc.variables + 1), len(parts)):
@@ -296,8 +291,6 @@ def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
             out //= factorial(v)
         return out
 
-    from itertools import product as _product
-
     def rec(i: int, remaining: tuple[int, ...], chosen, coeff: int):
         if not any(remaining):
             exps: dict[tuple[int, int], int] = {}
@@ -310,7 +303,7 @@ def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
             return
         if i > trunc.variables:
             return
-        for vec in _product(*(range(r + 1) for r in remaining)):
+        for vec in product(*(range(r + 1) for r in remaining)):
             if any(vec):
                 chosen.append((i, vec))
                 rec(
@@ -450,8 +443,6 @@ def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> Multi
                     total = total + generator(t, trunc)
                 row.append(total)
         entries.append(row)
-
-    from itertools import permutations
 
     det = MultiPolynomial._make(trunc, {})
     for perm in permutations(range(size)):

@@ -8,10 +8,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial as fact
 from typing import Iterable, Sequence
 
 from .intpartitions import int_partitions, weak_compositions
-from .macmahon import MultiPolynomial, Truncation, mono_degree, schur_tableau_sum
+from .macmahon import (
+    MultiPolynomial,
+    Truncation,
+    format_monomial,
+    mono_degree,
+    mono_mul,
+    schur_tableau_sum,
+)
 from .tableaux import DottedEntry, DottedTableau, parse_entry
 
 
@@ -194,8 +202,6 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     ]
 
     def factor_terms(i: int, j: int) -> dict[tuple, Fraction]:
-        from math import factorial as fact
-
         out: dict[tuple, Fraction] = {((), ()): Fraction(1)}
         for t in range(1, degree + 1):
             for counts in weak_compositions(t, len(pair_vars)):
@@ -220,8 +226,6 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
                 for (bx, by), cb in factor.items():
                     if da + mono_degree(bx) > degree:
                         continue
-                    from .macmahon import mono_mul
-
                     key = (mono_mul(ax, bx), mono_mul(ay, by))
                     nxt[key] = nxt.get(key, Fraction(0)) + ca * cb
             rhs = {k: v for k, v in nxt.items() if v}
@@ -231,8 +235,6 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     for key in sorted(set(lhs) | set(rhs)):
         a, b = lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0))
         if a != b:
-            from .macmahon import format_monomial
-
             mismatches.append(
                 f"x:[{format_monomial(key[0])}] y:[{format_monomial(key[1])}]: "
                 f"tableau side {a}, product side {b}"

@@ -7,12 +7,13 @@ so every identity of homogeneous degree n can be decided exactly at k = n.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
 from .combination import Combination, format_rational
 from .elements import NCSymElement
-from .setpartitions import SetPartition, lattice
+from .setpartitions import SetPartition, set_partitions
 
 Word = tuple[int, ...]
 
@@ -115,6 +116,11 @@ def _words_with_kernel(sigma: SetPartition, k: int):
         yield tuple(letters[lab] for lab in sigma.rgs)
 
 
+@lru_cache(maxsize=None)
+def _set_partitions(n: int) -> tuple[SetPartition, ...]:
+    return tuple(set_partitions(n))
+
+
 def expand(f: NCSymElement, k: int) -> WordPolynomial:
     """Truncate to k variables, exactly.
 
@@ -126,23 +132,17 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     WordPolynomial._check_tag(k)
     out: dict[Word, Fraction] = {}
     for pi, c in f.terms.items():
-        n = pi.n
-        if n == 0:
-            out[()] = out.get((), 0) + c
-            continue
-        lat = lattice(n)
-        i = lat.index[pi]
-        for j, sigma in enumerate(lat.elements):
+        for sigma in _set_partitions(pi.n):
             if len(sigma.blocks) > k:
                 continue
             if f.basis == "m":
-                coeff = c if j == i else None
+                coeff = c if sigma == pi else 0
             elif f.basis == "p":
-                coeff = c if lat.leq_idx(i, j) else None
+                coeff = c if pi.leq(sigma) else 0
             elif f.basis == "e":
-                coeff = c if lat.meet[i][j] == lat.zero else None
+                coeff = c if pi.meet(sigma).rank == 0 else 0  # the meet is the bottom
             else:
-                coeff = c * lat.type_fact[lat.meet[i][j]]
+                coeff = c * pi.meet(sigma).type.fact_parts()
             if not coeff:
                 continue
             for word in _words_with_kernel(sigma, k):

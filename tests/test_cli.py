@@ -152,3 +152,95 @@ def test_verify_subcommand_small(capsys):
     assert "PASS" in out and "FAIL" not in out
     code, _, err = run(capsys, "verify", "no-such-suite")
     assert code == 3
+
+
+def test_golden_json_values(capsys):
+    code, out, _ = run(capsys, "project", "m[1,3/2,4]", "--format", "json")
+    assert code == 0
+    assert out == '{"basis": "m", "terms": [{"parts": [2, 2], "coeff": "2"}]}\n'
+    code, out, _ = run(capsys, "inner", "m[1,3/2,4]", "h[1,3/2,4]", "--format", "json")
+    assert code == 0 and out == '{"value": "24"}\n'
+    code, out, _ = run(capsys, "mobius", "1/2/3/4", "1,2,3,4", "--format", "json")
+    assert code == 0 and out == '{"value": "-6"}\n'
+    code, out, _ = run(
+        capsys, "mobius", "1/2/3/4", "1,2,3,4", "--format", "json", "--strict-rationals"
+    )
+    assert code == 0 and out == '{"value": "-6/1"}\n'
+
+
+def test_golden_jacobi_trudi_json(capsys):
+    code, out, _ = run(capsys, "jacobi-trudi", "2,1", "--vec", "[2,1]", "--format", "json")
+    assert code == 0
+    terms = [
+        ([[1, 1, 1], [1, 2, 1], [2, 1, 1]], "2"),
+        ([[1, 1, 1], [1, 2, 1], [3, 1, 1]], "2"),
+        ([[1, 1, 1], [2, 1, 1], [2, 2, 1]], "2"),
+        ([[1, 1, 1], [2, 1, 1], [3, 2, 1]], "2"),
+        ([[1, 1, 1], [2, 2, 1], [3, 1, 1]], "2"),
+        ([[1, 1, 1], [3, 1, 1], [3, 2, 1]], "2"),
+        ([[1, 1, 2], [2, 2, 1]], "1"),
+        ([[1, 1, 2], [3, 2, 1]], "1"),
+        ([[1, 2, 1], [2, 1, 1], [3, 1, 1]], "2"),
+        ([[1, 2, 1], [2, 1, 2]], "1"),
+        ([[1, 2, 1], [3, 1, 2]], "1"),
+        ([[2, 1, 1], [2, 2, 1], [3, 1, 1]], "2"),
+        ([[2, 1, 1], [3, 1, 1], [3, 2, 1]], "2"),
+        ([[2, 1, 2], [3, 2, 1]], "1"),
+        ([[2, 2, 1], [3, 1, 2]], "1"),
+    ]
+    body = ", ".join(f'{{"monomial": {m}, "coeff": "{c}"}}' for m, c in terms)
+    assert out == f'{{"alphabets": 2, "variables": 3, "degree": 3, "terms": [{body}]}}\n'
+
+
+def test_golden_schur_strict_and_expanded(capsys):
+    code, out, _ = run(capsys, "schur", "(2,1)", "--vec", "[2,1]", "--strict-rationals")
+    assert code == 0
+    assert out == (
+        "2/1*x1' x1'' x2' + 2/1*x1' x1'' x3' + 2/1*x1' x2' x2'' + 2/1*x1' x2' x3'' "
+        "+ 2/1*x1' x2'' x3' + 2/1*x1' x3' x3'' + 1/1*x1'^2 x2'' + 1/1*x1'^2 x3'' "
+        "+ 2/1*x1'' x2' x3' + 1/1*x1'' x2'^2 + 1/1*x1'' x3'^2 + 2/1*x2' x2'' x3' "
+        "+ 2/1*x2' x3' x3'' + 1/1*x2'^2 x3'' + 1/1*x2'' x3'^2\n"
+    )
+    code, out, _ = run(capsys, "schur", "(2)", "--expand", "2")
+    assert code == 0
+    assert out == "2 x1 x1\n1 x1 x2\n1 x2 x1\n2 x2 x2\n"
+    code, out, _ = run(capsys, "schur", "(2)", "--expand", "2", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"variables": 2, "terms": [{"word": [1, 1], "coeff": "2"}, '
+        '{"word": [1, 2], "coeff": "1"}, {"word": [2, 1], "coeff": "1"}, '
+        '{"word": [2, 2], "coeff": "2"}]}\n'
+    )
+    # word polynomials print bare integers even under --strict-rationals
+    code, out, _ = run(capsys, "expand", "m[1,3/2,4]", "--vars", "2", "--strict-rationals")
+    assert code == 0 and out == "1 x1 x2 x1 x2\n1 x2 x1 x2 x1\n"
+
+
+def test_golden_lift_strict(capsys):
+    code, out, _ = run(capsys, "lift", "m[2,2]", "--strict-rationals")
+    assert code == 0
+    assert out == "1/6*m[1,2/3,4] + 1/6*m[1,3/2,4] + 1/6*m[1,4/2,3]\n"
+
+
+def test_malformed_json_is_a_parse_error(capsys):
+    """Exit 2 with empty stdout and the offending field named, never a traceback."""
+    shape_errors = [
+        ('{"terms": []}', '"basis"'),
+        ('{"basis": "m"}', '"terms"'),
+        ('{"basis": "m", "terms": "x"}', '"terms"'),
+        ('{"basis": "m", "terms": ["x"]}', "term 1"),
+        ("{bad", "invalid JSON"),
+    ]
+    cases = [(cmd, text, field) for text, field in shape_errors for cmd in ("convert", "lift")]
+    cases += [
+        ("convert", '{"basis": "m", "terms": [{"blocks": [[1]]}]}', '"coeff"'),
+        ("convert", '{"basis": "m", "terms": [{"coeff": "1"}]}', '"blocks"'),
+        ("convert", '{"basis": "m", "terms": [{"blocks": [[1, 3]], "coeff": 1}]}', '"blocks"'),
+        ("lift", '{"parts": [1]}', '"basis"'),
+        ("lift", '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": 1}]}', '"parts"'),
+    ]
+    for cmd, text, field in cases:
+        argv = (cmd, text, "--to", "p") if cmd == "convert" else (cmd, text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: ") and field in err, (argv, err)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from ncsym.elements import NCSymElement, convert
-from ncsym.setpartitions import SetPartition, set_partitions
+from ncsym.setpartitions import SetPartition, lattice, set_partitions
 from ncsym.words import (
     NotSymmetricError,
     WordPolynomial,
@@ -135,3 +135,44 @@ def test_word_polynomial_arithmetic():
     assert (2 * a).terms == {(1,): Fraction(2)}
     with pytest.raises(ValueError):
         WordPolynomial(1, {(2,): Fraction(1)})
+
+
+def _expand_by_lattice_tables(f, k):
+    """The earlier expand: kernel tests read off the full tables of lattice(n)."""
+    out = {}
+    for pi, c in f.terms.items():
+        lat = lattice(pi.n)
+        i = lat.index[pi]
+        for j, sigma in enumerate(lat.elements):
+            if len(sigma.blocks) > k:
+                continue
+            if f.basis == "m":
+                coeff = c if j == i else 0
+            elif f.basis == "p":
+                coeff = c if lat.leq_idx(i, j) else 0
+            elif f.basis == "e":
+                coeff = c if lat.meet[i][j] == lat.zero else 0
+            else:
+                coeff = c * lat.type_fact[lat.meet[i][j]]
+            if coeff:
+                for letters in itertools.permutations(range(1, k + 1), len(sigma.blocks)):
+                    word = tuple(letters[lab] for lab in sigma.rgs)
+                    out[word] = out.get(word, 0) + coeff
+    return WordPolynomial(k, out)
+
+
+@pytest.mark.parametrize("basis", ["m", "p", "e", "h"])
+def test_expand_matches_lattice_table_expansion(basis):
+    for n in range(5):
+        for pi in set_partitions(n):
+            f = NCSymElement(basis, {pi: Fraction(3, 2)})
+            for k in {1, max(n, 1)}:
+                assert expand(f, k) == _expand_by_lattice_tables(f, k), (pi, k)
+
+
+def test_expand_builds_no_lattice():
+    before = lattice.cache_info()
+    assert expand(elem("m", "1/2/3/4/5/6"), 1).is_zero()
+    for basis in "peh":
+        assert not expand(elem(basis, "1,2/3,4/5,6"), 2).is_zero()
+    assert lattice.cache_info() == before
