@@ -138,7 +138,7 @@ _WRITERS = {
     NCSymElement: (format_ncsym, ncsym_to_json),
     SymElement: (format_sym, sym_to_json),
     MultiPolynomial: (format_multipolynomial, multipolynomial_to_json),
-    WordPolynomial: (lambda P, strict: format_word_polynomial(P), word_polynomial_to_json),
+    WordPolynomial: (format_word_polynomial, word_polynomial_to_json),
 }
 
 

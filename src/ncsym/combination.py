@@ -15,13 +15,15 @@ from typing import Iterable, Mapping
 
 
 def exact(c):
-    """A coefficient as an exact rational; floats and complex numbers are refused.
+    """A coefficient as an exact rational; floats, complex numbers and bools are refused.
 
     ``int`` and ``Fraction`` pass through unchanged; anything else, such as a
     'p/q' string, goes through ``Fraction``.
     """
     if type(c) is int or isinstance(c, Fraction):
         return c
+    if isinstance(c, bool):
+        raise TypeError(f"coefficient {c!r} is a bool, not a number")
     if isinstance(c, (float, complex)):
         raise TypeError(
             f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string"

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .classical import SYM_BASES, SymElement, sym_convert
-from .combination import format_rational
+from .combination import exact, format_rational
 from .elements import NC_BASES, NCSymElement, convert
 from .intpartitions import IntPartition
 from .macmahon import MultiPolynomial, mono_degree
@@ -67,7 +67,10 @@ class _Scanner:
         self.skip_ws()
         if self.peek() == "/":
             self.take()
-            return Fraction(num, self.integer())
+            den = self.integer()
+            if not den:
+                raise ParseError("zero denominator", self.pos)
+            return Fraction(num, den)
         return Fraction(num)
 
 
@@ -125,9 +128,10 @@ def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
 def _from_json(data, cls, field: str, index):
     """Read {"basis": b, "terms": [{field: ..., "coeff": c}, ...]} into cls.
 
-    ``data`` is JSON text or an already decoded object.  A malformed shape or
-    index is a ParseError naming the field; coefficients are checked by the
-    element constructor, which refuses floats.
+    ``data`` is JSON text or an already decoded object.  A malformed shape,
+    an unknown basis, a bad index or a coefficient string that is no rational
+    is a ParseError naming the field; a float or bool coefficient is a
+    TypeError from ``exact``.
     """
     if isinstance(data, str):
         try:
@@ -138,14 +142,22 @@ def _from_json(data, cls, field: str, index):
         raise ParseError('expected a JSON object with "basis" and "terms"', 0)
     if not isinstance(data.get("terms"), list):
         raise ParseError('"terms" must be a list of terms', 0)
+    try:
+        cls._check_tag(data["basis"])
+    except ValueError as exc:
+        raise ParseError(f'bad "basis": {exc}', 0) from None
     pairs = []
     for number, entry in enumerate(data["terms"], start=1):
         if not isinstance(entry, dict) or field not in entry or "coeff" not in entry:
             raise ParseError(f'term {number} needs "{field}" and "coeff"', 0)
         try:
-            pairs.append((index(entry[field]), entry["coeff"]))
+            key = index(entry[field])
         except (TypeError, ValueError) as exc:
             raise ParseError(f'term {number}: bad "{field}": {exc}', 0) from None
+        try:
+            pairs.append((key, exact(entry["coeff"])))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f'term {number}: bad "coeff": {exc}', 0) from None
     return cls(data["basis"], pairs)
 
 
@@ -220,7 +232,7 @@ def multipolynomial_to_json(P) -> str:
 def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
     """Parse the dotted-monomial text form, e.g. "x1'^2 x1'' + 2*x2''^3"."""
     sc = _Scanner(text)
-    terms: dict[tuple, Fraction] = {}
+    terms = []
     first = True
     while not sc.at_end():
         sc.skip_ws()
@@ -239,10 +251,8 @@ def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
             if sc.peek() == "*":
                 sc.take()
                 sc.skip_ws()
-        exps: dict[tuple[int, int], int] = {}
-        saw_factor = False
+        factors = []
         while sc.peek() == "x":
-            saw_factor = True
             sc.take()
             subscript = sc.integer()
             dots = 0
@@ -255,12 +265,10 @@ def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
             if sc.peek() == "^":
                 sc.take()
                 power = sc.integer()
-            key = (subscript, dots)
-            exps[key] = exps.get(key, 0) + power
+            factors.append(((subscript, dots), power))
             sc.skip_ws()
-        if not saw_factor and not explicit_coeff:
+        if not factors and not explicit_coeff:
             raise ParseError("expected a term", sc.pos)
-        mono = tuple(sorted(exps.items()))
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
+        terms.append((factors, sign * coeff))  # the constructor normalizes and adds up
         first = False
     return MultiPolynomial(trunc, terms)

@@ -2,7 +2,10 @@
 
 Polynomials live in a truncated ring: ``alphabets`` commuting alphabets
 (dot classes), ``variables`` subscripts per alphabet, and a total-degree cap.
-A monomial is a sorted tuple of ((subscript, alphabet), exponent) pairs.
+A monomial is a sorted tuple of ((subscript, alphabet), exponent) pairs with
+positive exponents and no variable repeated; ``monomial()`` is the one
+function that brings (variable, exponent) pairs into that form, and
+``MultiPolynomial`` runs every key given to its constructor through it.
 The degree-n slice of multidegree [1,...,1] maps onto words in noncommuting
 variables by reading, for each alphabet in order, the subscript it uses.
 """
@@ -32,6 +35,14 @@ class Truncation(NamedTuple):
     alphabets: int
     variables: int
     degree: int
+
+
+def monomial(pairs: Iterable[tuple[tuple[int, int], int]]) -> Monomial:
+    """Add up the exponents of a repeated variable, drop zeros and sort."""
+    exps: dict[tuple[int, int], int] = {}
+    for key, e in pairs:
+        exps[key] = exps.get(key, 0) + e
+    return tuple(sorted((key, e) for key, e in exps.items() if e))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -74,9 +85,10 @@ class MultiPolynomial(Combination):
 
     @staticmethod
     def _check_key(trunc: Truncation, mono) -> Monomial:
-        # multiplying by 1 sorts the variables and adds up a repeated one's exponents
-        mono = tuple((k, e) for k, e in mono_mul((), ((tuple(k), e) for k, e in mono)) if e)
-        for (i, j), _ in mono:
+        mono = monomial((tuple(k), e) for k, e in mono)
+        for (i, j), e in mono:
+            if not all(type(v) is int for v in (i, j, e)) or e < 0:
+                raise ValueError(f"x{i!r}^({j!r}) to the power {e!r}: need ints, power >= 0")
             if not (1 <= i <= trunc.variables and 1 <= j <= trunc.alphabets):
                 raise TruncationError(f"variable x{i}^({j}) outside truncation {trunc}")
         if mono_degree(mono) > trunc.degree:
@@ -93,15 +105,14 @@ class MultiPolynomial(Combination):
         if not isinstance(other, MultiPolynomial):
             return super().__mul__(other)
         self._require_same_tag(other)
-        cap = self.trunc.degree
+        right = [(mb, cb, mono_degree(mb)) for mb, cb in other.terms.items()]
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
-            da = mono_degree(ma)
-            for mb, cb in other.terms.items():
-                if da + mono_degree(mb) > cap:
-                    continue
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
+            room = self.trunc.degree - mono_degree(ma)
+            for mb, cb, db in right:
+                if db <= room:
+                    m = mono_mul(ma, mb)
+                    out[m] = out.get(m, 0) + ca * cb
         return self._make(self.trunc, out)
 
     def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
@@ -116,7 +127,7 @@ class MultiPolynomial(Combination):
         )
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono_mul((), mono), 0)
+        return self.terms.get(monomial(mono), 0)
 
     def __str__(self) -> str:
         return format_multipolynomial(self)
@@ -210,36 +221,38 @@ def parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
-def _check_vector(t: Sequence[int], trunc: Truncation) -> tuple[int, ...]:
+def _check_vector(t: Sequence[int], trunc: Truncation, name: str = "vector") -> tuple[int, ...]:
+    """One nonnegative entry per alphabet, within the cap, over at least one variable."""
+    if trunc.variables < 1:
+        raise ValueError(f"need at least one variable per alphabet, got {trunc.variables}")
     t = tuple(int(v) for v in t)
     if len(t) != trunc.alphabets:
-        raise ValueError(
-            f"vector dimension {len(t)} does not match {trunc.alphabets} alphabets"
-        )
+        raise ValueError(f"{name} dimension {len(t)} does not match {trunc.alphabets} alphabets")
     if any(v < 0 for v in t):
-        raise ValueError("vector entries must be nonnegative")
+        raise ValueError(f"{name} entries must be nonnegative: {list(t)}")
     if sum(t) > trunc.degree:
         raise TruncationError(f"degree {sum(t)} exceeds cap {trunc.degree}")
     return t
 
 
+def _check_shape(lam: IntPartition, vec_m: Sequence[int], trunc: Truncation) -> tuple[int, ...]:
+    """The multidegree of a shape's tableaux, checked as a vector and against the size."""
+    vec_m = _check_vector(vec_m, trunc, "multidegree")
+    if lam.n != sum(vec_m):
+        raise ValueError(f"shape size {lam.n} and multidegree sum {sum(vec_m)} differ")
+    return vec_m
+
+
 def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomial:
     """Sum of the distinct monomials whose multiexponent is the given multiset."""
-    if vec_lambda.dimension != trunc.alphabets:
-        raise ValueError("vector partition dimension does not match truncation")
-    if vec_lambda.degree() > trunc.degree:
-        raise TruncationError(
-            f"degree {vec_lambda.degree()} exceeds cap {trunc.degree}"
-        )
+    _check_vector(vec_lambda.multidegree(), trunc)
     terms: dict[Monomial, Fraction] = {}
     parts = vec_lambda.parts
     for subscripts in permutations(range(1, trunc.variables + 1), len(parts)):
-        exps: dict[tuple[int, int], int] = {}
-        for i, part in zip(subscripts, parts):
-            for j, v in enumerate(part, start=1):
-                if v:
-                    exps[(i, j)] = exps.get((i, j), 0) + v
-        terms[tuple(sorted(exps.items()))] = 1  # multiset: repeats coincide
+        mono = monomial(
+            ((i, j), v) for i, part in zip(subscripts, parts) for j, v in enumerate(part, 1)
+        )
+        terms[mono] = 1  # multiset: repeats coincide
     return MultiPolynomial._make(trunc, terms)
 
 
@@ -293,12 +306,7 @@ def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
 
     def rec(i: int, remaining: tuple[int, ...], chosen, coeff: int):
         if not any(remaining):
-            exps: dict[tuple[int, int], int] = {}
-            for s, vec in chosen:
-                for j, v in enumerate(vec, start=1):
-                    if v:
-                        exps[(s, j)] = exps.get((s, j), 0) + v
-            mono = tuple(sorted(exps.items()))
+            mono = monomial(((s, j), v) for s, vec in chosen for j, v in enumerate(vec, 1))
             terms[mono] = terms.get(mono, 0) + coeff
             return
         if i > trunc.variables:
@@ -383,22 +391,10 @@ def schur_tableau_sum(
 
     Each tableau contributes the product of x_value^(dots) over its entries.
     """
-    vec_m = tuple(int(v) for v in vec_m)
-    if len(vec_m) != trunc.alphabets:
-        raise ValueError(
-            f"multidegree dimension {len(vec_m)} does not match {trunc.alphabets} alphabets"
-        )
-    if lam.n != sum(vec_m):
-        raise ValueError(f"shape size {lam.n} and multidegree sum {sum(vec_m)} differ")
-    if lam.n > trunc.degree:
-        raise TruncationError(f"degree {lam.n} exceeds cap {trunc.degree}")
+    vec_m = _check_shape(lam, vec_m, trunc)
     terms: dict[Monomial, Fraction] = {}
     for tab in dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec_m):
-        exps: dict[tuple[int, int], int] = {}
-        for e in tab.entries():
-            key = (e.value, e.dots)
-            exps[key] = exps.get(key, 0) + 1
-        mono = tuple(sorted(exps.items()))
+        mono = monomial(((e.value, e.dots), 1) for e in tab.entries())
         terms[mono] = terms.get(mono, 0) + 1
     return MultiPolynomial._make(trunc, terms)
 
@@ -475,15 +471,7 @@ def jacobi_trudi(
     the tableau generating function of the shape itself, the e variant that
     of the conjugate shape.
     """
-    vec_m = tuple(int(v) for v in vec_m)
     if variant not in ("h", "e"):
         raise ValueError(f"variant must be 'h' or 'e', got {variant!r}")
-    if len(vec_m) != trunc.alphabets:
-        raise ValueError(
-            f"multidegree dimension {len(vec_m)} does not match {trunc.alphabets} alphabets"
-        )
-    if lam.n != sum(vec_m):
-        raise ValueError(f"shape size {lam.n} and multidegree sum {sum(vec_m)} differ")
-    if lam.n > trunc.degree:
-        raise TruncationError(f"degree {lam.n} exceeds cap {trunc.degree}")
+    vec_m = _check_shape(lam, vec_m, trunc)
     return _jt_determinant(lam, variant, trunc).extract_multidegree(vec_m)

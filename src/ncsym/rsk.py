@@ -7,19 +7,10 @@ The recording tableau receives the top entry of the biword column verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial as fact
 from typing import Iterable, Sequence
 
 from .intpartitions import int_partitions, weak_compositions
-from .macmahon import (
-    MultiPolynomial,
-    Truncation,
-    format_monomial,
-    mono_degree,
-    mono_mul,
-    schur_tableau_sum,
-)
+from .macmahon import MultiPolynomial, Truncation, format_monomial, schur_tableau_sum
 from .tableaux import DottedEntry, DottedTableau, parse_entry
 
 
@@ -164,13 +155,9 @@ class CauchyReport:
     mismatches: list[str] = field(default_factory=list)
 
 
-def _schur_sum_all_multidegrees(
-    m: int, lam, trunc: Truncation
-) -> MultiPolynomial:
-    total = MultiPolynomial(trunc)
-    for vec in weak_compositions(m, trunc.alphabets):
-        total = total + schur_tableau_sum(lam, vec, trunc)
-    return total
+def _schur_sum_all_multidegrees(m: int, lam, trunc: Truncation) -> MultiPolynomial:
+    terms = (schur_tableau_sum(lam, vec, trunc) for vec in weak_compositions(m, trunc.alphabets))
+    return sum(terms, MultiPolynomial(trunc))
 
 
 def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> CauchyReport:
@@ -179,64 +166,52 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     Left side: over each x-degree m <= degree, the sum over shapes of the
     tableau generating function in the x variables times the one in the y
     variables.  Right side: the product over subscript pairs (i, j) of the
-    geometric series in sum_{k,l} x_i^(k) y_j^(l), truncated at the stated
-    degree (each x*y factor counts one x-degree and one y-degree).
+    geometric series in z_ij = sum_{k,l} x_i^(k) y_j^(l), up to z_ij^degree.
+
+    Both sides are MultiPolynomials in one joint truncation: x keeps its
+    alphabets 1..a, y moves to a+1..a+b, each alphabet has as many subscripts
+    as the larger of the two, and the cap is 2 * degree.  That cap cuts
+    exactly at x-degree <= degree, because every term on either side has
+    equal x- and y-degree: each tableau pair has one shape, each z_ij one x
+    and one y variable.  The caps of x_trunc and y_trunc must reach degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    lhs: dict[tuple, Fraction] = {}
+    a = x_trunc.alphabets
+    joint = Truncation(
+        a + y_trunc.alphabets, max(x_trunc.variables, y_trunc.variables), 2 * degree
+    )
+
+    lhs = MultiPolynomial(joint)
     for m in range(degree + 1):
         for lam in int_partitions(m):
             fx = _schur_sum_all_multidegrees(m, lam, x_trunc)
             fy = _schur_sum_all_multidegrees(m, lam, y_trunc)
-            for mx, cx in fx.terms.items():
-                for my, cy in fy.terms.items():
-                    key = (mx, my)
-                    lhs[key] = lhs.get(key, Fraction(0)) + cx * cy
+            y_terms = {tuple(((i, j + a), e) for (i, j), e in y): c for y, c in fy.terms.items()}
+            lhs = lhs + MultiPolynomial(joint, fx.terms) * MultiPolynomial(joint, y_terms)
 
-    rhs: dict[tuple, Fraction] = {((), ()): Fraction(1)}
-    pair_vars = [
-        (k, l)
-        for k in range(1, x_trunc.alphabets + 1)
-        for l in range(1, y_trunc.alphabets + 1)
-    ]
-
-    def factor_terms(i: int, j: int) -> dict[tuple, Fraction]:
-        out: dict[tuple, Fraction] = {((), ()): Fraction(1)}
-        for t in range(1, degree + 1):
-            for counts in weak_compositions(t, len(pair_vars)):
-                coeff = fact(t)
-                x_exps: dict[tuple[int, int], int] = {}
-                y_exps: dict[tuple[int, int], int] = {}
-                for (k, l), c in zip(pair_vars, counts):
-                    coeff //= fact(c)
-                    if c:
-                        x_exps[(i, k)] = x_exps.get((i, k), 0) + c
-                        y_exps[(j, l)] = y_exps.get((j, l), 0) + c
-                key = (tuple(sorted(x_exps.items())), tuple(sorted(y_exps.items())))
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return out
-
+    rhs = MultiPolynomial.one(joint)
     for i in range(1, x_trunc.variables + 1):
         for j in range(1, y_trunc.variables + 1):
-            factor = factor_terms(i, j)
-            nxt: dict[tuple, Fraction] = {}
-            for (ax, ay), ca in rhs.items():
-                da = mono_degree(ax)
-                for (bx, by), cb in factor.items():
-                    if da + mono_degree(bx) > degree:
-                        continue
-                    key = (mono_mul(ax, bx), mono_mul(ay, by))
-                    nxt[key] = nxt.get(key, Fraction(0)) + ca * cb
-            rhs = {k: v for k, v in nxt.items() if v}
+            z = [
+                ((((i, k), 1), ((j, a + l), 1)), 1)
+                for k in range(1, a + 1)
+                for l in range(1, y_trunc.alphabets + 1)
+            ]
+            factor = power = MultiPolynomial.one(joint)
+            for _ in range(degree):  # z has degree 2: at degree 0 it is outside the cap
+                power = power * MultiPolynomial(joint, z)
+                factor = factor + power
+            rhs = rhs * factor
 
-    lhs = {k: v for k, v in lhs.items() if v}
-    mismatches = []
-    for key in sorted(set(lhs) | set(rhs)):
-        a, b = lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0))
-        if a != b:
-            mismatches.append(
-                f"x:[{format_monomial(key[0])}] y:[{format_monomial(key[1])}]: "
-                f"tableau side {a}, product side {b}"
-            )
+    def split(mono):
+        """The x part, and the y part moved back to alphabets 1..b, of a joint monomial."""
+        x = tuple(((i, j), e) for (i, j), e in mono if j <= a)
+        return x, tuple(((i, j - a), e) for (i, j), e in mono if j > a)
+
+    mismatches = [
+        f"x:[{format_monomial(x)}] y:[{format_monomial(y)}]: "
+        f"tableau side {lhs.terms.get(mono, 0)}, product side {rhs.terms.get(mono, 0)}"
+        for (x, y), mono in sorted((split(mono), mono) for mono in (lhs - rhs).terms)
+    ]
     return CauchyReport(not mismatches, degree, mismatches)

@@ -115,13 +115,16 @@ def dotted_tableaux(
     """All fillings of the shape with values <= max_value, optionally with a
     prescribed per-class entry count."""
     lengths = shape.parts
-    if not lengths:
-        if multidegree is None or not any(multidegree):
-            yield DottedTableau()
-        return
     budget = list(multidegree) if multidegree is not None else None
-    if budget is not None and (len(budget) != classes or sum(budget) != shape.n):
-        raise ValueError("multidegree does not match shape size and class count")
+    if budget is not None and (
+        len(budget) != classes or sum(budget) != shape.n or min(budget, default=0) < 0
+    ):
+        raise ValueError(
+            f"multidegree {budget} is not {classes} nonnegative counts summing to {shape.n}"
+        )
+    if not lengths:
+        yield DottedTableau()
+        return
     rows: list[list[DottedEntry]] = [[] for _ in lengths]
 
     def rec(r: int, c: int) -> Iterator[DottedTableau]:

@@ -79,12 +79,12 @@ class WordPolynomial(Combination):
         return f"<WordPolynomial k={self.k}, {len(self.terms)} terms>"
 
 
-def format_word_polynomial(P: WordPolynomial) -> str:
+def format_word_polynomial(P: WordPolynomial, strict_rationals: bool = False) -> str:
     """One term per line: coefficient, then the word (or "1" for the empty word)."""
     if not P.terms:
         return "0"
     return "\n".join(
-        f"{format_rational(P.terms[word])} {format_word(word) if word else '1'}"
+        f"{format_rational(P.terms[word], strict_rationals)} {format_word(word) if word else '1'}"
         for word in sorted(P.terms, key=lambda w: (len(w), w))
     )
 

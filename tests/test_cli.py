@@ -47,6 +47,36 @@ def test_exit_code_semantic_error(capsys):
     assert "ground set" in err
 
 
+def test_negative_vectors_and_empty_truncations_exit_3(capsys):
+    for argv in [
+        ("schur", "2,1", "--vec", "[-1,4]"),
+        ("jacobi-trudi", "2,1", "--vec", "[4,-1]"),
+        ("jacobi-trudi", "2,1", "--vec", "[2,1]", "--vars", "0"),
+        ("jacobi-trudi", "2,1", "--vec", "[2,1]", "--vars", "-2"),
+        ("schur", "2,1", "--vec", "[2,1]", "--expand", "0"),
+        ("expand", "m[1]", "--vars", "0"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: "), argv
+    code, out, _ = run(capsys, "schur", "()", "--vec", "[]")
+    assert (code, out) == (0, "1\n")
+
+
+def test_json_reader_errors(capsys):
+    def convert(body):
+        return run(capsys, "convert", body, "--to", "p")
+
+    code, out, err = convert('{"basis": "q", "terms": []}')
+    assert (code, out) == (2, "") and "unknown basis 'q'" in err
+    code, out, err = convert('{"basis": "m", "terms": [{"blocks": [[1]], "coeff": "abc"}]}')
+    assert (code, out) == (2, "") and 'term 1: bad "coeff"' in err
+    code, out, err = convert('{"basis": "m", "terms": [{"blocks": [[1]], "coeff": true}]}')
+    assert (code, out) == (3, "") and "bool" in err
+    code, out, err = convert("1/0*m[1]")
+    assert (code, out) == (2, "") and "zero denominator" in err
+
+
 def test_float_json_coefficient_is_a_clean_error(capsys):
     for argv in [
         ("convert", '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": 0.5}]}', "--to", "p"),
@@ -211,9 +241,9 @@ def test_golden_schur_strict_and_expanded(capsys):
         '{"word": [1, 2], "coeff": "1"}, {"word": [2, 1], "coeff": "1"}, '
         '{"word": [2, 2], "coeff": "2"}]}\n'
     )
-    # word polynomials print bare integers even under --strict-rationals
+    # word polynomials honour --strict-rationals like every other value
     code, out, _ = run(capsys, "expand", "m[1,3/2,4]", "--vars", "2", "--strict-rationals")
-    assert code == 0 and out == "1 x1 x2 x1 x2\n1 x2 x1 x2 x1\n"
+    assert code == 0 and out == "1/1 x1 x2 x1 x2\n1/1 x2 x1 x2 x1\n"
 
 
 def test_golden_lift_strict(capsys):

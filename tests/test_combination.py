@@ -16,6 +16,7 @@ from ncsym.classical import (
     omega_commutative,
     sym_convert,
 )
+from ncsym.combination import exact
 from ncsym.elements import (
     NC_BASES,
     NCSymElement,
@@ -135,6 +136,13 @@ def test_macmahon_closed_operations_are_canonical():
         assert_canonical(r)
     assert_canonical((y * y).extract_multidegree((2, 2)))
     assert_canonical(mm_monomial(VectorPartition([(2, 1), (3, 0)]), Truncation(2, 2, 6)))
+
+
+def test_bool_coefficients_are_refused():
+    with pytest.raises(TypeError, match="bool"):
+        exact(True)
+    with pytest.raises(TypeError, match="bool"):
+        NCSymElement("m", {SetPartition.parse("1"): False})
 
 
 def test_keys_of_the_wrong_type_are_refused():

@@ -18,6 +18,7 @@ from ncsym.macmahon import (
     mm_monomial,
     mm_multiplicative,
     mm_power,
+    monomial,
     phi_collect,
     phi_from_set_partition,
     phi_to_set_partition,
@@ -287,3 +288,43 @@ def test_repeated_variable_exponents_add_up():
     assert square == x * x
     assert str(square) == "x1'^2"
     assert (x * x).coefficient(repeated) == 1
+
+
+def test_monomial_is_the_one_normal_form():
+    raw = [((2, 1), 1), ((1, 2), 0), ((1, 1), 2), ((2, 1), 3)]
+    assert monomial(raw) == (((1, 1), 2), ((2, 1), 4))
+    assert monomial([]) == ()
+    tr = Truncation(2, 2, 6)
+    P = MultiPolynomial(tr, [(raw, 1), (list(reversed(raw)), 2)])
+    assert P.terms == {monomial(raw): 3}
+    assert P.coefficient(raw) == 3
+    for bad in ((((1, 1), -1),), (((1, 1), 0.5),), (((1.0, 1), 1),), (((1, True), 1),)):
+        with pytest.raises(ValueError, match="need ints"):
+            MultiPolynomial(tr, {bad: 1})
+
+
+def test_negative_vectors_and_empty_truncations_are_refused():
+    tr = Truncation(2, 2, 3)
+    for call in (
+        lambda: schur_tableau_sum(IP((2, 1)), (-1, 4), tr),
+        lambda: jacobi_trudi(IP((2, 1)), (4, -1), "h", tr),
+        lambda: mm_power((-1, 2), tr),
+        lambda: list(dotted_tableaux(IP((2, 1)), 2, 2, (-1, 4))),
+        lambda: list(dotted_tableaux(IP(()), 2, 2, (-1, 1))),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+    for variables in (0, -2):
+        empty = Truncation(2, variables, 3)
+        for call in (
+            lambda: schur_tableau_sum(IP((2, 1)), (2, 1), empty),
+            lambda: jacobi_trudi(IP((2, 1)), (2, 1), "e", empty),
+            lambda: mm_elementary((1, 0), empty),
+            lambda: mm_monomial(VectorPartition([(1, 0)]), empty),
+        ):
+            with pytest.raises(ValueError, match="at least one variable"):
+                call()
+    # the empty shape still has the empty tableau as its one filling
+    assert schur_tableau_sum(IP(()), (), Truncation(0, 1, 0)) == MultiPolynomial.one(
+        Truncation(0, 1, 0)
+    )

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -133,3 +134,15 @@ def test_cauchy_reports_degree():
     report = cauchy_check(Truncation(1, 2, 2), Truncation(1, 1, 2), 2)
     assert report.degree == 2
     assert report.ok
+
+
+def test_cauchy_asymmetric_truncations():
+    start = time.perf_counter()
+    for degree in range(4):
+        for ax, kx, ay, ky in itertools.product((1, 2), repeat=4):
+            if (ax, kx) == (ay, ky):
+                continue
+            report = cauchy_check(Truncation(ax, kx, degree), Truncation(ay, ky, degree), degree)
+            assert report.ok, ((ax, kx), (ay, ky), degree, report.mismatches[:3])
+            assert report.degree == degree
+    assert time.perf_counter() - start < 1.0
