@@ -3,8 +3,11 @@
 Only what the noncommuting side needs: the m, p, e, h, s bases indexed by
 integer partitions, conversions between them, the standard inner product
 <m_lam, h_mu> = delta, and the e/h-swapping involution.  Coefficients are
-exact rationals throughout; conversions expand in as many variables as the
-degree, which is faithful for that degree.
+exact rationals throughout.  Every conversion goes through m: the coefficient
+of m_mu in e_lam, h_lam or p_lam is the number of matrices with row sums lam
+and column sums mu whose rows take 0/1 entries, any entries, or one nonzero
+entry (Macdonald I.6); s_lam uses Kostka numbers.  The way back from m
+inverts that matrix, once per basis and degree.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combination import Combination, format_terms
-from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
-from .linalg import exact_solve
+from .intpartitions import IntPartition, int_partitions, kostka
+from .linalg import _row_reduce
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 
@@ -61,64 +64,34 @@ def format_sym(f: SymElement, strict_rationals: bool = False) -> str:
     )
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def _generator_poly(basis: str, r: int, k: int) -> dict:
-    """Degree-r generator (p_r, e_r or h_r) as exponent-vector -> coefficient."""
-    one = (0,) * k
-    if r == 0:
-        return {one: 1}
-    out: dict = {}
-    if basis == "p":
-        for i in range(k):
-            exps = list(one)
-            exps[i] = r
-            out[tuple(exps)] = 1
-    elif basis == "e":
-        for support in itertools.combinations(range(k), r):
-            exps = list(one)
-            for i in support:
-                exps[i] = 1
-            out[tuple(exps)] = 1
-    elif basis == "h":
-        for exps in weak_compositions(r, k):
-            out[exps] = 1
-    else:
-        raise ValueError(f"no polynomial generator for basis {basis!r}")
-    return out
+@lru_cache(maxsize=None)
+def _matrix_count(basis: str, rows: tuple, cols: tuple) -> int:
+    """Matrices with these row and column sums whose rows take 0/1 entries (e),
+    any entries (h) or one nonzero entry (p): the coefficient of m_cols in
+    basis_rows.  Filled row by row; the remaining column sums stay sorted, so
+    permuted states share one memo entry."""
+    if not rows:
+        return 1  # row and column sums have equal totals, so no column is left
+    r = rows[0]
+    entries = {"e": (0, 1), "h": range(r + 1), "p": (0, r)}[basis]
+    total = 0
+    for row in itertools.product(*([x for x in entries if x <= c] for c in cols)):
+        if sum(row) == r:
+            left = sorted((c - x for c, x in zip(cols, row) if c > x), reverse=True)
+            total += _matrix_count(basis, rows[1:], tuple(left))
+    return total
 
 
 @lru_cache(maxsize=None)
 def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
     """Expansion of basis_lam into monomial symmetric functions of the same degree."""
-    n = lam.n
     if basis == "m":
         return ((lam, Fraction(1)),)
-    if basis == "s":
-        out = []
-        for mu in int_partitions(n):
-            coeff = kostka(lam, mu)
-            if coeff:
-                out.append((mu, Fraction(coeff)))
-        return tuple(out)
-    k = max(n, 1)
-    poly = {(0,) * k: 1}
-    for part in lam.parts:
-        poly = _poly_mul(poly, _generator_poly(basis, part, k))
-    out = []
-    for mu in int_partitions(n):
-        exps = tuple(mu.parts) + (0,) * (k - mu.length)
-        coeff = poly.get(exps, 0)
-        if coeff:
-            out.append((mu, Fraction(coeff)))
-    return tuple(out)
+    coeffs = (
+        (mu, kostka(lam, mu) if basis == "s" else _matrix_count(basis, lam.parts, mu.parts))
+        for mu in int_partitions(lam.n)
+    )
+    return tuple((mu, Fraction(c)) for mu, c in coeffs if c)
 
 
 def _to_m_dict(f: SymElement) -> dict[IntPartition, Fraction]:
@@ -132,18 +105,15 @@ def _to_m_dict(f: SymElement) -> dict[IntPartition, Fraction]:
 @lru_cache(maxsize=None)
 def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
     """Each m_mu of degree n in the given basis, as mu -> ((lam, coeff), ...):
-    the columns of the inverse of the matrix whose column lam is basis_lam in m."""
+    the columns of the inverse of the matrix whose column lam is basis_lam in m,
+    all from one row reduction of [matrix | identity]."""
     ps = int_partitions(n)
-    pos = {lam: i for i, lam in enumerate(ps)}
-    matrix = [[0] * len(ps) for _ in ps]
-    for c, lam in enumerate(ps):
-        for mu, q in _basis_m_coeffs(basis, lam):
-            matrix[pos[mu]][c] = q
-    out = {}
-    for c, mu in enumerate(ps):
-        column = exact_solve(matrix, [int(r == c) for r in range(len(ps))])
-        out[mu] = tuple((lam, v) for lam, v in zip(ps, column) if v)
-    return out
+    columns = [dict(_basis_m_coeffs(basis, lam)) for lam in ps]
+    aug = [[col.get(mu, 0) for col in columns] + [Fraction(mu == nu) for nu in ps] for mu in ps]
+    if _row_reduce(aug, len(ps)) < len(ps):
+        raise ValueError(f"singular {basis}-to-m matrix at degree {n}")
+    inverse = zip(*(row[len(ps):] for row in aug))  # column mu: m_mu in the basis
+    return {mu: tuple((lam, v) for lam, v in zip(ps, col) if v) for mu, col in zip(ps, inverse)}
 
 
 def _from_m_dict(

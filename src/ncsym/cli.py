@@ -153,22 +153,31 @@ def _emit(value, args) -> int:
     return 0
 
 
+def _read(reader, text: str, what: str):
+    """An argument or file read by its reader; a malformed one is a parse error."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what}: {exc}", 0) from None
+
+
 def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
     """One alphabet per vector entry, k variables each (default the degree)."""
     return Truncation(len(vec), k if k is not None else max(shape.n, 1), shape.n)
 
 
 def _schur(args):
-    shape = IntPartition.parse(args.shape)
+    shape = _read(IntPartition.parse, args.shape, "shape")
     if args.vec is not None:
-        vec = parse_vector(args.vec)
+        vec = _read(parse_vector, args.vec, "--vec")
         return schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
     element = schur_ncsym(shape)
     return element if args.expand is None else expand(element, args.expand)
 
 
 def _jacobi_trudi(args) -> MultiPolynomial:
-    shape, vec = IntPartition.parse(args.shape), parse_vector(args.vec)
+    shape = _read(IntPartition.parse, args.shape, "shape")
+    vec = _read(parse_vector, args.vec, "--vec")
     return jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
 
 
@@ -198,40 +207,26 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
+def _tableau_pair(text: str) -> tuple[DottedTableau, DottedTableau]:
+    """The two tableaux of an ``rsk --inverse`` file."""
+    chunks = [c for c in text.split("\n\n") if c.strip()]
+    if len(chunks) != 2:
+        raise ValueError("expected two tableaux separated by a blank line")
+    return DottedTableau.parse(chunks[0]), DottedTableau.parse(chunks[1])
+
+
 def _cmd_rsk(args) -> int:
     with open(args.path, encoding="utf-8") as handle:
         text = handle.read()
     if args.inverse:
-        chunks = [c for c in text.split("\n\n") if c.strip()]
-        if len(chunks) != 2:
-            raise ValueError("expected two tableaux separated by a blank line")
-        biword = rsk_inverse(DottedTableau.parse(chunks[0]), DottedTableau.parse(chunks[1]))
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "top": [[e.value, e.dots] for e in biword.top],
-                        "bottom": [[e.value, e.dots] for e in biword.bottom],
-                    }
-                )
-            )
-        else:
-            print(biword)
-        return 0
-    insertion, recording = rsk_forward(Biword.parse(text))
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "insertion": [[[e.value, e.dots] for e in row] for row in insertion.rows],
-                    "recording": [[[e.value, e.dots] for e in row] for row in recording.rows],
-                }
-            )
-        )
+        biword = rsk_inverse(*_read(_tableau_pair, text, f"file {args.path}"))
+        payload, shown = {"top": biword.top, "bottom": biword.bottom}, str(biword)
     else:
-        print(insertion)
-        print()
-        print(recording)
+        insertion, recording = rsk_forward(_read(Biword.parse, text, f"file {args.path}"))
+        payload = {"insertion": insertion.rows, "recording": recording.rows}
+        shown = f"{insertion}\n\n{recording}"
+    # entries are (value, dots) named tuples, so JSON writes them as [value, dots]
+    print(json.dumps(payload) if args.format == "json" else shown)
     return 0
 
 
@@ -259,7 +254,9 @@ def _cmd_verify(args) -> int:
 # value hand it to _emit; lattice, rsk and verify print their own tables.
 _COMMANDS = {
     "convert": lambda a: _emit(convert(parse_ncsym(a.expr), a.to), a),
-    "mobius": lambda a: _emit(mobius(SetPartition.parse(a.sigma), SetPartition.parse(a.pi)), a),
+    "mobius": lambda a: _emit(
+        mobius(*(_read(SetPartition.parse, t, "set partition") for t in (a.sigma, a.pi))), a
+    ),
     "lattice": _cmd_lattice,
     "inner": lambda a: _emit(inner(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
     "omega": lambda a: _emit(omega(parse_ncsym(a.expr)), a),

@@ -129,9 +129,9 @@ def _from_json(data, cls, field: str, index):
     """Read {"basis": b, "terms": [{field: ..., "coeff": c}, ...]} into cls.
 
     ``data`` is JSON text or an already decoded object.  A malformed shape,
-    an unknown basis, a bad index or a coefficient string that is no rational
-    is a ParseError naming the field; a float or bool coefficient is a
-    TypeError from ``exact``.
+    an unknown basis, a bad index, a null, list or object coefficient or a
+    coefficient string that is no rational is a ParseError naming the term
+    and the field; a float or bool coefficient is a TypeError from ``exact``.
     """
     if isinstance(data, str):
         try:
@@ -154,6 +154,8 @@ def _from_json(data, cls, field: str, index):
             key = index(entry[field])
         except (TypeError, ValueError) as exc:
             raise ParseError(f'term {number}: bad "{field}": {exc}', 0) from None
+        if entry["coeff"] is None or isinstance(entry["coeff"], (list, dict)):
+            raise ParseError(f'term {number}: bad "coeff": not a number or a "p/q" string', 0)
         try:
             pairs.append((key, exact(entry["coeff"])))
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,32 +1,17 @@
-"""Exact Gaussian elimination over the rationals for tiny dense systems."""
+"""Exact Gauss-Jordan elimination over the rationals for small dense systems.
+
+One row reduction serves every caller: solving a square system, the rank of
+a matrix, and (with the identity appended) a whole inverse in one sweep.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def exact_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs for square invertible M; raises on singular input."""
-    size = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[r])] for r, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
-def matrix_rank(matrix: list[list[Fraction]]) -> int:
-    """Rank over the rationals by row reduction."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> int:
+    """Bring the first ncols columns of rows to reduced echelon form, in place,
+    carrying any further columns along; returns the rank of those columns."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -42,3 +27,18 @@ def matrix_rank(matrix: list[list[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def exact_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve M x = rhs for square invertible M; raises on singular input."""
+    size = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[r])] for r, row in enumerate(matrix)]
+    if _row_reduce(aug, size) < size:
+        raise ValueError("singular matrix")
+    return [row[size] for row in aug]
+
+
+def matrix_rank(matrix: list[list[Fraction]]) -> int:
+    """Rank over the rationals by row reduction."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    return _row_reduce(rows, len(rows[0]) if rows else 0)

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .intpartitions import int_partitions, weak_compositions
 from .macmahon import MultiPolynomial, Truncation, format_monomial, schur_tableau_sum
-from .tableaux import DottedEntry, DottedTableau, parse_entry
+from .tableaux import DottedEntry, DottedTableau, _entry, parse_entry
 
 
 class Biword:
@@ -24,10 +24,7 @@ class Biword:
     __slots__ = ("columns",)
 
     def __init__(self, columns: Iterable[tuple] = ()):
-        cols = []
-        for top, bottom in columns:
-            cols.append((DottedEntry(*top), DottedEntry(*bottom)))
-        self.columns = tuple(cols)
+        self.columns = tuple((_entry(top), _entry(bottom)) for top, bottom in columns)
         values = [(t.value, b.value) for t, b in self.columns]
         if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
             raise ValueError(f"columns not sorted on values: {values}")

@@ -27,6 +27,14 @@ class DottedEntry(NamedTuple):
 _ENTRY_RE = re.compile(r"^(\d+)('+)$")
 
 
+def _entry(pair) -> DottedEntry:
+    """A (value, dot class) pair as an entry; both must be ints >= 1, bools refused."""
+    value, dots = pair
+    if type(value) is int and type(dots) is int and value >= 1 and dots >= 1:
+        return pair if type(pair) is DottedEntry else DottedEntry(value, dots)
+    raise ValueError(f"bad entry {(value, dots)!r}: value and dot class must be ints >= 1")
+
+
 def parse_entry(token: str) -> DottedEntry:
     m = _ENTRY_RE.match(token.strip())
     if not m:
@@ -40,19 +48,13 @@ class DottedTableau:
     __slots__ = ("rows", "shape")
 
     def __init__(self, rows: Iterable[Iterable] = ()):
-        normalized = []
-        for row in rows:
-            normalized.append(tuple(DottedEntry(int(v), int(d)) for v, d in row))
-        self.rows = tuple(normalized)
+        self.rows = tuple(tuple(_entry(e) for e in row) for row in rows)
         lengths = [len(r) for r in self.rows]
         if any(l == 0 for l in lengths):
             raise ValueError("empty row in tableau")
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
             raise ValueError(f"row lengths must weakly decrease: {lengths}")
         for row in self.rows:
-            for e in row:
-                if e.value < 1 or e.dots < 1:
-                    raise ValueError(f"bad entry {e}")
             if any(row[i].value > row[i + 1].value for i in range(len(row) - 1)):
                 raise ValueError(f"row not weakly increasing in value: {row}")
         for r in range(1, len(self.rows)):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -58,6 +59,39 @@ def test_conversion_from_m_matches_exact_solve(basis):
             column = exact_solve(matrix, [int(r == c) for r in range(len(ps))])
             want = SymElement(basis, {lam: v for lam, v in zip(ps, column)})
             assert sym_convert(one("m", mu.parts), basis) == want
+
+
+def _expand_in_variables(basis, lam):
+    """Reference: multiply the p/e/h generators out in n variables and read off
+    the coefficient of x^mu for each mu, as (mu, coeff) pairs."""
+    k = max(lam.n, 1)
+    poly = {(0,) * k: 1}
+    for r in lam.parts:
+        if basis == "p":
+            gen = [tuple(r * (i == j) for j in range(k)) for i in range(k)]
+        elif basis == "e":
+            gen = [tuple(int(j in s) for j in range(k)) for s in combinations(range(k), r)]
+        else:
+            gen = [v for v in product(range(r + 1), repeat=k) if sum(v) == r]
+        out = {}
+        for exps, c in poly.items():
+            for g in gen:
+                key = tuple(a + b for a, b in zip(exps, g))
+                out[key] = out.get(key, 0) + c
+        poly = out
+    pairs = []
+    for mu in int_partitions(lam.n):
+        coeff = poly.get(tuple(mu.parts) + (0,) * (k - mu.length), 0)
+        if coeff:
+            pairs.append((mu, Fraction(coeff)))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("basis", ["p", "e", "h"])
+@pytest.mark.parametrize("n", range(7))
+def test_m_coefficients_match_polynomial_expansion(basis, n):
+    for lam in int_partitions(n):
+        assert _basis_m_coeffs(basis, lam) == _expand_in_variables(basis, lam), lam
 
 
 def test_inner_examples():

@@ -73,8 +73,43 @@ def test_json_reader_errors(capsys):
     assert (code, out) == (2, "") and 'term 1: bad "coeff"' in err
     code, out, err = convert('{"basis": "m", "terms": [{"blocks": [[1]], "coeff": true}]}')
     assert (code, out) == (3, "") and "bool" in err
+    for coeff in ("null", "[1, 2]", '{"p": 1}'):
+        body = '{"basis": "m", "terms": [{"%s": [%s], "coeff": %s}]}'
+        for argv in [
+            ("convert", body % ("blocks", "[1]", coeff), "--to", "p"),
+            ("lift", body % ("parts", "1", coeff)),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and 'term 1: bad "coeff"' in err, argv
     code, out, err = convert("1/0*m[1]")
     assert (code, out) == (2, "") and "zero denominator" in err
+
+
+def test_malformed_text_arguments_exit_2(tmp_path, capsys):
+    biword = tmp_path / "biword.txt"
+    biword.write_text("x'\n")
+    for argv in [
+        ("schur", "2,x"),
+        ("schur", "2,1", "--vec", "[a,1]"),
+        ("jacobi-trudi", "2,1", "--vec", "[2,b]"),
+        ("mobius", "1,x", "1,2"),
+        ("mobius", "1,2", "1/x"),
+        ("rsk", str(biword)),
+        ("rsk", "--inverse", str(biword)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: "), argv
+    # checks made after reading stay semantic errors
+    pair = tmp_path / "pair.txt"
+    pair.write_text("1'\n\n1' 2'\n")
+    for argv in [
+        ("schur", "2,1", "--vec", "[1,1]"),
+        ("rsk", "--inverse", str(pair)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_float_json_coefficient_is_a_clean_error(capsys):

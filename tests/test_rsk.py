@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import pytest
@@ -75,6 +76,20 @@ def test_biword_validation_and_text_forms():
         Biword.parse("1'\n")  # rows of unequal length
     with pytest.raises(ValueError):
         Biword.parse("1x\n2'")
+
+
+def test_entries_must_be_positive_ints():
+    bad = [(1.5, 1), (0, 0), (1, True), (True, 1), (1.7, 1), (2, 0), ("1", 1)]
+    for entry in bad:
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            Biword([(entry, (2, 1))])
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            Biword([((1, 1), entry)])
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            DottedTableau([[entry]])
+    with pytest.raises(ValueError):
+        rsk_forward(Biword([((1.5, 1), (2, 1))]))
+    assert str(DottedTableau([[(1, 2)]])) == "1''"
 
 
 def test_multidegree_preserved():
