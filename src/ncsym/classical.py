@@ -144,17 +144,9 @@ def sym_convert(f: SymElement, target: str) -> SymElement:
 
 
 def sym_inner(f: SymElement, g: SymElement) -> Fraction:
-    """Bilinear extension of <m_lam, h_mu> = delta_{lam,mu}."""
-    total = Fraction(0)
-    g_degrees = set(g.degrees())
-    for n in f.degrees():
-        if n not in g_degrees:
-            continue
-        a = _to_m_dict(f.homogeneous_component(n))
-        b = _from_m_dict("h", n, _to_m_dict(g.homogeneous_component(n)))
-        for lam, c in a.items():
-            total += c * b.get(lam, Fraction(0))
-    return total
+    """Bilinear extension of <m_lam, h_mu> = delta_{lam,mu}; grades pair to zero."""
+    fm, gh = sym_convert(f, "m"), sym_convert(g, "h")
+    return sum((c * gh.terms.get(lam, 0) for lam, c in fm.terms.items()), Fraction(0))
 
 
 def omega_commutative(f: SymElement) -> SymElement:

@@ -235,12 +235,11 @@ def _merges(pi: SetPartition, sigma: SetPartition):
     A rho is a partial injective matching of sigma's blocks (shifted by pi.n)
     into pi's blocks; matched blocks merge, the rest stay apart.
     """
-    right = [tuple(e + pi.n for e in b) for b in sigma.blocks]
-    for r in range(min(len(pi.blocks), len(right)) + 1):
-        for chosen in combinations(range(len(right)), r):
-            rest = [b for j, b in enumerate(right) if j not in chosen]
-            for targets in permutations(range(len(pi.blocks)), r):
-                blocks = list(pi.blocks)
+    ell, k = len(pi.blocks), len(sigma.blocks)
+    for r in range(min(ell, k) + 1):
+        for chosen in combinations(range(k), r):
+            for targets in permutations(range(ell), r):
+                label = list(range(ell, ell + k))  # sigma's blocks, after pi's
                 for i, j in zip(targets, chosen):
-                    blocks[i] += right[j]
-                yield SetPartition(blocks + rest)
+                    label[j] = i
+                yield SetPartition.from_labels(pi.rgs + tuple([label[v] for v in sigma.rgs]))

@@ -5,6 +5,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -142,35 +143,22 @@ def int_partitions(n: int) -> list[IntPartition]:
 
 
 def kostka(lam: IntPartition, mu: IntPartition) -> int:
-    """Number of semistandard Young tableaux of shape lam and content mu.
-
-    Counted by direct enumeration so it can serve as its own ground truth.
-    """
+    """Number of semistandard Young tableaux of shape lam and content mu."""
     if lam.n != mu.n:
         raise ValueError(f"shape and content must have equal size: {lam} vs {mu}")
-    if lam.n == 0:
-        return 1
-    shape = lam.parts
-    remaining = list(mu.parts) + [0]  # padding so index checks stay in range
-    values = len(mu.parts)
-    rows = [[0] * r for r in shape]
+    return _kostka(lam.parts, mu.parts)
 
-    def fill(r: int, c: int) -> int:
-        if r == len(shape):
-            return 1
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        total = 0
-        for v in range(lo, values + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            rows[r][c] = v
-            total += fill(nr, nc)
-            remaining[v - 1] += 1
-        rows[r][c] = 0
-        return total
 
-    return fill(0, 0)
+@lru_cache(maxsize=None)
+def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """The cells holding the largest value form a horizontal strip of
+    content[-1] cells: remove it (row i keeps between shape[i + 1] and
+    shape[i] cells) and count the tableaux of the rest."""
+    if not content:
+        return 1  # shape and content have equal sizes, so the shape is empty
+    below, size = shape[1:] + (0,), sum(shape) - content[-1]
+    total = 0
+    for rest in product(*(range(b, s + 1) for s, b in zip(shape, below))):
+        if sum(rest) == size:
+            total += _kostka(tuple(r for r in rest if r), content[:-1])
+    return total

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .intpartitions import int_partitions, weak_compositions
 from .macmahon import MultiPolynomial, Truncation, format_monomial, schur_tableau_sum
-from .tableaux import DottedEntry, DottedTableau, _entry, parse_entry
+from .tableaux import DottedEntry, DottedTableau, _entry, class_counts, parse_entry
 
 
 class Biword:
@@ -58,12 +58,7 @@ class Biword:
 
     def multidegree(self, classes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Dot-class counts of the bottom row, then of the top row."""
-        bottom = [0] * classes
-        top = [0] * classes
-        for t, b in self.columns:
-            top[t.dots - 1] += 1
-            bottom[b.dots - 1] += 1
-        return tuple(bottom), tuple(top)
+        return class_counts(self.bottom, classes), class_counts(self.top, classes)
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -23,31 +23,38 @@ class SetPartition:
 
     __slots__ = ("n", "blocks", "rgs", "_hash")
 
-    def __init__(self, blocks: Iterable[Iterable[int]] = ()):
-        blks = tuple(tuple(sorted(int(e) for e in b)) for b in blocks)
-        if any(not b for b in blks):
+    def __new__(cls, blocks: Iterable[Iterable[int]] = ()):
+        """Check outside input, then build through ``from_labels``."""
+        blks = [tuple(map(int, b)) for b in blocks]
+        if not all(blks):
             raise ValueError("blocks must be nonempty")
-        elements = sorted(e for b in blks for e in b)
-        n = len(elements)
-        if elements != list(range(1, n + 1)):
-            raise ValueError(f"blocks must partition {{1..{n}}}: {blks!r}")
-        self.n = n
-        self.blocks = tuple(sorted(blks, key=lambda b: b[0]))
-        labels = [0] * n
-        for idx, block in enumerate(self.blocks):
+        n = sum(map(len, blks))
+        labels = [None] * n
+        for idx, block in enumerate(blks):
             for e in block:
+                if not 0 < e <= n or labels[e - 1] is not None:
+                    blks = tuple(tuple(sorted(b)) for b in blks)
+                    raise ValueError(f"blocks must partition {{1..{n}}}: {blks!r}")
                 labels[e - 1] = idx
-        # blocks are sorted by minimum, so labels form a restricted growth string
-        self.rgs = tuple(labels)
-        self._hash = hash((n, self.rgs))
+        return cls.from_labels(labels)
 
     @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "SetPartition":
-        """Build from any block labelling of positions 1..n."""
-        groups: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels, start=1):
-            groups.setdefault(lab, []).append(pos)
-        return cls(groups.values())
+    def from_labels(cls, labels: Iterable) -> "SetPartition":
+        """The partition of positions 1..n into classes of equal label, in
+        canonical form: labels renamed 0, 1, ... by first occurrence give the
+        growth string, and the growth string gives the blocks.  Any labelling
+        is a partition, so nothing is checked."""
+        first: dict = {}
+        rgs = tuple([first.setdefault(label, len(first)) for label in labels])
+        blocks: list[list[int]] = [[] for _ in first]
+        for pos, v in enumerate(rgs, start=1):
+            blocks[v].append(pos)
+        self = object.__new__(cls)
+        self.n = len(rgs)
+        self.blocks = tuple(map(tuple, blocks))
+        self.rgs = rgs
+        self._hash = hash((self.n, rgs))
+        return self
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -61,11 +68,11 @@ class SetPartition:
 
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
-        return cls([i] for i in range(1, n + 1))
+        return cls.from_labels(range(n))
 
     @classmethod
     def top(cls, n: int) -> "SetPartition":
-        return cls([range(1, n + 1)]) if n else cls()
+        return cls.from_labels([0] * n)
 
     @classmethod
     def parse(cls, text: str) -> "SetPartition":
@@ -154,18 +161,17 @@ class SetPartition:
         """Relabel elements through a permutation of {1..n} (perm[i-1] = image of i)."""
         if sorted(perm) != list(range(1, self.n + 1)):
             raise ValueError(f"not a permutation of 1..{self.n}: {tuple(perm)!r}")
-        return SetPartition(tuple(perm[e - 1] for e in b) for b in self.blocks)
+        labels = [0] * self.n
+        for e, label in enumerate(self.rgs):
+            labels[perm[e] - 1] = label
+        return SetPartition.from_labels(labels)
 
     def sort_key(self) -> tuple:
         """Deterministic display order: degree, then type, then growth string."""
         return (self.n, self.type.parts, self.rgs)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.rgs == other.rgs
-        )
+        return isinstance(other, SetPartition) and self.rgs == other.rgs
 
     def __hash__(self) -> int:
         return self._hash
@@ -181,8 +187,6 @@ def set_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], sorted by restricted growth string."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [SetPartition()]
     out: list[SetPartition] = []
     labels = [0] * n
 
@@ -194,7 +198,7 @@ def set_partitions(n: int) -> list[SetPartition]:
             labels[i] = v
             rec(i + 1, max(mx, v))
 
-    rec(1, 0)
+    rec(0, -1)
     return out
 
 

@@ -35,6 +35,16 @@ def _entry(pair) -> DottedEntry:
     raise ValueError(f"bad entry {(value, dots)!r}: value and dot class must be ints >= 1")
 
 
+def class_counts(entries: Iterable[DottedEntry], classes: int) -> tuple[int, ...]:
+    """Count of entries in each dot class 1..classes."""
+    counts = [0] * classes
+    for e in entries:
+        if e.dots > classes:
+            raise ValueError(f"entry {e} beyond {classes} dot classes")
+        counts[e.dots - 1] += 1
+    return tuple(counts)
+
+
 def parse_entry(token: str) -> DottedEntry:
     m = _ENTRY_RE.match(token.strip())
     if not m:
@@ -85,12 +95,7 @@ class DottedTableau:
 
     def multidegree(self, classes: int) -> tuple[int, ...]:
         """Count of entries in each dot class 1..classes."""
-        counts = [0] * classes
-        for e in self.entries():
-            if e.dots > classes:
-                raise ValueError(f"entry {e} beyond {classes} dot classes")
-            counts[e.dots - 1] += 1
-        return tuple(counts)
+        return class_counts(self.entries(), classes)
 
     def undotted(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(e.value for e in row) for row in self.rows)

@@ -7,7 +7,6 @@ so every identity of homogeneous degree n can be decided exactly at k = n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -32,11 +31,7 @@ class NotSymmetricError(ValueError):
 
 def kernel(word: Sequence[int]) -> SetPartition:
     """Positions carrying equal letters fall in the same block."""
-    first_seen: dict[int, int] = {}
-    labels = []
-    for letter in word:
-        labels.append(first_seen.setdefault(letter, len(first_seen)))
-    return SetPartition.from_labels(labels)
+    return SetPartition.from_labels(word)
 
 
 def format_word(word: Word) -> str:
@@ -116,11 +111,6 @@ def _words_with_kernel(sigma: SetPartition, k: int):
         yield tuple(letters[lab] for lab in sigma.rgs)
 
 
-@lru_cache(maxsize=None)
-def _set_partitions(n: int) -> tuple[SetPartition, ...]:
-    return tuple(set_partitions(n))
-
-
 def expand(f: NCSymElement, k: int) -> WordPolynomial:
     """Truncate to k variables, exactly.
 
@@ -132,7 +122,7 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     WordPolynomial._check_tag(k)
     out: dict[Word, Fraction] = {}
     for pi, c in f.terms.items():
-        for sigma in _set_partitions(pi.n):
+        for sigma in set_partitions(pi.n):
             if len(sigma.blocks) > k:
                 continue
             if f.basis == "m":

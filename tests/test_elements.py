@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ncsym.classical import SymElement, sym_inner
 from ncsym.elements import (
     NCSymElement,
+    _merges,
     _symbol_expansion,
     convert,
     inner,
@@ -209,6 +210,32 @@ def test_multiply_distributes_over_sums():
         NCSymElement("m", {P("12"): 2}), g
     )
     assert lhs == rhs
+
+
+def _merges_by_block_assembly(pi, sigma):
+    """The earlier _merges: glue sigma's shifted blocks onto pi's, validate."""
+    right = [tuple(e + pi.n for e in b) for b in sigma.blocks]
+    for r in range(min(len(pi.blocks), len(right)) + 1):
+        for chosen in itertools.combinations(range(len(right)), r):
+            rest = [b for j, b in enumerate(right) if j not in chosen]
+            for targets in itertools.permutations(range(len(pi.blocks)), r):
+                blocks = list(pi.blocks)
+                for i, j in zip(targets, chosen):
+                    blocks[i] += right[j]
+                yield SetPartition(blocks + rest)
+
+
+def test_merges_match_block_assembly_to_degree_6():
+    for n1 in range(7):
+        for n2 in range(7 - n1):
+            for pi in set_partitions(n1):
+                for sigma in set_partitions(n2):
+                    got = [(r.n, r.blocks, r.rgs, hash(r)) for r in _merges(pi, sigma)]
+                    want = [
+                        (r.n, r.blocks, r.rgs, hash(r))
+                        for r in _merges_by_block_assembly(pi, sigma)
+                    ]
+                    assert got == want
 
 
 def test_multiply_matches_word_oracle_up_to_degree_4():

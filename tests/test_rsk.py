@@ -100,6 +100,15 @@ def test_multidegree_preserved():
     assert U.multidegree(2) == top
 
 
+def test_multidegree_refuses_a_class_beyond_the_count():
+    bw = Biword.parse("1'''\n1'")
+    with pytest.raises(ValueError, match=re.escape("entry 1''' beyond 2 dot classes")):
+        bw.multidegree(2)
+    assert Biword.parse("1'\n1'''").multidegree(3) == ((0, 0, 1), (1, 0, 0))
+    with pytest.raises(ValueError, match=re.escape("entry 2'' beyond 1 dot classes")):
+        DottedTableau.parse("1' 2''").multidegree(1)
+
+
 def test_tie_dot_orders_stay_distinct():
     a = Biword([(E(1, 1), E(1, 1)), (E(1, 1), E(1, 2))])
     b = Biword([(E(1, 1), E(1, 2)), (E(1, 1), E(1, 1))])

@@ -8,6 +8,7 @@ from ncsym.setpartitions import (
     bell_number,
     lattice,
     mobius,
+    partition_key,
     set_partitions,
 )
 
@@ -29,6 +30,39 @@ def test_parse_rejects_garbage():
         P("1,1/2")
     with pytest.raises(ValueError):
         P("a/b")
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[1], []], "blocks must be nonempty"),
+        ([[1, 1], [2]], "blocks must partition {1..3}: ((1, 1), (2,))"),
+        ([[0, 1]], "blocks must partition {1..2}: ((0, 1),)"),
+        ([[1, 3]], "blocks must partition {1..2}: ((1, 3),)"),
+    ],
+)
+def test_constructor_rejects_non_partitions(blocks, message):
+    with pytest.raises(ValueError) as err:
+        SetPartition(blocks)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,3/2,5", "cannot parse set partition from '1,3/2,5'"),
+        ("1,1/2", "cannot parse set partition from '1,1/2'"),
+        ("1,/2", "cannot parse set partition from '1,/2'"),
+        ("12/", "cannot parse set partition from '12/'"),
+        ("a/b", "cannot parse set partition from 'a/b'"),
+        ("0", "blocks must partition {1..1}: ((0,),)"),
+        ("13/3", "blocks must partition {1..3}: ((1, 3), (3,))"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        P(text)
+    assert str(err.value) == message
 
 
 def test_leq_examples():
@@ -152,3 +186,38 @@ def test_lattice_tables_match_operations():
             assert elems[lat.join[i][j]] == b.join(a)
             assert lat.leq_idx(i, j) == a.leq(b)
             assert lat.mu(i, j) == mobius(a, b)
+
+
+def _assert_canonical(p):
+    """p is exactly its rebuild through the validating constructor."""
+    rebuilt = SetPartition(p.blocks)
+    assert (p.n, p.blocks, p.rgs, hash(p)) == (
+        rebuilt.n,
+        rebuilt.blocks,
+        rebuilt.rgs,
+        hash(rebuilt),
+    )
+    assert p.blocks == tuple(sorted(tuple(sorted(b)) for b in p.blocks))
+
+
+def test_computed_partitions_are_canonical():
+    """Every partition built by an operation, not by the checking constructor,
+    has the canonical form that the constructor would give it."""
+    for n in range(7):
+        elems = set_partitions(n)
+        assert len({p.rgs for p in elems}) == bell_number(n)
+        for p in elems + [SetPartition.bottom(n), SetPartition.top(n)]:
+            _assert_canonical(p)
+            _assert_canonical(SetPartition.from_key(partition_key(p.rgs), n))
+        if n <= 5:
+            for a, b in itertools.product(elems, repeat=2):
+                _assert_canonical(a.meet(b))
+                _assert_canonical(a.join(b))
+        if n <= 4:
+            for g in itertools.permutations(range(1, n + 1)):
+                for a in elems:
+                    moved = a.act(g)
+                    _assert_canonical(moved)
+                    assert moved == SetPartition(
+                        tuple(g[e - 1] for e in b) for b in a.blocks
+                    )

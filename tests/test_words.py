@@ -30,6 +30,23 @@ def test_kernel_examples():
     assert kernel(()) == SetPartition()
 
 
+def test_kernel_matches_grouping_by_letter():
+    """kernel against the earlier route: group positions by letter, validate."""
+    for length in range(6):
+        for word in itertools.product((1, 2, 3), repeat=length):
+            groups: dict[int, list[int]] = {}
+            for pos, letter in enumerate(word, start=1):
+                groups.setdefault(letter, []).append(pos)
+            want = SetPartition(groups.values())
+            got = kernel(word)
+            assert (got.n, got.blocks, got.rgs, hash(got)) == (
+                want.n,
+                want.blocks,
+                want.rgs,
+                hash(want),
+            )
+
+
 def test_expand_monomial_example():
     got = expand(elem("m", "13/24"), 2)
     assert got.terms == {
