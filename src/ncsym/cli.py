@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -208,8 +209,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _tableau_pair(text: str) -> tuple[DottedTableau, DottedTableau]:
-    """The two tableaux of an ``rsk --inverse`` file."""
-    chunks = [c for c in text.split("\n\n") if c.strip()]
+    """The two tableaux of an ``rsk --inverse`` file, split at blank or whitespace-only lines."""
+    chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     if len(chunks) != 2:
         raise ValueError("expected two tableaux separated by a blank line")
     return DottedTableau.parse(chunks[0]), DottedTableau.parse(chunks[1])

@@ -264,68 +264,53 @@ def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     return mm_monomial(VectorPartition([t]), trunc)
 
 
-def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
-    """Coefficient of the auxiliary degree t in prod_i (1 + sum_j x_i^(j) q_j)."""
+def _mm_generator(t: Sequence[int], trunc: Truncation, most: int) -> MultiPolynomial:
+    """Coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over
+    vectors v of at most ``most`` alphabet letters.
+
+    Subscripts 1, 2, ... each take such a vector up to what t still needs,
+    the zero vector included, and v counts with its number of orderings.
+    Each monomial comes from one choice of vectors, so it is built sorted.
+    """
     t = _check_vector(t, trunc)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
 
-    def rec(i: int, remaining: tuple[int, ...], chosen: list[tuple[int, int]]):
-        if not any(remaining):
-            mono = tuple(((s, j), 1) for s, j in chosen)
-            terms[mono] = 1
-            return
-        if i > trunc.variables or sum(remaining) > trunc.variables - i + 1:
-            return
-        rec(i + 1, remaining, chosen)
-        for j in range(1, trunc.alphabets + 1):
-            if remaining[j - 1]:
-                nxt = list(remaining)
-                nxt[j - 1] -= 1
-                chosen.append((i, j))
-                rec(i + 1, tuple(nxt), chosen)
-                chosen.pop()
+    def rec(i: int, left: tuple[int, ...], mono: Monomial, coeff: int):
+        if not any(left):
+            terms[mono] = coeff
+        elif sum(left) <= most * (trunc.variables - i + 1):
+            for letters, rest, orderings in _letter_vectors(left, most):
+                rec(i + 1, rest, mono + tuple(((i, j), x) for j, x in letters), coeff * orderings)
 
-    rec(1, t, [])
+    rec(1, t, (), 1)
     return MultiPolynomial._make(trunc, terms)
+
+
+@lru_cache(maxsize=None)
+def _letter_vectors(left: tuple[int, ...], most: int) -> tuple:
+    """Each vector v up to ``left`` with at most ``most`` letters, as its
+    (alphabet, count) pairs, left - v and the number of orderings of v."""
+    out = []
+    for v in product(*(range(min(r, most) + 1) for r in left)):
+        if sum(v) <= most:
+            orderings = factorial(sum(v))
+            for x in v:
+                orderings //= factorial(x)
+            letters = tuple((j, x) for j, x in enumerate(v, 1) if x)
+            out.append((letters, tuple(r - x for r, x in zip(left, v)), orderings))
+    return tuple(out)
+
+
+def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
+    """Coefficient of the auxiliary degree t in prod_i (1 + sum_j x_i^(j) q_j):
+    each subscript takes one letter or none."""
+    return _mm_generator(t, trunc, 1)
 
 
 def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
-    """Coefficient of the auxiliary degree t in prod_i 1/(1 - sum_j x_i^(j) q_j).
-
-    Each subscript contributes a multiset of alphabet letters counted with
-    the number of its orderings, hence the multinomial factor.
-    """
-    t = _check_vector(t, trunc)
-    terms: dict[Monomial, Fraction] = {}
-
-    def multinomial(vec: Sequence[int]) -> int:
-        out = factorial(sum(vec))
-        for v in vec:
-            out //= factorial(v)
-        return out
-
-    def rec(i: int, remaining: tuple[int, ...], chosen, coeff: int):
-        if not any(remaining):
-            mono = monomial(((s, j), v) for s, vec in chosen for j, v in enumerate(vec, 1))
-            terms[mono] = terms.get(mono, 0) + coeff
-            return
-        if i > trunc.variables:
-            return
-        for vec in product(*(range(r + 1) for r in remaining)):
-            if any(vec):
-                chosen.append((i, vec))
-                rec(
-                    i + 1,
-                    tuple(r - v for r, v in zip(remaining, vec)),
-                    chosen,
-                    coeff * multinomial(vec),
-                )
-                chosen.pop()
-            else:
-                rec(i + 1, remaining, chosen, coeff)
-
-    rec(1, t, [], 1)
-    return MultiPolynomial._make(trunc, terms)
+    """Coefficient of the auxiliary degree t in prod_i 1/(1 - sum_j x_i^(j) q_j):
+    each subscript takes any number of letters (the cap bounds them all)."""
+    return _mm_generator(t, trunc, trunc.degree)
 
 
 _MM_GENERATORS = {"p": mm_power, "e": mm_elementary, "h": mm_complete}

@@ -7,7 +7,7 @@ The recording tableau receives the top entry of the biword column verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .intpartitions import int_partitions, weak_compositions
 from .macmahon import MultiPolynomial, Truncation, format_monomial, schur_tableau_sum
@@ -23,30 +23,34 @@ class Biword:
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: Iterable[tuple] = ()):
-        self.columns = tuple((_entry(top), _entry(bottom)) for top, bottom in columns)
-        values = [(t.value, b.value) for t, b in self.columns]
+    def __new__(cls, columns: Iterable[tuple] = ()):
+        """Check outside input, then build through ``_make``."""
+        columns = tuple((_entry(top), _entry(bottom)) for top, bottom in columns)
+        values = [(t.value, b.value) for t, b in columns]
         if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
             raise ValueError(f"columns not sorted on values: {values}")
+        return cls._make(columns)
 
     @classmethod
-    def from_rows(cls, top: Sequence[DottedEntry], bottom: Sequence[DottedEntry]) -> "Biword":
-        if len(top) != len(bottom):
-            raise ValueError("rows of unequal length")
-        return cls(zip(top, bottom))
+    def _make(cls, columns: Iterable[tuple[DottedEntry, DottedEntry]]) -> "Biword":
+        """The biword with these (top, bottom) columns, which must already be
+        sorted on values; nothing is checked."""
+        self = object.__new__(cls)
+        self.columns = tuple(columns)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Biword":
-        lines = [line for line in text.splitlines()]
-        while lines and not lines[-1].strip():
-            lines.pop()
+        """Top row, then bottom row; blank or whitespace-only lines are skipped."""
+        lines = [line.split() for line in text.splitlines() if line.strip()]
         if not lines:
             return cls()
         if len(lines) != 2:
             raise ValueError("a biword needs exactly two lines (top row, bottom row)")
-        top = [parse_entry(tok) for tok in lines[0].split()]
-        bottom = [parse_entry(tok) for tok in lines[1].split()]
-        return cls.from_rows(top, bottom)
+        top, bottom = ([parse_entry(tok) for tok in line] for line in lines)
+        if len(top) != len(bottom):
+            raise ValueError("rows of unequal length")
+        return cls(zip(top, bottom))
 
     @property
     def top(self) -> tuple[DottedEntry, ...]:
@@ -80,20 +84,16 @@ class Biword:
         return f"<Biword of length {len(self.columns)}>"
 
 
-def _insert(rows: list[list[DottedEntry]], entry: DottedEntry) -> tuple[int, int]:
-    """Row-insert by value; returns the (row, col) of the new cell."""
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([entry])
-            return r, 0
-        row = rows[r]
+def _insert(rows: list[list[DottedEntry]], entry: DottedEntry) -> int:
+    """Row-insert by value; returns the row that grew."""
+    for r, row in enumerate(rows):
         spot = next((c for c, e in enumerate(row) if e.value > entry.value), None)
         if spot is None:
             row.append(entry)
-            return r, len(row) - 1
+            return r
         entry, row[spot] = row[spot], entry
-        r += 1
+    rows.append([entry])
+    return len(rows) - 1
 
 
 def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
@@ -101,11 +101,11 @@ def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
     insertion: list[list[DottedEntry]] = []
     recording: list[list[DottedEntry]] = []
     for top, bottom in biword.columns:
-        r, _ = _insert(insertion, bottom)
+        r = _insert(insertion, bottom)
         if r == len(recording):
             recording.append([])
         recording[r].append(top)
-    return DottedTableau(insertion), DottedTableau(recording)
+    return DottedTableau._make(insertion), DottedTableau._make(recording)
 
 
 def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
@@ -118,13 +118,7 @@ def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
     for _ in range(tab.size):
         # the cell recorded last holds the largest value, rightmost on ties;
         # row maxima sit at row ends, so scanning ends is enough
-        best_key = None
-        best_row = -1
-        for r, row in enumerate(recording):
-            key = (row[-1].value, len(row) - 1)
-            if best_key is None or key > best_key:
-                best_key, best_row = key, r
-        r = best_row
+        r = max(range(len(recording)), key=lambda r: (recording[r][-1].value, len(recording[r])))
         top = recording[r].pop()
         carry = insertion[r].pop()
         if not recording[r]:
@@ -135,7 +129,7 @@ def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
             spot = max(c for c, e in enumerate(row) if e.value < carry.value)
             carry, row[spot] = row[spot], carry
         columns.append((top, carry))
-    return Biword(reversed(columns))
+    return Biword._make(reversed(columns))
 
 
 @dataclass

@@ -57,23 +57,33 @@ class DottedTableau:
 
     __slots__ = ("rows", "shape")
 
-    def __init__(self, rows: Iterable[Iterable] = ()):
-        self.rows = tuple(tuple(_entry(e) for e in row) for row in rows)
-        lengths = [len(r) for r in self.rows]
+    def __new__(cls, rows: Iterable[Iterable] = ()):
+        """Check outside input, then build through ``_make``."""
+        rows = tuple(tuple(_entry(e) for e in row) for row in rows)
+        lengths = [len(r) for r in rows]
         if any(l == 0 for l in lengths):
             raise ValueError("empty row in tableau")
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
             raise ValueError(f"row lengths must weakly decrease: {lengths}")
-        for row in self.rows:
+        for row in rows:
             if any(row[i].value > row[i + 1].value for i in range(len(row) - 1)):
                 raise ValueError(f"row not weakly increasing in value: {row}")
-        for r in range(1, len(self.rows)):
-            for c in range(len(self.rows[r])):
-                if self.rows[r - 1][c].value >= self.rows[r][c].value:
+        for r in range(1, len(rows)):
+            for c in range(len(rows[r])):
+                if rows[r - 1][c].value >= rows[r][c].value:
                     raise ValueError(
                         f"column {c + 1} not strictly increasing in value"
                     )
-        self.shape = IntPartition(lengths)
+        return cls._make(rows)
+
+    @classmethod
+    def _make(cls, rows: Iterable[Iterable[DottedEntry]]) -> "DottedTableau":
+        """The tableau with these rows of entries, which must already form one;
+        nothing is checked."""
+        self = object.__new__(cls)
+        self.rows = tuple(map(tuple, rows))
+        self.shape = IntPartition(map(len, self.rows))
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "DottedTableau":
@@ -129,14 +139,11 @@ def dotted_tableaux(
         raise ValueError(
             f"multidegree {budget} is not {classes} nonnegative counts summing to {shape.n}"
         )
-    if not lengths:
-        yield DottedTableau()
-        return
     rows: list[list[DottedEntry]] = [[] for _ in lengths]
 
     def rec(r: int, c: int) -> Iterator[DottedTableau]:
         if r == len(lengths):
-            yield DottedTableau([list(row) for row in rows])
+            yield DottedTableau._make(rows)
             return
         nr, nc = (r, c + 1) if c + 1 < lengths[r] else (r + 1, 0)
         lo = rows[r][c - 1].value if c > 0 else 1
@@ -203,4 +210,4 @@ def dot_swap_involution(tab: DottedTableau, i: int) -> DottedTableau:
         for c, e in zip(cells, new_entries):
             row[c] = e
 
-    return DottedTableau(rows)
+    return DottedTableau._make(rows)

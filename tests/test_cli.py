@@ -211,6 +211,18 @@ def test_rsk_files(tmp_path, capsys):
     assert code == 3
 
 
+def test_rsk_files_treat_whitespace_only_lines_as_blank(tmp_path, capsys):
+    biword_file = tmp_path / "biword.txt"
+    biword_file.write_text("\n  \n1' 2' 2'' 2' 3'' 4'\n2' 1'' 3'' 3' 2'' 1'\n")
+    code, out, _ = run(capsys, "rsk", str(biword_file))
+    assert (code, out) == (0, "1'' 1' 3'\n2' 2''\n3''\n\n1' 2'' 2'\n2' 3''\n4'\n")
+
+    tableau_file = tmp_path / "pair.txt"
+    tableau_file.write_text(" \n1'' 1' 3'\n2' 2''\n3''\n  \t\n1' 2'' 2'\n2' 3''\n4'\n")
+    code, out, _ = run(capsys, "rsk", "--inverse", str(tableau_file))
+    assert (code, out) == (0, "1' 2' 2'' 2' 3'' 4'\n2' 1'' 3'' 3' 2'' 1'\n")
+
+
 def test_verify_subcommand_small(capsys):
     code, out, _ = run(capsys, "verify", "mobius", "--max-n", "2")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -72,6 +73,69 @@ def test_mm_complete_examples():
     assert got.terms == {mono((1, 1, 1), (1, 2, 1)): Fraction(2)}
     with pytest.raises(TruncationError):
         mm_complete((2, 2), Truncation(2, 2, 3))
+
+
+def reference_elementary(t, trunc):
+    """The subscript-by-subscript walk that mm_elementary used before the
+    generators shared one recursion."""
+    terms = {}
+
+    def rec(i, remaining, chosen):
+        if not any(remaining):
+            terms[tuple(((s, j), 1) for s, j in chosen)] = 1
+            return
+        if i > trunc.variables or sum(remaining) > trunc.variables - i + 1:
+            return
+        rec(i + 1, remaining, chosen)
+        for j in range(1, trunc.alphabets + 1):
+            if remaining[j - 1]:
+                nxt = list(remaining)
+                nxt[j - 1] -= 1
+                rec(i + 1, tuple(nxt), chosen + [(i, j)])
+
+    rec(1, tuple(t), [])
+    return terms
+
+
+def reference_complete(t, trunc):
+    """The walk that mm_complete used before the generators shared one recursion."""
+    terms = {}
+
+    def multinomial(vec):
+        out = factorial(sum(vec))
+        for v in vec:
+            out //= factorial(v)
+        return out
+
+    def rec(i, remaining, chosen, coeff):
+        if not any(remaining):
+            mono = monomial(((s, j), v) for s, vec in chosen for j, v in enumerate(vec, 1))
+            terms[mono] = terms.get(mono, 0) + coeff
+            return
+        if i > trunc.variables:
+            return
+        for vec in itertools.product(*(range(r + 1) for r in remaining)):
+            if any(vec):
+                rest = tuple(r - v for r, v in zip(remaining, vec))
+                rec(i + 1, rest, chosen + [(i, vec)], coeff * multinomial(vec))
+            else:
+                rec(i + 1, remaining, chosen, coeff)
+
+    rec(1, tuple(t), [], 1)
+    return terms
+
+
+def test_generators_match_their_separate_walks_to_degree_5():
+    cases = 0
+    for alphabets in (1, 2, 3):
+        for variables in (1, 2, 3, 4):
+            tr = Truncation(alphabets, variables, 5)
+            for degree in range(6):  # degree 0 is the zero vector
+                for t in weak_compositions(degree, alphabets):
+                    assert mm_elementary(t, tr).terms == reference_elementary(t, tr), (t, tr)
+                    assert mm_complete(t, tr).terms == reference_complete(t, tr), (t, tr)
+                    cases += 1
+    assert cases == 4 * (6 + 21 + 56)
 
 
 def test_mm_power_is_single_part_monomial():

@@ -7,7 +7,7 @@ import pytest
 from ncsym.intpartitions import int_partitions
 from ncsym.macmahon import Truncation
 from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
-from ncsym.tableaux import DottedEntry, DottedTableau, dotted_tableaux
+from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 
 E = DottedEntry
 
@@ -170,3 +170,76 @@ def test_cauchy_asymmetric_truncations():
             assert report.ok, ((ax, kx), (ay, ky), degree, report.mismatches[:3])
             assert report.degree == degree
     assert time.perf_counter() - start < 1.0
+
+
+def refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_boundary_refusals_name_the_fault():
+    decreasing = "(DottedEntry(value=2, dots=1), DottedEntry(value=1, dots=1))"
+    tableau_cases = [
+        ([[]], None, "empty row in tableau"),
+        ([[(1, 1)], [(2, 1), (3, 1)]], "1'\n2' 3'", "row lengths must weakly decrease: [1, 2]"),
+        ([[(2, 1), (1, 1)]], "2' 1'", f"row not weakly increasing in value: {decreasing}"),
+        ([[(1, 1), (2, 1)], [(2, 2), (2, 1)]], "1' 2'\n2'' 2'",
+         "column 2 not strictly increasing in value"),
+    ]
+    for rows, text, message in tableau_cases:
+        assert refusal(lambda: DottedTableau(rows)) == message
+        if text is not None:
+            assert refusal(lambda: DottedTableau.parse(text)) == message
+    unsorted = "columns not sorted on values: [(2, 1), (1, 1)]"
+    assert refusal(lambda: Biword([((2, 1), (1, 1)), ((1, 1), (1, 1))])) == unsorted
+    assert refusal(lambda: Biword.parse("2' 1'\n1' 1'")) == unsorted
+    tie = "columns not sorted on values: [(1, 2), (1, 1)]"
+    assert refusal(lambda: Biword.parse("1' 1'\n2' 1'")) == tie
+    assert refusal(lambda: Biword.parse("1' 2'\n1'")) == "rows of unequal length"
+    two_lines = "a biword needs exactly two lines (top row, bottom row)"
+    for text in ("1'", "1'\n", "1'\n2'\n3'"):
+        assert refusal(lambda: Biword.parse(text)) == two_lines
+
+
+def assert_canonical_tableau(tab):
+    """Built as the validating constructor would build it from the same rows."""
+    rebuilt = DottedTableau(tab.rows)
+    assert (rebuilt.rows, rebuilt.shape) == (tab.rows, tab.shape)
+    assert type(tab.rows) is tuple and all(type(row) is tuple for row in tab.rows)
+    assert all(type(e) is DottedEntry for e in tab.entries())
+
+
+def assert_canonical_biword(bw):
+    assert Biword(bw.columns).columns == bw.columns
+    assert type(bw.columns) is tuple
+    assert all(
+        type(col) is tuple and [type(e) for e in col] == [DottedEntry] * 2
+        for col in bw.columns
+    )
+
+
+def test_computed_tableaux_and_biwords_are_canonical():
+    for total in range(5):
+        for shape in int_partitions(total):
+            for tab in dotted_tableaux(shape, 3, 2):
+                assert_canonical_tableau(tab)
+                for i in (1, 2):
+                    assert_canonical_tableau(dot_swap_involution(tab, i))
+    for bw in all_biwords(3, 3, 2):
+        for tab in rsk_forward(bw):
+            assert_canonical_tableau(tab)
+    for total in range(4):
+        for shape in int_partitions(total):
+            tableaux = list(dotted_tableaux(shape, 3, 2))
+            for T in tableaux:
+                for U in tableaux:
+                    assert_canonical_biword(rsk_inverse(T, U))
+
+
+def test_whitespace_only_lines_are_blank():
+    bw = Biword.parse("1' 2''\n2' 1'")
+    for text in ("\n1' 2''\n2' 1'\n", "  \n1' 2''\n \t\n2' 1'\n  \n"):
+        assert Biword.parse(text) == bw
+    assert Biword.parse(" \n\n") == Biword()
+    assert DottedTableau.parse(" \n1' 2''\n  \n2'\n") == DottedTableau([[(1, 1), (2, 2)], [(2, 1)]])
