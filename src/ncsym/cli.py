@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .classical import SymElement, format_sym
 from .combination import format_rational
-from .elements import NCSymElement, convert, format_ncsym, inner, lift, omega, project
+from .elements import NCSymElement, convert, format_ncsym, inner, lift, multiply, omega, project
 from .expressions import (
     ParseError,
     multipolynomial_to_json,
@@ -83,6 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("inner", help="inner product of two elements")
+    p.add_argument("expr1")
+    p.add_argument("expr2")
+    add_format(p)
+
+    p = sub.add_parser("multiply", help="product of two elements, in their shared basis, else m")
     p.add_argument("expr1")
     p.add_argument("expr2")
     add_format(p)
@@ -260,6 +265,7 @@ _COMMANDS = {
     ),
     "lattice": _cmd_lattice,
     "inner": lambda a: _emit(inner(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
+    "multiply": lambda a: _emit(multiply(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
     "omega": lambda a: _emit(omega(parse_ncsym(a.expr)), a),
     "project": lambda a: _emit(project(parse_ncsym(a.expr)), a),
     "lift": lambda a: _emit(lift(parse_sym(a.expr)), a),

@@ -212,21 +212,30 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
-    """Product in the ambient free algebra, returned in the m basis.
+    """Product in the ambient free algebra, in the factors' shared basis, else m.
 
-    Both factors are converted to m, and each pair of terms multiplies by the
-    monomial rule m_pi * m_sigma = sum of m_rho over the rho with
-    rho meet (top | top) = pi | sigma: the rho obtained from pi | sigma by
+    Factors in different bases both go to m: converting one into the other's
+    basis can turn a one-term symbol into a sum over every partition below it.
+    In p, e and h each pair of terms gives the one term b_{pi|sigma}, sigma's
+    blocks shifted past pi's ground set (slash rule).  In m each pair
+    multiplies by the monomial rule m_pi * m_sigma = sum of m_rho over the rho
+    with rho meet (top | top) = pi | sigma: the rho obtained from pi | sigma by
     merging some blocks of pi one-to-one into blocks of the shifted sigma.
     """
-    fm, gm = convert(f, "m"), convert(g, "m")
+    if f.basis != g.basis:
+        f, g = convert(f, "m"), convert(g, "m")
     out: dict[SetPartition, Fraction] = {}
-    for pi, a in fm.terms.items():
-        for sigma, b in gm.terms.items():
+    for pi, a in f.terms.items():
+        for sigma, b in g.terms.items():
             ab = a * b
-            for rho in _merges(pi, sigma):
+            if f.basis == "m":
+                for rho in _merges(pi, sigma):
+                    out[rho] = out.get(rho, 0) + ab
+            else:
+                ell = len(pi.blocks)
+                rho = SetPartition.from_labels(pi.rgs + tuple(v + ell for v in sigma.rgs))
                 out[rho] = out.get(rho, 0) + ab
-    return NCSymElement._make("m", out)
+    return NCSymElement._make(f.basis, out)
 
 
 def _merges(pi: SetPartition, sigma: SetPartition):

@@ -25,7 +25,12 @@ class Biword:
 
     def __new__(cls, columns: Iterable[tuple] = ()):
         """Check outside input, then build through ``_make``."""
-        columns = tuple((_entry(top), _entry(bottom)) for top, bottom in columns)
+        checked = []
+        for col in columns:
+            if not (isinstance(col, (tuple, list)) and len(col) == 2):
+                raise ValueError(f"bad column {col!r}: a (top, bottom) pair of entries")
+            checked.append((_entry(col[0]), _entry(col[1])))
+        columns = tuple(checked)
         values = [(t.value, b.value) for t, b in columns]
         if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
             raise ValueError(f"columns not sorted on values: {values}")

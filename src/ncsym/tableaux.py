@@ -28,11 +28,15 @@ _ENTRY_RE = re.compile(r"^(\d+)('+)$")
 
 
 def _entry(pair) -> DottedEntry:
-    """A (value, dot class) pair as an entry; both must be ints >= 1, bools refused."""
-    value, dots = pair
-    if type(value) is int and type(dots) is int and value >= 1 and dots >= 1:
-        return pair if type(pair) is DottedEntry else DottedEntry(value, dots)
-    raise ValueError(f"bad entry {(value, dots)!r}: value and dot class must be ints >= 1")
+    """A (value, dot class) pair as an entry; both must be ints >= 1, bools refused.
+
+    Only a DottedEntry (the common case, tested first) or a 2-item tuple or list is unpacked."""
+    if type(pair) is DottedEntry or isinstance(pair, (tuple, list)) and len(pair) == 2:
+        value, dots = pair
+        if type(value) is int and type(dots) is int and value >= 1 and dots >= 1:
+            return pair if type(pair) is DottedEntry else DottedEntry(value, dots)
+        pair = (value, dots)
+    raise ValueError(f"bad entry {pair!r}: value and dot class must be ints >= 1")
 
 
 def class_counts(entries: Iterable[DottedEntry], classes: int) -> tuple[int, ...]:

@@ -27,6 +27,16 @@ def test_golden_inner(capsys):
     assert out == "24\n"
 
 
+def test_golden_multiply(capsys):
+    # factors in different bases multiply in m: h[1,2] = 2*m[1,2] + m[1/2]
+    code, out, _ = run(capsys, "multiply", "h[1,2]", "m[1]")
+    assert (code, out) == (0, "m[1/2/3] + 2*m[1,2/3] + m[1,3/2] + m[1/2,3] + 2*m[1,2,3]\n")
+    code, out, _ = run(capsys, "multiply", "h[1,2]", "h[1]")
+    assert (code, out) == (0, "h[1,2/3]\n")
+    code, out, _ = run(capsys, "multiply", "2*e[1,3/2]", "1/3*e[1/2]")
+    assert (code, out) == (0, "2/3*e[1,3/2/4/5]\n")
+
+
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "convert", "m[1]")  # --to missing
     assert code == 1
@@ -94,6 +104,8 @@ def test_malformed_text_arguments_exit_2(tmp_path, capsys):
         ("jacobi-trudi", "2,1", "--vec", "[2,b]"),
         ("mobius", "1,x", "1,2"),
         ("mobius", "1,2", "1/x"),
+        ("multiply", "m[1", "m[1]"),
+        ("multiply", "m[1]", "m[1"),
         ("rsk", str(biword)),
         ("rsk", "--inverse", str(biword)),
     ]:
@@ -239,6 +251,12 @@ def test_golden_json_values(capsys):
     assert code == 0 and out == '{"value": "24"}\n'
     code, out, _ = run(capsys, "mobius", "1/2/3/4", "1,2,3,4", "--format", "json")
     assert code == 0 and out == '{"value": "-6"}\n'
+    # p[1] = m[1], whose one block merges into neither, the first or the second block of m[1/2]
+    code, out, _ = run(capsys, "multiply", "p[1]", "1/2*m[1/2]", "--format", "json")
+    assert code == 0 and out == (
+        '{"basis": "m", "terms": [{"blocks": [[1], [2], [3]], "coeff": "1/2"},'
+        ' {"blocks": [[1, 2], [3]], "coeff": "1/2"}, {"blocks": [[1, 3], [2]], "coeff": "1/2"}]}\n'
+    )
     code, out, _ = run(
         capsys, "mobius", "1/2/3/4", "1,2,3,4", "--format", "json", "--strict-rationals"
     )

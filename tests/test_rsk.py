@@ -87,6 +87,23 @@ def test_entries_must_be_positive_ints():
             Biword([((1, 1), entry)])
         with pytest.raises(ValueError, match=re.escape(repr(entry))):
             DottedTableau([[entry]])
+    for entry in [1, None, "11", (1,), (1, 1, 1), [1], {1: 1, 2: 1}]:
+        with pytest.raises(ValueError, match="bad entry"):
+            DottedTableau([[entry]])
+        with pytest.raises(ValueError, match="bad entry"):
+            Biword([(entry, (2, 1))])
+    with pytest.raises(ValueError, match="bad entry 1:"):
+        Biword([(1, 1)])
+    for column in [((1, 1),), ((1, 1), (1, 1), (1, 1)), 1]:
+        with pytest.raises(ValueError, match="bad column"):
+            Biword([column])
+    # a parsed entry is refused as the (value, dots) pair, not as a DottedEntry repr
+    with pytest.raises(ValueError, match=re.escape("bad entry (0, 1):")):
+        DottedTableau.parse("0'")
+    with pytest.raises(ValueError, match=re.escape("bad entry (0, 1):")):
+        Biword.parse("1'\n0'")
+    with pytest.raises(ValueError, match=re.escape("bad entry (0, 1):")):
+        DottedTableau([[[0, 1]]])
     with pytest.raises(ValueError):
         rsk_forward(Biword([((1.5, 1), (2, 1))]))
     assert str(DottedTableau([[(1, 2)]])) == "1''"
