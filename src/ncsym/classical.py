@@ -46,9 +46,7 @@ class SymElement(Combination):
         return max((lam.n for lam in self.terms), default=0)
 
     def homogeneous_component(self, n: int) -> "SymElement":
-        return self._make(
-            self.basis, {lam: c for lam, c in self.terms.items() if lam.n == n}
-        )
+        return self._make(self.basis, ((lam, c) for lam, c in self.terms.items() if lam.n == n))
 
     def __str__(self) -> str:
         return format_sym(self)
@@ -94,14 +92,6 @@ def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
     return tuple((mu, Fraction(c)) for mu, c in coeffs if c)
 
 
-def _to_m_dict(f: SymElement) -> dict[IntPartition, Fraction]:
-    out: dict[IntPartition, Fraction] = {}
-    for lam, c in f.terms.items():
-        for mu, q in _basis_m_coeffs(f.basis, lam):
-            out[mu] = out.get(mu, Fraction(0)) + c * q
-    return {mu: c for mu, c in out.items() if c}
-
-
 @lru_cache(maxsize=None)
 def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
     """Each m_mu of degree n in the given basis, as mu -> ((lam, coeff), ...):
@@ -116,31 +106,18 @@ def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
     return {mu: tuple((lam, v) for lam, v in zip(ps, col) if v) for mu, col in zip(ps, inverse)}
 
 
-def _from_m_dict(
-    basis: str, n: int, coeffs: dict[IntPartition, Fraction]
-) -> dict[IntPartition, Fraction]:
-    if basis == "m":
-        return dict(coeffs)
-    inverse = _m_inverse(basis, n)
-    out: dict[IntPartition, Fraction] = {}
-    for mu, c in coeffs.items():
-        for lam, v in inverse[mu]:
-            out[lam] = out.get(lam, 0) + c * v
-    return {lam: v for lam, v in out.items() if v}
-
-
 def sym_convert(f: SymElement, target: str) -> SymElement:
     """Re-express an element in another basis, exactly."""
     if target not in SYM_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
-        return SymElement._make(f.basis, f.terms)
-    out: dict[IntPartition, Fraction] = {}
-    for n in f.degrees():
-        part = _to_m_dict(f.homogeneous_component(n))
-        for lam, c in _from_m_dict(target, n, part).items():
-            out[lam] = out.get(lam, 0) + c
-    return SymElement._make(target, out)
+        return SymElement._make(f.basis, f.terms.items())
+    in_m = ((mu, c * q) for lam, c in f.terms.items() for mu, q in _basis_m_coeffs(f.basis, lam))
+    fm = SymElement._make("m", in_m)
+    if target == "m":
+        return fm
+    back = ((lam, c * v) for mu, c in fm.terms.items() for lam, v in _m_inverse(target, mu.n)[mu])
+    return SymElement._make(target, back)
 
 
 def sym_inner(f: SymElement, g: SymElement) -> Fraction:
@@ -151,14 +128,11 @@ def sym_inner(f: SymElement, g: SymElement) -> Fraction:
 
 def omega_commutative(f: SymElement) -> SymElement:
     """The involution swapping e and h, applied in whatever basis f uses."""
-    if f.basis == "e":
-        return SymElement._make("h", f.terms)
-    if f.basis == "h":
-        return SymElement._make("e", f.terms)
+    if f.basis in ("e", "h"):
+        return SymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":
         return SymElement._make(
-            "p",
-            {lam: c * (-1) ** (lam.n - lam.length) for lam, c in f.terms.items()},
+            "p", ((lam, c * (-1) ** (lam.n - lam.length)) for lam, c in f.terms.items())
         )
     swapped = omega_commutative(sym_convert(f, "e"))
     return sym_convert(swapped, f.basis)

@@ -190,7 +190,7 @@ def _jacobi_trudi(args) -> MultiPolynomial:
 def _cmd_lattice(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    if args.n > 7:  # lattice(7) takes minutes to build
+    if args.n > 7:  # n = 8 has 4140^2 = 17M cells: 22x the build time and memory of n = 7
         size = bell_number(args.n)
         raise ValueError(
             f"--n {args.n}: B_{args.n} = {size} partitions, a {size} x {size} table; n <= 7"

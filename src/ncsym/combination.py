@@ -3,14 +3,16 @@
 An element is a tag (a basis letter, a variable count or a truncation) and a
 dict of terms from keys (set partitions, integer partitions, words, monomials)
 to nonzero exact rationals.  The public constructor validates the tag, every
-key and every coefficient; closed operations build their results with
-``_make``, which trusts its keys and only drops zero coefficients.
+key and every coefficient, then builds through ``_make``.  ``_make`` is the
+one accumulator: every closed operation hands it (key, coefficient) pairs,
+and it adds up equal keys, drops zero sums and trusts the keys.
 Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
 compare and hash alike.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -40,22 +42,26 @@ class Combination:
 
     __slots__ = ("tag", "terms")
 
-    def __init__(self, tag, terms=()):
-        """Terms are a mapping or (key, coefficient) pairs; equal keys add up."""
-        self._check_tag(tag)
-        out: dict = {}
-        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
-            key = self._check_key(tag, key)
-            out[key] = out.get(key, 0) + exact(c)
-        self.tag = tag
-        self.terms = {key: c for key, c in out.items() if c}
+    def __new__(cls, tag, terms=()):
+        """Check a mapping or (key, coefficient) pairs, then build through ``_make``."""
+        cls._check_tag(tag)
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        return cls._make(tag, ((cls._check_key(tag, key), exact(c)) for key, c in terms))
 
     @classmethod
-    def _make(cls, tag, terms: Mapping):
-        """Trusted constructor for closed operations: keys are taken as valid."""
+    def _make(cls, tag, pairs: Iterable[tuple]):
+        """The one accumulator: adds up the coefficients of equal keys and
+        drops the zero sums.  Keys and coefficients are trusted."""
+        out: dict = {}
+        for key, c in pairs:
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
         self = object.__new__(cls)
         self.tag = tag
-        self.terms = {key: c for key, c in terms.items() if c}
+        self.terms = out if all(out.values()) else {key: c for key, c in out.items() if c}
         return self
 
     @staticmethod
@@ -81,10 +87,7 @@ class Combination:
         if type(other) is not type(self):
             return NotImplemented
         self._require_same_tag(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return self._make(self.tag, out)
+        return self._make(self.tag, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -92,11 +95,11 @@ class Combination:
         return self + -other
 
     def __neg__(self):
-        return self._make(self.tag, {key: -c for key, c in self.terms.items()})
+        return self._make(self.tag, ((key, -c) for key, c in self.terms.items()))
 
     def __mul__(self, scalar):
         c = exact(scalar)
-        return self._make(self.tag, {key: c * v for key, v in self.terms.items()})
+        return self._make(self.tag, ((key, c * v) for key, v in self.terms.items()))
 
     __rmul__ = __mul__
 

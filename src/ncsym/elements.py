@@ -65,9 +65,7 @@ class NCSymElement(Combination):
         return len(self.degrees()) <= 1
 
     def homogeneous_component(self, n: int) -> "NCSymElement":
-        return self._make(
-            self.basis, {pi: c for pi, c in self.terms.items() if pi.n == n}
-        )
+        return self._make(self.basis, ((pi, c) for pi, c in self.terms.items() if pi.n == n))
 
     def __str__(self) -> str:
         return format_ncsym(self)
@@ -138,22 +136,17 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     if target not in NC_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
-        return NCSymElement._make(f.basis, f.terms)
-    out: dict[SetPartition, Fraction] = {}
-    for pi, c in f.terms.items():
-        for sigma, q in _symbol_expansion(f.basis, target, pi):
-            out[sigma] = out.get(sigma, 0) + c * q
-    return NCSymElement._make(target, out)
+        return NCSymElement._make(f.basis, f.terms.items())
+    expansions = ((c, _symbol_expansion(f.basis, target, pi)) for pi, c in f.terms.items())
+    return NCSymElement._make(target, ((s, c * q) for c, exp in expansions for s, q in exp))
 
 
 def omega(f: NCSymElement) -> NCSymElement:
     """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi)."""
-    if f.basis == "e":
-        return NCSymElement._make("h", f.terms)
-    if f.basis == "h":
-        return NCSymElement._make("e", f.terms)
+    if f.basis in ("e", "h"):
+        return NCSymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":
-        return NCSymElement._make("p", {pi: c * pi.sign for pi, c in f.terms.items()})
+        return NCSymElement._make("p", ((pi, c * pi.sign) for pi, c in f.terms.items()))
     return convert(omega(convert(f, "p")), "m")
 
 
@@ -163,28 +156,20 @@ def project(f: NCSymElement) -> SymElement:
     m_pi picks up the multiplicity factorial of its type, e_pi and h_pi the
     part factorial, and p_pi projects with coefficient 1.
     """
-    out: dict[IntPartition, Fraction] = {}
-    for pi, c in f.terms.items():
-        lam = pi.type
-        if f.basis == "m":
-            scale = lam.fact_mults()
-        elif f.basis == "p":
-            scale = 1
-        else:
-            scale = lam.fact_parts()
-        out[lam] = out.get(lam, 0) + c * scale
-    return SymElement._make(f.basis, out)
+    types = ((pi.type, c) for pi, c in f.terms.items())
+    if f.basis == "p":
+        return SymElement._make("p", types)
+    weight = IntPartition.fact_mults if f.basis == "m" else IntPartition.fact_parts
+    return SymElement._make(f.basis, ((lam, c * weight(lam)) for lam, c in types))
 
 
 def lift(f: SymElement) -> NCSymElement:
     """Right inverse of projection: spread each m_lam over its set partitions."""
-    fm = sym_convert(f, "m")
-    out: dict[SetPartition, Fraction] = {}
-    for lam, c in fm.terms.items():
-        scale = c * Fraction(lam.fact_parts(), factorial(lam.n))
-        for pi in partitions_of_type(lam):
-            out[pi] = out.get(pi, 0) + scale
-    return NCSymElement._make("m", out)
+    scaled = (
+        (lam, c * Fraction(lam.fact_parts(), factorial(lam.n)))
+        for lam, c in sym_convert(f, "m").terms.items()
+    )
+    return NCSymElement._make("m", ((pi, s) for lam, s in scaled for pi in partitions_of_type(lam)))
 
 
 def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
@@ -204,11 +189,11 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
     if not f.is_homogeneous():
         raise ValueError("place action needs a homogeneous element")
     if f.is_zero():
-        return NCSymElement._make(f.basis, {})
+        return NCSymElement._make(f.basis, ())
     n = f.degree()
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
-    return NCSymElement._make(f.basis, {pi.act(perm): c for pi, c in f.terms.items()})
+    return NCSymElement._make(f.basis, ((pi.act(perm), c) for pi, c in f.terms.items()))
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
@@ -224,18 +209,17 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     """
     if f.basis != g.basis:
         f, g = convert(f, "m"), convert(g, "m")
-    out: dict[SetPartition, Fraction] = {}
+    pairs = []
     for pi, a in f.terms.items():
         for sigma, b in g.terms.items():
             ab = a * b
             if f.basis == "m":
-                for rho in _merges(pi, sigma):
-                    out[rho] = out.get(rho, 0) + ab
+                pairs.extend((rho, ab) for rho in _merges(pi, sigma))
             else:
                 ell = len(pi.blocks)
                 rho = SetPartition.from_labels(pi.rgs + tuple(v + ell for v in sigma.rgs))
-                out[rho] = out.get(rho, 0) + ab
-    return NCSymElement._make(f.basis, out)
+                pairs.append((rho, ab))
+    return NCSymElement._make(f.basis, pairs)
 
 
 def _merges(pi: SetPartition, sigma: SetPartition):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .classical import SYM_BASES, SymElement, sym_convert
 from .combination import exact, format_rational
@@ -75,9 +76,9 @@ class _Scanner:
 
 
 def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
-    """Collect (basis, index, coefficient) triples from one expression."""
+    """Each basis letter's (index, coefficient) pairs, in the order of the text."""
     sc = _Scanner(text)
-    collected: dict[str, dict] = {}
+    collected: dict[str, list] = {}
     first = True
     while not sc.at_end():
         sc.skip_ws()
@@ -117,8 +118,7 @@ def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
             index = index_parser(inner)
         except ValueError as exc:
             raise ParseError(str(exc), open_pos + 1) from None
-        bucket = collected.setdefault(letter, {})
-        bucket[index] = bucket.get(index, Fraction(0)) + sign * coeff
+        collected.setdefault(letter, []).append((index, sign * coeff))
         first = False
     if first:
         raise ParseError("empty expression", 0)
@@ -175,7 +175,7 @@ def _parse_element(text: str, cls, bases, parse_index, from_json, to_m):
     parts = [p for p in parts if not p.is_zero()]
     if len(parts) == 1:
         return parts[0]
-    return sum((to_m(p, "m") for p in parts), cls("m"))
+    return cls._make("m", chain.from_iterable(to_m(p, "m").terms.items() for p in parts))
 
 
 def parse_ncsym(text: str) -> NCSymElement:
@@ -192,12 +192,21 @@ def parse_sym(text: str) -> SymElement:
     )
 
 
+def _json_list(value, item=int) -> list:
+    """A JSON list whose items all have the type ``item``; a bool is no int."""
+    if not (isinstance(value, list) and all(type(v) is item for v in value)):
+        raise ValueError(f"expected a list of {item.__name__}s, got {json.dumps(value)}")
+    return value
+
+
 def ncsym_from_json(data) -> NCSymElement:
-    return _from_json(data, NCSymElement, "blocks", SetPartition)
+    return _from_json(
+        data, NCSymElement, "blocks", lambda v: SetPartition(map(_json_list, _json_list(v, list)))
+    )
 
 
 def sym_from_json(data) -> SymElement:
-    return _from_json(data, SymElement, "parts", IntPartition)
+    return _from_json(data, SymElement, "parts", lambda v: IntPartition(_json_list(v)))
 
 
 def _to_json(header: dict, f, field: str, encode, order) -> str:

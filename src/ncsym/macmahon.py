@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -106,24 +106,21 @@ class MultiPolynomial(Combination):
             return super().__mul__(other)
         self._require_same_tag(other)
         right = [(mb, cb, mono_degree(mb)) for mb, cb in other.terms.items()]
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            room = self.trunc.degree - mono_degree(ma)
-            for mb, cb, db in right:
-                if db <= room:
-                    m = mono_mul(ma, mb)
-                    out[m] = out.get(m, 0) + ca * cb
-        return self._make(self.trunc, out)
-
-    def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
-        vec = tuple(vec)
+        left = ((ma, ca, self.trunc.degree - mono_degree(ma)) for ma, ca in self.terms.items())
         return self._make(
             self.trunc,
-            {
-                m: c
-                for m, c in self.terms.items()
-                if mono_multidegree(m, self.trunc.alphabets) == vec
-            },
+            (
+                (mono_mul(ma, mb), ca * cb)
+                for ma, ca, room in left
+                for mb, cb, db in right
+                if db <= room
+            ),
+        )
+
+    def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
+        vec, k = tuple(vec), self.trunc.alphabets
+        return self._make(
+            self.trunc, ((m, c) for m, c in self.terms.items() if mono_multidegree(m, k) == vec)
         )
 
     def coefficient(self, mono: Monomial) -> Fraction:
@@ -246,14 +243,12 @@ def _check_shape(lam: IntPartition, vec_m: Sequence[int], trunc: Truncation) -> 
 def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomial:
     """Sum of the distinct monomials whose multiexponent is the given multiset."""
     _check_vector(vec_lambda.multidegree(), trunc)
-    terms: dict[Monomial, Fraction] = {}
     parts = vec_lambda.parts
-    for subscripts in permutations(range(1, trunc.variables + 1), len(parts)):
-        mono = monomial(
-            ((i, j), v) for i, part in zip(subscripts, parts) for j, v in enumerate(part, 1)
-        )
-        terms[mono] = 1  # multiset: repeats coincide
-    return MultiPolynomial._make(trunc, terms)
+    monos = (
+        monomial(((i, j), v) for i, part in zip(subscripts, parts) for j, v in enumerate(part, 1))
+        for subscripts in permutations(range(1, trunc.variables + 1), len(parts))
+    )
+    return MultiPolynomial._make(trunc, dict.fromkeys(monos, 1).items())  # repeats coincide
 
 
 def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
@@ -273,11 +268,11 @@ def _mm_generator(t: Sequence[int], trunc: Truncation, most: int) -> MultiPolyno
     Each monomial comes from one choice of vectors, so it is built sorted.
     """
     t = _check_vector(t, trunc)
-    terms: dict[Monomial, int] = {}
+    terms: list[tuple[Monomial, int]] = []
 
     def rec(i: int, left: tuple[int, ...], mono: Monomial, coeff: int):
         if not any(left):
-            terms[mono] = coeff
+            terms.append((mono, coeff))
         elif sum(left) <= most * (trunc.variables - i + 1):
             for letters, rest, orderings in _letter_vectors(left, most):
                 rec(i + 1, rest, mono + tuple(((i, j), x) for j, x in letters), coeff * orderings)
@@ -356,7 +351,7 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
     """
     n = P.trunc.alphabets
     ones = (1,) * n
-    words: dict[tuple[int, ...], Fraction] = {}
+    words = []
     for mono, c in P.terms.items():
         if mono_multidegree(mono, n) != ones:
             raise ValueError(
@@ -365,7 +360,7 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
         letters = [0] * n
         for (i, j), e in mono:
             letters[j - 1] = i
-        words[tuple(letters)] = c
+        words.append((tuple(letters), c))
     return collect(WordPolynomial._make(P.trunc.variables, words), n)
 
 
@@ -377,11 +372,10 @@ def schur_tableau_sum(
     Each tableau contributes the product of x_value^(dots) over its entries.
     """
     vec_m = _check_shape(lam, vec_m, trunc)
-    terms: dict[Monomial, Fraction] = {}
-    for tab in dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec_m):
-        mono = monomial(((e.value, e.dots), 1) for e in tab.entries())
-        terms[mono] = terms.get(mono, 0) + 1
-    return MultiPolynomial._make(trunc, terms)
+    tableaux = dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec_m)
+    return MultiPolynomial._make(
+        trunc, ((monomial(((e.value, e.dots), 1) for e in tab.entries()), 1) for tab in tableaux)
+    )
 
 
 def schur_ncsym(lam: IntPartition) -> NCSymElement:
@@ -390,15 +384,10 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
     The coefficient on every m_sigma of type mu is mu! times the Kostka
     number for the shape, and vanishes unless mu is dominated by the shape.
     """
-    terms: dict[SetPartition, Fraction] = {}
-    for mu in int_partitions(lam.n):
-        count = kostka(lam, mu)
-        if not count:
-            continue
-        coeff = mu.fact_parts() * count
-        for pi in partitions_of_type(mu):
-            terms[pi] = coeff
-    return NCSymElement._make("m", terms)
+    coeffs = ((mu, mu.fact_parts() * kostka(lam, mu)) for mu in int_partitions(lam.n))
+    return NCSymElement._make(
+        "m", ((pi, c) for mu, c in coeffs if c for pi in partitions_of_type(mu))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -419,13 +408,12 @@ def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> Multi
             elif degree == 0:
                 row.append(MultiPolynomial.one(trunc))
             else:
-                total = MultiPolynomial._make(trunc, {})
-                for t in weak_compositions(degree, trunc.alphabets):
-                    total = total + generator(t, trunc)
-                row.append(total)
+                vectors = weak_compositions(degree, trunc.alphabets)
+                sums = chain.from_iterable(generator(t, trunc).terms.items() for t in vectors)
+                row.append(MultiPolynomial._make(trunc, sums))
         entries.append(row)
 
-    det = MultiPolynomial._make(trunc, {})
+    signed = []  # (monomial, signed coefficient) over every permutation's product
     for perm in permutations(range(size)):
         if any(entries[i][perm[i]] is None for i in range(size)):
             continue
@@ -439,8 +427,8 @@ def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> Multi
             prod = prod * entries[i][perm[i]]
             if prod.is_zero():
                 break
-        det = det + sign * prod
-    return det
+        signed.extend((mono, sign * c) for mono, c in prod.terms.items())
+    return MultiPolynomial._make(trunc, signed)
 
 
 def jacobi_trudi(

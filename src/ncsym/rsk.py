@@ -7,6 +7,7 @@ The recording tableau receives the top entry of the biword column verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .intpartitions import int_partitions, weak_compositions
@@ -147,8 +148,8 @@ class CauchyReport:
 
 
 def _schur_sum_all_multidegrees(m: int, lam, trunc: Truncation) -> MultiPolynomial:
-    terms = (schur_tableau_sum(lam, vec, trunc) for vec in weak_compositions(m, trunc.alphabets))
-    return sum(terms, MultiPolynomial(trunc))
+    sums = (schur_tableau_sum(lam, vec, trunc) for vec in weak_compositions(m, trunc.alphabets))
+    return MultiPolynomial._make(trunc, chain.from_iterable(s.terms.items() for s in sums))
 
 
 def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> CauchyReport:
@@ -173,13 +174,15 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
         a + y_trunc.alphabets, max(x_trunc.variables, y_trunc.variables), 2 * degree
     )
 
-    lhs = MultiPolynomial(joint)
+    lhs_terms = []
     for m in range(degree + 1):
         for lam in int_partitions(m):
             fx = _schur_sum_all_multidegrees(m, lam, x_trunc)
             fy = _schur_sum_all_multidegrees(m, lam, y_trunc)
             y_terms = {tuple(((i, j + a), e) for (i, j), e in y): c for y, c in fy.terms.items()}
-            lhs = lhs + MultiPolynomial(joint, fx.terms) * MultiPolynomial(joint, y_terms)
+            pairing = MultiPolynomial(joint, fx.terms) * MultiPolynomial(joint, y_terms)
+            lhs_terms.extend(pairing.terms.items())
+    lhs = MultiPolynomial._make(joint, lhs_terms)
 
     rhs = MultiPolynomial.one(joint)
     for i in range(1, x_trunc.variables + 1):
@@ -189,11 +192,11 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
                 for k in range(1, a + 1)
                 for l in range(1, y_trunc.alphabets + 1)
             ]
-            factor = power = MultiPolynomial.one(joint)
+            powers = [MultiPolynomial.one(joint)]
             for _ in range(degree):  # z has degree 2: at degree 0 it is outside the cap
-                power = power * MultiPolynomial(joint, z)
-                factor = factor + power
-            rhs = rhs * factor
+                powers.append(powers[-1] * MultiPolynomial(joint, z))
+            series = chain.from_iterable(power.terms.items() for power in powers)
+            rhs = rhs * MultiPolynomial._make(joint, series)
 
     def split(mono):
         """The x part, and the y part moved back to alphabets 1..b, of a joint monomial."""

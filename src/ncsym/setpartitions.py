@@ -76,7 +76,9 @@ class SetPartition:
 
     @classmethod
     def parse(cls, text: str) -> "SetPartition":
-        """Parse "1,3/2,4"; the compact digit form "13/24" is accepted for n <= 9."""
+        """Parse "1,3/2,4".  Comma-free text of at most 9 digits is the compact
+        form "13/24", one digit per element; longer comma-free text, such as
+        "1/2/.../10", has one element per block."""
         s = text.strip()
         if not s:
             return cls()
@@ -86,9 +88,12 @@ class SetPartition:
                 return cls([int(tok) for tok in bt.split(",")] for bt in block_texts)
             except ValueError:
                 raise ValueError(f"cannot parse set partition from {text!r}") from None
-        if not all(bt.strip().isdigit() for bt in block_texts):
+        digits = [bt.strip() for bt in block_texts]
+        if not all(d.isdigit() for d in digits):
             raise ValueError(f"cannot parse set partition from {text!r}")
-        return cls([int(ch) for ch in bt.strip()] for bt in block_texts)
+        if sum(map(len, digits)) <= 9:
+            return cls([int(ch) for ch in d] for d in digits)
+        return cls([int(d)] for d in digits)
 
     @property
     def length(self) -> int:

@@ -60,12 +60,10 @@ class WordPolynomial(Combination):
         if not isinstance(other, WordPolynomial):
             return super().__mul__(other)
         self._require_same_tag(other)
-        out: dict[Word, Fraction] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-        return self._make(self.k, out)
+        return self._make(
+            self.k,
+            ((wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()),
+        )
 
     def __str__(self) -> str:
         return format_word_polynomial(self)
@@ -85,7 +83,7 @@ def format_word_polynomial(P: WordPolynomial, strict_rationals: bool = False) ->
 
 
 def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
-    terms: dict[Word, Fraction] = {}
+    terms = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line == "0":
@@ -99,9 +97,8 @@ def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
             if not tok.startswith("x"):
                 raise ValueError(f"bad word token {tok!r}")
             letters.append(int(tok[1:]))
-        word = tuple(letters)
-        terms[word] = terms.get(word, Fraction(0)) + coeff
-    return WordPolynomial(k, terms)
+        terms.append((tuple(letters), coeff))
+    return WordPolynomial(k, terms)  # the constructor adds up repeated words
 
 
 def _words_with_kernel(sigma: SetPartition, k: int):
@@ -120,24 +117,26 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     sigma meet pi for h.
     """
     WordPolynomial._check_tag(k)
-    out: dict[Word, Fraction] = {}
-    for pi, c in f.terms.items():
-        for sigma in set_partitions(pi.n):
-            if len(sigma.blocks) > k:
-                continue
-            if f.basis == "m":
-                coeff = c if sigma == pi else 0
-            elif f.basis == "p":
-                coeff = c if pi.leq(sigma) else 0
-            elif f.basis == "e":
-                coeff = c if pi.meet(sigma).rank == 0 else 0  # the meet is the bottom
-            else:
-                coeff = c * pi.meet(sigma).type.fact_parts()
-            if not coeff:
-                continue
-            for word in _words_with_kernel(sigma, k):
-                out[word] = out.get(word, 0) + coeff
-    return WordPolynomial._make(k, out)
+    kernels = (
+        (sigma, c * _kernel_weight(f.basis, pi, sigma))
+        for pi, c in f.terms.items()
+        for sigma in set_partitions(pi.n)
+        if len(sigma.blocks) <= k
+    )
+    return WordPolynomial._make(
+        k, ((word, c) for sigma, c in kernels if c for word in _words_with_kernel(sigma, k))
+    )
+
+
+def _kernel_weight(basis: str, pi: SetPartition, sigma: SetPartition) -> int:
+    """The coefficient of each word of kernel sigma in basis_pi."""
+    if basis == "m":
+        return int(sigma == pi)
+    if basis == "p":
+        return int(pi.leq(sigma))
+    if basis == "e":
+        return int(pi.meet(sigma).rank == 0)  # the meet is the bottom
+    return pi.meet(sigma).type.fact_parts()
 
 
 def collect(P: WordPolynomial, n: int) -> NCSymElement:
@@ -153,15 +152,13 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
         if len(word) > n:
             raise ValueError(f"word {word!r} exceeds stated degree {n}")
         seen.setdefault(kernel(word), word)
-    out: dict[SetPartition, Fraction] = {}
     for kern, witness in seen.items():
-        reference = P.terms.get(witness, Fraction(0))
+        reference = P.terms[witness]
         for word in _words_with_kernel(kern, P.k):
             coeff = P.terms.get(word, Fraction(0))
             if coeff != reference:
                 raise NotSymmetricError(witness, word, reference, coeff)
-        out[kern] = reference
-    return NCSymElement._make("m", out)
+    return NCSymElement._make("m", ((kern, P.terms[w]) for kern, w in seen.items()))
 
 
 def oracle_product(f: NCSymElement, g: NCSymElement) -> NCSymElement:
@@ -185,13 +182,10 @@ def expand_position_action(perm: Sequence[int], P: WordPolynomial) -> WordPolyno
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
-    out: dict[Word, Fraction] = {}
-    for word, c in P.terms.items():
+    for word in P.terms:
         if len(word) != n:
             raise ValueError(f"word length {len(word)} does not match the permutation")
-        moved = [0] * n
-        for pos in range(n):
-            moved[perm[pos] - 1] = word[pos]
-        key = tuple(moved)
-        out[key] = out.get(key, 0) + c
-    return WordPolynomial._make(P.k, out)
+    source = sorted(range(n), key=lambda pos: perm[pos])  # position i takes word[source[i]]
+    return WordPolynomial._make(
+        P.k, ((tuple(word[pos] for pos in source), c) for word, c in P.terms.items())
+    )

@@ -35,6 +35,11 @@ def test_golden_multiply(capsys):
     assert (code, out) == (0, "h[1,2/3]\n")
     code, out, _ = run(capsys, "multiply", "2*e[1,3/2]", "1/3*e[1/2]")
     assert (code, out) == (0, "2/3*e[1,3/2/4/5]\n")
+    # degree-10 output reads back
+    code, out, _ = run(capsys, "multiply", "h[1/2/3/4/5]", "h[1/2/3/4/5]")
+    assert (code, out) == (0, "h[1/2/3/4/5/6/7/8/9/10]\n")
+    code, back, _ = run(capsys, "convert", out.strip(), "--to", "h")
+    assert (code, back) == (0, out)
 
 
 def test_exit_code_usage(capsys):
@@ -93,6 +98,15 @@ def test_json_reader_errors(capsys):
             assert (code, out) == (2, "") and 'term 1: bad "coeff"' in err, argv
     code, out, err = convert("1/0*m[1]")
     assert (code, out) == (2, "") and "zero denominator" in err
+    # indices must be JSON ints: floats, bools and strings are not read as numbers
+    term = '{"basis": "m", "terms": [{"%s": %s, "coeff": 1}]}'
+    cases = [("convert", "blocks", v) for v in ("[[1.9], [2]]", "[[true], [2]]", '"12"', "[1, 2]")]
+    cases += [("lift", "parts", v) for v in ("[2.5, 1]", '"21"', "[true]", "[[2]]")]
+    for command, field, value in cases:
+        argv = (command, term % (field, value)) + (("--to", "p") if command == "convert" else ())
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f'parse error: term 1: bad "{field}"' in err, argv
 
 
 def test_malformed_text_arguments_exit_2(tmp_path, capsys):

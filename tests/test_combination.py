@@ -5,6 +5,7 @@ result here is checked against the public constructor: rebuilding it from its
 tag and terms must give the same element, with no zero coefficient stored.
 """
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +57,7 @@ from ncsym.macmahon import (
     schur_tableau_sum,
 )
 from ncsym.setpartitions import SetPartition, set_partitions
-from ncsym.words import collect, expand, expand_position_action
+from ncsym.words import collect, expand, expand_position_action, oracle_product
 
 
 def assert_canonical(r):
@@ -136,6 +137,51 @@ def test_macmahon_closed_operations_are_canonical():
         assert_canonical(r)
     assert_canonical((y * y).extract_multidegree((2, 2)))
     assert_canonical(mm_monomial(VectorPartition([(2, 1), (3, 0)]), Truncation(2, 2, 6)))
+
+
+def test_make_adds_equal_keys_and_drops_zero_sums_in_any_order():
+    a, b, c = (SetPartition.parse(t) for t in ("1", "1/2", "12"))
+    pairs = [(a, 1), (b, 2), (a, -1), (c, Fraction(1, 2)), (b, 1), (c, Fraction(1, 2))]
+    for order in permutations(pairs):
+        r = NCSymElement._make("m", order)
+        assert r.terms == {b: 3, c: 1}
+        assert_canonical(r)
+    assert NCSymElement._make("m", [(a, 1), (a, -1)]).terms == {}
+
+
+def test_closed_operations_on_colliding_multi_term_input():
+    P = SetPartition.parse
+    # three terms over degrees 2 and 4: the degree-4 expansions overlap and cancel
+    f = NCSymElement("m", {P("1/2"): 1, P("12/34"): 2, P("13/2/4"): Fraction(-1, 3)})
+    for b in NC_BASES:
+        there = convert(f, b)
+        assert_canonical(there)
+        assert convert(there, "m") == f
+        assert convert(convert(there, "p"), b) == there
+    # two-term factors whose products meet at one key with opposite signs
+    one, two = P("1"), P("1/2")
+    for b in ("p", "e", "h"):
+        fb = NCSymElement(b, {one: 1, two: 1})
+        gb = NCSymElement(b, {two: 1, one: -1})
+        r = multiply(fb, gb)
+        assert r == NCSymElement(b, {two: -1, P("1/2/3/4"): 1})
+        assert convert(r, "m") == oracle_product(fb, gb)
+    fm = NCSymElement("m", {one: 1, P("12"): 1})
+    gm = NCSymElement("m", {one: 1, P("12"): -1})
+    r = multiply(fm, gm)  # m[1,2,3] comes from both cross terms and cancels
+    assert P("123") not in r.terms and P("1/2") in r.terms
+    assert r == oracle_product(fm, gm)
+    for r in (multiply(fb, gb), r, multiply(f, convert(f, "h"))):
+        assert_canonical(r)
+    # a commutative element of two degrees converts in one pass per direction
+    lam = IntPartition
+    g = SymElement("h", {lam((2, 1)): 2, lam((1, 1, 1)): -1, lam((4,)): 3})
+    for t in SYM_BASES:
+        there = sym_convert(g, t)
+        assert_canonical(there)
+        assert sym_convert(there, "h") == g
+        for n in (3, 4):
+            assert there.homogeneous_component(n) == sym_convert(g.homogeneous_component(n), t)
 
 
 def test_bool_coefficients_are_refused():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncsym.setpartitions import (
     GroundSetError,
@@ -21,6 +22,20 @@ def test_canonical_form():
     assert str(P("24/13")) == "1,3/2,4"
     assert P("") == SetPartition()
     assert SetPartition().n == 0
+
+
+labelled_partitions = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+).map(SetPartition.from_labels)
+
+
+@given(st.one_of(labelled_partitions, st.integers(0, 12).map(SetPartition.bottom)))
+@example(SetPartition.bottom(10))
+@settings(deadline=None, max_examples=200)
+def test_printed_partitions_parse_back(pi):
+    # all-singleton partitions print without commas; from n = 10 on their
+    # text has more than 9 digits and is read one element per block
+    assert P(str(pi)) == pi
 
 
 def test_parse_rejects_garbage():
