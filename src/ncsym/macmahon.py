@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial
+from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination, format_terms
@@ -268,6 +269,7 @@ def _mm_generator(t: Sequence[int], trunc: Truncation, most: int) -> MultiPolyno
     Each monomial comes from one choice of vectors, so it is built sorted.
     """
     t = _check_vector(t, trunc)
+    most = min(most, sum(t))  # no vector has more letters, whatever the cap
     terms: list[tuple[Monomial, int]] = []
 
     def rec(i: int, left: tuple[int, ...], mono: Monomial, coeff: int):
@@ -304,7 +306,7 @@ def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
 
 def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i 1/(1 - sum_j x_i^(j) q_j):
-    each subscript takes any number of letters (the cap bounds them all)."""
+    each subscript takes any number of letters (|t| bounds them all)."""
     return _mm_generator(t, trunc, trunc.degree)
 
 
@@ -391,44 +393,50 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
 
 
 @lru_cache(maxsize=None)
-def _jt_determinant(lam: IntPartition, variant: str, trunc: Truncation) -> MultiPolynomial:
-    """Permutation expansion of the generator determinant for one shape."""
-    generator = _MM_GENERATORS[variant]
-    size = lam.length
-    if size == 0:
-        return MultiPolynomial.one(trunc)
+def _jt_piece(variant: str, t: tuple[int, ...], alphabets: int, variables: int) -> tuple:
+    """The terms of gen(t), built at cap |t| (it is homogeneous), so every cap shares them."""
+    return tuple(_MM_GENERATORS[variant](t, Truncation(alphabets, variables, sum(t))).terms.items())
 
-    entries: list[list[MultiPolynomial | None]] = []
-    for i in range(size):
-        row: list[MultiPolynomial | None] = []
-        for j in range(size):
-            degree = lam.parts[i] - (i + 1) + (j + 1)
-            if degree < 0:
-                row.append(None)
-            elif degree == 0:
-                row.append(MultiPolynomial.one(trunc))
-            else:
-                vectors = weak_compositions(degree, trunc.alphabets)
-                sums = chain.from_iterable(generator(t, trunc).terms.items() for t in vectors)
-                row.append(MultiPolynomial._make(trunc, sums))
-        entries.append(row)
 
-    signed = []  # (monomial, signed coefficient) over every permutation's product
-    for perm in permutations(range(size)):
-        if any(entries[i][perm[i]] is None for i in range(size)):
-            continue
-        sign = 1
-        for a in range(size):
-            for b in range(a + 1, size):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        prod = MultiPolynomial.one(trunc)
-        for i in range(size):
-            prod = prod * entries[i][perm[i]]
-            if prod.is_zero():
-                break
-        signed.extend((mono, sign * c) for mono, c in prod.terms.items())
-    return MultiPolynomial._make(trunc, signed)
+@lru_cache(maxsize=None)
+def _jt_determinant(
+    lam: IntPartition, variant: str, trunc: Truncation, vec_m: tuple[int, ...]
+) -> MultiPolynomial:
+    """The vec_m slice of the generator determinant, expanded one row at a time.
+
+    A state is (columns used, multidegree so far) and holds the signed sum of
+    the products over every way of reaching it, so the permutations share
+    their prefixes.  A complete state has degree |vec_m|, and a multidegree
+    that stays under vec_m with that sum is vec_m itself.
+    """
+    size, k = lam.length, trunc.alphabets
+
+    def pieces(degree: int) -> list:  # the pieces gen(t) of one entry that fit under vec_m
+        return [
+            (t, _jt_piece(variant, t, k, trunc.variables))
+            for t in weak_compositions(degree, k)
+            if all(map(le, t, vec_m))
+        ]
+
+    rows = [[pieces(lam.parts[i] - i + j) for j in range(size)] for i in range(size)]
+    states = {(0, (0,) * k): {(): 1}}
+    for row in reversed(rows):  # the longest row last, where vec_m leaves one t per state
+        pairs: dict = {}
+        for (used, deg), terms in states.items():
+            for j, entry in enumerate(row):
+                if used >> j & 1:
+                    continue
+                sign = -1 if bin(used % (1 << j)).count("1") % 2 else 1  # inversions below
+                for t, piece in entry:
+                    d = tuple(map(add, deg, t))
+                    if all(map(le, d, vec_m)):
+                        pairs.setdefault((used | 1 << j, d), []).extend(
+                            (mono_mul(ma, mb), sign * ca * cb)
+                            for ma, ca in terms.items()
+                            for mb, cb in piece
+                        )
+        states = {key: MultiPolynomial._make(trunc, p).terms for key, p in pairs.items()}
+    return MultiPolynomial._make(trunc, chain.from_iterable(t.items() for t in states.values()))
 
 
 def jacobi_trudi(
@@ -437,14 +445,17 @@ def jacobi_trudi(
     variant: str,
     trunc: Truncation,
 ) -> MultiPolynomial:
-    """Determinant of complete (h) or elementary (e) sums, then the vec_m slice.
+    """The vec_m slice of the determinant of complete (h) or elementary (e) sums.
 
-    Entry (i, j) sums the generator over all vectors of degree lam_i - i + j;
-    negative degree gives 0 and degree zero gives 1.  The h variant produces
-    the tableau generating function of the shape itself, the e variant that
-    of the conjugate shape.
+    Entry (i, j) sums the generator gen(t) over the vectors t of degree
+    lam_i - i + j; negative degree gives 0 and degree zero gives 1.  Only the
+    slice is computed: a piece with t above vec_m in some alphabet is dropped,
+    and so is a partial product whose multidegree leaves vec_m.  This is
+    exact, since multidegrees add under multiplication and never shrink.
+    The h variant produces the tableau generating function of the shape
+    itself, the e variant that of the conjugate shape.
     """
     if variant not in ("h", "e"):
         raise ValueError(f"variant must be 'h' or 'e', got {variant!r}")
     vec_m = _check_shape(lam, vec_m, trunc)
-    return _jt_determinant(lam, variant, trunc).extract_multidegree(vec_m)
+    return _jt_determinant(lam, variant, trunc, vec_m)

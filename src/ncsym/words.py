@@ -114,13 +114,15 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     The coefficient of a word depends only on its kernel sigma: it is c for
     the m term at sigma = pi, c on every sigma above pi for p, c on every
     sigma meeting pi in the bottom for e, and c times the part factorial of
-    sigma meet pi for h.
+    sigma meet pi for h.  An m term walks only its own kernel; the other
+    bases walk every set partition of n, so this oracle shares no interval
+    enumerator with the closed forms it checks.
     """
     WordPolynomial._check_tag(k)
     kernels = (
         (sigma, c * _kernel_weight(f.basis, pi, sigma))
         for pi, c in f.terms.items()
-        for sigma in set_partitions(pi.n)
+        for sigma in ((pi,) if f.basis == "m" else set_partitions(pi.n))
         if len(sigma.blocks) <= k
     )
     return WordPolynomial._make(

@@ -13,6 +13,7 @@ from ncsym.macmahon import (
     Truncation,
     TruncationError,
     VectorPartition,
+    _letter_vectors,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -136,6 +137,17 @@ def test_generators_match_their_separate_walks_to_degree_5():
                     assert mm_complete(t, tr).terms == reference_complete(t, tr), (t, tr)
                     cases += 1
     assert cases == 4 * (6 + 21 + 56)
+
+
+def test_mm_complete_does_not_depend_on_the_cap():
+    for t in ((2, 1), (1, 1, 1), (3, 0)):
+        for variables in (1, 2, 3):
+            at_t = mm_complete(t, Truncation(len(t), variables, sum(t)))
+            cached = _letter_vectors.cache_info().currsize
+            for cap in range(sum(t) + 1, sum(t) + 4):
+                tr = Truncation(len(t), variables, cap)
+                assert mm_complete(t, tr).terms == at_t.terms
+                assert _letter_vectors.cache_info().currsize == cached, (t, cap)
 
 
 def test_mm_power_is_single_part_monomial():
@@ -292,6 +304,64 @@ def test_jacobi_trudi_matches_tableaux(m):
             assert jacobi_trudi(lam, vec, "e", tr) == schur_tableau_sum(
                 lam.conjugate(), vec, tr
             )
+
+
+def reference_jt_determinant(lam, variant, trunc):
+    """The permutation expansion of the whole determinant, every multidegree
+    in every entry, that jacobi_trudi sliced before it expanded by column subsets."""
+    generator = {"h": mm_complete, "e": mm_elementary}[variant]
+    size = lam.length
+    entries = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            degree = lam.parts[i] - i + j
+            if degree < 0:
+                row.append(None)
+            elif degree == 0:
+                row.append(MultiPolynomial.one(trunc))
+            else:
+                total = MultiPolynomial(trunc)
+                for t in weak_compositions(degree, trunc.alphabets):
+                    total = total + generator(t, trunc)
+                row.append(total)
+        entries.append(row)
+    det = MultiPolynomial(trunc)
+    for perm in itertools.permutations(range(size)):
+        if any(entries[i][perm[i]] is None for i in range(size)):
+            continue
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
+        prod = MultiPolynomial.one(trunc)
+        for i in range(size):
+            prod = prod * entries[i][perm[i]]
+        det = det + (-1) ** inversions * prod
+    return det
+
+
+def test_jacobi_trudi_matches_permutation_expansion_to_size_5():
+    cases = 0
+    for n in range(6):
+        for lam in int_partitions(n):
+            for variant in ("h", "e"):
+                for alphabets in (1, 2, 3) if n <= 4 else (1, 2):
+                    for variables in (1, 2, 3):
+                        tr = Truncation(alphabets, variables, n)
+                        whole = reference_jt_determinant(lam, variant, tr)
+                        for vec in weak_compositions(n, alphabets):
+                            got = jacobi_trudi(lam, vec, variant, tr)
+                            assert got == whole.extract_multidegree(vec), (lam, vec, variant, tr)
+                            cases += 1
+    assert cases == 1368
+
+
+def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
+    lam, vec = IP((3, 2)), (3, 2)
+    at_n = jacobi_trudi(lam, vec, "h", Truncation(2, 3, 5))
+    wider = Truncation(2, 3, 8)
+    above_n = jacobi_trudi(lam, vec, "h", wider)
+    assert above_n.trunc == wider
+    assert above_n.terms == at_n.terms
+    assert above_n == reference_jt_determinant(lam, "h", wider).extract_multidegree(vec)
 
 
 def test_jacobi_trudi_single_alphabet_is_classical():

@@ -193,3 +193,30 @@ def test_expand_builds_no_lattice():
     for basis in "peh":
         assert not expand(elem(basis, "1,2/3,4/5,6"), 2).is_zero()
     assert lattice.cache_info() == before
+
+
+def _expand_m_by_all_partitions(f, k, partitions):
+    """The terms of the earlier expand of an m element: every set partition
+    of n is walked, and only pi is kept."""
+    out = {}
+    for pi, c in f.terms.items():
+        for sigma in partitions[pi.n]:
+            if len(sigma.blocks) <= k and sigma == pi:
+                for letters in itertools.permutations(range(1, k + 1), len(sigma.blocks)):
+                    word = tuple(letters[lab] for lab in sigma.rgs)
+                    out[word] = out.get(word, 0) + c
+    return out
+
+
+def test_expand_m_walks_only_its_own_kernel():
+    assert expand(elem("m", "1/2/3/4/5/6/7/8/9/10"), 1).is_zero()
+    partitions = {n: set_partitions(n) for n in range(1, 7)}
+    cases = 0
+    for n, elements in partitions.items():
+        for pi in elements:
+            f = NCSymElement("m", {pi: -2})
+            for k in range(1, n + 1):
+                want = _expand_m_by_all_partitions(f, k, partitions)
+                assert expand(f, k).terms == want, (pi, k)
+                cases += 1
+    assert cases == sum(n * count for n, count in enumerate((1, 2, 5, 15, 52, 203), 1))
