@@ -16,11 +16,11 @@ class IntPartition:
     __slots__ = ("parts", "_n")
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = sorted((int(p) for p in parts), reverse=True)
-        if cleaned and cleaned[-1] <= 0:
-            raise ValueError(f"parts must be positive integers: {tuple(parts)!r}")
-        self.parts = tuple(cleaned)
-        self._n = sum(cleaned)
+        parts = tuple(parts)
+        if not all(type(p) is int and p > 0 for p in parts):  # a bool is no part
+            raise ValueError(f"parts must be positive integers: {parts!r}")
+        self.parts = tuple(sorted(parts, reverse=True))
+        self._n = sum(parts)
 
     @classmethod
     def parse(cls, text: str) -> "IntPartition":

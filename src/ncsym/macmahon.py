@@ -150,9 +150,9 @@ class VectorPartition:
     __slots__ = ("parts", "dimension")
 
     def __init__(self, parts: Iterable[Sequence[int]] = (), dimension: int | None = None):
-        cleaned = [tuple(int(v) for v in p) for p in parts]
-        if any(min(p, default=0) < 0 for p in cleaned):
-            raise ValueError("vector entries must be nonnegative")
+        cleaned = [tuple(p) for p in parts]
+        if not all(type(v) is int and v >= 0 for p in cleaned for v in p):
+            raise ValueError(f"vector entries must be nonnegative ints: {cleaned!r}")
         if any(not any(p) for p in cleaned):
             raise ValueError("zero vector is not a valid part")
         dims = {len(p) for p in cleaned}
@@ -220,14 +220,14 @@ def parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _check_vector(t: Sequence[int], trunc: Truncation, name: str = "vector") -> tuple[int, ...]:
-    """One nonnegative entry per alphabet, within the cap, over at least one variable."""
+    """One nonnegative int entry per alphabet, within the cap, over at least one variable."""
     if trunc.variables < 1:
         raise ValueError(f"need at least one variable per alphabet, got {trunc.variables}")
-    t = tuple(int(v) for v in t)
+    t = tuple(t)
     if len(t) != trunc.alphabets:
         raise ValueError(f"{name} dimension {len(t)} does not match {trunc.alphabets} alphabets")
-    if any(v < 0 for v in t):
-        raise ValueError(f"{name} entries must be nonnegative: {list(t)}")
+    if not all(type(v) is int and v >= 0 for v in t):  # a bool is no entry
+        raise ValueError(f"{name} entries must be nonnegative ints: {list(t)}")
     if sum(t) > trunc.degree:
         raise TruncationError(f"degree {sum(t)} exceeds cap {trunc.degree}")
     return t
@@ -260,27 +260,26 @@ def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     return mm_monomial(VectorPartition([t]), trunc)
 
 
-def _mm_generator(t: Sequence[int], trunc: Truncation, most: int) -> MultiPolynomial:
-    """Coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over
-    vectors v of at most ``most`` alphabet letters.
+@lru_cache(maxsize=None)
+def _mm_generator(t: tuple[int, ...], variables: int, most: int) -> MultiPolynomial:
+    """Coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over vectors v
+    of at most ``most`` alphabet letters, at cap |t|: it is homogeneous, so no cap changes it.
 
     Subscripts 1, 2, ... each take such a vector up to what t still needs,
     the zero vector included, and v counts with its number of orderings.
     Each monomial comes from one choice of vectors, so it is built sorted.
     """
-    t = _check_vector(t, trunc)
-    most = min(most, sum(t))  # no vector has more letters, whatever the cap
     terms: list[tuple[Monomial, int]] = []
 
     def rec(i: int, left: tuple[int, ...], mono: Monomial, coeff: int):
         if not any(left):
             terms.append((mono, coeff))
-        elif sum(left) <= most * (trunc.variables - i + 1):
+        elif sum(left) <= most * (variables - i + 1):
             for letters, rest, orderings in _letter_vectors(left, most):
                 rec(i + 1, rest, mono + tuple(((i, j), x) for j, x in letters), coeff * orderings)
 
     rec(1, t, (), 1)
-    return MultiPolynomial._make(trunc, terms)
+    return MultiPolynomial._make(Truncation(len(t), variables, sum(t)), terms)
 
 
 @lru_cache(maxsize=None)
@@ -301,13 +300,15 @@ def _letter_vectors(left: tuple[int, ...], most: int) -> tuple:
 def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i (1 + sum_j x_i^(j) q_j):
     each subscript takes one letter or none."""
-    return _mm_generator(t, trunc, 1)
+    t = _check_vector(t, trunc)
+    return MultiPolynomial._make(trunc, _mm_generator(t, trunc.variables, 1).terms.items())
 
 
 def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i 1/(1 - sum_j x_i^(j) q_j):
     each subscript takes any number of letters (|t| bounds them all)."""
-    return _mm_generator(t, trunc, trunc.degree)
+    t = _check_vector(t, trunc)
+    return MultiPolynomial._make(trunc, _mm_generator(t, trunc.variables, sum(t)).terms.items())
 
 
 _MM_GENERATORS = {"p": mm_power, "e": mm_elementary, "h": mm_complete}
@@ -319,6 +320,7 @@ def mm_multiplicative(
     """Product extension b_{veclambda} = prod_i b_{lambda^i} for p, e, h."""
     if basis not in _MM_GENERATORS:
         raise ValueError(f"no multiplicative basis {basis!r}")
+    _check_vector(vec_lambda.multidegree(), trunc)
     out = MultiPolynomial.one(trunc)
     for part in vec_lambda.parts:
         out = out * _MM_GENERATORS[basis](part, trunc)
@@ -393,27 +395,21 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
 
 
 @lru_cache(maxsize=None)
-def _jt_piece(variant: str, t: tuple[int, ...], alphabets: int, variables: int) -> tuple:
-    """The terms of gen(t), built at cap |t| (it is homogeneous), so every cap shares them."""
-    return tuple(_MM_GENERATORS[variant](t, Truncation(alphabets, variables, sum(t))).terms.items())
-
-
-@lru_cache(maxsize=None)
 def _jt_determinant(
-    lam: IntPartition, variant: str, trunc: Truncation, vec_m: tuple[int, ...]
+    lam: IntPartition, variant: str, variables: int, vec_m: tuple[int, ...]
 ) -> MultiPolynomial:
-    """The vec_m slice of the generator determinant, expanded one row at a time.
+    """The vec_m slice of the generator determinant at cap |vec_m|, one row at a time.
 
     A state is (columns used, multidegree so far) and holds the signed sum of
     the products over every way of reaching it, so the permutations share
     their prefixes.  A complete state has degree |vec_m|, and a multidegree
     that stays under vec_m with that sum is vec_m itself.
     """
-    size, k = lam.length, trunc.alphabets
+    size, k, trunc = lam.length, len(vec_m), Truncation(len(vec_m), variables, sum(vec_m))
 
     def pieces(degree: int) -> list:  # the pieces gen(t) of one entry that fit under vec_m
         return [
-            (t, _jt_piece(variant, t, k, trunc.variables))
+            (t, _mm_generator(t, variables, degree if variant == "h" else 1).terms.items())
             for t in weak_compositions(degree, k)
             if all(map(le, t, vec_m))
         ]
@@ -457,5 +453,5 @@ def jacobi_trudi(
     """
     if variant not in ("h", "e"):
         raise ValueError(f"variant must be 'h' or 'e', got {variant!r}")
-    vec_m = _check_shape(lam, vec_m, trunc)
-    return _jt_determinant(lam, variant, trunc, vec_m)
+    terms = _jt_determinant(lam, variant, trunc.variables, _check_shape(lam, vec_m, trunc)).terms
+    return MultiPolynomial._make(trunc, terms.items())  # the slice's terms, under the caller's cap

@@ -25,13 +25,15 @@ class SetPartition:
 
     def __new__(cls, blocks: Iterable[Iterable[int]] = ()):
         """Check outside input, then build through ``from_labels``."""
-        blks = [tuple(map(int, b)) for b in blocks]
+        blks = [tuple(b) for b in blocks]
         if not all(blks):
             raise ValueError("blocks must be nonempty")
         n = sum(map(len, blks))
         labels = [None] * n
         for idx, block in enumerate(blks):
             for e in block:
+                if type(e) is not int:  # a bool or a float is no block entry
+                    raise ValueError(f"block entries must be ints, got {e!r}")
                 if not 0 < e <= n or labels[e - 1] is not None:
                     blks = tuple(tuple(sorted(b)) for b in blks)
                     raise ValueError(f"blocks must partition {{1..{n}}}: {blks!r}")

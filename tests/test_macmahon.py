@@ -13,7 +13,9 @@ from ncsym.macmahon import (
     Truncation,
     TruncationError,
     VectorPartition,
+    _jt_determinant,
     _letter_vectors,
+    _mm_generator,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -143,11 +145,13 @@ def test_mm_complete_does_not_depend_on_the_cap():
     for t in ((2, 1), (1, 1, 1), (3, 0)):
         for variables in (1, 2, 3):
             at_t = mm_complete(t, Truncation(len(t), variables, sum(t)))
-            cached = _letter_vectors.cache_info().currsize
+            cached = _letter_vectors.cache_info().currsize, _mm_generator.cache_info().currsize
             for cap in range(sum(t) + 1, sum(t) + 4):
                 tr = Truncation(len(t), variables, cap)
-                assert mm_complete(t, tr).terms == at_t.terms
-                assert _letter_vectors.cache_info().currsize == cached, (t, cap)
+                got = mm_complete(t, tr)
+                assert got.trunc == tr and got.terms == at_t.terms
+                now = _letter_vectors.cache_info().currsize, _mm_generator.cache_info().currsize
+                assert now == cached, (t, cap)
 
 
 def test_mm_power_is_single_part_monomial():
@@ -356,12 +360,18 @@ def test_jacobi_trudi_matches_permutation_expansion_to_size_5():
 
 def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
     lam, vec = IP((3, 2)), (3, 2)
-    at_n = jacobi_trudi(lam, vec, "h", Truncation(2, 3, 5))
-    wider = Truncation(2, 3, 8)
-    above_n = jacobi_trudi(lam, vec, "h", wider)
-    assert above_n.trunc == wider
-    assert above_n.terms == at_n.terms
-    assert above_n == reference_jt_determinant(lam, "h", wider).extract_multidegree(vec)
+    for variant in ("h", "e"):
+        at_n = jacobi_trudi(lam, vec, variant, Truncation(2, 3, 5))
+        cached = _jt_determinant.cache_info().currsize, _mm_generator.cache_info().currsize
+        for cap in (6, 8):
+            wider = Truncation(2, 3, cap)
+            above_n = jacobi_trudi(lam, vec, variant, wider)
+            assert above_n.trunc == wider
+            assert above_n.terms == at_n.terms
+            now = _jt_determinant.cache_info().currsize, _mm_generator.cache_info().currsize
+            assert now == cached, (variant, cap)
+        reference = reference_jt_determinant(lam, variant, wider).extract_multidegree(vec)
+        assert above_n == reference, variant
 
 
 def test_jacobi_trudi_single_alphabet_is_classical():
@@ -387,6 +397,39 @@ def test_jacobi_trudi_validation():
         jacobi_trudi(IP((2,)), (1,), "h", Truncation(1, 2, 2))
     with pytest.raises(ValueError):
         jacobi_trudi(IP((2,)), (2,), "x", Truncation(1, 2, 2))
+
+
+def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
+    vp, tr = VectorPartition([(1,), (1,)]), Truncation(1, 2, 1)
+    with pytest.raises(TruncationError):
+        mm_monomial(vp, tr)
+    for basis in ("p", "e", "h"):
+        with pytest.raises(TruncationError):
+            mm_multiplicative(basis, vp, tr)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: SetPartition([[1.5], [2]]), id="set-partition-float"),
+        pytest.param(lambda: SetPartition([[True], [2]]), id="set-partition-bool"),
+        pytest.param(lambda: IP((2.7, 1)), id="int-partition-float"),
+        pytest.param(lambda: IP(("2", 1)), id="int-partition-str"),
+        pytest.param(lambda: IP((True,)), id="int-partition-bool"),
+        pytest.param(lambda: VectorPartition([(1.9, 1)]), id="vector-partition-float"),
+        pytest.param(lambda: VectorPartition([(False, True)]), id="vector-partition-bool"),
+        pytest.param(lambda: mm_power((1.9,), Truncation(1, 2, 3)), id="mm-power-float"),
+        pytest.param(lambda: mm_elementary(("1", 1), Truncation(2, 2, 2)), id="mm-elementary-str"),
+        pytest.param(lambda: mm_complete((True, 0), Truncation(2, 2, 2)), id="mm-complete-bool"),
+        pytest.param(
+            lambda: jacobi_trudi(IP((2, 1)), (2.9, 1.0), "h", Truncation(2, 2, 3)),
+            id="jacobi-trudi-float",
+        ),
+    ],
+)
+def test_non_integer_entries_are_refused(build):
+    with pytest.raises(ValueError, match="int"):
+        build()
 
 
 def test_vector_partition_parse_and_str():
