@@ -23,6 +23,13 @@ class IntPartition:
         self._n = sum(parts)
 
     @classmethod
+    def _make(cls, parts: tuple[int, ...]) -> "IntPartition":
+        """These parts, already positive ints in weakly decreasing order; nothing is checked."""
+        self = object.__new__(cls)
+        self.parts, self._n = parts, sum(parts)
+        return self
+
+    @classmethod
     def parse(cls, text: str) -> "IntPartition":
         s = text.strip()
         for opener, closer in (("(", ")"), ("[", "]")):

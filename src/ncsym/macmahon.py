@@ -22,7 +22,7 @@ from .combination import Combination, format_terms
 from .elements import NCSymElement
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .setpartitions import SetPartition, partitions_of_type
-from .tableaux import dotted_tableaux
+from .tableaux import _fillings
 from .words import WordPolynomial, collect
 
 Monomial = tuple[tuple[tuple[int, int], int], ...]
@@ -219,17 +219,25 @@ def parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
-def _check_vector(t: Sequence[int], trunc: Truncation, name: str = "vector") -> tuple[int, ...]:
-    """One nonnegative int entry per alphabet, within the cap, over at least one variable."""
+def _check_truncation(trunc: Truncation, degree: int = 0) -> None:
+    """Nonnegative int fields (a bool is none), at least one variable per
+    alphabet, and a cap that reaches degree."""
+    if not all(type(v) is int for v in trunc) or trunc.alphabets < 0 or trunc.degree < 0:
+        raise ValueError(f"truncation fields must be nonnegative ints: {trunc!r}")
     if trunc.variables < 1:
         raise ValueError(f"need at least one variable per alphabet, got {trunc.variables}")
+    if degree > trunc.degree:
+        raise TruncationError(f"degree {degree} exceeds cap {trunc.degree}")
+
+
+def _check_vector(t: Sequence[int], trunc: Truncation, name: str = "vector") -> tuple[int, ...]:
+    """One nonnegative int entry per alphabet of a checked truncation, within its cap."""
     t = tuple(t)
-    if len(t) != trunc.alphabets:
-        raise ValueError(f"{name} dimension {len(t)} does not match {trunc.alphabets} alphabets")
     if not all(type(v) is int and v >= 0 for v in t):  # a bool is no entry
         raise ValueError(f"{name} entries must be nonnegative ints: {list(t)}")
-    if sum(t) > trunc.degree:
-        raise TruncationError(f"degree {sum(t)} exceeds cap {trunc.degree}")
+    _check_truncation(trunc, sum(t))
+    if len(t) != trunc.alphabets:
+        raise ValueError(f"{name} dimension {len(t)} does not match {trunc.alphabets} alphabets")
     return t
 
 
@@ -375,11 +383,14 @@ def schur_tableau_sum(
 
     Each tableau contributes the product of x_value^(dots) over its entries.
     """
-    vec_m = _check_shape(lam, vec_m, trunc)
-    tableaux = dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec_m)
-    return MultiPolynomial._make(
-        trunc, ((monomial(((e.value, e.dots), 1) for e in tab.entries()), 1) for tab in tableaux)
-    )
+    return _tableau_sum(lam, _check_shape(lam, vec_m, trunc), trunc)
+
+
+def _tableau_sum(lam: IntPartition, vec_m: tuple | None, trunc: Truncation) -> MultiPolynomial:
+    """``schur_tableau_sum`` unchecked, and over every multidegree when vec_m
+    is None: one walk over the fillings, building no tableau."""
+    fills = _fillings(lam.parts, trunc.variables, trunc.alphabets, vec_m, lambda v, d: ((v, d), 1))
+    return MultiPolynomial._make(trunc, ((monomial(cells), 1) for cells in fills))
 
 
 def schur_ncsym(lam: IntPartition) -> NCSymElement:

@@ -2,16 +2,20 @@
 
 Insertion compares values only and bumps the leftmost entry strictly greater,
 so equal values never bump; each displaced entry keeps its own dot class.
+Each row keeps its values beside it: they weakly increase, so bisection finds
+the spot.
 The recording tableau receives the top entry of the biword column verbatim.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-from .intpartitions import int_partitions, weak_compositions
-from .macmahon import MultiPolynomial, Truncation, format_monomial, schur_tableau_sum
+from .intpartitions import IntPartition, int_partitions
+from .macmahon import MultiPolynomial, Truncation, format_monomial
+from .macmahon import _check_truncation, _tableau_sum
 from .tableaux import DottedEntry, DottedTableau, _entry, class_counts, parse_entry
 
 
@@ -90,28 +94,26 @@ class Biword:
         return f"<Biword of length {len(self.columns)}>"
 
 
-def _insert(rows: list[list[DottedEntry]], entry: DottedEntry) -> int:
-    """Row-insert by value; returns the row that grew."""
-    for r, row in enumerate(rows):
-        spot = next((c for c, e in enumerate(row) if e.value > entry.value), None)
-        if spot is None:
-            row.append(entry)
-            return r
-        entry, row[spot] = row[spot], entry
-    rows.append([entry])
-    return len(rows) - 1
-
-
 def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
     """Insert the bottom row, record the top row; dots ride along unchanged."""
-    insertion: list[list[DottedEntry]] = []
-    recording: list[list[DottedEntry]] = []
-    for top, bottom in biword.columns:
-        r = _insert(insertion, bottom)
-        if r == len(recording):
-            recording.append([])
-        recording[r].append(top)
-    return DottedTableau._make(insertion), DottedTableau._make(recording)
+    rows: list[tuple[list, list, list]] = []  # insertion row, its values, recording row
+    for top, entry in biword.columns:
+        v = entry.value
+        for row, vals, recorded in rows:
+            spot = bisect_right(vals, v)
+            if spot == len(vals):
+                break
+            entry, row[spot] = row[spot], entry
+            v, vals[spot] = vals[spot], v
+        else:
+            row, vals, recorded = [], [], []
+            rows.append((row, vals, recorded))
+        row.append(entry)
+        vals.append(v)
+        recorded.append(top)
+    insertion, _, recording = zip(*rows) if rows else ((), (), ())
+    shape = IntPartition._make(tuple(map(len, insertion)))
+    return DottedTableau._make(insertion, shape), DottedTableau._make(recording, shape)
 
 
 def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
@@ -119,22 +121,21 @@ def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
     if tab.shape != rec.shape:
         raise ValueError(f"shapes differ: {tab.shape} vs {rec.shape}")
     insertion = [list(row) for row in tab.rows]
-    recording = [list(row) for row in rec.rows]
+    values = [[e.value for e in row] for row in insertion]
+    # reverse recording order: equal values are recorded left to right
+    cells = sorted(
+        ((e.value, c, r) for r, row in enumerate(rec.rows) for c, e in enumerate(row)),
+        reverse=True,
+    )
     columns: list[tuple[DottedEntry, DottedEntry]] = []
-    for _ in range(tab.size):
-        # the cell recorded last holds the largest value, rightmost on ties;
-        # row maxima sit at row ends, so scanning ends is enough
-        r = max(range(len(recording)), key=lambda r: (recording[r][-1].value, len(recording[r])))
-        top = recording[r].pop()
-        carry = insertion[r].pop()
-        if not recording[r]:
-            recording.pop()
-            insertion.pop()
+    for _, c, r in cells:
+        carry, v = insertion[r].pop(), values[r].pop()
         for above in range(r - 1, -1, -1):
-            row = insertion[above]
-            spot = max(c for c, e in enumerate(row) if e.value < carry.value)
+            row, vals = insertion[above], values[above]
+            spot = bisect_left(vals, v) - 1  # the rightmost entry strictly smaller
             carry, row[spot] = row[spot], carry
-        columns.append((top, carry))
+            v, vals[spot] = vals[spot], v
+        columns.append((rec.rows[r][c], carry))
     return Biword._make(reversed(columns))
 
 
@@ -145,11 +146,6 @@ class CauchyReport:
     ok: bool
     degree: int
     mismatches: list[str] = field(default_factory=list)
-
-
-def _schur_sum_all_multidegrees(m: int, lam, trunc: Truncation) -> MultiPolynomial:
-    sums = (schur_tableau_sum(lam, vec, trunc) for vec in weak_compositions(m, trunc.alphabets))
-    return MultiPolynomial._make(trunc, chain.from_iterable(s.terms.items() for s in sums))
 
 
 def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> CauchyReport:
@@ -167,8 +163,10 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     equal x- and y-degree: each tableau pair has one shape, each z_ij one x
     and one y variable.  The caps of x_trunc and y_trunc must reach degree.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
+    _check_truncation(x_trunc, degree)
+    _check_truncation(y_trunc, degree)
     a = x_trunc.alphabets
     joint = Truncation(
         a + y_trunc.alphabets, max(x_trunc.variables, y_trunc.variables), 2 * degree
@@ -177,10 +175,10 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     lhs_terms = []
     for m in range(degree + 1):
         for lam in int_partitions(m):
-            fx = _schur_sum_all_multidegrees(m, lam, x_trunc)
-            fy = _schur_sum_all_multidegrees(m, lam, y_trunc)
-            y_terms = {tuple(((i, j + a), e) for (i, j), e in y): c for y, c in fy.terms.items()}
-            pairing = MultiPolynomial(joint, fx.terms) * MultiPolynomial(joint, y_terms)
+            fx = _tableau_sum(lam, None, x_trunc).terms.items()
+            fy = _tableau_sum(lam, None, y_trunc).terms.items()
+            y_terms = ((tuple(((i, j + a), e) for (i, j), e in y), c) for y, c in fy)
+            pairing = MultiPolynomial._make(joint, fx) * MultiPolynomial._make(joint, y_terms)
             lhs_terms.extend(pairing.terms.items())
     lhs = MultiPolynomial._make(joint, lhs_terms)
 
@@ -188,13 +186,13 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     for i in range(1, x_trunc.variables + 1):
         for j in range(1, y_trunc.variables + 1):
             z = [
-                ((((i, k), 1), ((j, a + l), 1)), 1)
+                (tuple(sorted((((i, k), 1), ((j, a + l), 1)))), 1)  # i > j puts y first
                 for k in range(1, a + 1)
                 for l in range(1, y_trunc.alphabets + 1)
             ]
             powers = [MultiPolynomial.one(joint)]
             for _ in range(degree):  # z has degree 2: at degree 0 it is outside the cap
-                powers.append(powers[-1] * MultiPolynomial(joint, z))
+                powers.append(powers[-1] * MultiPolynomial._make(joint, z))
             series = chain.from_iterable(power.terms.items() for power in powers)
             rhs = rhs * MultiPolynomial._make(joint, series)
 

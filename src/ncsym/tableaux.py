@@ -8,6 +8,7 @@ row.  Dot classes are rendered as prime marks: 2' is value 2 in class 1,
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .intpartitions import IntPartition
@@ -81,12 +82,12 @@ class DottedTableau:
         return cls._make(rows)
 
     @classmethod
-    def _make(cls, rows: Iterable[Iterable[DottedEntry]]) -> "DottedTableau":
-        """The tableau with these rows of entries, which must already form one;
-        nothing is checked."""
+    def _make(cls, rows: Iterable[Iterable], shape: IntPartition | None = None) -> "DottedTableau":
+        """The tableau with these rows of entries, which must already form one,
+        of ``shape`` when it is given; nothing is checked."""
         self = object.__new__(cls)
         self.rows = tuple(map(tuple, rows))
-        self.shape = IntPartition(map(len, self.rows))
+        self.shape = IntPartition._make(tuple(map(len, self.rows))) if shape is None else shape
         return self
 
     @classmethod
@@ -127,6 +128,40 @@ class DottedTableau:
         return f"<DottedTableau {self.undotted()}>"
 
 
+def _fillings(lengths: Sequence[int], max_value: int, classes: int, budget, entry) -> Iterator:
+    """The fillings ``dotted_tableaux`` walks, budget[c - 1] entries in class c
+    (any number when budget is None), each as one flat row-order list of
+    ``entry(value, class)``; the list is reused, so read it before the next."""
+    n = sum(lengths)
+    # per cell: its left and upper neighbours (n if none: values[n] is 0), its largest value
+    near, top = [], []
+    for r, length in enumerate(lengths):
+        for c in range(length):
+            near.append((len(top) - 1 if c else n, len(top) - lengths[r - 1] if r else n))
+            top.append(max_value - sum(1 for below in lengths[r + 1 :] if below > c))
+    table = [[entry(v, d) for d in range(classes + 1)] for v in range(max_value + 1)]
+    counts = list(budget) if budget is not None else [n] * classes
+    cells: list = [None] * n
+    values = [0] * (n + 1)
+    last = n - 1
+
+    def rec(k: int) -> Iterator[list]:
+        left, up = near[k]
+        for v in range(max(values[left], values[up] + 1), top[k] + 1):
+            values[k], row = v, table[v]
+            for d in range(1, classes + 1):
+                if counts[d - 1]:
+                    cells[k] = row[d]
+                    if k == last:
+                        yield cells
+                    else:
+                        counts[d - 1] -= 1
+                        yield from rec(k + 1)
+                        counts[d - 1] += 1
+
+    return rec(0) if n else iter([cells])
+
+
 def dotted_tableaux(
     shape: IntPartition,
     max_value: int,
@@ -135,37 +170,18 @@ def dotted_tableaux(
 ) -> Iterator[DottedTableau]:
     """All fillings of the shape with values <= max_value, optionally with a
     prescribed per-class entry count."""
-    lengths = shape.parts
-    budget = list(multidegree) if multidegree is not None else None
-    if budget is not None and (
-        len(budget) != classes or sum(budget) != shape.n or min(budget, default=0) < 0
+    budget = tuple(multidegree) if multidegree is not None else None
+    if not all(type(v) is int for v in (max_value, classes, *(budget or ()))) or (  # no bools
+        budget is not None
+        and (len(budget) != classes or sum(budget) != shape.n or min(budget, default=0) < 0)
     ):
         raise ValueError(
-            f"multidegree {budget} is not {classes} nonnegative counts summing to {shape.n}"
+            f"need int max_value and classes, got {max_value!r} and {classes!r}, and a multidegree"
+            f" of {classes} nonnegative ints summing to {shape.n}, got {budget!r}"
         )
-    rows: list[list[DottedEntry]] = [[] for _ in lengths]
-
-    def rec(r: int, c: int) -> Iterator[DottedTableau]:
-        if r == len(lengths):
-            yield DottedTableau._make(rows)
-            return
-        nr, nc = (r, c + 1) if c + 1 < lengths[r] else (r + 1, 0)
-        lo = rows[r][c - 1].value if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c].value + 1)
-        for v in range(lo, max_value + 1):
-            for cls in range(1, classes + 1):
-                if budget is not None:
-                    if budget[cls - 1] == 0:
-                        continue
-                    budget[cls - 1] -= 1
-                rows[r].append(DottedEntry(v, cls))
-                yield from rec(nr, nc)
-                rows[r].pop()
-                if budget is not None:
-                    budget[cls - 1] += 1
-
-    yield from rec(0, 0)
+    spans = list(zip(shape.parts, accumulate(shape.parts)))
+    for cells in _fillings(shape.parts, max_value, classes, budget, DottedEntry):
+        yield DottedTableau._make([cells[end - length : end] for length, end in spans], shape)
 
 
 def dot_swap_involution(tab: DottedTableau, i: int) -> DottedTableau:

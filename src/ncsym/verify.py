@@ -132,7 +132,10 @@ def _classical_insertion(bottom: list[int], top: list[int]):
 
 
 def _all_biwords(max_len: int, max_value: int, classes: int):
-    """Every biword with the stated bounds; ties carry all dot patterns."""
+    """Every biword with the stated bounds; ties carry all dot patterns.
+
+    The value pairs come out of ``combinations_with_replacement`` of a sorted
+    list, so the columns are sorted by construction and skip the check."""
     value_pairs = [
         (t, b) for t in range(1, max_value + 1) for b in range(1, max_value + 1)
     ]
@@ -141,7 +144,7 @@ def _all_biwords(max_len: int, max_value: int, classes: int):
             for dotting in itertools.product(
                 range(1, classes + 1), repeat=2 * length
             ):
-                yield Biword(
+                yield Biword._make(
                     (
                         (DottedEntry(t, dotting[2 * i]), DottedEntry(b, dotting[2 * i + 1]))
                         for i, (t, b) in enumerate(values)

@@ -30,6 +30,7 @@ from ncsym.macmahon import (
     schur_tableau_sum,
     weak_compositions,
 )
+from ncsym.rsk import cauchy_check
 from ncsym.setpartitions import SetPartition, set_partitions
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 
@@ -425,11 +426,70 @@ def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
             lambda: jacobi_trudi(IP((2, 1)), (2.9, 1.0), "h", Truncation(2, 2, 3)),
             id="jacobi-trudi-float",
         ),
+        pytest.param(
+            lambda: list(dotted_tableaux(IP((2, 1)), 2, 2, (2.0, 1.0))), id="tableaux-vec-float"
+        ),
+        pytest.param(
+            lambda: list(dotted_tableaux(IP((2, 1)), 2, 2, (True, 2))), id="tableaux-vec-bool"
+        ),
+        pytest.param(lambda: list(dotted_tableaux(IP((1,)), True, 1)), id="tableaux-max-bool"),
+        pytest.param(lambda: list(dotted_tableaux(IP((1,)), 2.5, 1)), id="tableaux-max-float"),
+        pytest.param(lambda: list(dotted_tableaux(IP((1,)), 2, 1.0)), id="tableaux-classes-float"),
     ],
 )
 def test_non_integer_entries_are_refused(build):
     with pytest.raises(ValueError, match="int"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: mm_complete((1,), Truncation(1, 2.5, 3)), id="complete-variables"),
+        pytest.param(lambda: mm_elementary((1,), Truncation(1, True, 1)), id="elementary-bool"),
+        pytest.param(lambda: mm_power((1,), Truncation(True, 2, 3)), id="power-alphabets"),
+        pytest.param(
+            lambda: mm_monomial(VectorPartition([(1,)]), Truncation(1, 2, 3.0)), id="monomial-cap"
+        ),
+        pytest.param(
+            lambda: mm_multiplicative("h", VectorPartition([(1,)]), Truncation(1, 2, False)),
+            id="multiplicative-cap-bool",
+        ),
+        pytest.param(
+            lambda: schur_tableau_sum(IP((2, 1)), (2, 1), Truncation(2, 2.5, 3)), id="schur-float"
+        ),
+        pytest.param(
+            lambda: jacobi_trudi(IP((2, 1)), (2, 1), "e", Truncation(2, 2.5, 3)), id="jt-float"
+        ),
+        pytest.param(
+            lambda: schur_tableau_sum(IP(()), (), Truncation(0, 1, -1)), id="schur-negative-cap"
+        ),
+        pytest.param(lambda: mm_power((), Truncation(-1, 1, 2)), id="power-negative-alphabets"),
+        pytest.param(
+            lambda: cauchy_check(Truncation(1, 2.5, 2), Truncation(1, 1, 2), 2), id="cauchy-x"
+        ),
+        pytest.param(
+            lambda: cauchy_check(Truncation(1, 1, 2), Truncation(True, 1, 2), 2), id="cauchy-y"
+        ),
+        pytest.param(
+            lambda: cauchy_check(Truncation(-1, 1, 2), Truncation(1, 1, 2), 2),
+            id="cauchy-negative",
+        ),
+    ],
+)
+def test_truncation_fields_must_be_nonnegative_ints(build):
+    with pytest.raises(ValueError, match="truncation fields must be"):
+        build()
+
+
+def test_cauchy_check_refuses_a_degree_past_a_cap_or_not_an_int():
+    with pytest.raises(TruncationError, match="exceeds cap 1"):
+        cauchy_check(Truncation(1, 1, 2), Truncation(1, 1, 1), 2)
+    with pytest.raises(ValueError, match="at least one variable"):
+        cauchy_check(Truncation(1, 0, 2), Truncation(1, 1, 2), 2)
+    for degree in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            cauchy_check(Truncation(1, 1, 2), Truncation(1, 1, 2), degree)
 
 
 def test_vector_partition_parse_and_str():
