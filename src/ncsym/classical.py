@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .combination import Combination, format_terms
+from .combination import Combination, _over_one_denominator, format_terms
 from .intpartitions import IntPartition, int_partitions, kostka
 from .linalg import _row_reduce
 
 SYM_BASES = ("m", "p", "e", "h", "s")
+_DUAL = {"m": "h", "h": "m", "p": "p", "s": "s"}  # b_lam pairs only with _DUAL[b]_lam
 
 
 class SymElement(Combination):
@@ -82,28 +84,29 @@ def _matrix_count(basis: str, rows: tuple, cols: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
-    """Expansion of basis_lam into monomial symmetric functions of the same degree."""
+    """Expansion of basis_lam into monomial symmetric functions, by integer counts."""
     if basis == "m":
-        return ((lam, Fraction(1)),)
+        return ((lam, 1),)
     coeffs = (
         (mu, kostka(lam, mu) if basis == "s" else _matrix_count(basis, lam.parts, mu.parts))
         for mu in int_partitions(lam.n)
     )
-    return tuple((mu, Fraction(c)) for mu, c in coeffs if c)
+    return tuple((mu, c) for mu, c in coeffs if c)
 
 
 @lru_cache(maxsize=None)
 def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
-    """Each m_mu of degree n in the given basis, as mu -> ((lam, coeff), ...):
-    the columns of the inverse of the matrix whose column lam is basis_lam in m,
-    all from one row reduction of [matrix | identity]."""
+    """Each m_mu of degree n in the given basis, as mu -> (((lam, numerator), ...),
+    denominator): the columns of the inverse of the matrix whose column lam is
+    basis_lam in m, all from one row reduction of [matrix | identity]."""
     ps = int_partitions(n)
-    columns = [dict(_basis_m_coeffs(basis, lam)) for lam in ps]
+    columns = [{mu: Fraction(c) for mu, c in _basis_m_coeffs(basis, lam)} for lam in ps]
     aug = [[col.get(mu, 0) for col in columns] + [Fraction(mu == nu) for nu in ps] for mu in ps]
     if _row_reduce(aug, len(ps)) < len(ps):
         raise ValueError(f"singular {basis}-to-m matrix at degree {n}")
     inverse = zip(*(row[len(ps):] for row in aug))  # column mu: m_mu in the basis
-    return {mu: tuple((lam, v) for lam, v in zip(ps, col) if v) for mu, col in zip(ps, inverse)}
+    cols = ([(v, ((lam, 1),), 1) for lam, v in zip(ps, col) if v] for col in inverse)
+    return {mu: (tuple(p), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
 
 
 def sym_convert(f: SymElement, target: str) -> SymElement:
@@ -112,18 +115,26 @@ def sym_convert(f: SymElement, target: str) -> SymElement:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
         return SymElement._make(f.basis, f.terms.items())
-    in_m = ((mu, c * q) for lam, c in f.terms.items() for mu, q in _basis_m_coeffs(f.basis, lam))
-    fm = SymElement._make("m", in_m)
+    in_m = ((c, _basis_m_coeffs(f.basis, lam), 1) for lam, c in f.terms.items())
+    pairs, den = _over_one_denominator(in_m)
     if target == "m":
-        return fm
-    back = ((lam, c * v) for mu, c in fm.terms.items() for lam, v in _m_inverse(target, mu.n)[mu])
-    return SymElement._make(target, back)
+        return SymElement._make("m", pairs, den)
+    in_m = SymElement._make("m", pairs).terms.items()  # integer numerators over den
+    pairs, back = _over_one_denominator((v, *_m_inverse(target, mu.n)[mu]) for mu, v in in_m)
+    return SymElement._make(target, pairs, den * back)
 
 
 def sym_inner(f: SymElement, g: SymElement) -> Fraction:
-    """Bilinear extension of <m_lam, h_mu> = delta_{lam,mu}; grades pair to zero."""
-    fm, gh = sym_convert(f, "m"), sym_convert(g, "h")
-    return sum((c * gh.terms.get(lam, 0) for lam, c in fm.terms.items()), Fraction(0))
+    """Bilinear extension of <m_lam, h_mu> = delta_{lam,mu}; grades pair to zero.
+
+    Only g changes basis, into the dual of f's: m with h, s with s, p with p
+    (weight z_lam); an e factor goes through omega or trades places, as in ``inner``.
+    """
+    if f.basis == "e":
+        f, g = (omega_commutative(f), omega_commutative(g)) if g.basis == "e" else (g, f)
+    dual = sym_convert(g, _DUAL[f.basis]).terms
+    z = (lambda lam: prod(lam.parts) * lam.fact_mults()) if f.basis == "p" else (lambda lam: 1)
+    return sum((c * z(lam) * dual[lam] for lam, c in f.terms.items() if lam in dual), Fraction(0))
 
 
 def omega_commutative(f: SymElement) -> SymElement:

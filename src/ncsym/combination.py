@@ -7,12 +7,14 @@ key and every coefficient, then builds through ``_make``.  ``_make`` is the
 one accumulator: every closed operation hands it (key, coefficient) pairs,
 and it adds up equal keys, drops zero sums and trusts the keys.
 Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
-compare and hash alike.
+compare and hash alike.  A change of basis adds integer numerators over one
+common denominator (``_over_one_denominator``) and divides once per key.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping
 
 
@@ -33,6 +35,15 @@ def exact(c):
     return Fraction(c)
 
 
+def _over_one_denominator(expansions: Iterable[tuple]) -> tuple:
+    """(pairs, D) for items (c, pairs, den), each c times (key, integer) pairs over den:
+    the pairs scaled to integers over D, the lcm of the c.denominator * den."""
+    expansions = [(c.numerator, c.denominator * den, pairs) for c, pairs, den in expansions]
+    common = lcm(*(den for _, den, _ in expansions))
+    scaled = [(a * (common // den), pairs) for a, den, pairs in expansions]
+    return ((key, a * v) for a, pairs in scaled for key, v in pairs), common
+
+
 class Combination:
     """Finite rational combination of keys under one tag.
 
@@ -50,9 +61,10 @@ class Combination:
         return cls._make(tag, ((cls._check_key(tag, key), exact(c)) for key, c in terms))
 
     @classmethod
-    def _make(cls, tag, pairs: Iterable[tuple]):
+    def _make(cls, tag, pairs: Iterable[tuple], den: int = 1):
         """The one accumulator: adds up the coefficients of equal keys and
-        drops the zero sums.  Keys and coefficients are trusted."""
+        drops the zero sums.  Keys and coefficients are trusted; with ``den``
+        they are integer numerators, and each sum is divided by den once."""
         out: dict = {}
         for key, c in pairs:
             if key in out:
@@ -61,6 +73,8 @@ class Combination:
                 out[key] = c
         self = object.__new__(cls)
         self.tag = tag
+        if den != 1:
+            out = {key: Fraction(c, den) if c % den else c // den for key, c in out.items()}
         self.terms = out if all(out.values()) else {key: c for key, c in out.items() if c}
         return self
 

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Sequence
 
 from .classical import SymElement, sym_convert
-from .combination import Combination, format_terms
+from .combination import Combination, _over_one_denominator, format_terms
 from .intpartitions import IntPartition
 from .setpartitions import (
     SetPartition,
@@ -31,6 +31,7 @@ from .setpartitions import (
 )
 
 NC_BASES = ("m", "p", "e", "h")
+_DUAL = {"m": "h", "h": "m", "p": "p"}  # b_pi pairs only with _DUAL[b]_pi
 
 
 class NCSymElement(Combination):
@@ -84,7 +85,8 @@ def format_ncsym(f: NCSymElement, strict_rationals: bool = False) -> str:
 
 @lru_cache(maxsize=None)
 def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
-    """Expansion of basis_pi in the target basis as ((sigma, coeff), ...).
+    """Expansion of basis_pi in the target basis as (sigmas, integer numerators,
+    one denominator).
 
     Each ordered pair of distinct bases has its own direct summation formula,
     so no conversion routes through an intermediate basis; agreement between
@@ -94,7 +96,7 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     keeps the same sums over the tables as the reference.
     """
     if basis == target:
-        return ((pi, 1),)
+        return (pi,), (1,), 1
     scale = 1  # acc below maps partition keys to coefficients times scale
 
     pair = (basis, target)
@@ -124,11 +126,15 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
         acc = lower_sums([(pi.rgs, 1)], lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
     else:  # pragma: no cover - the pairs above are exhaustive
         raise ValueError(f"no conversion from {basis!r} to {target!r}")
-    return tuple(
-        (SetPartition.from_key(k, pi.n), c if scale == 1 else Fraction(c, scale))
-        for k, c in sorted(acc.items())
-        if c
-    )
+    items = [(k, c) for k, c in sorted(acc.items()) if c]
+    keys = tuple(SetPartition.from_key(k, pi.n) for k, _ in items)
+    return keys, tuple(c for _, c in items), scale
+
+
+def _numerators(f: NCSymElement, target: str) -> tuple:
+    """f in the target basis as (sigma, integer numerator) pairs over one denominator."""
+    expansions = ((c, _symbol_expansion(f.basis, target, pi)) for pi, c in f.terms.items())
+    return _over_one_denominator((c, zip(keys, nums), den) for c, (keys, nums, den) in expansions)
 
 
 def convert(f: NCSymElement, target: str) -> NCSymElement:
@@ -137,8 +143,7 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
         return NCSymElement._make(f.basis, f.terms.items())
-    expansions = ((c, _symbol_expansion(f.basis, target, pi)) for pi, c in f.terms.items())
-    return NCSymElement._make(target, ((s, c * q) for c, exp in expansions for s, q in exp))
+    return NCSymElement._make(target, *_numerators(f, target))
 
 
 def omega(f: NCSymElement) -> NCSymElement:
@@ -173,15 +178,19 @@ def lift(f: SymElement) -> NCSymElement:
 
 
 def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
-    """Bilinear form with <m_pi, h_sigma> = n! delta; grades pair to zero."""
-    fm = convert(f, "m")
-    gh = convert(g, "h")
-    total = Fraction(0)
-    for pi, c in fm.terms.items():
-        other = gh.terms.get(pi)
-        if other is not None:
-            total += factorial(pi.n) * c * other
-    return total
+    """Bilinear form with <m_pi, h_sigma> = n! delta; grades pair to zero.
+
+    Only g changes basis, into the dual of f's: m with h (weight n!), p with p
+    (weight n!/|mu(bottom, pi)|).  An e factor trades places with g, or when
+    both are e, omega relabels both as h: the form is symmetric, omega an isometry.
+    """
+    if f.basis == "e":
+        f, g = (omega(f), omega(g)) if g.basis == "e" else (g, f)
+    pairs, den = _numerators(g, _DUAL[f.basis])
+    dual = NCSymElement._make(_DUAL[f.basis], pairs).terms  # integer numerators over den
+    mu = (lambda pi: abs(mobius_bottom(pi.rgs))) if f.basis == "p" else (lambda pi: 1)
+    pairing = (c * (factorial(p.n) // mu(p)) * dual[p] for p, c in f.terms.items() if p in dual)
+    return Fraction(sum(pairing), den)
 
 
 def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:

@@ -83,6 +83,7 @@ class MultiPolynomial(Combination):
     def _check_tag(trunc) -> None:
         if not isinstance(trunc, Truncation):
             raise TypeError(f"{trunc!r} is not a Truncation")
+        _check_truncation(trunc)
 
     @staticmethod
     def _check_key(trunc: Truncation, mono) -> Monomial:

@@ -171,13 +171,13 @@ def dotted_tableaux(
     """All fillings of the shape with values <= max_value, optionally with a
     prescribed per-class entry count."""
     budget = tuple(multidegree) if multidegree is not None else None
-    if not all(type(v) is int for v in (max_value, classes, *(budget or ()))) or (  # no bools
-        budget is not None
-        and (len(budget) != classes or sum(budget) != shape.n or min(budget, default=0) < 0)
+    counts = (max_value, classes, *(budget or ()))
+    if not all(type(v) is int and v >= 0 for v in counts) or (  # no bools
+        budget is not None and (len(budget) != classes or sum(budget) != shape.n)
     ):
         raise ValueError(
-            f"need int max_value and classes, got {max_value!r} and {classes!r}, and a multidegree"
-            f" of {classes} nonnegative ints summing to {shape.n}, got {budget!r}"
+            f"need nonnegative int max_value and classes, got {max_value!r} and {classes!r}, and"
+            f" a multidegree of {classes} nonnegative ints summing to {shape.n}, got {budget!r}"
         )
     spans = list(zip(shape.parts, accumulate(shape.parts)))
     for cells in _fillings(shape.parts, max_value, classes, budget, DottedEntry):

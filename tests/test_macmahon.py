@@ -435,6 +435,9 @@ def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
         pytest.param(lambda: list(dotted_tableaux(IP((1,)), True, 1)), id="tableaux-max-bool"),
         pytest.param(lambda: list(dotted_tableaux(IP((1,)), 2.5, 1)), id="tableaux-max-float"),
         pytest.param(lambda: list(dotted_tableaux(IP((1,)), 2, 1.0)), id="tableaux-classes-float"),
+        pytest.param(lambda: list(dotted_tableaux(IP(()), -3, -1)), id="tableaux-negative"),
+        pytest.param(lambda: list(dotted_tableaux(IP((1,)), -3, 1)), id="tableaux-max-negative"),
+        pytest.param(lambda: list(dotted_tableaux(IP((1,)), 2, -1)), id="tableaux-classes-below-0"),
     ],
 )
 def test_non_integer_entries_are_refused(build):
@@ -475,6 +478,11 @@ def test_non_integer_entries_are_refused(build):
             lambda: cauchy_check(Truncation(-1, 1, 2), Truncation(1, 1, 2), 2),
             id="cauchy-negative",
         ),
+        pytest.param(
+            lambda: MultiPolynomial(Truncation(1, 2.5, True), {(((1, 1), 1),): 1}),
+            id="polynomial-constructor",
+        ),
+        pytest.param(lambda: MultiPolynomial.one(Truncation(1, 2.5, 3)), id="polynomial-one"),
     ],
 )
 def test_truncation_fields_must_be_nonnegative_ints(build):

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from ncsym.intpartitions import int_partitions
-from ncsym.macmahon import Truncation
+from ncsym import rsk
+from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum
 from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 
@@ -169,6 +170,22 @@ def test_cauchy_small():
     assert report.ok
     report = cauchy_check(Truncation(2, 2, 2), Truncation(2, 2, 2), 2)
     assert report.ok, report.mismatches[:3]
+
+
+def test_cauchy_walks_each_shape_once_when_x_and_y_share_alphabets_and_variables(monkeypatch):
+    walked = []
+
+    def counting_sum(lam, vec_m, trunc):
+        walked.append((lam, trunc))
+        return tableau_sum(lam, vec_m, trunc)
+
+    monkeypatch.setattr(rsk, "_tableau_sum", counting_sum)
+    shapes = sum(len(int_partitions(m)) for m in range(4))
+    assert cauchy_check(Truncation(2, 2, 3), Truncation(2, 2, 5), 3).ok
+    assert len(walked) == shapes
+    walked.clear()
+    assert cauchy_check(Truncation(2, 2, 3), Truncation(1, 2, 3), 3).ok
+    assert len(walked) == 2 * shapes
 
 
 def test_cauchy_reports_degree():
