@@ -21,6 +21,7 @@ from .combination import Combination, _over_one_denominator, format_terms
 from .intpartitions import IntPartition
 from .setpartitions import (
     SetPartition,
+    check_permutation,
     lower_sums,
     meet_walk,
     mobius_bottom,
@@ -199,9 +200,7 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
         raise ValueError("place action needs a homogeneous element")
     if f.is_zero():
         return NCSymElement._make(f.basis, ())
-    n = f.degree()
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
+    check_permutation(perm, f.degree())
     return NCSymElement._make(f.basis, ((pi.act(perm), c) for pi, c in f.terms.items()))
 
 
@@ -220,13 +219,13 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
         f, g = convert(f, "m"), convert(g, "m")
     pairs = []
     for pi, a in f.terms.items():
+        ell = pi.length
         for sigma, b in g.terms.items():
             ab = a * b
             if f.basis == "m":
                 pairs.extend((rho, ab) for rho in _merges(pi, sigma))
             else:
-                ell = len(pi.blocks)
-                rho = SetPartition.from_labels(pi.rgs + tuple(v + ell for v in sigma.rgs))
+                rho = SetPartition._from_rgs(pi.rgs + tuple([v + ell for v in sigma.rgs]))
                 pairs.append((rho, ab))
     return NCSymElement._make(f.basis, pairs)
 
@@ -235,13 +234,14 @@ def _merges(pi: SetPartition, sigma: SetPartition):
     """Every rho with rho meet (top | top) = pi | sigma, each exactly once.
 
     A rho is a partial injective matching of sigma's blocks (shifted by pi.n)
-    into pi's blocks; matched blocks merge, the rest stay apart.
+    into pi's blocks; matched blocks merge, the rest stay apart, numbered ell, ell + 1, ...
     """
-    ell, k = len(pi.blocks), len(sigma.blocks)
+    ell, k = pi.length, sigma.length
     for r in range(min(ell, k) + 1):
         for chosen in combinations(range(k), r):
+            base = [ell + j - sum(c < j for c in chosen) for j in range(k)]
             for targets in permutations(range(ell), r):
-                label = list(range(ell, ell + k))  # sigma's blocks, after pi's
+                label = base.copy()
                 for i, j in zip(targets, chosen):
                     label[j] = i
-                yield SetPartition.from_labels(pi.rgs + tuple([label[v] for v in sigma.rgs]))
+                yield SetPartition._from_rgs(pi.rgs + tuple([label[v] for v in sigma.rgs]))

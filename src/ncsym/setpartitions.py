@@ -1,12 +1,13 @@
 """Set partitions of {1..n} and the refinement lattice.
 
-A partition is stored canonically: elements ascending inside each block,
-blocks ordered by their minima.  Equality, hashing and the deterministic
-enumeration order all go through the restricted growth string.  Values are
-immutable and every operation is pure.
+A partition is a value whose identity is its restricted growth string: the
+block of each element, blocks numbered by their minima.  Everything but
+``blocks`` (elements ascending, blocks ordered by minima) reads the string,
+and ``blocks`` is built on first use.  Values are immutable; operations are pure.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Sequence
@@ -18,10 +19,19 @@ class GroundSetError(ValueError):
     """Two partitions live on different ground sets."""
 
 
+def check_permutation(perm: Sequence[int], n: int) -> None:
+    """Refuse anything but a permutation of 1..n; a bool or a float is no entry."""
+    for e in perm:
+        if type(e) is not int:
+            raise ValueError(f"permutation entries must be ints, got {e!r}")
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
+
+
 class SetPartition:
     """A partition of {1..n} into disjoint nonempty blocks."""
 
-    __slots__ = ("n", "blocks", "rgs", "_hash")
+    __slots__ = ("n", "length", "rgs", "_hash", "_blocks")
 
     def __new__(cls, blocks: Iterable[Iterable[int]] = ()):
         """Check outside input, then build through ``from_labels``."""
@@ -41,22 +51,20 @@ class SetPartition:
         return cls.from_labels(labels)
 
     @classmethod
-    def from_labels(cls, labels: Iterable) -> "SetPartition":
-        """The partition of positions 1..n into classes of equal label, in
-        canonical form: labels renamed 0, 1, ... by first occurrence give the
-        growth string, and the growth string gives the blocks.  Any labelling
-        is a partition, so nothing is checked."""
-        first: dict = {}
-        rgs = tuple([first.setdefault(label, len(first)) for label in labels])
-        blocks: list[list[int]] = [[] for _ in first]
-        for pos, v in enumerate(rgs, start=1):
-            blocks[v].append(pos)
+    def _from_rgs(cls, rgs: tuple[int, ...]) -> "SetPartition":
+        """The partition with this growth string, a tuple already canonical; nothing is checked."""
         self = object.__new__(cls)
         self.n = len(rgs)
-        self.blocks = tuple(map(tuple, blocks))
+        self.length = max(rgs) + 1 if rgs else 0  # the number of blocks
         self.rgs = rgs
-        self._hash = hash((self.n, rgs))
+        self._hash = hash(rgs)
         return self
+
+    @classmethod
+    def from_labels(cls, labels: Iterable) -> "SetPartition":
+        """Positions 1..n in classes of equal label, relabelled by first occurrence; unchecked."""
+        first: dict = {}
+        return cls._from_rgs(tuple([first.setdefault(label, len(first)) for label in labels]))
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -70,11 +78,11 @@ class SetPartition:
 
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
-        return cls.from_labels(range(n))
+        return cls._from_rgs(tuple(range(n)))
 
     @classmethod
     def top(cls, n: int) -> "SetPartition":
-        return cls.from_labels([0] * n)
+        return cls._from_rgs((0,) * n)
 
     @classmethod
     def parse(cls, text: str) -> "SetPartition":
@@ -98,21 +106,31 @@ class SetPartition:
         return cls([int(d)] for d in digits)
 
     @property
-    def length(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, each ascending, ordered by their minima; built on first use."""
+        if not hasattr(self, "_blocks"):
+            self._blocks = tuple(map(tuple, self._block_lists()))
+        return self._blocks
+
+    def _block_lists(self) -> list[list[int]]:
+        blocks: list[list[int]] = [[] for _ in range(self.length)]
+        for pos, v in enumerate(self.rgs, start=1):
+            blocks[v].append(pos)
+        return blocks
 
     @property
     def rank(self) -> int:
-        return self.n - len(self.blocks)
+        return self.n - self.length
 
     @property
     def type(self) -> IntPartition:
-        return IntPartition(len(b) for b in self.blocks)
+        sizes = map(self.rgs.count, range(self.length))
+        return IntPartition._make(tuple(sorted(sizes, reverse=True)))
 
     @property
     def sign(self) -> int:
         """Sign of any permutation obtained by turning each block into a cycle."""
-        return -1 if (self.n - len(self.blocks)) % 2 else 1
+        return -1 if (self.n - self.length) % 2 else 1
 
     def _check_ground(self, other: "SetPartition") -> None:
         if self.n != other.n:
@@ -123,18 +141,13 @@ class SetPartition:
     def leq(self, other: "SetPartition") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
         self._check_ground(other)
-        for block in self.blocks:
-            lab = other.rgs[block[0] - 1]
-            if any(other.rgs[e - 1] != lab for e in block):
-                return False
-        return True
+        image: dict[int, int] = {}  # block of self -> the block of other holding it
+        return all(image.setdefault(a, b) == b for a, b in zip(self.rgs, other.rgs))
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Greatest lower bound: nonempty pairwise intersections of blocks."""
         self._check_ground(other)
-        return SetPartition.from_labels(
-            [(self.rgs[i], other.rgs[i]) for i in range(self.n)]
-        )
+        return SetPartition.from_labels(zip(self.rgs, other.rgs))
 
     def join(self, other: "SetPartition") -> "SetPartition":
         """Least upper bound: components of the union of both block relations."""
@@ -148,10 +161,9 @@ class SetPartition:
             return x
 
         for part in (self, other):
-            for block in part.blocks:
-                root = find(block[0] - 1)
-                for e in block[1:]:
-                    parent[find(e - 1)] = root
+            first: dict[int, int] = {}  # block -> its minimum
+            for i, v in enumerate(part.rgs):
+                parent[find(i)] = find(first.setdefault(v, i))
         return SetPartition.from_labels([find(i) for i in range(self.n)])
 
     def interval_type(self, other: "SetPartition") -> IntPartition:
@@ -159,19 +171,14 @@ class SetPartition:
         self._check_ground(other)
         if not self.leq(other):
             raise ValueError(f"{self} is not a refinement of {other}")
-        counts = [0] * len(other.blocks)
-        for block in self.blocks:
-            counts[other.rgs[block[0] - 1]] += 1
-        return IntPartition(counts)
+        outer = dict(zip(self.rgs, other.rgs))  # block of self -> the block of other holding it
+        return IntPartition(Counter(outer.values()).values())
 
     def act(self, perm: Sequence[int]) -> "SetPartition":
         """Relabel elements through a permutation of {1..n} (perm[i-1] = image of i)."""
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {tuple(perm)!r}")
-        labels = [0] * self.n
-        for e, label in enumerate(self.rgs):
-            labels[perm[e] - 1] = label
-        return SetPartition.from_labels(labels)
+        check_permutation(perm, self.n)
+        source = sorted(range(self.n), key=perm.__getitem__)  # position perm[e] takes e's label
+        return SetPartition.from_labels([self.rgs[e] for e in source])
 
     def sort_key(self) -> tuple:
         """Deterministic display order: degree, then type, then growth string."""
@@ -184,29 +191,48 @@ class SetPartition:
         return self._hash
 
     def __str__(self) -> str:
-        return "/".join(",".join(str(e) for e in b) for b in self.blocks)
+        return "/".join(",".join(map(str, b)) for b in self._block_lists())
 
     def __repr__(self) -> str:
         return f"SetPartition.parse({str(self)!r})"
+
+
+def growth_strings(n: int, sizes: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """Every restricted growth string of length n, ascending; given block sizes
+    summing to n, only those of that type.  An element joins a block with room
+    left or opens one while a size is unused; the block takes that size, so
+    every branch ends in an output (Knuth, TAOCP 4A 7.2.1.5)."""
+    unused = Counter(sizes) if sizes is not None else {n: n}  # size -> blocks still to open
+    out: list[tuple[int, ...]] = []
+    rgs, room = [0] * n, []  # room[v]: elements block v can still take
+
+    def walk(i: int) -> None:
+        if i == n:
+            out.append(tuple(rgs))
+            return
+        for v, r in enumerate(room):
+            if r:
+                rgs[i], room[v] = v, r - 1
+                walk(i + 1)
+                room[v] = r
+        rgs[i] = len(room)
+        for s in [s for s, c in unused.items() if c]:
+            unused[s] -= 1
+            room.append(s - 1)
+            walk(i + 1)
+            room.pop()
+            unused[s] += 1
+
+    walk(0)
+    out.sort()  # a typed walk opens blocks by size, not in string order
+    return out
 
 
 def set_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], sorted by restricted growth string."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[SetPartition] = []
-    labels = [0] * n
-
-    def rec(i: int, mx: int) -> None:
-        if i == n:
-            out.append(SetPartition.from_labels(labels))
-            return
-        for v in range(mx + 2):
-            labels[i] = v
-            rec(i + 1, max(mx, v))
-
-    rec(0, -1)
-    return out
+    return list(map(SetPartition._from_rgs, growth_strings(n)))
 
 
 def bell_number(n: int) -> int:
@@ -265,7 +291,7 @@ def _refinements(a: int) -> tuple:
     """(r, each position's block minimum, block count, mu(bottom, r)) per partition r of [a]."""
     return tuple(
         (r, tuple(r.index(x) for x in r), max(r, default=-1) + 1, mobius_bottom(r))
-        for r in (p.rgs for p in set_partitions(a))
+        for r in growth_strings(a)
     )
 
 
@@ -336,7 +362,7 @@ def meet_walk(rgs: Sequence[int], bottom_only: bool) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def partitions_of_type(lam: IntPartition) -> tuple[SetPartition, ...]:
     """Every set partition of type lam, sorted by restricted growth string."""
-    return tuple(p for p in set_partitions(lam.n) if p.type == lam)
+    return tuple(map(SetPartition._from_rgs, growth_strings(lam.n, lam.parts)))
 
 
 class PartitionLattice:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .combination import Combination, format_rational
 from .elements import NCSymElement
-from .setpartitions import SetPartition, set_partitions
+from .setpartitions import SetPartition, check_permutation, set_partitions
 
 Word = tuple[int, ...]
 
@@ -103,8 +103,7 @@ def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
 
 def _words_with_kernel(sigma: SetPartition, k: int):
     """All words over 1..k whose kernel is exactly sigma."""
-    blocks = len(sigma.blocks)
-    for letters in permutations(range(1, k + 1), blocks):
+    for letters in permutations(range(1, k + 1), sigma.length):
         yield tuple(letters[lab] for lab in sigma.rgs)
 
 
@@ -123,7 +122,7 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
         (sigma, c * _kernel_weight(f.basis, pi, sigma))
         for pi, c in f.terms.items()
         for sigma in ((pi,) if f.basis == "m" else set_partitions(pi.n))
-        if len(sigma.blocks) <= k
+        if sigma.length <= k
     )
     return WordPolynomial._make(
         k, ((word, c) for sigma, c in kernels if c for word in _words_with_kernel(sigma, k))
@@ -182,8 +181,7 @@ def equal(f: NCSymElement, g: NCSymElement) -> bool:
 def expand_position_action(perm: Sequence[int], P: WordPolynomial) -> WordPolynomial:
     """Permute the positions of every word; kernels transform by relabelling."""
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
+    check_permutation(perm, n)
     for word in P.terms:
         if len(word) != n:
             raise ValueError(f"word length {len(word)} does not match the permutation")

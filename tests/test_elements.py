@@ -171,6 +171,13 @@ def test_place_act_examples():
         place_act((1, 2), NCSymElement("m", {P("1"): 1, P("12"): 1}))
 
 
+def test_place_act_refuses_non_int_entries():
+    f = elem("m", "13/2")
+    for perm, bad in (((True, 2, 3), True), ((1.0, 2.0, 3.0), 1.0)):
+        with pytest.raises(ValueError, match=f"permutation entries must be ints, got {bad!r}"):
+            place_act(perm, f)
+
+
 def test_place_action_is_a_group_action():
     n = 3
     f = NCSymElement("h", {P("13/2"): Fraction(2), P("123"): Fraction(1, 3)})
@@ -236,6 +243,16 @@ def test_merges_match_block_assembly_to_degree_6():
                         for r in _merges_by_block_assembly(pi, sigma)
                     ]
                     assert got == want
+
+
+def test_slash_and_merges_build_canonical_growth_strings_to_degree_7():
+    for n1 in range(8):
+        for n2 in range(8 - n1):
+            for pi in set_partitions(n1):
+                for sigma in set_partitions(n2):
+                    slash = multiply(NCSymElement("p", {pi: 1}), NCSymElement("p", {sigma: 1}))
+                    for r in itertools.chain(slash.terms, _merges(pi, sigma)):
+                        assert SetPartition.from_labels(r.rgs).rgs == r.rgs, (pi, sigma)
 
 
 def _product_by_monomial_rule(f, g):

@@ -3,13 +3,16 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.setpartitions import (
     GroundSetError,
     SetPartition,
     bell_number,
+    growth_strings,
     lattice,
     mobius,
     partition_key,
+    partitions_of_type,
     set_partitions,
 )
 
@@ -154,6 +157,14 @@ def test_act_examples():
         pi.act((1, 2, 3))
 
 
+@pytest.mark.parametrize("perm", [(True, 2, 3), (1.0, 2.0, 3.0), (1, 2, 3.0)])
+def test_act_refuses_non_int_entries(perm):
+    bad = next(e for e in perm if type(e) is not int)
+    with pytest.raises(ValueError) as err:
+        P("13/2").act(perm)
+    assert str(err.value) == f"permutation entries must be ints, got {bad!r}"
+
+
 def test_act_preserves_structure():
     n = 4
     elems = set_partitions(n)
@@ -236,3 +247,65 @@ def test_computed_partitions_are_canonical():
                     assert moved == SetPartition(
                         tuple(g[e - 1] for e in b) for b in a.blocks
                     )
+
+
+def test_public_surface():
+    pi = P("4,1/2/5,3")
+    assert (pi.n, pi.blocks, pi.rgs) == (5, ((1, 4), (2,), (3, 5)), (0, 1, 2, 0, 2))
+    assert (pi.length, pi.rank, pi.sign) == (3, 2, 1)
+    assert pi.type == IntPartition([2, 2, 1])
+    assert pi.sort_key() == (5, (2, 2, 1), (0, 1, 2, 0, 2))
+    assert str(pi) == "1,4/2/3,5"
+    assert repr(pi) == "SetPartition.parse('1,4/2/3,5')"
+    assert eval(repr(pi), {"SetPartition": SetPartition}) == pi
+    empty = SetPartition()
+    assert (empty.n, empty.blocks, empty.rgs, empty.length, empty.rank, empty.sign) == (
+        0, (), (), 0, 0, 1,
+    )
+    assert (empty.type, empty.sort_key(), str(empty)) == (IntPartition(), (0, (), ()), "")
+
+
+def test_every_build_route_gives_one_value():
+    """SetPartition(blocks), parse, from_labels, from_key and the trusted
+    builder agree on the value, its hash and its blocks, for every n <= 6."""
+    for n in range(7):
+        for p in set_partitions(n):
+            routes = [
+                SetPartition(p.blocks),
+                P(str(p)),
+                SetPartition.from_labels([10 * v + 7 for v in p.rgs]),
+                SetPartition.from_key(partition_key(p.rgs), n),
+                SetPartition._from_rgs(p.rgs),
+            ]
+            for q in routes:
+                assert q == p and hash(q) == hash(p)
+                assert (q.n, q.rgs, q.blocks) == (p.n, p.rgs, p.blocks)
+
+
+def test_a_partition_is_not_its_growth_string_or_its_type():
+    for p in set_partitions(4):
+        for other in (p.rgs, p.type, p.blocks):
+            assert p != other and other != p
+        assert len({p: 1, p.rgs: 2}) == 2
+
+
+def test_partitions_of_type_walk_matches_the_filter():
+    """The growth-string walk gives what filtering every partition by its
+    block sizes gave, in the same order, for every type with n <= 8."""
+    for n in range(9):
+        every = set_partitions(n)
+        for lam in int_partitions(n):
+            want = tuple(p for p in every if IntPartition(len(b) for b in p.blocks) == lam)
+            got = partitions_of_type(lam)
+            assert got == want, lam
+            assert [q.rgs for q in got] == growth_strings(n, lam.parts)
+
+
+def test_growth_strings_are_every_restricted_string_in_order():
+    for n in range(7):
+        want = [
+            t
+            for t in itertools.product(range(n), repeat=n)
+            if all(v <= max(t[:i], default=-1) + 1 for i, v in enumerate(t))
+        ]
+        assert growth_strings(n) == want

@@ -124,6 +124,8 @@ def test_position_action_examples():
     assert moved.terms == {(2, 1, 1, 2): Fraction(1)}
     with pytest.raises(ValueError):
         expand_position_action((1, 2, 3), poly)
+    with pytest.raises(ValueError, match="permutation entries must be ints, got 1.0"):
+        expand_position_action((1.0, 2, 3, 4), poly)
 
 
 def test_faithfulness_distinguishes_monomials():
