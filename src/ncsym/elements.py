@@ -73,6 +73,13 @@ class NCSymElement(Combination):
         return format_ncsym(self)
 
 
+def _expect(cls: type, *args) -> None:
+    """Refuse an argument of the wrong element class with a TypeError naming cls."""
+    for x in args:
+        if not isinstance(x, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
+
+
 def format_ncsym(f: NCSymElement, strict_rationals: bool = False) -> str:
     """Render with terms sorted by (degree, type, growth string)."""
     return format_terms(
@@ -140,6 +147,7 @@ def _numerators(f: NCSymElement, target: str) -> tuple:
 
 def convert(f: NCSymElement, target: str) -> NCSymElement:
     """Re-express an element in another of the m/p/e/h bases, exactly."""
+    _expect(NCSymElement, f)
     if target not in NC_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
@@ -149,6 +157,7 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
 
 def omega(f: NCSymElement) -> NCSymElement:
     """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi)."""
+    _expect(NCSymElement, f)
     if f.basis in ("e", "h"):
         return NCSymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":
@@ -162,6 +171,7 @@ def project(f: NCSymElement) -> SymElement:
     m_pi picks up the multiplicity factorial of its type, e_pi and h_pi the
     part factorial, and p_pi projects with coefficient 1.
     """
+    _expect(NCSymElement, f)
     types = ((pi.type, c) for pi, c in f.terms.items())
     if f.basis == "p":
         return SymElement._make("p", types)
@@ -171,6 +181,7 @@ def project(f: NCSymElement) -> SymElement:
 
 def lift(f: SymElement) -> NCSymElement:
     """Right inverse of projection: spread each m_lam over its set partitions."""
+    _expect(SymElement, f)
     scaled = (
         (lam, c * Fraction(lam.fact_parts(), factorial(lam.n)))
         for lam, c in sym_convert(f, "m").terms.items()
@@ -185,6 +196,7 @@ def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
     (weight n!/|mu(bottom, pi)|).  An e factor trades places with g, or when
     both are e, omega relabels both as h: the form is symmetric, omega an isometry.
     """
+    _expect(NCSymElement, f, g)
     if f.basis == "e":
         f, g = (omega(f), omega(g)) if g.basis == "e" else (g, f)
     pairs, den = _numerators(g, _DUAL[f.basis])
@@ -196,6 +208,7 @@ def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
 
 def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
     """Permute monomial positions; on basis symbols this relabels the index."""
+    _expect(NCSymElement, f)
     if not f.is_homogeneous():
         raise ValueError("place action needs a homogeneous element")
     if f.is_zero():
@@ -215,6 +228,7 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     with rho meet (top | top) = pi | sigma: the rho obtained from pi | sigma by
     merging some blocks of pi one-to-one into blocks of the shifted sigma.
     """
+    _expect(NCSymElement, f, g)
     if f.basis != g.basis:
         f, g = convert(f, "m"), convert(g, "m")
     pairs = []

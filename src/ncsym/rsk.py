@@ -2,8 +2,8 @@
 
 Insertion compares values only and bumps the leftmost entry strictly greater,
 so equal values never bump; each displaced entry keeps its own dot class.
-Each row keeps its values beside it: they weakly increase, so bisection finds
-the spot.
+A row is just its list of entries; their values weakly increase, so bisection
+keyed on the value finds the spot.
 The recording tableau receives the top entry of the biword column verbatim.
 """
 from __future__ import annotations
@@ -11,12 +11,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 from .intpartitions import IntPartition, int_partitions
 from .macmahon import MultiPolynomial, Truncation, format_monomial
 from .macmahon import _check_truncation, _tableau_sum
 from .tableaux import DottedEntry, DottedTableau, _entry, class_counts, parse_entry
+
+_value = attrgetter("value")
 
 
 class Biword:
@@ -96,22 +99,19 @@ class Biword:
 
 def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
     """Insert the bottom row, record the top row; dots ride along unchanged."""
-    rows: list[tuple[list, list, list]] = []  # insertion row, its values, recording row
+    rows: list[tuple[list, list]] = []  # insertion row, recording row
     for top, entry in biword.columns:
-        v = entry.value
-        for row, vals, recorded in rows:
-            spot = bisect_right(vals, v)
-            if spot == len(vals):
+        for row, recorded in rows:
+            spot = bisect_right(row, entry.value, key=_value)
+            if spot == len(row):
                 break
             entry, row[spot] = row[spot], entry
-            v, vals[spot] = vals[spot], v
         else:
-            row, vals, recorded = [], [], []
-            rows.append((row, vals, recorded))
+            row, recorded = [], []
+            rows.append((row, recorded))
         row.append(entry)
-        vals.append(v)
         recorded.append(top)
-    insertion, _, recording = zip(*rows) if rows else ((), (), ())
+    insertion, recording = zip(*rows) if rows else ((), ())
     shape = IntPartition._make(tuple(map(len, insertion)))
     return DottedTableau._make(insertion, shape), DottedTableau._make(recording, shape)
 
@@ -121,7 +121,6 @@ def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
     if tab.shape != rec.shape:
         raise ValueError(f"shapes differ: {tab.shape} vs {rec.shape}")
     insertion = [list(row) for row in tab.rows]
-    values = [[e.value for e in row] for row in insertion]
     # reverse recording order: equal values are recorded left to right
     cells = sorted(
         ((e.value, c, r) for r, row in enumerate(rec.rows) for c, e in enumerate(row)),
@@ -129,12 +128,11 @@ def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
     )
     columns: list[tuple[DottedEntry, DottedEntry]] = []
     for _, c, r in cells:
-        carry, v = insertion[r].pop(), values[r].pop()
+        carry = insertion[r].pop()
         for above in range(r - 1, -1, -1):
-            row, vals = insertion[above], values[above]
-            spot = bisect_left(vals, v) - 1  # the rightmost entry strictly smaller
+            row = insertion[above]
+            spot = bisect_left(row, carry.value, key=_value) - 1  # rightmost smaller value
             carry, row[spot] = row[spot], carry
-            v, vals[spot] = vals[spot], v
         columns.append((rec.rows[r][c], carry))
     return Biword._make(reversed(columns))
 

@@ -19,6 +19,12 @@ class GroundSetError(ValueError):
     """Two partitions live on different ground sets."""
 
 
+def _check_size(n) -> None:
+    """Refuse a ground-set size that is a bool, not an int, or negative."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+
+
 def check_permutation(perm: Sequence[int], n: int) -> None:
     """Refuse anything but a permutation of 1..n; a bool or a float is no entry."""
     for e in perm:
@@ -78,10 +84,12 @@ class SetPartition:
 
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
+        _check_size(n)
         return cls._from_rgs(tuple(range(n)))
 
     @classmethod
     def top(cls, n: int) -> "SetPartition":
+        _check_size(n)
         return cls._from_rgs((0,) * n)
 
     @classmethod
@@ -202,6 +210,7 @@ def growth_strings(n: int, sizes: Iterable[int] | None = None) -> list[tuple[int
     summing to n, only those of that type.  An element joins a block with room
     left or opens one while a size is unused; the block takes that size, so
     every branch ends in an output (Knuth, TAOCP 4A 7.2.1.5)."""
+    _check_size(n)
     unused = Counter(sizes) if sizes is not None else {n: n}  # size -> blocks still to open
     out: list[tuple[int, ...]] = []
     rgs, room = [0] * n, []  # room[v]: elements block v can still take
@@ -230,13 +239,12 @@ def growth_strings(n: int, sizes: Iterable[int] | None = None) -> list[tuple[int
 
 def set_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], sorted by restricted growth string."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return list(map(SetPartition._from_rgs, growth_strings(n)))
 
 
 def bell_number(n: int) -> int:
     """Number of set partitions of [n], by the Bell triangle."""
+    _check_size(n)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]

@@ -187,47 +187,29 @@ def dotted_tableaux(
 def dot_swap_involution(tab: DottedTableau, i: int) -> DottedTableau:
     """Exchange, per dot class, the counts of value i and value i+1.
 
-    A column holding both an i and an i+1 keeps its values and trades their
-    dot classes.  The remaining (free) i's and (i+1)'s in a row form one
+    Values strictly increase down a column, so an i and an i+1 share a column
+    only in adjacent rows: such a pair keeps its values and trades dot
+    classes.  The remaining (free) i's and (i+1)'s in a row form one
     contiguous run; flipping each free entry on its own would break the weak
     row order, so the run of r free i's followed by s free (i+1)'s becomes s
     i's followed by r (i+1)'s, the dot sequences moving across unchanged.
     """
-    if i < 1:
-        raise ValueError("value must be positive")
-    rows = [list(row) for row in tab.rows]
-    width = len(rows[0]) if rows else 0
-
-    paired: set[tuple[int, int]] = set()
-    for c in range(width):
-        hit_i = hit_i1 = None
-        for r in range(len(rows)):
-            if c < len(rows[r]):
-                if rows[r][c].value == i:
-                    hit_i = r
-                elif rows[r][c].value == i + 1:
-                    hit_i1 = r
-        if hit_i is not None and hit_i1 is not None:
-            a, b = rows[hit_i][c], rows[hit_i1][c]
-            rows[hit_i][c] = DottedEntry(i, b.dots)
-            rows[hit_i1][c] = DottedEntry(i + 1, a.dots)
-            paired.add((hit_i, c))
-            paired.add((hit_i1, c))
-
+    if type(i) is not int or i < 1:  # a bool or a float is no value
+        raise ValueError(f"value must be a positive int, got {i!r}")
+    rows, out = tab.rows, []
     for r, row in enumerate(rows):
-        free_i = [c for c, e in enumerate(row) if e.value == i and (r, c) not in paired]
-        free_i1 = [
-            c for c, e in enumerate(row) if e.value == i + 1 and (r, c) not in paired
-        ]
-        if not free_i and not free_i1:
-            continue
-        dots_i = [row[c].dots for c in free_i]
-        dots_i1 = [row[c].dots for c in free_i1]
-        cells = free_i + free_i1
-        new_entries = [DottedEntry(i, d) for d in dots_i1] + [
-            DottedEntry(i + 1, d) for d in dots_i
-        ]
-        for c, e in zip(cells, new_entries):
-            row[c] = e
-
-    return DottedTableau._make(rows)
+        above, below = rows[r - 1] if r else (), rows[r + 1] if r + 1 < len(rows) else ()
+        new, free = list(row), []
+        for c, e in enumerate(row):
+            if e.value == i and c < len(below) and below[c].value == i + 1:
+                new[c] = DottedEntry(i, below[c].dots)
+            elif e.value == i + 1 and above and above[c].value == i:
+                new[c] = DottedEntry(i + 1, above[c].dots)
+            elif e.value in (i, i + 1):
+                free.append(c)
+        run = [row[c] for c in free]
+        k = sum(e.value == i for e in run)  # the free i's, which come first
+        for c, e in zip(free, run[k:] + run[:k]):  # the (i+1)'s, then the i's, values flipped
+            new[c] = DottedEntry(2 * i + 1 - e.value, e.dots)
+        out.append(new)
+    return DottedTableau._make(out, tab.shape)

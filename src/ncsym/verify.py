@@ -8,6 +8,7 @@ the defaults reproduce the full acceptance sizes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -599,16 +600,9 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
                     if dot_swap_involution(image, i) != tab:
                         fails.append(f"{shape} i={i} not an involution")
                         continue
-                    before = {}
-                    after = {}
-                    for e in tab.entries():
-                        before[(e.value, e.dots)] = before.get((e.value, e.dots), 0) + 1
-                    for e in image.entries():
-                        after[(e.value, e.dots)] = after.get((e.value, e.dots), 0) + 1
-                    for cls in (1, 2):
-                        if before.get((i, cls), 0) != after.get((i + 1, cls), 0) or before.get(
-                            (i + 1, cls), 0
-                        ) != after.get((i, cls), 0):
+                    before, after = Counter(tab.entries()), Counter(image.entries())
+                    for d in (1, 2):
+                        if before[i, d] != after[i + 1, d] or before[i + 1, d] != after[i, d]:
                             fails.append(f"{shape} i={i} counts")
     _result(results, "schur.dot_swap_involution", fails)
     return results

@@ -46,14 +46,15 @@ class WordPolynomial(Combination):
 
     @staticmethod
     def _check_tag(k) -> None:
-        if k < 1:
-            raise ValueError("need at least one variable")
+        if type(k) is not int or k < 1:  # a bool or a float is no variable count
+            raise ValueError(f"need an int number of variables >= 1, got {k!r}")
 
     @staticmethod
     def _check_key(k, word) -> Word:
         word = tuple(word)
-        if any(not 1 <= letter <= k for letter in word):
-            raise ValueError(f"letter out of range 1..{k} in {word!r}")
+        for letter in word:
+            if type(letter) is not int or not 1 <= letter <= k:
+                raise ValueError(f"letter {letter!r} in {word!r} is not an int in 1..{k}")
         return word
 
     def __mul__(self, other):

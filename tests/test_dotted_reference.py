@@ -2,10 +2,11 @@
 
 The reference functions below are the earlier production code: row insertion
 by a linear scan per bump, inverse insertion by a ``max`` scan over the row
-ends for every removed cell, and the cell-by-cell tableau walk that builds a
-tableau at every leaf.  The production code must give the same rows, shapes,
-columns and entry types, in the same order, on every input up to the sizes
-below.
+ends for every removed cell, the cell-by-cell tableau walk that builds a
+tableau at every leaf, and the dot-swap involution that scans every row of
+every column for its pairs.  The production code must give the same rows,
+shapes, columns and entry types, in the same order, on every input up to the
+sizes below.
 """
 import itertools
 
@@ -20,7 +21,7 @@ from ncsym.macmahon import (
     schur_tableau_sum,
 )
 from ncsym.rsk import Biword, rsk_forward, rsk_inverse
-from ncsym.tableaux import DottedEntry, dotted_tableaux
+from ncsym.tableaux import DottedEntry, dot_swap_involution, dotted_tableaux
 from ncsym.verify import _all_biwords
 
 
@@ -95,6 +96,36 @@ def reference_dotted_tableaux(lengths, max_value, classes, multidegree=None):
     yield from rec(0, 0)
 
 
+def reference_dot_swap(tab_rows, i):
+    """The dot-swap involution's rows: a column holding an i and an i+1 trades
+    their dot classes, and each row's free run of i's and (i+1)'s is rewritten."""
+    rows = [list(row) for row in tab_rows]
+    width = len(rows[0]) if rows else 0
+    paired = set()
+    for c in range(width):
+        hit_i = hit_i1 = None
+        for r in range(len(rows)):
+            if c < len(rows[r]):
+                if rows[r][c].value == i:
+                    hit_i = r
+                elif rows[r][c].value == i + 1:
+                    hit_i1 = r
+        if hit_i is not None and hit_i1 is not None:
+            a, b = rows[hit_i][c], rows[hit_i1][c]
+            rows[hit_i][c] = DottedEntry(i, b.dots)
+            rows[hit_i1][c] = DottedEntry(i + 1, a.dots)
+            paired.add((hit_i, c))
+            paired.add((hit_i1, c))
+    for r, row in enumerate(rows):
+        free_i = [c for c, e in enumerate(row) if e.value == i and (r, c) not in paired]
+        free_i1 = [c for c, e in enumerate(row) if e.value == i + 1 and (r, c) not in paired]
+        new_entries = [DottedEntry(i, row[c].dots) for c in free_i1]
+        new_entries += [DottedEntry(i + 1, row[c].dots) for c in free_i]
+        for c, e in zip(free_i + free_i1, new_entries):
+            row[c] = e
+    return tuple(map(tuple, rows))
+
+
 def assert_tableau(tab, rows):
     assert tab.rows == rows
     assert all(type(row) is tuple for row in tab.rows)
@@ -167,3 +198,16 @@ def test_all_biwords_are_sorted_and_complete():
     for bw in _all_biwords(3, 3, 2):
         assert Biword(bw.columns) == bw
     assert sum(1 for _ in _all_biwords(4, 3, 2)) == 138037
+
+
+def test_dot_swap_matches_the_column_scan():
+    cases = 0
+    for n in range(6):
+        for shape in int_partitions(n):
+            for tab in dotted_tableaux(shape, 4, 2):
+                for i in (1, 2, 3):
+                    image = dot_swap_involution(tab, i)
+                    assert image.rows == reference_dot_swap(tab.rows, i)
+                    assert image.shape == shape
+                    cases += 1
+    assert cases == 31803

@@ -384,6 +384,24 @@ def test_oracle_agrees_with_convert():
                 assert equal(f, convert(f, "m"))
 
 
+def test_wrong_element_class_is_a_type_error_naming_the_class():
+    f = elem("m", "1/2")
+    sym = SymElement("m", {IntPartition((1,)): 1})
+    calls = [
+        (lambda: convert(sym, "p"), "expected NCSymElement, got SymElement"),
+        (lambda: omega(3), "expected NCSymElement, got int"),
+        (lambda: project(sym), "expected NCSymElement, got SymElement"),
+        (lambda: lift(f), "expected SymElement, got NCSymElement"),
+        (lambda: inner(f, sym), "expected NCSymElement, got SymElement"),
+        (lambda: inner(None, f), "expected NCSymElement, got NoneType"),
+        (lambda: place_act((2, 1), P("1/2")), "expected NCSymElement, got SetPartition"),
+        (lambda: multiply(f, 3), "expected NCSymElement, got int"),
+    ]
+    for call, message in calls:
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 def test_element_arithmetic_and_errors():
     f = elem("m", "12")
     g = elem("m", "1/2")

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -230,6 +231,9 @@ def test_dot_swap_involution_examples():
     # a free run reverses its value counts, dots staying in order
     run = DottedTableau([[(1, 1), (1, 2), (2, 1)]])
     assert dot_swap_involution(run, 1) == DottedTableau([[(1, 1), (2, 1), (2, 2)]])
+    for bad in (0, True, 1.5, "1"):  # True once wrote the entry (True, 1); 1.5 changed nothing
+        with pytest.raises(ValueError, match=re.escape(f"positive int, got {bad!r}")):
+            dot_swap_involution(run, bad)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])

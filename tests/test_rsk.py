@@ -9,40 +9,9 @@ from ncsym import rsk
 from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum
 from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
+from ncsym.verify import _all_biwords, _classical_insertion
 
 E = DottedEntry
-
-
-def all_biwords(max_len, max_value, classes):
-    pairs = [(t, b) for t in range(1, max_value + 1) for b in range(1, max_value + 1)]
-    for length in range(max_len + 1):
-        for values in itertools.combinations_with_replacement(pairs, length):
-            for dots in itertools.product(range(1, classes + 1), repeat=2 * length):
-                yield Biword(
-                    (E(t, dots[2 * i]), E(b, dots[2 * i + 1]))
-                    for i, (t, b) in enumerate(values)
-                )
-
-
-def classical_rsk(top, bottom):
-    ins, rec = [], []
-    for t, b in zip(top, bottom):
-        r, entry = 0, b
-        while True:
-            if r == len(ins):
-                ins.append([entry])
-                break
-            row = ins[r]
-            spot = next((c for c, v in enumerate(row) if v > entry), None)
-            if spot is None:
-                row.append(entry)
-                break
-            entry, row[spot] = row[spot], entry
-            r += 1
-        if r == len(rec):
-            rec.append([])
-        rec[r].append(t)
-    return tuple(map(tuple, ins)), tuple(map(tuple, rec))
 
 
 def test_worked_example():
@@ -136,14 +105,14 @@ def test_tie_dot_orders_stay_distinct():
 
 
 def test_exhaustive_small_roundtrip():
-    for bw in all_biwords(3, 3, 2):
+    for bw in _all_biwords(3, 3, 2):
         T, U = rsk_forward(bw)
         assert T.shape == U.shape
         bottom, top = bw.multidegree(2)
         assert T.multidegree(2) == bottom and U.multidegree(2) == top
         assert rsk_inverse(T, U) == bw
-        ins, rec = classical_rsk(
-            [t.value for t in bw.top], [b.value for b in bw.bottom]
+        ins, rec = _classical_insertion(
+            [b.value for b in bw.bottom], [t.value for t in bw.top]
         )
         assert T.undotted() == ins and U.undotted() == rec
 
@@ -260,7 +229,7 @@ def test_computed_tableaux_and_biwords_are_canonical():
                 assert_canonical_tableau(tab)
                 for i in (1, 2):
                     assert_canonical_tableau(dot_swap_involution(tab, i))
-    for bw in all_biwords(3, 3, 2):
+    for bw in _all_biwords(3, 3, 2):
         for tab in rsk_forward(bw):
             assert_canonical_tableau(tab)
     for total in range(4):

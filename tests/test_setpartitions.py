@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,6 +248,16 @@ def test_computed_partitions_are_canonical():
                     assert moved == SetPartition(
                         tuple(g[e - 1] for e in b) for b in a.blocks
                     )
+
+
+def test_sizes_must_be_nonnegative_ints():
+    for n in (True, False, 2.0, -1, "2", None):
+        for build in (set_partitions, bell_number, SetPartition.bottom, SetPartition.top):
+            message = f"n must be a nonnegative int, got {n!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(n)
+    assert (bell_number(0), set_partitions(0), SetPartition.top(0)) == (1, [SetPartition()], P(""))
+    assert (SetPartition.bottom(2), SetPartition.top(2)) == (P("1/2"), P("1,2"))
 
 
 def test_public_surface():

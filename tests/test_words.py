@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -86,6 +87,19 @@ def test_expand_degree_zero_and_bad_k():
     assert expand(unit, 3).terms == {(): Fraction(1)}
     with pytest.raises(ValueError):
         expand(unit, 0)
+
+
+def test_word_oracle_refuses_non_int_sizes_and_letters():
+    f = elem("m", "1/2")
+    for k in (True, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+            expand(f, k)
+        with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+            WordPolynomial(k, {(1,): 1})
+    for letter in (1.0, True, 0, 3):
+        with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} in ({letter!r},)")):
+            WordPolynomial(2, {(letter,): 1})
+    assert WordPolynomial(2, {(1, 2): 1}).terms == {(1, 2): 1}
 
 
 @pytest.mark.parametrize("n", range(5))
