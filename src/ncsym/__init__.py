@@ -1,74 +1,48 @@
-"""Exact computer algebra for symmetric functions in noncommuting variables."""
+"""Exact computer algebra for symmetric functions in noncommuting variables.
 
-from .classical import (
-    SYM_BASES,
-    SymElement,
-    format_sym,
-    omega_commutative,
-    sym_convert,
-    sym_inner,
-)
-from .elements import (
-    NC_BASES,
-    NCSymElement,
-    convert,
-    format_ncsym,
-    inner,
-    lift,
-    multiply,
-    omega,
-    place_act,
-    project,
-)
-from .expressions import (
-    ParseError,
-    ncsym_from_json,
-    ncsym_to_json,
-    parse_multipolynomial,
-    parse_ncsym,
-    parse_sym,
-    sym_from_json,
-    sym_to_json,
-)
-from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
-from .macmahon import (
-    MultiPolynomial,
-    Truncation,
-    TruncationError,
-    VectorPartition,
-    jacobi_trudi,
-    mm_complete,
-    mm_elementary,
-    mm_monomial,
-    mm_multiplicative,
-    mm_power,
-    phi_collect,
-    phi_from_set_partition,
-    phi_to_set_partition,
-    schur_ncsym,
-    schur_tableau_sum,
-)
-from .rsk import Biword, CauchyReport, cauchy_check, rsk_forward, rsk_inverse
-from .setpartitions import (
-    GroundSetError,
-    PartitionLattice,
-    SetPartition,
-    bell_number,
-    lattice,
-    mobius,
-    set_partitions,
-)
-from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from .words import (
-    NotSymmetricError,
-    WordPolynomial,
-    collect,
-    equal,
-    expand,
-    expand_position_action,
-    kernel,
-)
+The package namespace is lazy: ``import ncsym`` loads no submodule, and a
+public name imports its home submodule on first access (PEP 562).
+"""
+
+from importlib import import_module
+
+# home submodule -> the public names it defines
+_PUBLIC = {
+    "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
+    "elements": (
+        "NC_BASES NCSymElement convert format_ncsym inner lift multiply omega place_act project"
+    ),
+    "expressions": (
+        "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym parse_sym"
+        " sym_from_json sym_to_json"
+    ),
+    "intpartitions": "IntPartition int_partitions kostka weak_compositions",
+    "macmahon": (
+        "MultiPolynomial Truncation TruncationError VectorPartition jacobi_trudi mm_complete"
+        " mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
+        " phi_from_set_partition phi_to_set_partition schur_ncsym schur_tableau_sum"
+    ),
+    "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
+    "setpartitions": (
+        "GroundSetError PartitionLattice SetPartition bell_number lattice mobius set_partitions"
+    ),
+    "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
+    "words": "NotSymmetricError WordPolynomial collect equal expand expand_position_action kernel",
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,9 +12,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .classical import SymElement, format_sym
+# Every command loads these: expressions, for ParseError, imports the rest.
+# macmahon, rsk, tableaux, words and verify load in the commands that use them.
 from .combination import format_rational
-from .elements import NCSymElement, convert, format_ncsym, inner, lift, multiply, omega, project
+from .elements import convert, inner, lift, multiply, omega, project
 from .expressions import (
     ParseError,
     multipolynomial_to_json,
@@ -25,20 +26,7 @@ from .expressions import (
     word_polynomial_to_json,
 )
 from .intpartitions import IntPartition
-from .macmahon import (
-    MultiPolynomial,
-    Truncation,
-    format_multipolynomial,
-    jacobi_trudi,
-    parse_vector,
-    schur_ncsym,
-    schur_tableau_sum,
-)
-from .rsk import Biword, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, bell_number, lattice, mobius
-from .tableaux import DottedTableau
-from .words import WordPolynomial, expand, format_word_polynomial
-from . import verify as verify_module
 
 USAGE_ERROR, PARSE_ERROR, SEMANTIC_ERROR, VERIFY_ERROR = 1, 2, 3, 4
 
@@ -132,19 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help=f"one of: {', '.join([*verify_module.SUITES, 'all'])}")
+    p.add_argument("suite", help="a suite name or all; an unknown name lists the suites")
     p.add_argument("--max-n", type=int, default=None)
     add_format(p)
 
     return parser
 
 
-# text writer (value, strict_rationals) and JSON writer (value) of each value class
+# by value class name: its text writer (value, strict_rationals), named because
+# it lives in the class's own module, and its JSON writer (value)
 _WRITERS = {
-    NCSymElement: (format_ncsym, ncsym_to_json),
-    SymElement: (format_sym, sym_to_json),
-    MultiPolynomial: (format_multipolynomial, multipolynomial_to_json),
-    WordPolynomial: (format_word_polynomial, word_polynomial_to_json),
+    "NCSymElement": ("format_ncsym", ncsym_to_json),
+    "SymElement": ("format_sym", sym_to_json),
+    "MultiPolynomial": ("format_multipolynomial", multipolynomial_to_json),
+    "WordPolynomial": ("format_word_polynomial", word_polynomial_to_json),
 }
 
 
@@ -154,7 +143,9 @@ def _emit(value, args) -> int:
         text = format_rational(value, args.strict_rationals)
         print(json.dumps({"value": text}) if args.format == "json" else text)
         return 0
-    text, to_json = _WRITERS[type(value)]
+    cls = type(value)
+    name, to_json = _WRITERS[cls.__name__]
+    text = getattr(sys.modules[cls.__module__], name)  # loaded: it made the value
     print(to_json(value) if args.format == "json" else text(value, args.strict_rationals))
     return 0
 
@@ -169,10 +160,15 @@ def _read(reader, text: str, what: str):
 
 def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
     """One alphabet per vector entry, k variables each (default the degree)."""
+    from .macmahon import Truncation
+
     return Truncation(len(vec), k if k is not None else max(shape.n, 1), shape.n)
 
 
 def _schur(args):
+    from .macmahon import parse_vector, schur_ncsym, schur_tableau_sum
+    from .words import expand
+
     shape = _read(IntPartition.parse, args.shape, "shape")
     if args.vec is not None:
         vec = _read(parse_vector, args.vec, "--vec")
@@ -182,6 +178,8 @@ def _schur(args):
 
 
 def _jacobi_trudi(args) -> MultiPolynomial:
+    from .macmahon import jacobi_trudi, parse_vector
+
     shape = _read(IntPartition.parse, args.shape, "shape")
     vec = _read(parse_vector, args.vec, "--vec")
     return jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
@@ -215,6 +213,8 @@ def _cmd_lattice(args) -> int:
 
 def _tableau_pair(text: str) -> tuple[DottedTableau, DottedTableau]:
     """The two tableaux of an ``rsk --inverse`` file, split at blank or whitespace-only lines."""
+    from .tableaux import DottedTableau
+
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     if len(chunks) != 2:
         raise ValueError("expected two tableaux separated by a blank line")
@@ -222,6 +222,8 @@ def _tableau_pair(text: str) -> tuple[DottedTableau, DottedTableau]:
 
 
 def _cmd_rsk(args) -> int:
+    from .rsk import Biword, rsk_forward, rsk_inverse
+
     with open(args.path, encoding="utf-8") as handle:
         text = handle.read()
     if args.inverse:
@@ -237,7 +239,9 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_module.run([args.suite], args.max_n)
+    from .verify import run
+
+    results = run([args.suite], args.max_n)
     ok = all(r.ok for r in results)
     if args.format == "json":
         print(
@@ -256,6 +260,12 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERIFY_ERROR
 
 
+def _cmd_expand(args) -> int:
+    from .words import expand
+
+    return _emit(expand(parse_ncsym(args.expr), args.vars), args)
+
+
 # Each command maps parsed arguments to an exit code.  Those that compute one
 # value hand it to _emit; lattice, rsk and verify print their own tables.
 _COMMANDS = {
@@ -272,7 +282,7 @@ _COMMANDS = {
     "schur": lambda a: _emit(_schur(a), a),
     "jacobi-trudi": lambda a: _emit(_jacobi_trudi(a), a),
     "rsk": _cmd_rsk,
-    "expand": lambda a: _emit(expand(parse_ncsym(a.expr), a.vars), a),
+    "expand": _cmd_expand,
     "verify": _cmd_verify,
 }
 

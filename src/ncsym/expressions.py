@@ -21,7 +21,6 @@ from .classical import SYM_BASES, SymElement, sym_convert
 from .combination import exact, format_rational
 from .elements import NC_BASES, NCSymElement, convert
 from .intpartitions import IntPartition
-from .macmahon import MultiPolynomial, mono_degree
 from .setpartitions import SetPartition
 
 
@@ -234,6 +233,8 @@ def word_polynomial_to_json(P) -> str:
 
 
 def multipolynomial_to_json(P) -> str:
+    from .macmahon import mono_degree
+
     return _to_json(
         P.trunc._asdict(), P, "monomial", lambda mono: [[i, j, e] for (i, j), e in mono],
         lambda mono: (mono_degree(mono), mono),
@@ -242,6 +243,8 @@ def multipolynomial_to_json(P) -> str:
 
 def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
     """Parse the dotted-monomial text form, e.g. "x1'^2 x1'' + 2*x2''^3"."""
+    from .macmahon import MultiPolynomial
+
     sc = _Scanner(text)
     terms = []
     first = True

@@ -10,6 +10,12 @@ from math import factorial
 from typing import Iterable, Iterator
 
 
+def _check_size(n) -> None:
+    """Refuse a size that is a bool, not an int, or negative."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+
+
 class IntPartition:
     """A weakly decreasing tuple of positive integers; () is the partition of 0."""
 
@@ -144,8 +150,7 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 
 def int_partitions(n: int) -> list[IntPartition]:
     """All partitions of n in descending lexicographic order, (n) first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     return [IntPartition(t) for t in _partition_tuples(n, n)]
 
 

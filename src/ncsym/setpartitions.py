@@ -12,17 +12,11 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
-from .intpartitions import IntPartition
+from .intpartitions import IntPartition, _check_size
 
 
 class GroundSetError(ValueError):
     """Two partitions live on different ground sets."""
-
-
-def _check_size(n) -> None:
-    """Refuse a ground-set size that is a bool, not an int, or negative."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
 
 
 def check_permutation(perm: Sequence[int], n: int) -> None:

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .combination import Combination, format_rational
 from .elements import NCSymElement
+from .intpartitions import _check_size
 from .setpartitions import SetPartition, check_permutation, set_partitions
 
 Word = tuple[int, ...]
@@ -147,6 +148,7 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
     Requires k >= n so that degree-n kernels are all visible; words of equal
     kernel must agree, otherwise a witness pair is reported.
     """
+    _check_size(n)
     if P.k < n:
         raise ValueError(f"need at least {n} variables to collect degree {n}")
     seen: dict[SetPartition, Word] = {}

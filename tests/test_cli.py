@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from ncsym.cli import main
 
@@ -353,3 +359,81 @@ def test_malformed_json_is_a_parse_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("parse error: ") and field in err, (argv, err)
+
+
+def test_unknown_suite_lists_every_suite(capsys):
+    from ncsym.verify import SUITES
+
+    code, out, err = run(capsys, "verify", "bogus")
+    assert (code, out) == (3, "")
+    assert err == f"error: unknown suite 'bogus'; choose from {', '.join([*SUITES, 'all'])}\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one command in a fresh interpreter, then prints its exit code and the
+# ncsym submodules it loaded; argv null means plain "import ncsym".
+LOADED = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if argv is None:
+        import ncsym
+        code = 0
+    else:
+        from ncsym.cli import main
+        code = main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ncsym."))]))
+"""
+
+
+def loaded(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_import_ncsym_loads_no_submodule():
+    assert loaded(None) == (0, set())
+
+
+BASIS_COMMANDS = [
+    ["convert", "p[1,3/2,4]", "--to", "m"],
+    ["convert", "m[1/2]", "--to", "e", "--format", "json"],
+    ["inner", "m[1,3/2,4]", "h[1,3/2,4]"],
+    ["omega", "e[1/2]"],
+    ["project", "m[1,3/2,4]", "--format", "json"],
+    ["lift", "m[2,1]"],
+    ["multiply", "h[1,2]", "m[1]"],
+    ["mobius", "1/2/3/4", "1,2,3,4"],
+    ["lattice", "--n", "3", "--table", "meet"],
+    ["expand", "m[1/2]", "--vars", "2", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", BASIS_COMMANDS, ids=" ".join)
+def test_basis_commands_skip_the_macmahon_and_rsk_layers(argv):
+    code, modules = loaded(argv)
+    assert code == 0
+    assert "ncsym.cli" in modules
+    skipped = {"ncsym.macmahon", "ncsym.tableaux", "ncsym.rsk", "ncsym.verify"}
+    assert not modules & skipped
+
+
+def test_only_verify_loads_the_verify_module(tmp_path):
+    biword = tmp_path / "biword.txt"
+    biword.write_text("1' 2'\n2' 1'\n", encoding="utf-8")
+    for argv in (
+        ["schur", "2,1", "--vec", "[2,1]", "--format", "json"],
+        ["jacobi-trudi", "2,1", "--vec", "[2,1]"],
+        ["rsk", str(biword)],
+    ):
+        code, modules = loaded(argv)
+        assert code == 0 and "ncsym.macmahon" in modules, argv
+        assert "ncsym.verify" not in modules, argv
+    code, modules = loaded(["verify", "product", "--max-n", "2"])
+    assert code == 0 and "ncsym.verify" in modules

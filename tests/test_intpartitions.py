@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ncsym.intpartitions import IntPartition, int_partitions, kostka
@@ -15,6 +17,13 @@ def test_canonical_and_parse():
         IP((0, 1))
     with pytest.raises(ValueError):
         IP.parse("(a)")
+
+
+def test_int_partitions_refuses_bools_non_ints_and_negatives():
+    for n in (True, 2.0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative int, got {n!r}")):
+            int_partitions(n)
+    assert int_partitions(0) == [IP(())]
 
 
 def test_factorial_statistics():

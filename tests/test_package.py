@@ -1,0 +1,51 @@
+"""The package namespace: its public names, where they live, and what fails."""
+from importlib import import_module
+
+import pytest
+
+import ncsym
+
+# every public name with its home submodule
+HOMES = {
+    "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
+    "elements": "NC_BASES NCSymElement convert format_ncsym inner lift multiply omega place_act"
+    " project",
+    "expressions": "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym"
+    " parse_sym sym_from_json sym_to_json",
+    "intpartitions": "IntPartition int_partitions kostka weak_compositions",
+    "macmahon": "MultiPolynomial Truncation TruncationError VectorPartition jacobi_trudi"
+    " mm_complete mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
+    " phi_from_set_partition phi_to_set_partition schur_ncsym schur_tableau_sum",
+    "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
+    "setpartitions": "GroundSetError PartitionLattice SetPartition bell_number lattice mobius"
+    " set_partitions",
+    "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
+    "words": "NotSymmetricError WordPolynomial collect equal expand expand_position_action kernel",
+}
+PUBLIC = [(name, module) for module, names in HOMES.items() for name in names.split()]
+
+
+def test_all_lists_the_public_names_and_no_submodule():
+    assert ncsym.__all__ == sorted(name for name, _ in PUBLIC)
+    assert len(ncsym.__all__) == 66
+    assert not set(ncsym.__all__) & set(HOMES)
+    assert set(ncsym.__all__) <= set(dir(ncsym))
+    assert ncsym.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name, module", PUBLIC)
+def test_each_name_is_its_home_module_object(name, module):
+    assert getattr(ncsym, name) is getattr(import_module(f"ncsym.{module}"), name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from ncsym import *", namespace)
+    assert all(namespace[name] is getattr(ncsym, name) for name in ncsym.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'ncsym' has no attribute 'no_such_name'"):
+        ncsym.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ncsym import no_such_name", {})

@@ -123,6 +123,15 @@ def test_collect_rejects_asymmetric_input():
         collect(WordPolynomial(1, {(1, 1): Fraction(1)}), 2)  # k < n
 
 
+def test_collect_refuses_a_bad_degree_before_the_symmetry_check():
+    asymmetric = WordPolynomial(2, {(1,): Fraction(1)})  # x2 missing
+    for n in (True, 1.5, -1, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative int, got {n!r}")):
+            collect(asymmetric, n)
+    with pytest.raises(NotSymmetricError):
+        collect(asymmetric, 1)
+
+
 def test_equal_examples():
     f = elem("p", "13/24")
     g = NCSymElement("m", {P("13/24"): 1, P("1234"): 1})
