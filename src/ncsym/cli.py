@@ -11,20 +11,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-# Every command loads these: expressions, for ParseError, imports the rest.
-# macmahon, rsk, tableaux, words and verify load in the commands that use them.
-from .combination import format_rational
-from .elements import convert, inner, lift, multiply, omega, project
-from .expressions import (
-    ParseError,
-    multipolynomial_to_json,
-    ncsym_to_json,
-    parse_ncsym,
-    parse_sym,
-    sym_to_json,
-    word_polynomial_to_json,
-)
+# Every command loads these two.  The rest load in the commands that use them,
+# so mobius and lattice never load the element layers or the expression parser.
 from .intpartitions import IntPartition
 from .setpartitions import SetPartition, bell_number, lattice, mobius
 
@@ -127,26 +117,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# by value class name: its text writer (value, strict_rationals), named because
-# it lives in the class's own module, and its JSON writer (value)
+# by value class name: its text writer (value, strict_rationals), in the class's
+# own module, and its JSON writer (value), in expressions
 _WRITERS = {
-    "NCSymElement": ("format_ncsym", ncsym_to_json),
-    "SymElement": ("format_sym", sym_to_json),
-    "MultiPolynomial": ("format_multipolynomial", multipolynomial_to_json),
-    "WordPolynomial": ("format_word_polynomial", word_polynomial_to_json),
+    "NCSymElement": ("format_ncsym", "ncsym_to_json"),
+    "SymElement": ("format_sym", "sym_to_json"),
+    "MultiPolynomial": ("format_multipolynomial", "multipolynomial_to_json"),
+    "WordPolynomial": ("format_word_polynomial", "word_polynomial_to_json"),
 }
 
 
 def _emit(value, args) -> int:
     """Print the value a command computed, in the chosen format; exit code 0."""
     if isinstance(value, (int, Fraction)):
+        from .combination import format_rational
+
         text = format_rational(value, args.strict_rationals)
         print(json.dumps({"value": text}) if args.format == "json" else text)
         return 0
     cls = type(value)
-    name, to_json = _WRITERS[cls.__name__]
-    text = getattr(sys.modules[cls.__module__], name)  # loaded: it made the value
-    print(to_json(value) if args.format == "json" else text(value, args.strict_rationals))
+    text_name, json_name = _WRITERS[cls.__name__]
+    if args.format == "json":
+        from . import expressions
+
+        print(getattr(expressions, json_name)(value))
+    else:  # the class's module is loaded: it made the value
+        print(getattr(sys.modules[cls.__module__], text_name)(value, args.strict_rationals))
     return 0
 
 
@@ -155,7 +151,24 @@ def _read(reader, text: str, what: str):
     try:
         return reader(text)
     except ValueError as exc:
+        from .expressions import ParseError  # only a failed read pays for the parser
+
         raise ParseError(f"bad {what}: {exc}", 0) from None
+
+
+def _late(module: str, name: str):
+    """The function ``name`` of the submodule ``module``, imported at its first call."""
+    return lambda *args: getattr(import_module(f".{module}", __package__), name)(*args)
+
+
+parse_ncsym = _late("expressions", "parse_ncsym")
+parse_sym = _late("expressions", "parse_sym")
+convert = _late("elements", "convert")
+inner = _late("elements", "inner")
+lift = _late("elements", "lift")
+multiply = _late("elements", "multiply")
+omega = _late("elements", "omega")
+project = _late("elements", "project")
 
 
 def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
@@ -298,11 +311,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    # GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
+    # ParseError, GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
     except (ValueError, TypeError, OSError) as exc:
+        from .expressions import ParseError  # only a failed command pays for the parser
+
+        if isinstance(exc, ParseError):
+            print(f"parse error: {exc}", file=sys.stderr)
+            return PARSE_ERROR
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
 

@@ -1,6 +1,9 @@
 """Integer partitions with factorial statistics, dominance order and Kostka numbers.
 
-All values are immutable and all operations are pure.
+There is one object per partition: every route, copies and pickles too, ends
+in the trusted builder ``IntPartition._make``, which builds only for parts it
+has not seen, so equality and hashing are ``object``'s, by identity, and run
+in C.  All values are immutable and all operations are pure.
 """
 from __future__ import annotations
 
@@ -16,24 +19,36 @@ def _check_size(n) -> None:
         raise ValueError(f"n must be a nonnegative int, got {n!r}")
 
 
+# parts -> their one IntPartition; filled by IntPartition._make only
+_INTERNED: dict[tuple[int, ...], "IntPartition"] = {}
+
+
 class IntPartition:
-    """A weakly decreasing tuple of positive integers; () is the partition of 0."""
+    """Weakly decreasing positive integers, one object per value; () is the partition of 0."""
 
     __slots__ = ("parts", "_n")
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
+        """Check outside input, then build through ``_make``."""
         parts = tuple(parts)
         if not all(type(p) is int and p > 0 for p in parts):  # a bool is no part
             raise ValueError(f"parts must be positive integers: {parts!r}")
-        self.parts = tuple(sorted(parts, reverse=True))
-        self._n = sum(parts)
+        return cls._make(tuple(sorted(parts, reverse=True)))
 
     @classmethod
     def _make(cls, parts: tuple[int, ...]) -> "IntPartition":
-        """These parts, already positive ints in weakly decreasing order; nothing is checked."""
-        self = object.__new__(cls)
-        self.parts, self._n = parts, sum(parts)
+        """These parts, a tuple of positive ints in weakly decreasing order; nothing is checked."""
+        self = _INTERNED.get(parts)
+        if self is None:
+            self = object.__new__(cls)
+            self.parts, self._n = parts, sum(parts)
+            # built first, then stored in one step: threads racing here get one object
+            self = _INTERNED.setdefault(parts, self)
         return self
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through the table, so they are this object."""
+        return IntPartition._make, (self.parts,)
 
     @classmethod
     def parse(cls, text: str) -> "IntPartition":
@@ -84,6 +99,8 @@ class IntPartition:
 
     def dominates(self, other: "IntPartition") -> bool:
         """Prefix-sum dominance; both partitions must have the same size."""
+        if not isinstance(other, IntPartition):
+            raise TypeError(f"dominance needs an IntPartition, got {other!r}")
         if self._n != other._n:
             raise ValueError(f"dominance needs equal sizes: {self} vs {other}")
         acc_self = acc_other = 0
@@ -95,23 +112,19 @@ class IntPartition:
         return True
 
     def conjugate(self) -> "IntPartition":
-        if not self.parts:
-            return IntPartition()
-        return IntPartition(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
+        return IntPartition._make(
+            tuple(sum(1 for p in self.parts if p > i) for i in range(max(self.parts, default=0)))
         )
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPartition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __lt__(self, other: "IntPartition") -> bool:
+        if not isinstance(other, IntPartition):
+            return NotImplemented
         return (self._n, self.parts) < (other._n, other.parts)
 
     def __le__(self, other: "IntPartition") -> bool:
-        return self == other or self < other
+        if not isinstance(other, IntPartition):
+            return NotImplemented
+        return self is other or self < other
 
     def __iter__(self):
         return iter(self.parts)
@@ -151,7 +164,7 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 def int_partitions(n: int) -> list[IntPartition]:
     """All partitions of n in descending lexicographic order, (n) first."""
     _check_size(n)
-    return [IntPartition(t) for t in _partition_tuples(n, n)]
+    return list(map(IntPartition._make, _partition_tuples(n, n)))
 
 
 def kostka(lam: IntPartition, mu: IntPartition) -> int:

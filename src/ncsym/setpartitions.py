@@ -1,9 +1,13 @@
 """Set partitions of {1..n} and the refinement lattice.
 
 A partition is a value whose identity is its restricted growth string: the
-block of each element, blocks numbered by their minima.  Everything but
-``blocks`` (elements ascending, blocks ordered by minima) reads the string,
-and ``blocks`` is built on first use.  Values are immutable; operations are pure.
+block of each element, blocks numbered by their minima.  There is one object
+per string: every route, copies and pickles too, ends in the trusted builder
+``SetPartition._from_rgs``, which builds only for a string it has not seen,
+so equality and hashing are ``object``'s, by identity, and run in C.
+Everything but ``blocks`` (elements ascending, blocks ordered by minima)
+reads the string, and ``blocks`` is built on first use.  Values are
+immutable; operations are pure.
 """
 from __future__ import annotations
 
@@ -28,10 +32,14 @@ def check_permutation(perm: Sequence[int], n: int) -> None:
         raise ValueError(f"not a permutation of 1..{n}: {tuple(perm)!r}")
 
 
-class SetPartition:
-    """A partition of {1..n} into disjoint nonempty blocks."""
+# growth string -> its one SetPartition; filled by SetPartition._from_rgs only
+_INTERNED: dict[tuple[int, ...], "SetPartition"] = {}
 
-    __slots__ = ("n", "length", "rgs", "_hash", "_blocks")
+
+class SetPartition:
+    """A partition of {1..n} into disjoint nonempty blocks; one object per value."""
+
+    __slots__ = ("n", "length", "rgs", "_blocks")
 
     def __new__(cls, blocks: Iterable[Iterable[int]] = ()):
         """Check outside input, then build through ``from_labels``."""
@@ -53,12 +61,19 @@ class SetPartition:
     @classmethod
     def _from_rgs(cls, rgs: tuple[int, ...]) -> "SetPartition":
         """The partition with this growth string, a tuple already canonical; nothing is checked."""
-        self = object.__new__(cls)
-        self.n = len(rgs)
-        self.length = max(rgs) + 1 if rgs else 0  # the number of blocks
-        self.rgs = rgs
-        self._hash = hash(rgs)
+        self = _INTERNED.get(rgs)
+        if self is None:
+            self = object.__new__(cls)
+            self.n = len(rgs)
+            self.length = max(rgs) + 1 if rgs else 0  # the number of blocks
+            self.rgs = rgs
+            # built first, then stored in one step: threads racing here get one object
+            self = _INTERNED.setdefault(rgs, self)
         return self
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through the table, so they are this object."""
+        return SetPartition._from_rgs, (self.rgs,)
 
     @classmethod
     def from_labels(cls, labels: Iterable) -> "SetPartition":
@@ -135,6 +150,8 @@ class SetPartition:
         return -1 if (self.n - self.length) % 2 else 1
 
     def _check_ground(self, other: "SetPartition") -> None:
+        if not isinstance(other, SetPartition):
+            raise TypeError(f"expected a SetPartition, got {other!r}")
         if self.n != other.n:
             raise GroundSetError(
                 f"partitions of different ground sets: n={self.n} vs n={other.n}"
@@ -185,12 +202,6 @@ class SetPartition:
     def sort_key(self) -> tuple:
         """Deterministic display order: degree, then type, then growth string."""
         return (self.n, self.type.parts, self.rgs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetPartition) and self.rgs == other.rgs
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return "/".join(",".join(map(str, b)) for b in self._block_lists())

@@ -424,6 +424,21 @@ def test_basis_commands_skip_the_macmahon_and_rsk_layers(argv):
     assert not modules & skipped
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["mobius", "1/2/3/4", "1,2,3,4"], {"ncsym.combination"}),  # its rational printer
+        (["mobius", "1/2", "12", "--format", "json"], {"ncsym.combination"}),
+        (["lattice", "--n", "3", "--table", "meet"], set()),
+        (["lattice", "--n", "2", "--table", "mobius", "--format", "json"], set()),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_lattice_commands_load_neither_elements_nor_the_parser(argv, extra):
+    lattice_layer = {"ncsym.cli", "ncsym.intpartitions", "ncsym.setpartitions"}
+    assert loaded(argv) == (0, lattice_layer | extra)
+
+
 def test_only_verify_loads_the_verify_module(tmp_path):
     biword = tmp_path / "biword.txt"
     biword.write_text("1' 2'\n2' 1'\n", encoding="utf-8")

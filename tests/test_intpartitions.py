@@ -1,9 +1,11 @@
+import copy
+import pickle
 import re
 
 import pytest
 
 from ncsym.intpartitions import IntPartition, int_partitions, kostka
-from ncsym.setpartitions import bell_number, set_partitions
+from ncsym.setpartitions import SetPartition, bell_number, set_partitions
 
 IP = IntPartition
 
@@ -60,6 +62,44 @@ def test_dominance_and_conjugate():
         assert lam.conjugate().conjugate() == lam
     with pytest.raises(ValueError):
         IP((2,)).dominates(IP((1,)))
+
+
+def test_a_non_partition_is_refused_not_an_attribute_error():
+    lam = IP((2, 1))
+    with pytest.raises(TypeError, match="dominance needs an IntPartition, got \\(3,\\)"):
+        lam.dominates((3,))
+    for compare in (lambda: lam < 3, lambda: lam <= 3, lambda: 3 > lam, lambda: lam < (2, 1)):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            compare()
+    assert lam != (2, 1) and lam != "(2,1)"
+
+
+def test_every_build_route_gives_one_object():
+    """The constructor, parse, the trusted builder, conjugation and the type of
+    a set partition give the one object of each value, for every n <= 7."""
+    for n in range(8):
+        for lam in int_partitions(n):
+            routes = [
+                IP(reversed(lam.parts)),
+                IP.parse(str(lam)),
+                IP._make(lam.parts),
+                lam.conjugate().conjugate(),
+                SetPartition.from_labels(i for i, p in enumerate(lam.parts) for _ in range(p)).type,
+            ]
+            for mu in routes:
+                assert mu is lam
+                assert mu == lam and hash(mu) == hash(lam) and mu <= lam and not mu < lam
+    assert IP((3, 1)).conjugate() is IP((2, 1, 1)) and IP().conjugate() is IP()
+
+
+def test_copies_and_pickles_are_the_object_itself():
+    for n in range(6):
+        for lam in int_partitions(n):
+            assert copy.copy(lam) is lam and copy.deepcopy(lam) is lam
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(lam, protocol)) is lam
+    empty = IP(())
+    assert (empty.parts, empty.n, str(empty)) == ((), 0, "()")
 
 
 def test_lex_is_linear_extension_of_dominance():

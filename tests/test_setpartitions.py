@@ -1,5 +1,10 @@
+import copy
 import itertools
+import pickle
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -105,6 +110,13 @@ def test_ground_set_mismatch_is_an_error():
         P("12").meet(P("123"))
     with pytest.raises(GroundSetError):
         mobius(P("12"), P("123"))
+
+
+def test_a_non_partition_argument_is_a_type_error():
+    p = P("1/2")
+    for call in (p.leq, p.meet, p.join, p.interval_type, lambda q: mobius(p, q)):
+        with pytest.raises(TypeError, match=re.escape("expected a SetPartition, got (0, 1)")):
+            call((0, 1))
 
 
 def test_type_examples():
@@ -278,7 +290,7 @@ def test_public_surface():
 
 def test_every_build_route_gives_one_value():
     """SetPartition(blocks), parse, from_labels, from_key and the trusted
-    builder agree on the value, its hash and its blocks, for every n <= 6."""
+    builder give the one object of each value, for every n <= 6."""
     for n in range(7):
         for p in set_partitions(n):
             routes = [
@@ -289,8 +301,47 @@ def test_every_build_route_gives_one_value():
                 SetPartition._from_rgs(p.rgs),
             ]
             for q in routes:
+                assert q is p
                 assert q == p and hash(q) == hash(p)
                 assert (q.n, q.rgs, q.blocks) == (p.n, p.rgs, p.blocks)
+        assert SetPartition.bottom(n) is SetPartition._from_rgs(tuple(range(n)))
+        assert SetPartition.top(n) is SetPartition._from_rgs((0,) * n)
+
+
+def test_copies_and_pickles_are_the_object_itself():
+    """Both rebuild through the trusted builder, so no copy can overwrite a
+    shared value (the empty partition first of all)."""
+    for n in range(6):
+        for p in set_partitions(n):
+            assert copy.copy(p) is p and copy.deepcopy(p) is p
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(p, protocol)) is p
+    empty = SetPartition([])
+    assert (empty.n, empty.rgs, str(empty)) == (0, (), "")
+
+
+def test_threads_building_the_same_new_values_get_one_object():
+    """Eight threads build the same degree-9 partitions, none built before, at once."""
+    from ncsym.setpartitions import _INTERNED
+
+    fresh = [rgs for rgs in growth_strings(9) if rgs not in _INTERNED][:4000]
+    assert fresh
+    start = threading.Barrier(8)
+
+    def build():
+        start.wait()
+        return [SetPartition.from_labels(rgs) for rgs in fresh]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result() for f in [pool.submit(build) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for built in results:
+        assert all(q is p for q, p in zip(built, results[0]))
+    assert all(_INTERNED[rgs] is p for rgs, p in zip(fresh, results[0]))
 
 
 def test_a_partition_is_not_its_growth_string_or_its_type():
