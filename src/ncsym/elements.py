@@ -3,10 +3,10 @@
 An element is a sparse rational linear combination of basis symbols b_pi,
 one basis tag among m/p/e/h, with set partitions of possibly several sizes
 (the element is a finite sum of homogeneous components).  Basis changes sum
-over the interval above a partition, the interval below it, or the partitions
-meeting it in the bottom, enumerated on restricted growth strings with Mobius
-numbers in closed form; no lattice tables are built.  All coefficients are
-exact rationals; floats are never introduced.
+over the interval above a partition, the interval below it, or every partition
+with its meet or join with it, on restricted growth strings with Mobius numbers
+in closed form; no lattice tables are built.  All coefficients are exact
+rationals; floats are never introduced.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .intpartitions import IntPartition
 from .setpartitions import (
     SetPartition,
     check_permutation,
+    join_walk,
     lower_sums,
     meet_walk,
     mobius_bottom,
@@ -100,8 +101,8 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     so no conversion routes through an intermediate basis; agreement between
     alternative routes is checked by the verification suites instead.  The
     sums run over intervals above or below pi, or over every sigma with its
-    meet statistic, on growth strings and without lattice tables; ``verify``
-    keeps the same sums over the tables as the reference.
+    meet or join statistic, on growth strings and without lattice tables;
+    ``verify`` keeps the same sums over the tables as the reference.
     """
     if basis == target:
         return (pi,), (1,), 1
@@ -115,26 +116,20 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     elif pair in (("e", "m"), ("h", "m")):
         acc = meet_walk(pi.rgs, bottom_only=basis == "e")
     elif pair in (("m", "e"), ("m", "h")):
-        # over sigma above pi, then tau below sigma; |mu(bottom, sigma)|
-        # divides (n-1)!, so the sums scaled by (n-1)! stay integers
-        scale = factorial(max(pi.n - 1, 0))
-        outer = []
-        for s, mu in upper_interval(pi.rgs):
-            mu0 = mobius_bottom(s)
-            outer.append((s, mu * (scale // (mu0 if target == "e" else abs(mu0)))))
-        acc = lower_sums(outer, lambda k, _: mobius_bottom_top(k))
+        taus, nums = zip(*join_walk(pi.rgs, signed=target == "e"))
+        return tuple(map(SetPartition._from_rgs, taus)), nums, factorial(max(pi.n - 1, 0))
     elif pair in (("e", "p"), ("h", "p")):
-        acc = lower_sums([(pi.rgs, 1)], lambda _, mu: mu if basis == "e" else abs(mu))
+        acc = lower_sums(pi.rgs, lambda _, mu: mu if basis == "e" else abs(mu))
     elif pair in (("p", "e"), ("p", "h")):
         mu0 = mobius_bottom(pi.rgs)
         scale = mu0 if target == "e" else abs(mu0)
-        acc = lower_sums([(pi.rgs, 1)], lambda k, _: mobius_bottom_top(k))
+        acc = lower_sums(pi.rgs, lambda k, _: mobius_bottom_top(k))
     elif pair in (("e", "h"), ("h", "e")):
         # sign(tau) * lam(tau, pi)!; sign(tau) is the sign of mu(bottom, tau)
-        acc = lower_sums([(pi.rgs, 1)], lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
+        acc = lower_sums(pi.rgs, lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
     else:  # pragma: no cover - the pairs above are exhaustive
         raise ValueError(f"no conversion from {basis!r} to {target!r}")
-    items = [(k, c) for k, c in sorted(acc.items()) if c]
+    items = sorted(acc.items())
     keys = tuple(SetPartition.from_key(k, pi.n) for k, _ in items)
     return keys, tuple(c for _, c in items), scale
 

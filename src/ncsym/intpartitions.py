@@ -169,6 +169,8 @@ def int_partitions(n: int) -> list[IntPartition]:
 
 def kostka(lam: IntPartition, mu: IntPartition) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu."""
+    if not (isinstance(lam, IntPartition) and isinstance(mu, IntPartition)):
+        raise TypeError(f"kostka needs IntPartitions, got {lam!r} and {mu!r}")
     if lam.n != mu.n:
         raise ValueError(f"shape and content must have equal size: {lam} vs {mu}")
     return _kostka(lam.parts, mu.parts)

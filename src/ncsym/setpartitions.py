@@ -11,8 +11,10 @@ immutable; operations are pure.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from functools import lru_cache
+from itertools import compress, product
 from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
@@ -265,13 +267,11 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
     On an interval it is the product over interval-type parts a of
     (-1)^(a-1) * (a-1)!.
     """
-    sigma._check_ground(pi)
+    if not isinstance(sigma, SetPartition):  # leq checks pi and the ground sets
+        raise TypeError(f"expected a SetPartition, got {sigma!r}")
     if not sigma.leq(pi):
         return 0
-    value = 1
-    for a in sigma.interval_type(pi).parts:
-        value *= mobius_bottom_top(a)
-    return value
+    return prod(map(mobius_bottom_top, sigma.interval_type(pi).parts))
 
 
 def mobius_bottom_top(a: int) -> int:
@@ -315,29 +315,20 @@ def upper_interval(rgs: Sequence[int]):
         yield tuple([r[x] for x in rgs]), mu
 
 
-def lower_sums(
-    terms: Iterable[tuple[Sequence[int], int]], weight: Callable[[int, int], int]
-) -> dict[int, int]:
-    """Key of tau -> sum over (sigma, c) in ``terms`` with tau <= sigma of c times
-    the product over the blocks B of sigma of weight(blocks of tau in B,
-    mu(bottom, tau restricted to B)), each sigma given by its growth string.
-    The map for one sigma is a product of one small map per block."""
-    out: dict[int, int] = {}
-    options: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # block -> (key part, weight)
-    for rgs, c in terms:
-        n = len(rgs)
-        sums = {0: c}
-        for v in range(max(rgs, default=-1) + 1):
-            block = tuple(pos for pos, x in enumerate(rgs) if x == v)
-            if block not in options:
-                options[block] = [
-                    (sum(block[m] * n ** (n - 1 - p) for p, m in zip(block, mins)), weight(k, mu))
-                    for _, mins, k, mu in _refinements(len(block))
-                ]
-            sums = {t + d: x * w for t, x in sums.items() for d, w in options[block]}
-        for t, x in sums.items():
-            out[t] = out.get(t, 0) + x
-    return out
+def lower_sums(rgs: Sequence[int], weight: Callable[[int, int], int]) -> dict[int, int]:
+    """Key of tau -> the product over the blocks B of sigma of weight(blocks of tau
+    in B, mu(bottom, tau restricted to B)) for every tau <= sigma, sigma given by
+    its growth string: a product of one small map per block."""
+    n = len(rgs)
+    sums = {0: 1}
+    for v in range(max(rgs, default=-1) + 1):
+        block = tuple(pos for pos, x in enumerate(rgs) if x == v)
+        options = [
+            (sum(block[m] * n ** (n - 1 - p) for p, m in zip(block, mins)), weight(k, mu))
+            for _, mins, k, mu in _refinements(len(block))
+        ]
+        sums = {t + d: x * w for t, x in sums.items() for d, w in options}
+    return sums
 
 
 def meet_walk(rgs: Sequence[int], bottom_only: bool) -> dict[int, int]:
@@ -372,9 +363,79 @@ def meet_walk(rgs: Sequence[int], bottom_only: bool) -> dict[int, int]:
     return out
 
 
+def join_walk(rgs: Sequence[int], signed: bool) -> list[tuple[tuple[int, ...], int]]:
+    """(growth string of tau, numerator over (n-1)!), taus ascending, for each nonzero
+    sum over sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) / mu(bottom, sigma),
+    |mu(bottom, sigma)| unless ``signed``.  One walk keeps pi join tau as a union-find
+    over pi's blocks; each root's code (a*B + b)*B + c counts its blocks of pi and of
+    tau and its elements, B = n + 1, so merged codes add and sorted codes key a sum."""
+    n, base = len(rgs), len(rgs) + 1
+    parent = list(range(max(rgs, default=-1) + 1))
+    code = [base * base + rgs.count(v) for v in parent]
+    codes = sorted(code)
+    tau, owner = [0] * n, []  # owner[v]: pi's block holding the first element of tau's block v
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def add(r: int, d: int) -> None:
+        codes.remove(code[r])
+        code[r] += d
+        insort(codes, code[r])
+
+    def walk(i: int) -> None:
+        if i == n:
+            if w := _join_weight(tuple(codes), base, signed):
+                out.append((tuple(tau), w))
+            return
+        r = find(rgs[i])
+        for v, o in enumerate(owner):  # i joins block v of tau
+            tau[i], s = v, find(o)
+            if s != r:  # which merges s's component into r's
+                codes.remove(code[s])
+                parent[s] = r
+                add(r, code[s])
+            walk(i + 1)
+            if s != r:
+                add(r, -code[s])
+                parent[s] = s
+                insort(codes, code[s])
+        tau[i] = len(owner)  # i opens a block of tau
+        owner.append(rgs[i])
+        add(r, base)
+        walk(i + 1)
+        add(r, -base)
+        owner.pop()
+
+    walk(0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _join_weight(codes: tuple[int, ...], base: int, signed: bool) -> int:
+    """(base - 2)! times the sum over the partitions s of the blocks coded in ``codes``
+    (see ``join_walk``) of the product over S in s of mu(sum a) mu(sum b) / mu(sum c),
+    |mu(sum c)| unless ``signed``; an integer, as each product of (c_S - 1)! divides (base - 2)!."""
+    if not codes:
+        return factorial(max(base - 2, 0))
+    total = 0
+    for picked in product((False, True), repeat=len(codes) - 1):  # blocks joining the first
+        block = codes[0] + sum(compress(codes[1:], picked))
+        a, b, c = block // base**2, block // base % base, block % base
+        rest = _join_weight(tuple(x for x, p in zip(codes[1:], picked) if not p), base, signed)
+        mu_c = mobius_bottom_top(c) if signed else factorial(c - 1)
+        total += mobius_bottom_top(a) * mobius_bottom_top(b) * rest // mu_c
+    return total
+
+
 @lru_cache(maxsize=None)
 def partitions_of_type(lam: IntPartition) -> tuple[SetPartition, ...]:
     """Every set partition of type lam, sorted by restricted growth string."""
+    if not isinstance(lam, IntPartition):
+        raise TypeError(f"expected an IntPartition, got {lam!r}")
     return tuple(map(SetPartition._from_rgs, growth_strings(lam.n, lam.parts)))
 
 

@@ -239,6 +239,7 @@ def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
                     if convert(convert(f, b2), b1) != f:
                         fails.append(f"{b1}->{b2}->{b1} at {pi}")
                 _result(results, f"roundtrip.n{n}.{b1}->{b2}->{b1}", fails)
+        # production's join walk for m -> e and m -> h against the route through p
         fails = []
         for pi in elems:
             f = _basis_elem("m", pi)

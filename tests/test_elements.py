@@ -465,3 +465,35 @@ def test_basis_changes_build_no_lattice():
         lift(SymElement("m", {lam: 1}))
         schur_ncsym(lam)
     assert lattice.cache_info() == before
+
+
+def test_monomial_to_e_and_h_match_route_via_p_at_degree_7():
+    # the join walk against m -> p -> target, one pi per type
+    for lam in int_partitions(7):
+        f = NCSymElement("m", {partitions_of_type(lam)[0]: 1})
+        for t in ("e", "h"):
+            assert convert(f, t) == convert(convert(f, "p"), t), (lam, t)
+
+
+def test_bottom_monomial_is_top_elementary_to_degree_9():
+    for n in range(10):
+        f = NCSymElement("m", {SetPartition.bottom(n): 1})
+        assert convert(f, "e") == NCSymElement("e", {SetPartition.top(n): 1}), n
+
+
+def test_monomial_to_e_and_h_matrices_are_symmetric():
+    # [h_tau] m_pi = <m_pi, m_tau> / n!; the e sum is symmetric in pi and tau as well
+    for n in range(6):
+        for t in ("e", "h"):
+            rows = {pi: convert(NCSymElement("m", {pi: 1}), t).terms for pi in set_partitions(n)}
+            for pi, row in rows.items():
+                for tau, col in rows.items():
+                    assert row.get(tau, 0) == col.get(pi, 0), (t, pi, tau)
+
+
+def test_monomial_to_e_and_h_decode_no_partition_keys():
+    before = SetPartition.from_key.cache_info()
+    for lam in int_partitions(6):
+        for t in ("e", "h"):
+            _symbol_expansion.__wrapped__("m", t, partitions_of_type(lam)[0])
+    assert SetPartition.from_key.cache_info() == before

@@ -74,6 +74,16 @@ def test_a_non_partition_is_refused_not_an_attribute_error():
     assert lam != (2, 1) and lam != "(2,1)"
 
 
+def test_kostka_refuses_a_tuple_content():
+    with pytest.raises(TypeError, match=r"kostka needs IntPartitions, got .* and \(3,\)$"):
+        kostka(IP((2, 1)), (3,))
+
+
+def test_kostka_refuses_a_tuple_shape():
+    with pytest.raises(TypeError, match=r"kostka needs IntPartitions, got \(2, 1\) and "):
+        kostka((2, 1), IP((3,)))
+
+
 def test_every_build_route_gives_one_object():
     """The constructor, parse, the trusted builder, conjugation and the type of
     a set partition give the one object of each value, for every n <= 7."""

@@ -119,6 +119,16 @@ def test_a_non_partition_argument_is_a_type_error():
             call((0, 1))
 
 
+def test_mobius_refuses_a_non_partition_first_argument():
+    with pytest.raises(TypeError, match=re.escape("expected a SetPartition, got (0, 0)")):
+        mobius((0, 0), P("12"))
+
+
+def test_partitions_of_type_refuses_a_tuple():
+    with pytest.raises(TypeError, match=re.escape("expected an IntPartition, got (2, 1)")):
+        partitions_of_type((2, 1))
+
+
 def test_type_examples():
     assert P("13/24").type.parts == (2, 2)
     assert P("1/2/3/4/5").type.parts == (1, 1, 1, 1, 1)
