@@ -169,6 +169,7 @@ lift = _late("elements", "lift")
 multiply = _late("elements", "multiply")
 omega = _late("elements", "omega")
 project = _late("elements", "project")
+expand = _late("words", "expand")
 
 
 def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
@@ -180,7 +181,6 @@ def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Tru
 
 def _schur(args):
     from .macmahon import parse_vector, schur_ncsym, schur_tableau_sum
-    from .words import expand
 
     shape = _read(IntPartition.parse, args.shape, "shape")
     if args.vec is not None:
@@ -273,12 +273,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERIFY_ERROR
 
 
-def _cmd_expand(args) -> int:
-    from .words import expand
-
-    return _emit(expand(parse_ncsym(args.expr), args.vars), args)
-
-
 # Each command maps parsed arguments to an exit code.  Those that compute one
 # value hand it to _emit; lattice, rsk and verify print their own tables.
 _COMMANDS = {
@@ -295,7 +289,7 @@ _COMMANDS = {
     "schur": lambda a: _emit(_schur(a), a),
     "jacobi-trudi": lambda a: _emit(_jacobi_trudi(a), a),
     "rsk": _cmd_rsk,
-    "expand": _cmd_expand,
+    "expand": lambda a: _emit(expand(parse_ncsym(a.expr), a.vars), a),
     "verify": _cmd_verify,
 }
 

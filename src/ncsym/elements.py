@@ -27,7 +27,6 @@ from .setpartitions import (
     meet_walk,
     mobius_bottom,
     mobius_bottom_top,
-    partition_key,
     partitions_of_type,
     upper_interval,
 )
@@ -106,32 +105,31 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     """
     if basis == target:
         return (pi,), (1,), 1
-    scale = 1  # acc below maps partition keys to coefficients times scale
+    scale = 1  # the numerators below are the coefficients times scale
 
     pair = (basis, target)
     if pair == ("p", "m"):
-        acc = {partition_key(s): 1 for s, _ in upper_interval(pi.rgs)}
+        pairs = [(s, 1) for s, _ in upper_interval(pi.rgs)]
     elif pair == ("m", "p"):
-        acc = {partition_key(s): mu for s, mu in upper_interval(pi.rgs)}
+        pairs = upper_interval(pi.rgs)
     elif pair in (("e", "m"), ("h", "m")):
-        acc = meet_walk(pi.rgs, bottom_only=basis == "e")
+        pairs = meet_walk(pi.rgs, bottom_only=basis == "e")
     elif pair in (("m", "e"), ("m", "h")):
-        taus, nums = zip(*join_walk(pi.rgs, signed=target == "e"))
-        return tuple(map(SetPartition._from_rgs, taus)), nums, factorial(max(pi.n - 1, 0))
+        scale = factorial(max(pi.n - 1, 0))
+        pairs = join_walk(pi.rgs, signed=target == "e")
     elif pair in (("e", "p"), ("h", "p")):
-        acc = lower_sums(pi.rgs, lambda _, mu: mu if basis == "e" else abs(mu))
+        pairs = lower_sums(pi.rgs, lambda _, mu: mu if basis == "e" else abs(mu))
     elif pair in (("p", "e"), ("p", "h")):
         mu0 = mobius_bottom(pi.rgs)
         scale = mu0 if target == "e" else abs(mu0)
-        acc = lower_sums(pi.rgs, lambda k, _: mobius_bottom_top(k))
+        pairs = lower_sums(pi.rgs, lambda k, _: mobius_bottom_top(k))
     elif pair in (("e", "h"), ("h", "e")):
         # sign(tau) * lam(tau, pi)!; sign(tau) is the sign of mu(bottom, tau)
-        acc = lower_sums(pi.rgs, lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
+        pairs = lower_sums(pi.rgs, lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
     else:  # pragma: no cover - the pairs above are exhaustive
         raise ValueError(f"no conversion from {basis!r} to {target!r}")
-    items = sorted(acc.items())
-    keys = tuple(SetPartition.from_key(k, pi.n) for k, _ in items)
-    return keys, tuple(c for _, c in items), scale
+    keys, nums = zip(*pairs)  # growth strings, canonical and ascending
+    return tuple(map(SetPartition._from_rgs, keys)), nums, scale
 
 
 def _numerators(f: NCSymElement, target: str) -> tuple:

@@ -19,11 +19,9 @@ from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination, format_terms
-from .elements import NCSymElement
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .setpartitions import SetPartition, partitions_of_type
 from .tableaux import _fillings
-from .words import WordPolynomial, collect
 
 Monomial = tuple[tuple[tuple[int, int], int], ...]
 
@@ -362,6 +360,8 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
     Alphabet positions become word positions: the subscript used by alphabet j
     becomes the j-th letter.
     """
+    from .words import WordPolynomial, collect  # only this and schur_ncsym reach NCSym
+
     n = P.trunc.alphabets
     ones = (1,) * n
     words = []
@@ -400,6 +400,8 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
     The coefficient on every m_sigma of type mu is mu! times the Kostka
     number for the shape, and vanishes unless mu is dominated by the shape.
     """
+    from .elements import NCSymElement
+
     coeffs = ((mu, mu.fact_parts() * kostka(lam, mu)) for mu in int_partitions(lam.n))
     return NCSymElement._make(
         "m", ((pi, c) for mu, c in coeffs if c for pi in partitions_of_type(mu))

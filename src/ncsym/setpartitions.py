@@ -83,16 +83,6 @@ class SetPartition:
         first: dict = {}
         return cls._from_rgs(tuple([first.setdefault(label, len(first)) for label in labels]))
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def from_key(key: int, n: int) -> "SetPartition":
-        """The partition of [n] with this ``partition_key``, one shared object per key."""
-        labels = []
-        for _ in range(n):
-            key, minimum = divmod(key, n)
-            labels.append(minimum)
-        return SetPartition.from_labels(labels[::-1])
-
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
         _check_size(n)
@@ -279,91 +269,96 @@ def mobius_bottom_top(a: int) -> int:
     return (-1) ** (a - 1) * factorial(a - 1) if a else 1
 
 
-# The interval enumerators below name a partition of {0..n-1} by its key: the
-# integer whose base-n digits, most significant first, are the block minimum
-# of each element.  Keys sort like growth strings, and the keys of partitions
-# of disjoint blocks add up to the key of their union.
-
-
-def partition_key(labels: Sequence[int]) -> int:
-    """Key of the partition with this block labelling of positions 0..n-1."""
-    first: dict[int, int] = {}
-    key = 0
-    for pos, label in enumerate(labels):
-        key = key * len(labels) + first.setdefault(label, pos)
-    return key
-
-
 def mobius_bottom(rgs: Sequence[int]) -> int:
     """mu(bottom, sigma) for sigma given by its growth string."""
     return prod(mobius_bottom_top(rgs.count(v)) for v in range(max(rgs, default=-1) + 1))
 
 
+# What the interval enumerators below return: (growth string, integer) pairs, the
+# strings canonical and strictly ascending, so callers hand them to _from_rgs as they are.
+Pairs = list[tuple[tuple[int, ...], int]]
+
+
 @lru_cache(maxsize=None)
 def _refinements(a: int) -> tuple:
-    """(r, each position's block minimum, block count, mu(bottom, r)) per partition r of [a]."""
-    return tuple(
-        (r, tuple(r.index(x) for x in r), max(r, default=-1) + 1, mobius_bottom(r))
-        for r in growth_strings(a)
-    )
+    """(r, mu(bottom, r)) per partition r of [a], ascending."""
+    return tuple((r, mobius_bottom(r)) for r in growth_strings(a))
 
 
 def upper_interval(rgs: Sequence[int]):
     """(growth string, mu(pi, sigma)) for each sigma >= pi, pi given by its growth
     string: sigma is a partition r of pi's blocks, and mu(pi, sigma) = mu(bottom, r)."""
-    for r, _, _, mu in _refinements(max(rgs, default=-1) + 1):
+    for r, mu in _refinements(max(rgs, default=-1) + 1):
         yield tuple([r[x] for x in rgs]), mu
 
 
-def lower_sums(rgs: Sequence[int], weight: Callable[[int, int], int]) -> dict[int, int]:
-    """Key of tau -> the product over the blocks B of sigma of weight(blocks of tau
-    in B, mu(bottom, tau restricted to B)) for every tau <= sigma, sigma given by
-    its growth string: a product of one small map per block."""
+def lower_sums(rgs: Sequence[int], weight: Callable[[int, int], int]) -> Pairs:
+    """(growth string of tau, the product over the blocks B of sigma of weight(blocks
+    of tau in B, mu(bottom, tau restricted to B))) for every tau <= sigma, taus
+    ascending, sigma given by its growth string.  One walk over positions: each
+    element joins a block of tau inside its block of sigma or opens one; joining a
+    block of size c multiplies mu by -c, and B is weighed at its last element."""
     n = len(rgs)
-    sums = {0: 1}
-    for v in range(max(rgs, default=-1) + 1):
-        block = tuple(pos for pos, x in enumerate(rgs) if x == v)
-        options = [
-            (sum(block[m] * n ** (n - 1 - p) for p, m in zip(block, mins)), weight(k, mu))
-            for _, mins, k, mu in _refinements(len(block))
-        ]
-        sums = {t + d: x * w for t, x in sums.items() for d, w in options}
-    return sums
+    last = {v: i for i, v in enumerate(rgs)}  # block of sigma -> its last position
+    inside: list[list[int]] = [[] for _ in last]  # blocks of tau inside each block of sigma
+    mus = [1] * len(last)  # mu(bottom, tau restricted to each block of sigma) so far
+    tau, sizes = [0] * n, []  # sizes[t]: the elements in block t of tau
+    out: Pairs = []
+
+    def walk(i: int, w: int) -> None:
+        if i == n:
+            out.append((tuple(tau), w))
+            return
+        b = rgs[i]
+        mu, blocks, closes = mus[b], inside[b], last[b] == i
+        for t in blocks:  # i joins block t of tau
+            c = sizes[t]
+            tau[i], sizes[t], mus[b] = t, c + 1, -c * mu
+            walk(i + 1, w * weight(len(blocks), mus[b]) if closes else w)
+            sizes[t] = c
+        tau[i], mus[b] = len(sizes), mu  # i opens a block of tau
+        blocks.append(len(sizes))
+        sizes.append(1)
+        walk(i + 1, w * weight(len(blocks), mu) if closes else w)
+        sizes.pop()
+        blocks.pop()
+
+    walk(0, 1)
+    return out
 
 
-def meet_walk(rgs: Sequence[int], bottom_only: bool) -> dict[int, int]:
-    """Key of sigma -> lam(sigma meet pi)! for every sigma of pi's degree, pi given
-    by its growth string; with ``bottom_only``, only the sigma meeting pi in the
-    bottom.  One backtracking walk keeps the size of each block intersection:
-    placing an element where c others lie multiplies the weight by c + 1."""
+def meet_walk(rgs: Sequence[int], bottom_only: bool) -> Pairs:
+    """(growth string of sigma, lam(sigma meet pi)!) for every sigma of pi's degree,
+    sigmas ascending, pi given by its growth string; with ``bottom_only``, only the
+    sigma meeting pi in the bottom.  One backtracking walk keeps the size of each
+    block intersection: placing an element where c others lie multiplies the
+    weight by c + 1."""
     n, ell = len(rgs), max(rgs, default=-1) + 1
     counts: list[list[int]] = []  # counts[v][b]: |block v of sigma meet block b of pi|
-    minima: list[int] = []  # the first position of each block of sigma
-    out: dict[int, int] = {}
+    sigma = [0] * n
+    out: Pairs = []
 
-    def walk(i: int, key: int, weight: int) -> None:
+    def walk(i: int, weight: int) -> None:
         if i == n:
-            out[key] = weight
+            out.append((tuple(sigma), weight))
             return
         b = rgs[i]
         for v in range(len(counts) + 1):
             if v == len(counts):  # open a new block of sigma at i
                 counts.append([0] * ell)
-                minima.append(i)
             row = counts[v]
             c = row[b]
             if not (bottom_only and c):
-                row[b] = c + 1
-                walk(i + 1, key * n + minima[v], weight * (c + 1))
+                row[b], sigma[i] = c + 1, v
+                walk(i + 1, weight * (c + 1))
                 row[b] = c
         counts.pop()
-        minima.pop()
 
-    walk(0, 0, 1)
+    walk(0, 1)
     return out
 
 
-def join_walk(rgs: Sequence[int], signed: bool) -> list[tuple[tuple[int, ...], int]]:
+def join_walk(rgs: Sequence[int], signed: bool) -> Pairs:
     """(growth string of tau, numerator over (n-1)!), taus ascending, for each nonzero
     sum over sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) / mu(bottom, sigma),
     |mu(bottom, sigma)| unless ``signed``.  One walk keeps pi join tau as a union-find
@@ -374,7 +369,7 @@ def join_walk(rgs: Sequence[int], signed: bool) -> list[tuple[tuple[int, ...], i
     code = [base * base + rgs.count(v) for v in parent]
     codes = sorted(code)
     tau, owner = [0] * n, []  # owner[v]: pi's block holding the first element of tau's block v
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: Pairs = []
 
     def find(x: int) -> int:
         while parent[x] != x:

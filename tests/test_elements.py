@@ -489,11 +489,3 @@ def test_monomial_to_e_and_h_matrices_are_symmetric():
             for pi, row in rows.items():
                 for tau, col in rows.items():
                     assert row.get(tau, 0) == col.get(pi, 0), (t, pi, tau)
-
-
-def test_monomial_to_e_and_h_decode_no_partition_keys():
-    before = SetPartition.from_key.cache_info()
-    for lam in int_partitions(6):
-        for t in ("e", "h"):
-            _symbol_expansion.__wrapped__("m", t, partitions_of_type(lam)[0])
-    assert SetPartition.from_key.cache_info() == before

@@ -1,10 +1,16 @@
 """The package namespace: its public names, where they live, and what fails."""
+import json
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 import ncsym
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 # every public name with its home submodule
 HOMES = {
     "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
@@ -49,3 +55,17 @@ def test_unknown_name_is_an_attribute_error():
         ncsym.no_such_name
     with pytest.raises(ImportError):
         exec("from ncsym import no_such_name", {})
+
+
+def test_macmahon_loads_no_ncsym_layer():
+    """Only phi_collect and schur_ncsym reach NCSym; importing the module
+    loads neither elements nor words."""
+    probe = "import json, sys, ncsym.macmahon; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "ncsym.macmahon" in loaded
+    assert not loaded & {"ncsym.elements", "ncsym.words"}

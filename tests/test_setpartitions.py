@@ -15,11 +15,14 @@ from ncsym.setpartitions import (
     SetPartition,
     bell_number,
     growth_strings,
+    join_walk,
     lattice,
+    lower_sums,
+    meet_walk,
     mobius,
-    partition_key,
     partitions_of_type,
     set_partitions,
+    upper_interval,
 )
 
 P = SetPartition.parse
@@ -257,7 +260,6 @@ def test_computed_partitions_are_canonical():
         assert len({p.rgs for p in elems}) == bell_number(n)
         for p in elems + [SetPartition.bottom(n), SetPartition.top(n)]:
             _assert_canonical(p)
-            _assert_canonical(SetPartition.from_key(partition_key(p.rgs), n))
         if n <= 5:
             for a, b in itertools.product(elems, repeat=2):
                 _assert_canonical(a.meet(b))
@@ -270,6 +272,30 @@ def test_computed_partitions_are_canonical():
                     assert moved == SetPartition(
                         tuple(g[e - 1] for e in b) for b in a.blocks
                     )
+
+
+def test_enumerators_yield_canonical_growth_strings_in_order():
+    """Every basis-change walk hands its strings straight to the trusted
+    builder, so each must be canonical and the strings strictly ascending."""
+    checked = set()
+    for n in range(7):
+        for p in set_partitions(n):
+            walks = {
+                "upper_interval": list(upper_interval(p.rgs)),
+                "meet_walk": meet_walk(p.rgs, bottom_only=False),
+                "meet_walk bottom_only": meet_walk(p.rgs, bottom_only=True),
+                "lower_sums": lower_sums(p.rgs, lambda k, mu: k * mu),
+                "join_walk": join_walk(p.rgs, signed=True),
+            }
+            for name, pairs in walks.items():
+                strings = [s for s, _ in pairs]
+                assert strings and all(type(c) is int for _, c in pairs), (name, p)
+                assert all(a < b for a, b in zip(strings, strings[1:])), (name, p)
+                for s in set(strings) - checked:  # canonical or not, whoever yields it
+                    # relabelling first keeps a bad string out of the intern table
+                    assert type(s) is tuple and SetPartition.from_labels(s).rgs == s, (name, p, s)
+                    _assert_canonical(SetPartition._from_rgs(s))
+                    checked.add(s)
 
 
 def test_sizes_must_be_nonnegative_ints():
@@ -299,15 +325,14 @@ def test_public_surface():
 
 
 def test_every_build_route_gives_one_value():
-    """SetPartition(blocks), parse, from_labels, from_key and the trusted
-    builder give the one object of each value, for every n <= 6."""
+    """SetPartition(blocks), parse, from_labels and the trusted builder give
+    the one object of each value, for every n <= 6."""
     for n in range(7):
         for p in set_partitions(n):
             routes = [
                 SetPartition(p.blocks),
                 P(str(p)),
                 SetPartition.from_labels([10 * v + 7 for v in p.rgs]),
-                SetPartition.from_key(partition_key(p.rgs), n),
                 SetPartition._from_rgs(p.rgs),
             ]
             for q in routes:
