@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .combination import Combination, _over_one_denominator, format_terms
+from .combination import Combination, _over_one_denominator
 from .intpartitions import IntPartition, int_partitions, kostka
 from .linalg import _row_reduce
 
@@ -29,6 +29,12 @@ class SymElement(Combination):
 
     __slots__ = ()
     basis = Combination.tag  # the tag under its public name
+    _order = staticmethod(lambda lam: (lam.n, lam.parts))
+    _field = "parts"
+    _encode = staticmethod(lambda lam: list(lam.parts))
+
+    def _show(self, lam: IntPartition) -> str:
+        return f"{self.tag}[{','.join(str(p) for p in lam.parts)}]"
 
     @staticmethod
     def _check_tag(basis) -> None:
@@ -50,18 +56,8 @@ class SymElement(Combination):
     def homogeneous_component(self, n: int) -> "SymElement":
         return self._make(self.basis, ((lam, c) for lam, c in self.terms.items() if lam.n == n))
 
-    def __str__(self) -> str:
-        return format_sym(self)
 
-
-def format_sym(f: SymElement, strict_rationals: bool = False) -> str:
-    return format_terms(
-        (
-            (f.terms[lam], f"{f.basis}[{','.join(str(p) for p in lam.parts)}]")
-            for lam in sorted(f.terms, key=lambda t: (t.n, t.parts))
-        ),
-        strict_rationals,
-    )
+format_sym = SymElement.to_text
 
 
 @lru_cache(maxsize=None)

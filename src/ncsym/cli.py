@@ -117,32 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# by value class name: its text writer (value, strict_rationals), in the class's
-# own module, and its JSON writer (value), in expressions
-_WRITERS = {
-    "NCSymElement": ("format_ncsym", "ncsym_to_json"),
-    "SymElement": ("format_sym", "sym_to_json"),
-    "MultiPolynomial": ("format_multipolynomial", "multipolynomial_to_json"),
-    "WordPolynomial": ("format_word_polynomial", "word_polynomial_to_json"),
-}
-
-
 def _emit(value, args) -> int:
     """Print the value a command computed, in the chosen format; exit code 0."""
-    if isinstance(value, (int, Fraction)):
+    strict = args.strict_rationals
+    if isinstance(value, (int, Fraction)):  # elements and polynomials print themselves
         from .combination import format_rational
 
-        text = format_rational(value, args.strict_rationals)
+        text = format_rational(value, strict)
         print(json.dumps({"value": text}) if args.format == "json" else text)
-        return 0
-    cls = type(value)
-    text_name, json_name = _WRITERS[cls.__name__]
-    if args.format == "json":
-        from . import expressions
-
-        print(getattr(expressions, json_name)(value))
-    else:  # the class's module is loaded: it made the value
-        print(getattr(sys.modules[cls.__module__], text_name)(value, args.strict_rationals))
+    else:
+        print(value.to_json(strict) if args.format == "json" else value.to_text(strict))
     return 0
 
 

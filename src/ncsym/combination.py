@@ -9,9 +9,12 @@ and it adds up equal keys, drops zero sums and trusts the keys.
 Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
 compare and hash alike.  A change of basis adds integer numerators over one
 common denominator (``_over_one_denominator``) and divides once per key.
+The one text writer and the one JSON writer live here too: each walks the
+terms in the subclass's display order.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -48,7 +51,10 @@ class Combination:
     """Finite rational combination of keys under one tag.
 
     A subclass supplies ``_check_tag`` and ``_check_key`` for its public
-    constructor; a polynomial class adds its own algebra product.
+    constructor; a polynomial class adds its own algebra product.  For output
+    it supplies ``_order`` (the display sort key of a key), ``_show`` (the
+    text of a term's body), ``_field`` and ``_encode`` (the JSON name and
+    value of a key), and ``_header`` when its JSON header is not the basis.
     """
 
     __slots__ = ("tag", "terms")
@@ -126,6 +132,26 @@ class Combination:
 
     def __hash__(self) -> int:
         return hash((self.tag, frozenset(self.terms.items())))
+
+    def _header(self) -> dict:
+        return {"basis": self.tag}
+
+    def to_text(self, strict: bool = False) -> str:
+        """The terms in display order, as "a*x + y - b*z"; see ``format_terms``."""
+        terms, show = self.terms, self._show
+        return format_terms(((terms[k], show(k)) for k in sorted(terms, key=self._order)), strict)
+
+    def to_json(self, strict: bool = False) -> str:
+        """The header's fields, then "terms" in display order, each coefficient a string."""
+        terms, field, encode = self.terms, self._field, self._encode
+        rows = [
+            {field: encode(k), "coeff": format_rational(terms[k], strict)}
+            for k in sorted(terms, key=self._order)
+        ]
+        return json.dumps({**self._header(), "terms": rows})
+
+    def __str__(self) -> str:
+        return self.to_text()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"

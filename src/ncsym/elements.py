@@ -17,7 +17,7 @@ from math import factorial
 from typing import Sequence
 
 from .classical import SymElement, sym_convert
-from .combination import Combination, _over_one_denominator, format_terms
+from .combination import Combination, _over_one_denominator
 from .intpartitions import IntPartition
 from .setpartitions import (
     SetPartition,
@@ -40,6 +40,12 @@ class NCSymElement(Combination):
 
     __slots__ = ()
     basis = Combination.tag  # the tag under its public name
+    _order = staticmethod(SetPartition.sort_key)  # degree, type, growth string
+    _field = "blocks"
+    _encode = staticmethod(lambda pi: [list(b) for b in pi.blocks])
+
+    def _show(self, pi: SetPartition) -> str:
+        return f"{self.tag}[{pi}]"
 
     @staticmethod
     def _check_tag(basis) -> None:
@@ -69,8 +75,8 @@ class NCSymElement(Combination):
     def homogeneous_component(self, n: int) -> "NCSymElement":
         return self._make(self.basis, ((pi, c) for pi, c in self.terms.items() if pi.n == n))
 
-    def __str__(self) -> str:
-        return format_ncsym(self)
+
+format_ncsym = NCSymElement.to_text
 
 
 def _expect(cls: type, *args) -> None:
@@ -78,17 +84,6 @@ def _expect(cls: type, *args) -> None:
     for x in args:
         if not isinstance(x, cls):
             raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
-
-
-def format_ncsym(f: NCSymElement, strict_rationals: bool = False) -> str:
-    """Render with terms sorted by (degree, type, growth string)."""
-    return format_terms(
-        (
-            (f.terms[pi], f"{f.basis}[{pi}]")
-            for pi in sorted(f.terms, key=SetPartition.sort_key)
-        ),
-        strict_rationals,
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Parsing of element expressions and JSON codecs for the CLI and files.
+"""Parsing of element expressions and JSON readers for the CLI and files.
 
 Expression grammar, shared by the noncommuting and commutative layers:
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .classical import SYM_BASES, SymElement, sym_convert
-from .combination import exact, format_rational
+from .combination import exact
 from .elements import NC_BASES, NCSymElement, convert
 from .intpartitions import IntPartition
 from .setpartitions import SetPartition
@@ -124,8 +124,8 @@ def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
     return collected
 
 
-def _from_json(data, cls, field: str, index):
-    """Read {"basis": b, "terms": [{field: ..., "coeff": c}, ...]} into cls.
+def _from_json(data, cls, index):
+    """Read {"basis": b, "terms": [{cls._field: ..., "coeff": c}, ...]} into cls.
 
     ``data`` is JSON text or an already decoded object.  A malformed shape,
     an unknown basis, a bad index, a null, list or object coefficient or a
@@ -145,7 +145,7 @@ def _from_json(data, cls, field: str, index):
         cls._check_tag(data["basis"])
     except ValueError as exc:
         raise ParseError(f'bad "basis": {exc}', 0) from None
-    pairs = []
+    field, pairs = cls._field, []
     for number, entry in enumerate(data["terms"], start=1):
         if not isinstance(entry, dict) or field not in entry or "coeff" not in entry:
             raise ParseError(f'term {number} needs "{field}" and "coeff"', 0)
@@ -200,45 +200,17 @@ def _json_list(value, item=int) -> list:
 
 def ncsym_from_json(data) -> NCSymElement:
     return _from_json(
-        data, NCSymElement, "blocks", lambda v: SetPartition(map(_json_list, _json_list(v, list)))
+        data, NCSymElement, lambda v: SetPartition(map(_json_list, _json_list(v, list)))
     )
 
 
 def sym_from_json(data) -> SymElement:
-    return _from_json(data, SymElement, "parts", lambda v: IntPartition(_json_list(v)))
+    return _from_json(data, SymElement, lambda v: IntPartition(_json_list(v)))
 
 
-def _to_json(header: dict, f, field: str, encode, order) -> str:
-    """The header's fields, then "terms" in display order, coefficients as 'p/q'."""
-    terms = sorted(f.terms.items(), key=lambda kv: order(kv[0]))
-    rows = [{field: encode(key), "coeff": format_rational(c)} for key, c in terms]
-    return json.dumps({**header, "terms": rows})
-
-
-def ncsym_to_json(f: NCSymElement) -> str:
-    return _to_json(
-        {"basis": f.basis}, f, "blocks", lambda pi: [list(b) for b in pi.blocks],
-        SetPartition.sort_key,
-    )
-
-
-def sym_to_json(f: SymElement) -> str:
-    return _to_json(
-        {"basis": f.basis}, f, "parts", lambda lam: list(lam.parts), lambda lam: (lam.n, lam.parts)
-    )
-
-
-def word_polynomial_to_json(P) -> str:
-    return _to_json({"variables": P.k}, P, "word", list, lambda w: (len(w), w))
-
-
-def multipolynomial_to_json(P) -> str:
-    from .macmahon import mono_degree
-
-    return _to_json(
-        P.trunc._asdict(), P, "monomial", lambda mono: [[i, j, e] for (i, j), e in mono],
-        lambda mono: (mono_degree(mono), mono),
-    )
+# the JSON writers are the element classes' own
+ncsym_to_json = NCSymElement.to_json
+sym_to_json = SymElement.to_json
 
 
 def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:

@@ -18,7 +18,7 @@ from math import factorial
 from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
-from .combination import Combination, format_terms
+from .combination import Combination
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .setpartitions import SetPartition, partitions_of_type
 from .tableaux import _fillings
@@ -76,6 +76,15 @@ class MultiPolynomial(Combination):
 
     __slots__ = ()
     trunc = Combination.tag  # the tag under its public name
+    _order = staticmethod(lambda mono: (mono_degree(mono), mono))
+    _field = "monomial"
+    _encode = staticmethod(lambda mono: [[i, j, e] for (i, j), e in mono])
+
+    def _show(self, mono: Monomial) -> str:
+        return format_monomial(mono) if mono else ""  # a constant prints as its coefficient
+
+    def _header(self) -> dict:
+        return self.trunc._asdict()
 
     @staticmethod
     def _check_tag(trunc) -> None:
@@ -126,21 +135,8 @@ class MultiPolynomial(Combination):
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(monomial(mono), 0)
 
-    def __str__(self) -> str:
-        return format_multipolynomial(self)
-
     def __repr__(self) -> str:
         return f"<MultiPolynomial {self.trunc}, {len(self.terms)} terms>"
-
-
-def format_multipolynomial(P: MultiPolynomial, strict_rationals: bool = False) -> str:
-    return format_terms(
-        (
-            (P.terms[mono], format_monomial(mono) if mono else "")
-            for mono in sorted(P.terms, key=lambda m: (mono_degree(m), m))
-        ),
-        strict_rationals,
-    )
 
 
 class VectorPartition:

@@ -44,6 +44,12 @@ class WordPolynomial(Combination):
 
     __slots__ = ()
     k = Combination.tag  # the tag under its public name
+    _order = staticmethod(lambda w: (len(w), w))
+    _field = "word"
+    _encode = list
+
+    def _header(self) -> dict:
+        return {"variables": self.k}
 
     @staticmethod
     def _check_tag(k) -> None:
@@ -67,21 +73,17 @@ class WordPolynomial(Combination):
             ((wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()),
         )
 
-    def __str__(self) -> str:
-        return format_word_polynomial(self)
+    def to_text(self, strict: bool = False) -> str:
+        """One term per line: coefficient, then the word (or "1" for the empty word)."""
+        if not self.terms:
+            return "0"
+        return "\n".join(
+            f"{format_rational(self.terms[word], strict)} {format_word(word) if word else '1'}"
+            for word in sorted(self.terms, key=self._order)
+        )
 
     def __repr__(self) -> str:
         return f"<WordPolynomial k={self.k}, {len(self.terms)} terms>"
-
-
-def format_word_polynomial(P: WordPolynomial, strict_rationals: bool = False) -> str:
-    """One term per line: coefficient, then the word (or "1" for the empty word)."""
-    if not P.terms:
-        return "0"
-    return "\n".join(
-        f"{format_rational(P.terms[word], strict_rationals)} {format_word(word) if word else '1'}"
-        for word in sorted(P.terms, key=lambda w: (len(w), w))
-    )
 
 
 def parse_word_polynomial(text: str, k: int) -> WordPolynomial:

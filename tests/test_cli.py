@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from ncsym.cli import main
+from ncsym.elements import NCSymElement
+from ncsym.expressions import ncsym_from_json
+from ncsym.setpartitions import SetPartition
 
 
 def run(capsys, *argv):
@@ -283,6 +286,17 @@ def test_golden_json_values(capsys):
     assert code == 0 and out == '{"value": "-6/1"}\n'
 
 
+def test_element_json_honours_strict_rationals(capsys):
+    argv = ("convert", "m[1]", "--to", "p", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--strict-rationals")
+    assert code == 0
+    assert out == '{"basis": "p", "terms": [{"blocks": [[1]], "coeff": "1/1"}]}\n'
+    assert ncsym_from_json(out) == NCSymElement("p", {SetPartition.parse("1"): 1})
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == '{"basis": "p", "terms": [{"blocks": [[1]], "coeff": "1"}]}\n'
+
+
 def test_golden_jacobi_trudi_json(capsys):
     code, out, _ = run(capsys, "jacobi-trudi", "2,1", "--vec", "[2,1]", "--format", "json")
     assert code == 0
@@ -442,15 +456,19 @@ def test_lattice_commands_load_neither_elements_nor_the_parser(argv, extra):
 def test_only_verify_loads_the_verify_module(tmp_path):
     biword = tmp_path / "biword.txt"
     biword.write_text("1' 2'\n2' 1'\n", encoding="utf-8")
+    ncsym_layer = {
+        "ncsym.elements", "ncsym.words", "ncsym.classical", "ncsym.linalg", "ncsym.expressions"
+    }
     for argv in (
         ["schur", "2,1", "--vec", "[2,1]", "--format", "json"],
+        ["schur", "2,1", "--vec", "[2,1]"],
+        ["jacobi-trudi", "2,1", "--vec", "[2,1]", "--format", "json"],
         ["jacobi-trudi", "2,1", "--vec", "[2,1]"],
         ["rsk", str(biword)],
     ):
         code, modules = loaded(argv)
         assert code == 0 and "ncsym.macmahon" in modules, argv
         assert "ncsym.verify" not in modules, argv
-        if "json" not in argv:  # the JSON writers live in expressions, which loads elements
-            assert not modules & {"ncsym.elements", "ncsym.words"}, argv
+        assert not modules & ncsym_layer, argv
     code, modules = loaded(["verify", "product", "--max-n", "2"])
     assert code == 0 and "ncsym.verify" in modules

@@ -4,6 +4,8 @@ Closed operations build their results without re-validating them, so every
 result here is checked against the public constructor: rebuilding it from its
 tag and terms must give the same element, with no zero coefficient stored.
 """
+import json
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -44,7 +46,6 @@ from ncsym.macmahon import (
     Truncation,
     VectorPartition,
     _jt_determinant,
-    format_multipolynomial,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -57,7 +58,7 @@ from ncsym.macmahon import (
     schur_tableau_sum,
 )
 from ncsym.setpartitions import SetPartition, set_partitions
-from ncsym.words import collect, expand, expand_position_action, oracle_product
+from ncsym.words import WordPolynomial, collect, expand, expand_position_action, oracle_product
 
 
 def assert_canonical(r):
@@ -257,17 +258,77 @@ def multipolynomials(draw):
 @settings(deadline=None, max_examples=60)
 def test_ncsym_text_and_json_roundtrip(f, strict):
     assert parse_ncsym(format_ncsym(f, strict)) == f
-    assert ncsym_from_json(ncsym_to_json(f)) == f
+    assert ncsym_from_json(ncsym_to_json(f, strict)) == f
 
 
 @given(sym_elements(), st.booleans())
 @settings(deadline=None, max_examples=60)
 def test_sym_text_and_json_roundtrip(f, strict):
     assert parse_sym(format_sym(f, strict)) == f
-    assert sym_from_json(sym_to_json(f)) == f
+    assert sym_from_json(sym_to_json(f, strict)) == f
 
 
 @given(multipolynomials(), st.booleans())
 @settings(deadline=None, max_examples=60)
 def test_multipolynomial_text_roundtrip(P, strict):
-    assert parse_multipolynomial(format_multipolynomial(P, strict), TRUNC) == P
+    assert parse_multipolynomial(P.to_text(strict), TRUNC) == P
+
+
+# one mixed-degree value per class, with negative and fractional coefficients
+SP, IP = SetPartition.parse, IntPartition
+DISPLAY_CASES = [
+    (
+        NCSymElement("h", {SP("1,3/2,4"): Fraction(3, 2), SP("1/2"): -1, SP("1,2,3"): 1,
+                           SP("1"): 5, SP("1,2/3,4"): Fraction(-2, 7), SP(""): Fraction(-1, 3)}),
+        "-1/3*h[] + 5*h[1] - h[1/2] + h[1,2,3] - 2/7*h[1,2/3,4] + 3/2*h[1,3/2,4]",
+        lambda v: SetPartition(v),
+    ),
+    (
+        SymElement("s", {IP((2, 1)): Fraction(-1, 2), IP((3,)): 1, IP((1,)): -4,
+                         IP((2, 2)): Fraction(5, 3), IP((3, 1)): -1}),
+        "-4*s[1] - 1/2*s[2,1] + s[3] + 5/3*s[2,2] - s[3,1]",
+        lambda v: IntPartition(v),
+    ),
+    (
+        MultiPolynomial(TRUNC, {(): Fraction(3, 2), (((1, 1), 2),): -1, (((2, 1), 1),): 1,
+                                (((1, 1), 1), ((2, 2), 1)): Fraction(-5, 3),
+                                (((1, 2), 1),): Fraction(1, 4)}),
+        "3/2 + 1/4*x1'' + x2' - 5/3*x1' x2'' - x1'^2",
+        lambda v: tuple(((i, j), e) for i, j, e in v),
+    ),
+    (
+        WordPolynomial(2, {(): 5, (1,): Fraction(-1, 2), (2, 1): 1, (1, 2, 2): Fraction(-7, 3),
+                           (2,): -1}),
+        "5 1\n-1/2 x1\n-1 x2\n1 x2 x1\n-7/3 x1 x2 x2",
+        tuple,
+    ),
+]
+ALIASES = {
+    NCSymElement: (format_ncsym, ncsym_to_json),
+    SymElement: (format_sym, sym_to_json),
+}
+
+
+def _signed_terms(x):
+    """The terms of x.to_text() in order, each with its sign."""
+    text = x.to_text()
+    if isinstance(x, WordPolynomial):
+        return text.split("\n")
+    first, *rest = re.split(r" ([+-]) ", text)
+    return [first] + [("-" if sign == "-" else "") + t for sign, t in zip(rest[::2], rest[1::2])]
+
+
+@pytest.mark.parametrize(
+    "x, text, decode", DISPLAY_CASES, ids=[type(case[0]).__name__ for case in DISPLAY_CASES]
+)
+def test_text_and_json_share_one_display_order(x, text, decode):
+    assert x.to_text() == str(x) == text
+    for strict in (False, True):
+        for alias, method in zip(ALIASES.get(type(x), ()), (x.to_text, x.to_json)):
+            assert alias(x, strict) == method(strict)
+    payload = json.loads(x.to_json())
+    field = {NCSymElement: "blocks", SymElement: "parts", MultiPolynomial: "monomial",
+             WordPolynomial: "word"}[type(x)]
+    rows = [(decode(row[field]), Fraction(row["coeff"])) for row in payload["terms"]]
+    assert {key: c for key, c in rows} == x.terms
+    assert [type(x)(x.tag, {key: c}).to_text() for key, c in rows] == _signed_terms(x)

@@ -6,7 +6,6 @@ from ncsym.classical import SymElement, format_sym, sym_convert
 from ncsym.elements import NCSymElement, convert, format_ncsym
 from ncsym.expressions import (
     ParseError,
-    multipolynomial_to_json,
     ncsym_from_json,
     ncsym_to_json,
     parse_multipolynomial,
@@ -19,14 +18,13 @@ from ncsym.intpartitions import IntPartition
 from ncsym.macmahon import (
     MultiPolynomial,
     Truncation,
-    format_multipolynomial,
     mm_complete,
     schur_tableau_sum,
 )
 from ncsym.rsk import Biword
 from ncsym.setpartitions import SetPartition
 from ncsym.tableaux import DottedTableau
-from ncsym.words import WordPolynomial, expand, format_word_polynomial, parse_word_polynomial
+from ncsym.words import WordPolynomial, expand, parse_word_polynomial
 
 P = SetPartition.parse
 
@@ -126,22 +124,22 @@ def test_json_refuses_float_coefficients():
 def test_word_polynomial_text_roundtrip():
     f = NCSymElement("p", {P("12"): Fraction(2, 3)})
     poly = expand(f, 2)
-    again = parse_word_polynomial(format_word_polynomial(poly), poly.k)
+    again = parse_word_polynomial(poly.to_text(), poly.k)
     assert again == poly
     unit = WordPolynomial(1, {(): Fraction(5)})
-    assert parse_word_polynomial(format_word_polynomial(unit), 1) == unit
+    assert parse_word_polynomial(unit.to_text(), 1) == unit
 
 
 def test_multipolynomial_text_roundtrip():
     tr = Truncation(2, 3, 3)
     poly = schur_tableau_sum(IntPartition((2, 1)), (2, 1), tr)
-    text = format_multipolynomial(poly)
+    text = poly.to_text()
     assert parse_multipolynomial(text, tr) == poly
     h = mm_complete((1, 1), Truncation(2, 1, 2))
-    assert parse_multipolynomial(format_multipolynomial(h), Truncation(2, 1, 2)) == h
+    assert parse_multipolynomial(h.to_text(), Truncation(2, 1, 2)) == h
     assert parse_multipolynomial("0", tr).is_zero()
     constant = MultiPolynomial(tr, {(): Fraction(3, 2)})
-    assert parse_multipolynomial(format_multipolynomial(constant), tr) == constant
+    assert parse_multipolynomial(constant.to_text(), tr) == constant
 
 
 def test_biword_and_tableau_text_roundtrip():
