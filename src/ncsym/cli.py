@@ -192,8 +192,9 @@ def _cmd_lattice(args) -> int:
         )
     lat = lattice(args.n)
     labels = [str(p) if p.blocks else "()" for p in lat.elements]
-    if args.table == "mobius":
-        cells = [[str(lat.mu(i, j)) for j in range(lat.size)] for i in range(lat.size)]
+    if args.table == "mobius":  # mu is an int: strict adds the "/1" of format_rational
+        den = "/1" if args.strict_rationals else ""
+        cells = [[f"{lat.mu(i, j)}{den}" for j in range(lat.size)] for i in range(lat.size)]
     else:
         table = lat.meet if args.table == "meet" else lat.join
         cells = [

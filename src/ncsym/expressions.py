@@ -62,7 +62,7 @@ class _Scanner:
             raise ParseError("expected an integer", start)
         return int(self.text[start : self.pos])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         num = self.integer()
         self.skip_ws()
         if self.peek() == "/":
@@ -70,8 +70,8 @@ class _Scanner:
             den = self.integer()
             if not den:
                 raise ParseError("zero denominator", self.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+            return Fraction(num, den) if num % den else num // den
+        return num
 
 
 def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
@@ -81,15 +81,15 @@ def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
     first = True
     while not sc.at_end():
         sc.skip_ws()
-        sign = Fraction(1)
+        sign = 1
         if sc.peek() in "+-":
             if first and sc.peek() == "+":
                 raise ParseError("unexpected leading '+'", sc.pos)
-            sign = Fraction(-1) if sc.take() == "-" else Fraction(1)
+            sign = -1 if sc.take() == "-" else 1
         elif not first:
             raise ParseError("expected '+' or '-' between terms", sc.pos)
         sc.skip_ws()
-        coeff = Fraction(1)
+        coeff = 1
         if sc.peek().isdigit():
             coeff = sc.rational()
             sc.skip_ws()
@@ -222,13 +222,13 @@ def parse_multipolynomial(text: str, trunc) -> MultiPolynomial:
     first = True
     while not sc.at_end():
         sc.skip_ws()
-        sign = Fraction(1)
+        sign = 1
         if sc.peek() in "+-":
-            sign = Fraction(-1) if sc.take() == "-" else Fraction(1)
+            sign = -1 if sc.take() == "-" else 1
         elif not first:
             raise ParseError("expected '+' or '-' between terms", sc.pos)
         sc.skip_ws()
-        coeff = Fraction(1)
+        coeff = 1
         explicit_coeff = False
         if sc.peek().isdigit():
             coeff = sc.rational()

@@ -6,14 +6,17 @@ A monomial is a sorted tuple of ((subscript, alphabet), exponent) pairs with
 positive exponents and no variable repeated; ``monomial()`` is the one
 function that brings (variable, exponent) pairs into that form, and
 ``MultiPolynomial`` runs every key given to its constructor through it.
+``.terms``, parsing and printing keep these tuples; inside the kernels a monomial
+is one int packed by ``_layout``, so a product is one integer addition.
 The degree-n slice of multidegree [1,...,1] maps onto words in noncommuting
 variables by reading, for each alphabet in order, the subscript it uses.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from math import factorial
 from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
@@ -44,11 +47,44 @@ def monomial(pairs: Iterable[tuple[tuple[int, int], int]]) -> Monomial:
     return tuple(sorted((key, e) for key, e in exps.items() if e))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[tuple[int, int], int] = dict(a)
-    for key, e in b:
-        exps[key] = exps.get(key, 0) + e
-    return tuple(sorted(exps.items()))
+@lru_cache(maxsize=256)  # one small dict per truncation, rebuilt in microseconds
+def _layout(alphabets: int, variables: int, degree: int) -> tuple[dict, int, int]:
+    """(unit, top, width): unit[i, j] is the code of x_i^(j), one field of the cap's
+    bit width per variable in sorted (i, j) order, and the total degree above them
+    all, at bit ``top``.  Codes add as monomials multiply; no field overflows while
+    the total is within the cap, and a carry only raises it: ``code >> top <= cap``.
+    """
+    width = degree.bit_length()
+    keys = [(i, j) for i in range(1, variables + 1) for j in range(1, alphabets + 1)]
+    top = width * len(keys)
+    return {key: 1 << k * width | 1 << top for k, key in enumerate(keys)}, top, width
+
+
+def _unpack(code: int, layout: tuple) -> Monomial:
+    """The sorted monomial of a code within the cap of its layout."""
+    unit, _, width = layout
+    mask, out = (1 << width) - 1, []
+    for key in unit:  # the variable fields, lowest first; the total above them is not read
+        if code & mask:
+            out.append((key, code & mask))
+        code >>= width
+    return tuple(out)
+
+
+def _packed(terms: dict, unit: dict, shift: int = 0) -> dict:
+    """Monomial-keyed terms keyed by their codes, alphabet j moved to j + shift."""
+    return {sum(unit[i, j + shift] * e for (i, j), e in mono): c for mono, c in terms.items()}
+
+
+def _times(a: dict, b: dict, top: int, cap: int) -> dict:
+    """The product of two packed polynomials, terms past the cap dropped."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            if m >> top <= cap:
+                out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -63,12 +99,7 @@ def mono_multidegree(mono: Monomial, alphabets: int) -> tuple[int, ...]:
 
 
 def format_monomial(mono: Monomial) -> str:
-    if not mono:
-        return "1"
-    factors = []
-    for (i, j), e in mono:
-        factors.append(f"x{i}{chr(39) * j}" + (f"^{e}" if e > 1 else ""))
-    return " ".join(factors)
+    return " ".join(f"x{i}{chr(39) * j}" + (f"^{e}" if e > 1 else "") for (i, j), e in mono) or "1"
 
 
 class MultiPolynomial(Combination):
@@ -114,17 +145,10 @@ class MultiPolynomial(Combination):
         if not isinstance(other, MultiPolynomial):
             return super().__mul__(other)
         self._require_same_tag(other)
-        right = [(mb, cb, mono_degree(mb)) for mb, cb in other.terms.items()]
-        left = ((ma, ca, self.trunc.degree - mono_degree(ma)) for ma, ca in self.terms.items())
-        return self._make(
-            self.trunc,
-            (
-                (mono_mul(ma, mb), ca * cb)
-                for ma, ca, room in left
-                for mb, cb, db in right
-                if db <= room
-            ),
-        )
+        layout = unit, top, _ = _layout(*self.trunc)
+        left, right = _packed(self.terms, unit), _packed(other.terms, unit)
+        product = _times(left, right, top, self.trunc.degree)
+        return self._make(self.trunc, ((_unpack(m, layout), c) for m, c in product.items()))
 
     def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
         vec, k = tuple(vec), self.trunc.alphabets
@@ -171,18 +195,11 @@ class VectorPartition:
             return cls((), dimension)
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"cannot parse vector partition from {text!r}")
-        parts = []
-        for chunk in s[1:-1].split("],["):
-            chunk = chunk.strip().strip("[]")
-            parts.append(tuple(int(tok) for tok in chunk.split(",")))
-        return cls(parts, dimension)
+        chunks = (chunk.strip().strip("[]") for chunk in s[1:-1].split("],["))
+        return cls((tuple(int(tok) for tok in chunk.split(",")) for chunk in chunks), dimension)
 
     def multidegree(self) -> tuple[int, ...]:
-        out = [0] * self.dimension
-        for p in self.parts:
-            for j, v in enumerate(p):
-                out[j] += v
-        return tuple(out)
+        return tuple(map(sum, zip((0,) * self.dimension, *self.parts)))
 
     def degree(self) -> int:
         return sum(self.multidegree())
@@ -206,12 +223,8 @@ class VectorPartition:
 
 def parse_vector(text: str) -> tuple[int, ...]:
     s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(tok) for tok in s.split(","))
+    s = (s[1:-1] if s.startswith("[") and s.endswith("]") else s).strip()
+    return tuple(int(tok) for tok in s.split(",")) if s else ()
 
 
 def _check_truncation(trunc: Truncation, degree: int = 0) -> None:
@@ -385,9 +398,12 @@ def schur_tableau_sum(
 
 def _tableau_sum(lam: IntPartition, vec_m: tuple | None, trunc: Truncation) -> MultiPolynomial:
     """``schur_tableau_sum`` unchecked, and over every multidegree when vec_m
-    is None: one walk over the fillings, building no tableau."""
-    fills = _fillings(lam.parts, trunc.variables, trunc.alphabets, vec_m, lambda v, d: ((v, d), 1))
-    return MultiPolynomial._make(trunc, ((monomial(cells), 1) for cells in fills))
+    is None: one walk over the fillings, building no tableau.  A filling's
+    code is the sum of its cells' codes, and each distinct one is decoded once."""
+    layout = unit, _, _ = _layout(*trunc)
+    cell = lambda *v: unit.get(v, 0)  # value 0 and class 0 are in the walk's table too
+    counts = Counter(map(sum, _fillings(lam.parts, trunc.variables, trunc.alphabets, vec_m, cell)))
+    return MultiPolynomial._make(trunc, ((_unpack(m, layout), c) for m, c in counts.items()))
 
 
 def schur_ncsym(lam: IntPartition) -> NCSymElement:
@@ -413,21 +429,23 @@ def _jt_determinant(
     A state is (columns used, multidegree so far) and holds the signed sum of
     the products over every way of reaching it, so the permutations share
     their prefixes.  A complete state has degree |vec_m|, and a multidegree
-    that stays under vec_m with that sum is vec_m itself.
+    that stays under vec_m with that sum is vec_m itself, so no product passes
+    the cap and the states' terms stay packed until the end.
     """
     size, k, trunc = lam.length, len(vec_m), Truncation(len(vec_m), variables, sum(vec_m))
+    layout = unit, _, _ = _layout(*trunc)
 
     def pieces(degree: int) -> list:  # the pieces gen(t) of one entry that fit under vec_m
         return [
-            (t, _mm_generator(t, variables, degree if variant == "h" else 1).terms.items())
+            (t, _packed(_mm_generator(t, variables, degree if variant == "h" else 1).terms, unit))
             for t in weak_compositions(degree, k)
             if all(map(le, t, vec_m))
         ]
 
     rows = [[pieces(lam.parts[i] - i + j) for j in range(size)] for i in range(size)]
-    states = {(0, (0,) * k): {(): 1}}
+    states = {(0, (0,) * k): {0: 1}}
     for row in reversed(rows):  # the longest row last, where vec_m leaves one t per state
-        pairs: dict = {}
+        sums: dict = {}
         for (used, deg), terms in states.items():
             for j, entry in enumerate(row):
                 if used >> j & 1:
@@ -436,13 +454,15 @@ def _jt_determinant(
                 for t, piece in entry:
                     d = tuple(map(add, deg, t))
                     if all(map(le, d, vec_m)):
-                        pairs.setdefault((used | 1 << j, d), []).extend(
-                            (mono_mul(ma, mb), sign * ca * cb)
-                            for ma, ca in terms.items()
-                            for mb, cb in piece
-                        )
-        states = {key: MultiPolynomial._make(trunc, p).terms for key, p in pairs.items()}
-    return MultiPolynomial._make(trunc, chain.from_iterable(t.items() for t in states.values()))
+                        acc = sums.setdefault((used | 1 << j, d), {})
+                        for ma, ca in terms.items():
+                            ca *= sign
+                            for mb, cb in piece.items():
+                                m = ma + mb
+                                acc[m] = acc.get(m, 0) + ca * cb
+        states = {key: {m: c for m, c in acc.items() if c} for key, acc in sums.items()}
+    terms = ((_unpack(m, layout), c) for acc in states.values() for m, c in acc.items())
+    return MultiPolynomial._make(trunc, terms)
 
 
 def jacobi_trudi(

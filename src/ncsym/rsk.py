@@ -9,14 +9,15 @@ The recording tableau receives the top entry of the biword column verbatim.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import product
 from operator import attrgetter
 from typing import Iterable
 
 from .intpartitions import IntPartition, int_partitions
-from .macmahon import MultiPolynomial, Truncation, format_monomial
-from .macmahon import _check_truncation, _tableau_sum
+from .macmahon import Truncation, format_monomial
+from .macmahon import _check_truncation, _layout, _packed, _tableau_sum, _times, _unpack
 from .tableaux import DottedEntry, DottedTableau, _entry, class_counts, parse_entry
 
 _value = attrgetter("value")
@@ -154,7 +155,7 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
     variables.  Right side: the product over subscript pairs (i, j) of the
     geometric series in z_ij = sum_{k,l} x_i^(k) y_j^(l), up to z_ij^degree.
 
-    Both sides are MultiPolynomials in one joint truncation: x keeps its
+    Both sides are packed polynomials in one joint truncation: x keeps its
     alphabets 1..a, y moves to a+1..a+b, each alphabet has as many subscripts
     as the larger of the two, and the cap is 2 * degree.  That cap cuts
     exactly at x-degree <= degree, because every term on either side has
@@ -170,39 +171,35 @@ def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> Cauch
         a + y_trunc.alphabets, max(x_trunc.variables, y_trunc.variables), 2 * degree
     )
 
-    lhs_terms = []
+    layout = unit, top, _ = _layout(*joint)
+    lhs: Counter = Counter()  # both sides keep packed codes; only mismatches are decoded
     walk_y = x_trunc[:2] != y_trunc[:2]  # a shape's sum depends only on alphabets and variables
     for m in range(degree + 1):
         for lam in int_partitions(m):
-            fx = _tableau_sum(lam, None, x_trunc).terms.items()
-            fy = _tableau_sum(lam, None, y_trunc).terms.items() if walk_y else fx
-            y_terms = ((tuple(((i, j + a), e) for (i, j), e in y), c) for y, c in fy)
-            pairing = MultiPolynomial._make(joint, fx) * MultiPolynomial._make(joint, y_terms)
-            lhs_terms.extend(pairing.terms.items())
-    lhs = MultiPolynomial._make(joint, lhs_terms)
+            fx = _tableau_sum(lam, None, x_trunc).terms
+            fy = _tableau_sum(lam, None, y_trunc).terms if walk_y else fx
+            lhs.update(_times(_packed(fx, unit), _packed(fy, unit, a), top, joint.degree))
 
-    rhs = MultiPolynomial.one(joint)
+    rhs = {0: 1}
     for i in range(1, x_trunc.variables + 1):
         for j in range(1, y_trunc.variables + 1):
-            z = [
-                (tuple(sorted((((i, k), 1), ((j, a + l), 1)))), 1)  # i > j puts y first
-                for k in range(1, a + 1)
-                for l in range(1, y_trunc.alphabets + 1)
-            ]
-            powers = [MultiPolynomial.one(joint)]
+            pairs = product(range(1, a + 1), range(a + 1, joint.alphabets + 1))
+            z = {unit[i, k] + unit[j, l]: 1 for k, l in pairs}  # each x_i^(k) y_j^(l)
+            series = power = {0: 1}
             for _ in range(degree):  # z has degree 2: at degree 0 it is outside the cap
-                powers.append(powers[-1] * MultiPolynomial._make(joint, z))
-            series = chain.from_iterable(power.terms.items() for power in powers)
-            rhs = rhs * MultiPolynomial._make(joint, series)
+                power = _times(power, z, top, joint.degree)
+                series = {**series, **power}  # the powers have distinct degrees
+            rhs = _times(rhs, series, top, joint.degree)
 
     def split(mono):
         """The x part, and the y part moved back to alphabets 1..b, of a joint monomial."""
         x = tuple(((i, j), e) for (i, j), e in mono if j <= a)
         return x, tuple(((i, j - a), e) for (i, j), e in mono if j > a)
 
+    differ = (code for code in lhs.keys() | rhs.keys() if lhs[code] != rhs.get(code, 0))
     mismatches = [
         f"x:[{format_monomial(x)}] y:[{format_monomial(y)}]: "
-        f"tableau side {lhs.terms.get(mono, 0)}, product side {rhs.terms.get(mono, 0)}"
-        for (x, y), mono in sorted((split(mono), mono) for mono in (lhs - rhs).terms)
+        f"tableau side {lhs[code]}, product side {rhs.get(code, 0)}"
+        for (x, y), code in sorted((split(_unpack(code, layout)), code) for code in differ)
     ]
     return CauchyReport(not mismatches, degree, mismatches)

@@ -188,6 +188,19 @@ def test_lattice_table(capsys):
     assert payload["n"] == 3 and len(payload["rows"]) == 5
 
 
+def test_lattice_mobius_table_honours_strict_rationals(capsys):
+    plain = run(capsys, "lattice", "--n", "2", "--table", "mobius")
+    assert plain[1] == "*\t1,2\t1/2\n1,2\t1\t0\n1/2\t-1\t1\n"
+    code, out, _ = run(capsys, "lattice", "--n", "2", "--table", "mobius", "--strict-rationals")
+    assert code == 0 and out == "*\t1,2\t1/2\n1,2\t1/1\t0/1\n1/2\t-1/1\t1/1\n"
+    argv = ["lattice", "--n", "2", "--table", "mobius", "--format", "json"]
+    plain = json.loads(run(capsys, *argv)[1])
+    strict = json.loads(run(capsys, *argv, "--strict-rationals")[1])
+    assert plain["rows"] == [["1", "0"], ["-1", "1"]]
+    assert strict["rows"] == [["1/1", "0/1"], ["-1/1", "1/1"]]
+    assert {**strict, "rows": plain["rows"]} == plain
+
+
 def test_lattice_refuses_large_n(capsys):
     code, out, err = run(capsys, "lattice", "--n", "8", "--table", "meet")
     assert code == 3 and out == ""

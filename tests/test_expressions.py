@@ -45,6 +45,19 @@ def test_parse_single_basis_stays_put():
     assert f.terms == {P("12/3"): Fraction(2), P("1/2/3"): Fraction(1)}
 
 
+def test_parsed_integral_coefficients_stay_int():
+    f = parse_ncsym("2*m[1,2] - m[1/2] + 4/2*m[1,2,3] - 1/3*m[1/2/3]")
+    assert f.terms == {P("12"): 2, P("1/2"): -1, P("123"): 2, P("1/2/3"): Fraction(-1, 3)}
+    assert [type(f.terms[P(k)]) for k in ("12", "1/2", "123", "1/2/3")] == [int] * 3 + [Fraction]
+    g = parse_sym("3*h[2,1] - 6/3*h[1] + 5/2*h[3]")
+    types = {mu.parts: type(c) for mu, c in g.terms.items()}
+    assert types == {(2, 1): int, (1,): int, (3,): Fraction}
+    poly = parse_multipolynomial("2*x1' - x2'' + 6/2*x1'^2 + 1/2", Truncation(2, 2, 2))
+    types = {mono: type(c) for mono, c in poly.terms.items()}
+    assert types == {(((1, 1), 1),): int, (((2, 2), 1),): int, (((1, 1), 2),): int, (): Fraction}
+    assert poly.terms[(((1, 1), 2),)] == 3 and poly.terms[()] == Fraction(1, 2)
+
+
 def test_parse_compact_and_empty_forms():
     assert parse_ncsym("m[13/24]") == NCSymElement("m", {P("13/24"): 1})
     assert parse_ncsym("m[]") == NCSymElement.unit()

@@ -15,8 +15,10 @@ from ncsym.macmahon import (
     TruncationError,
     VectorPartition,
     _jt_determinant,
+    _layout,
     _letter_vectors,
     _mm_generator,
+    _unpack,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -577,3 +579,93 @@ def test_negative_vectors_and_empty_truncations_are_refused():
     assert schur_tableau_sum(IP(()), (), Truncation(0, 1, 0)) == MultiPolynomial.one(
         Truncation(0, 1, 0)
     )
+
+
+def reference_tableau_sum(lam, vec, trunc):
+    """The tableau generating function read tableau by tableau through ``monomial``,
+    with no packed codes."""
+    out = {}
+    for tab in dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec):
+        key = monomial(((e.value, e.dots), 1) for e in tab.entries())
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_packed_kernels_match_the_tableau_enumeration_to_size_5():
+    cases = 0
+    for n in range(6):
+        for lam in int_partitions(n):
+            for alphabets in (1, 2, 3):
+                for variables in (1, 2, 3):
+                    tr = Truncation(alphabets, variables, n)
+                    for vec in weak_compositions(n, alphabets):
+                        want = reference_tableau_sum(lam, vec, tr)
+                        assert schur_tableau_sum(lam, vec, tr).terms == want, (lam, vec, tr)
+                        assert jacobi_trudi(lam, vec, "h", tr).terms == want, (lam, vec, tr)
+                        got = jacobi_trudi(lam.conjugate(), vec, "e", tr).terms
+                        assert got == want, (lam, vec, tr)
+                        cases += 1
+    assert cases == 1125
+
+
+def monomials_up_to(trunc):
+    """Every monomial of the truncation, by exponent vectors over its variables."""
+    keys = [(i, j) for i in range(1, trunc.variables + 1) for j in range(1, trunc.alphabets + 1)]
+    for exps in itertools.product(range(trunc.degree + 1), repeat=len(keys)):
+        if sum(exps) <= trunc.degree:
+            yield tuple((key, e) for key, e in zip(keys, exps) if e)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4, 7, 8])  # the edges of the field widths 1, 2, 3 and 4
+def test_layout_round_trips_every_monomial(cap):
+    tr = Truncation(2, 2, cap)
+    layout = unit, top, width = _layout(*tr)
+    assert width == cap.bit_length() and top == 4 * width
+    codes = set()
+    for mono in monomials_up_to(tr):
+        code = sum(unit[key] * e for key, e in mono)
+        assert code >> top == sum(e for _, e in mono)
+        assert _unpack(code, layout) == mono
+        codes.add(code)
+    assert len(codes) == len(list(monomials_up_to(tr)))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4, 7, 8])
+def test_products_on_the_cap_are_kept_and_past_it_dropped(cap):
+    tr = Truncation(2, 2, cap)
+    x, y = (1, 1), (2, 1)  # the variables of the lowest field and of the third
+    power = lambda key, e: MultiPolynomial(tr, {((key, e),) if e else (): 1})
+    for a in range(cap + 1):
+        for b in range(cap + 1):
+            got = power(x, a) * power(x, b)  # past the cap, the field of x overflows
+            want = {((x, a + b),) if a + b else (): 1} if a + b <= cap else {}
+            assert got.terms == want, (a, b)
+    left = MultiPolynomial(tr, {((x, 1),): 1, (): 1})
+    right = MultiPolynomial(tr, {((x, cap),): 2, ((y, cap - 1),): 3} if cap > 1 else {((x, 1),): 2})
+    want = dict(right.terms)
+    if cap > 1:
+        want[((x, 1), (y, cap - 1))] = 3  # on the cap; x times x^cap is past it
+    assert (left * right).terms == want
+
+
+def test_public_operations_keep_monomial_tuples_as_keys():
+    tr = Truncation(2, 3, 4)
+    lam, vec = IP((2, 1)), (2, 1)
+    results = [
+        schur_tableau_sum(lam, vec, tr),
+        jacobi_trudi(lam, vec, "h", tr),
+        jacobi_trudi(lam, vec, "e", tr),
+        mm_power((1, 1), tr),
+        mm_elementary((1, 1), tr),
+        mm_complete((2, 1), tr),
+        mm_monomial(VectorPartition([(1, 0), (1, 1)]), tr),
+        mm_multiplicative("h", VectorPartition([(1, 0), (1, 1)]), tr),
+        mm_power((1, 0), tr) * mm_complete((1, 1), tr),
+        jacobi_trudi(lam, vec, "h", tr) - schur_tableau_sum(IP((3,)), vec, tr),
+        3 * mm_elementary((2, 0), tr).extract_multidegree((2, 0)),
+    ]
+    for poly in results:
+        assert poly.terms
+        for key in poly.terms:
+            assert type(key) is tuple and key == monomial(key), key
+            assert all(type(k) is tuple and type(e) is int for k, e in key), key

@@ -246,3 +246,17 @@ def test_whitespace_only_lines_are_blank():
         assert Biword.parse(text) == bw
     assert Biword.parse(" \n\n") == Biword()
     assert DottedTableau.parse(" \n1' 2''\n  \n2'\n") == DottedTableau([[(1, 1), (2, 2)], [(2, 1)]])
+
+
+def test_cauchy_reports_each_mismatch_decoded_and_sorted(monkeypatch):
+    def doubled(lam, vec_m, trunc):  # a wrong tableau side: twice each degree-1 sum
+        return tableau_sum(lam, vec_m, trunc) * (2 if lam.n == 1 else 1)
+
+    monkeypatch.setattr(rsk, "_tableau_sum", doubled)
+    report = cauchy_check(Truncation(1, 2, 1), Truncation(1, 2, 1), 1)
+    assert not report.ok and report.degree == 1
+    assert report.mismatches == [
+        f"x:[{x}] y:[{y}]: tableau side 4, product side 1"
+        for x in ("x1'", "x2'")
+        for y in ("x1'", "x2'")
+    ]
