@@ -11,12 +11,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from importlib import import_module
 
-# Every command loads these two.  The rest load in the commands that use them,
-# so mobius and lattice never load the element layers or the expression parser.
-from .intpartitions import IntPartition
-from .setpartitions import SetPartition, bell_number, lattice, mobius
+# The namespace is lazy: a name loads its home submodule on first use, so each
+# command loads only the layers it calls, and mobius and lattice never load the
+# element layers or the expression parser.
+import ncsym
 
 USAGE_ERROR, PARSE_ERROR, SEMANTIC_ERROR, VERIFY_ERROR = 1, 2, 3, 4
 
@@ -134,64 +133,46 @@ def _read(reader, text: str, what: str):
     """An argument or file read by its reader; a malformed one is a parse error."""
     try:
         return reader(text)
-    except ValueError as exc:
-        from .expressions import ParseError  # only a failed read pays for the parser
-
-        raise ParseError(f"bad {what}: {exc}", 0) from None
+    except ValueError as exc:  # only a failed read pays for the parser
+        raise ncsym.ParseError(f"bad {what}: {exc}", 0) from None
 
 
-def _late(module: str, name: str):
-    """The function ``name`` of the submodule ``module``, imported at its first call."""
-    return lambda *args: getattr(import_module(f".{module}", __package__), name)(*args)
-
-
-parse_ncsym = _late("expressions", "parse_ncsym")
-parse_sym = _late("expressions", "parse_sym")
-convert = _late("elements", "convert")
-inner = _late("elements", "inner")
-lift = _late("elements", "lift")
-multiply = _late("elements", "multiply")
-omega = _late("elements", "omega")
-project = _late("elements", "project")
-expand = _late("words", "expand")
-
-
-def _truncation(shape: IntPartition, vec: tuple[int, ...], k: int | None) -> Truncation:
+def _truncation(
+    shape: ncsym.IntPartition, vec: tuple[int, ...], k: int | None
+) -> ncsym.Truncation:
     """One alphabet per vector entry, k variables each (default the degree)."""
-    from .macmahon import Truncation
-
-    return Truncation(len(vec), k if k is not None else max(shape.n, 1), shape.n)
+    return ncsym.Truncation(len(vec), k if k is not None else max(shape.n, 1), shape.n)
 
 
 def _schur(args):
-    from .macmahon import parse_vector, schur_ncsym, schur_tableau_sum
+    from .macmahon import parse_vector
 
-    shape = _read(IntPartition.parse, args.shape, "shape")
+    shape = _read(ncsym.IntPartition.parse, args.shape, "shape")
     if args.vec is not None:
         vec = _read(parse_vector, args.vec, "--vec")
-        return schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
-    element = schur_ncsym(shape)
-    return element if args.expand is None else expand(element, args.expand)
+        return ncsym.schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
+    element = ncsym.schur_ncsym(shape)
+    return element if args.expand is None else ncsym.expand(element, args.expand)
 
 
-def _jacobi_trudi(args) -> MultiPolynomial:
-    from .macmahon import jacobi_trudi, parse_vector
+def _jacobi_trudi(args) -> ncsym.MultiPolynomial:
+    from .macmahon import parse_vector
 
-    shape = _read(IntPartition.parse, args.shape, "shape")
+    shape = _read(ncsym.IntPartition.parse, args.shape, "shape")
     vec = _read(parse_vector, args.vec, "--vec")
-    return jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
+    return ncsym.jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
 
 
 def _cmd_lattice(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if args.n > 7:  # n = 8 has 4140^2 = 17M cells: 22x the build time and memory of n = 7
-        size = bell_number(args.n)
+        size = ncsym.bell_number(args.n)
         raise ValueError(
             f"--n {args.n}: B_{args.n} = {size} partitions, a {size} x {size} table; n <= 7"
         )
-    lat = lattice(args.n)
-    labels = [str(p) if p.blocks else "()" for p in lat.elements]
+    lat = ncsym.lattice(args.n)
+    labels = [str(p) or "()" for p in lat.elements]
     if args.table == "mobius":  # mu is an int: strict adds the "/1" of format_rational
         den = "/1" if args.strict_rationals else ""
         cells = [[f"{lat.mu(i, j)}{den}" for j in range(lat.size)] for i in range(lat.size)]
@@ -209,26 +190,23 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _tableau_pair(text: str) -> tuple[DottedTableau, DottedTableau]:
+def _tableau_pair(text: str) -> tuple[ncsym.DottedTableau, ncsym.DottedTableau]:
     """The two tableaux of an ``rsk --inverse`` file, split at blank or whitespace-only lines."""
-    from .tableaux import DottedTableau
-
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     if len(chunks) != 2:
         raise ValueError("expected two tableaux separated by a blank line")
-    return DottedTableau.parse(chunks[0]), DottedTableau.parse(chunks[1])
+    return ncsym.DottedTableau.parse(chunks[0]), ncsym.DottedTableau.parse(chunks[1])
 
 
 def _cmd_rsk(args) -> int:
-    from .rsk import Biword, rsk_forward, rsk_inverse
-
     with open(args.path, encoding="utf-8") as handle:
         text = handle.read()
     if args.inverse:
-        biword = rsk_inverse(*_read(_tableau_pair, text, f"file {args.path}"))
+        biword = ncsym.rsk_inverse(*_read(_tableau_pair, text, f"file {args.path}"))
         payload, shown = {"top": biword.top, "bottom": biword.bottom}, str(biword)
     else:
-        insertion, recording = rsk_forward(_read(Biword.parse, text, f"file {args.path}"))
+        biword = _read(ncsym.Biword.parse, text, f"file {args.path}")
+        insertion, recording = ncsym.rsk_forward(biword)
         payload = {"insertion": insertion.rows, "recording": recording.rows}
         shown = f"{insertion}\n\n{recording}"
     # entries are (value, dots) named tuples, so JSON writes them as [value, dots]
@@ -261,20 +239,27 @@ def _cmd_verify(args) -> int:
 # Each command maps parsed arguments to an exit code.  Those that compute one
 # value hand it to _emit; lattice, rsk and verify print their own tables.
 _COMMANDS = {
-    "convert": lambda a: _emit(convert(parse_ncsym(a.expr), a.to), a),
+    "convert": lambda a: _emit(ncsym.convert(ncsym.parse_ncsym(a.expr), a.to), a),
     "mobius": lambda a: _emit(
-        mobius(*(_read(SetPartition.parse, t, "set partition") for t in (a.sigma, a.pi))), a
+        ncsym.mobius(
+            *(_read(ncsym.SetPartition.parse, t, "set partition") for t in (a.sigma, a.pi))
+        ),
+        a,
     ),
     "lattice": _cmd_lattice,
-    "inner": lambda a: _emit(inner(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
-    "multiply": lambda a: _emit(multiply(parse_ncsym(a.expr1), parse_ncsym(a.expr2)), a),
-    "omega": lambda a: _emit(omega(parse_ncsym(a.expr)), a),
-    "project": lambda a: _emit(project(parse_ncsym(a.expr)), a),
-    "lift": lambda a: _emit(lift(parse_sym(a.expr)), a),
+    "inner": lambda a: _emit(
+        ncsym.inner(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)), a
+    ),
+    "multiply": lambda a: _emit(
+        ncsym.multiply(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)), a
+    ),
+    "omega": lambda a: _emit(ncsym.omega(ncsym.parse_ncsym(a.expr)), a),
+    "project": lambda a: _emit(ncsym.project(ncsym.parse_ncsym(a.expr)), a),
+    "lift": lambda a: _emit(ncsym.lift(ncsym.parse_sym(a.expr)), a),
     "schur": lambda a: _emit(_schur(a), a),
     "jacobi-trudi": lambda a: _emit(_jacobi_trudi(a), a),
     "rsk": _cmd_rsk,
-    "expand": lambda a: _emit(expand(parse_ncsym(a.expr), a.vars), a),
+    "expand": lambda a: _emit(ncsym.expand(ncsym.parse_ncsym(a.expr), a.vars), a),
     "verify": _cmd_verify,
 }
 
@@ -291,10 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # ParseError, GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
-    except (ValueError, TypeError, OSError) as exc:
-        from .expressions import ParseError  # only a failed command pays for the parser
-
-        if isinstance(exc, ParseError):
+    except (ValueError, TypeError, OSError) as exc:  # only a failed command pays for the parser
+        if isinstance(exc, ncsym.ParseError):
             print(f"parse error: {exc}", file=sys.stderr)
             return PARSE_ERROR
         print(f"error: {exc}", file=sys.stderr)

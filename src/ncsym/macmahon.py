@@ -483,5 +483,8 @@ def jacobi_trudi(
     """
     if variant not in ("h", "e"):
         raise ValueError(f"variant must be 'h' or 'e', got {variant!r}")
-    terms = _jt_determinant(lam, variant, trunc.variables, _check_shape(lam, vec_m, trunc)).terms
+    vec_m = _check_shape(lam, vec_m, trunc)
+    if (lam if variant == "h" else lam.conjugate()).length > trunc.variables:
+        return MultiPolynomial._make(trunc, ())  # a column outgrows the subscripts: no tableau
+    terms = _jt_determinant(lam, variant, trunc.variables, vec_m).terms
     return MultiPolynomial._make(trunc, terms.items())  # the slice's terms, under the caller's cap

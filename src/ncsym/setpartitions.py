@@ -5,8 +5,8 @@ block of each element, blocks numbered by their minima.  There is one object
 per string: every route, copies and pickles too, ends in the trusted builder
 ``SetPartition._from_rgs``, which builds only for a string it has not seen,
 so equality and hashing are ``object``'s, by identity, and run in C.
-Everything but ``blocks`` (elements ascending, blocks ordered by minima)
-reads the string, and ``blocks`` is built on first use.  Values are
+Everything reads the string; ``blocks`` (elements ascending, blocks ordered
+by minima) is built from it on each use.  Values are
 immutable; operations are pure.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ _INTERNED: dict[tuple[int, ...], "SetPartition"] = {}
 class SetPartition:
     """A partition of {1..n} into disjoint nonempty blocks; one object per value."""
 
-    __slots__ = ("n", "length", "rgs", "_blocks")
+    __slots__ = ("n", "length", "rgs")
 
     def __new__(cls, blocks: Iterable[Iterable[int]] = ()):
         """Check outside input, then build through ``from_labels``."""
@@ -116,10 +116,9 @@ class SetPartition:
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The blocks, each ascending, ordered by their minima; built on first use."""
-        if not hasattr(self, "_blocks"):
-            self._blocks = tuple(map(tuple, self._block_lists()))
-        return self._blocks
+        """The blocks, each ascending, ordered by their minima; built on each use,
+        since a partition lives as long as the intern table."""
+        return tuple(map(tuple, self._block_lists()))
 
     def _block_lists(self) -> list[list[int]]:
         blocks: list[list[int]] = [[] for _ in range(self.length)]
@@ -281,8 +280,9 @@ Pairs = list[tuple[tuple[int, ...], int]]
 
 @lru_cache(maxsize=None)
 def _refinements(a: int) -> tuple:
-    """(r, mu(bottom, r)) per partition r of [a], ascending."""
-    return tuple((r, mobius_bottom(r)) for r in growth_strings(a))
+    """(r, mu(bottom, r)) per partition r of [a], ascending: the lower interval of
+    the one-block partition, whose walk already carries mu(bottom, r)."""
+    return tuple(lower_sums((0,) * a, lambda _, mu: mu))
 
 
 def upper_interval(rgs: Sequence[int]):

@@ -1,9 +1,10 @@
 """Named verification suites: every identity the library promises, checked
 exhaustively at desk scale with exact arithmetic.
 
-Each suite returns a list of CheckResult; a size cap can lower (never raise)
-the default ranges, so ``run(["all"], max_n=4)`` is a fast smoke pass while
-the defaults reproduce the full acceptance sizes.
+Each suite yields (check name, failures) pairs, and ``run`` alone turns them
+into CheckResults.  A size cap can lower (never raise) the default ranges, so
+``run(["all"], max_n=4)`` is a fast smoke pass while the defaults reproduce
+the full acceptance sizes.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
 from .elements import NCSymElement, convert, inner, lift, multiply, omega, place_act, project
@@ -38,14 +40,11 @@ class CheckResult:
     detail: str = ""
 
 
+Checks = Iterator[tuple[str, list[str]]]  # what a suite yields: (check name, failures)
+
+
 def _cap(default: int, max_n: int | None) -> int:
     return default if max_n is None else min(default, max_n)
-
-
-def _result(results: list[CheckResult], name: str, failures: list[str]) -> None:
-    results.append(
-        CheckResult(name, not failures, "; ".join(failures[:3]))
-    )
 
 
 def _basis_elem(basis: str, pi: SetPartition) -> NCSymElement:
@@ -170,9 +169,8 @@ def _h_expansion_by_linear_orders(pi: SetPartition, k: int):
 # suites
 
 
-def suite_examples(max_n: int | None = None) -> list[CheckResult]:
+def suite_examples(max_n: int | None = None) -> Checks:
     """Reproduce the worked examples exactly."""
-    results: list[CheckResult] = []
     pi = SetPartition.parse("13/24")
 
     expected_p = {"13/24": 1, "1234": 1}
@@ -188,15 +186,12 @@ def suite_examples(max_n: int | None = None) -> list[CheckResult]:
     for basis, expected in (("p", expected_p), ("e", expected_e), ("h", expected_h)):
         got = convert(_basis_elem(basis, pi), "m").terms
         want = {SetPartition.parse(k): Fraction(v) for k, v in expected.items()}
-        _result(
-            results,
-            f"examples.{basis}_13/24_monomial_expansion",
-            [] if got == want else [f"got {len(got)} terms, mismatch"],
+        yield f"examples.{basis}_13/24_monomial_expansion", (
+            [] if got == want else [f"got {len(got)} terms, mismatch"]
         )
 
     value = inner(_basis_elem("m", pi), _basis_elem("h", pi))
-    _result(results, "examples.inner_m_h_13/24_is_24",
-            [] if value == 24 else [f"got {value}"])
+    yield "examples.inner_m_h_13/24_is_24", [] if value == 24 else [f"got {value}"]
 
     fails = []
     for n in range(1, _cap(6, max_n) + 1):
@@ -204,28 +199,23 @@ def suite_examples(max_n: int | None = None) -> list[CheckResult]:
         want = (-1) ** (n - 1) * factorial(n - 1)
         if got != want:
             fails.append(f"n={n}: {got} != {want}")
-    _result(results, "examples.mobius_bottom_top_formula", fails)
+    yield "examples.mobius_bottom_top_formula", fails
 
     S = schur_tableau_sum(IntPartition((3, 1)), (2, 2), Truncation(2, 4, 4))
     coeff = S.coefficient((((1, 1), 2), ((1, 2), 1), ((2, 2), 1)))
-    _result(results, "examples.macmahon_schur_31_22_coefficient_3",
-            [] if coeff == 3 else [f"got {coeff}"])
+    yield "examples.macmahon_schur_31_22_coefficient_3", [] if coeff == 3 else [f"got {coeff}"]
 
     biword = Biword.parse("1' 2' 2'' 2' 3'' 4'\n2' 1'' 3'' 3' 2'' 1'")
     T, U = rsk_forward(biword)
     want_T = DottedTableau([[(1, 2), (1, 1), (3, 1)], [(2, 1), (2, 2)], [(3, 2)]])
     # the recording dots come verbatim from the biword's top row
     want_U = DottedTableau([[(1, 1), (2, 2), (2, 1)], [(2, 1), (3, 2)], [(4, 1)]])
-    _result(results, "examples.rsk_insertion_tableau",
-            [] if T == want_T else [f"got\n{T}"])
-    _result(results, "examples.rsk_recording_tableau",
-            [] if U == want_U else [f"got\n{U}"])
-    return results
+    yield "examples.rsk_insertion_tableau", [] if T == want_T else [f"got\n{T}"]
+    yield "examples.rsk_recording_tableau", [] if U == want_U else [f"got\n{U}"]
 
 
-def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
+def suite_roundtrip(max_n: int | None = None) -> Checks:
     """Every ordered pair of bases converts there and back to the identity."""
-    results: list[CheckResult] = []
     bases = ("m", "p", "e", "h")
     for n in range(_cap(5, max_n) + 1):
         elems = set_partitions(n)
@@ -238,7 +228,7 @@ def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
                     f = _basis_elem(b1, pi)
                     if convert(convert(f, b2), b1) != f:
                         fails.append(f"{b1}->{b2}->{b1} at {pi}")
-                _result(results, f"roundtrip.n{n}.{b1}->{b2}->{b1}", fails)
+                yield f"roundtrip.n{n}.{b1}->{b2}->{b1}", fails
         # production's join walk for m -> e and m -> h against the route through p
         fails = []
         for pi in elems:
@@ -248,7 +238,7 @@ def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
                 routed = convert(convert(f, "p"), target)
                 if direct != routed:
                     fails.append(f"m->{target} vs m->p->{target} at {pi}")
-        _result(results, f"roundtrip.n{n}.double_sum_matches_route_via_p", fails)
+        yield f"roundtrip.n{n}.double_sum_matches_route_via_p", fails
         fails = []
         for pi in elems:
             for b1 in bases:
@@ -256,18 +246,16 @@ def suite_roundtrip(max_n: int | None = None) -> list[CheckResult]:
                     want = NCSymElement(b2, _expansion_by_lattice_tables(b1, b2, pi))
                     if convert(_basis_elem(b1, pi), b2) != want:
                         fails.append(f"{b1}->{b2} at {pi}")
-        _result(results, f"roundtrip.n{n}.convert_matches_lattice_tables", fails)
-    return results
+        yield f"roundtrip.n{n}.convert_matches_lattice_tables", fails
 
 
-def suite_oracle(max_n: int | None = None) -> list[CheckResult]:
+def suite_oracle(max_n: int | None = None) -> Checks:
     """All nine basis-change formulas hold as exact word-polynomial identities.
 
     Each formula is read from the table reference ``_expansion_by_lattice_tables``,
     the one that ``roundtrip.n{n}.convert_matches_lattice_tables`` holds the
     production conversions to, so the oracle certifies that reference.
     """
-    results: list[CheckResult] = []
     identities = {
         "p_as_sum_of_m_above": ("p", "m"),
         "e_as_sum_of_m_meeting_bottom": ("e", "m"),
@@ -293,7 +281,7 @@ def suite_oracle(max_n: int | None = None) -> list[CheckResult]:
                     rhs = rhs + c * exp[(target, sigma)]
                 if exp[(basis, pi)] != rhs:
                     fails.append(str(pi))
-            _result(results, f"oracle.n{n}.{label}", fails)
+            yield f"oracle.n{n}.{label}", fails
 
         if n <= 3:
             fails = []
@@ -301,13 +289,13 @@ def suite_oracle(max_n: int | None = None) -> list[CheckResult]:
                 counts = _h_expansion_by_linear_orders(pi, k)
                 if exp[("h", pi)].terms != {w: Fraction(c) for w, c in counts.items() if c}:
                     fails.append(str(pi))
-            _result(results, f"oracle.n{n}.h_matches_linear_order_count", fails)
+            yield f"oracle.n{n}.h_matches_linear_order_count", fails
 
         fails = []
         for pi in elems:
             if {kernel(w) for w in exp[("m", pi)].terms} != {pi}:
                 fails.append(str(pi))
-        _result(results, f"oracle.n{n}.kernel_constant_on_m_expansion", fails)
+        yield f"oracle.n{n}.kernel_constant_on_m_expansion", fails
 
         fails = []
         for g in itertools.permutations(range(1, n + 1)):
@@ -316,13 +304,11 @@ def suite_oracle(max_n: int | None = None) -> list[CheckResult]:
                     lhs = expand(place_act(g, _basis_elem(b, pi)), k)
                     if lhs != expand_position_action(g, exp[(b, pi)]):
                         fails.append(f"g={g} {b}_{pi}")
-        _result(results, f"oracle.n{n}.place_action_commutes_with_expansion", fails)
-    return results
+        yield f"oracle.n{n}.place_action_commutes_with_expansion", fails
 
 
-def suite_mobius(max_n: int | None = None) -> list[CheckResult]:
+def suite_mobius(max_n: int | None = None) -> Checks:
     """Product-formula Mobius versus the recursion, plus the summation laws."""
-    results: list[CheckResult] = []
     for n in range(_cap(5, max_n) + 1):
         lat = lattice(n)
         recursive = _mobius_recursive(lat)
@@ -333,7 +319,7 @@ def suite_mobius(max_n: int | None = None) -> list[CheckResult]:
                 got = lat.mu(i, j)
                 if got != want:
                     fails.append(f"({lat.elements[i]},{lat.elements[j]})")
-        _result(results, f"mobius.n{n}.product_equals_recursive", fails)
+        yield f"mobius.n{n}.product_equals_recursive", fails
 
         fails = []
         for i in range(lat.size):
@@ -343,7 +329,7 @@ def suite_mobius(max_n: int | None = None) -> list[CheckResult]:
                 )
                 if total != (1 if i == j else 0):
                     fails.append(f"({lat.elements[i]},{lat.elements[j]})")
-        _result(results, f"mobius.n{n}.interval_sums_are_delta", fails)
+        yield f"mobius.n{n}.interval_sums_are_delta", fails
 
     for n in range(_cap(6, max_n) + 1):
         lat = lattice(n)
@@ -352,19 +338,17 @@ def suite_mobius(max_n: int | None = None) -> list[CheckResult]:
             total = sum(lat.abs_mu0[i] for i in lat.below[j])
             if total != lat.type_fact[j]:
                 fails.append(str(lat.elements[j]))
-        _result(results, f"mobius.n{n}.abs_sum_below_is_type_factorial", fails)
+        yield f"mobius.n{n}.abs_sum_below_is_type_factorial", fails
 
         fails = []
         for j in range(lat.size):
             if lat.mu0[j] != lat.signs[j] * lat.abs_mu0[j]:
                 fails.append(str(lat.elements[j]))
-        _result(results, f"mobius.n{n}.sign_carries_mobius_sign", fails)
-    return results
+        yield f"mobius.n{n}.sign_carries_mobius_sign", fails
 
 
-def suite_omega(max_n: int | None = None) -> list[CheckResult]:
+def suite_omega(max_n: int | None = None) -> Checks:
     """The e/h involution: order two, power-sum eigenvectors, projection."""
-    results: list[CheckResult] = []
     for n in range(_cap(5, max_n) + 1):
         elems = set_partitions(n)
         fails = []
@@ -373,14 +357,14 @@ def suite_omega(max_n: int | None = None) -> list[CheckResult]:
                 f = _basis_elem(b, pi)
                 if omega(omega(f)) != f:
                     fails.append(f"{b}_{pi}")
-        _result(results, f"omega.n{n}.involution", fails)
+        yield f"omega.n{n}.involution", fails
 
         fails = []
         for pi in elems:
             f = _basis_elem("p", pi)
             if omega(f) != pi.sign * f:
                 fails.append(str(pi))
-        _result(results, f"omega.n{n}.power_sum_eigenvectors", fails)
+        yield f"omega.n{n}.power_sum_eigenvectors", fails
 
         fails = []
         for b in ("m", "p", "e", "h"):
@@ -390,20 +374,18 @@ def suite_omega(max_n: int | None = None) -> list[CheckResult]:
                 rhs = sym_convert(omega_commutative(project(f)), "m")
                 if lhs != rhs:
                     fails.append(f"{b}_{pi}")
-        _result(results, f"omega.n{n}.commutes_with_projection", fails)
+        yield f"omega.n{n}.commutes_with_projection", fails
 
         fails = []
         for lam in int_partitions(n):
             lhs = convert(omega(schur_ncsym(lam)), "m")
             if lhs != schur_ncsym(lam.conjugate()):
                 fails.append(str(lam))
-        _result(results, f"omega.n{n}.schur_conjugation", fails)
-    return results
+        yield f"omega.n{n}.schur_conjugation", fails
 
 
-def suite_inner(max_n: int | None = None) -> list[CheckResult]:
+def suite_inner(max_n: int | None = None) -> Checks:
     """All ten closed forms of the bilinear pairing, plus its axioms."""
-    results: list[CheckResult] = []
     for n in range(1, _cap(4, max_n) + 1):
         lat = lattice(n)
         nf = factorial(n)
@@ -439,7 +421,7 @@ def suite_inner(max_n: int | None = None) -> list[CheckResult]:
                     got = inner(_basis_elem(b1, elems[i]), _basis_elem(b2, elems[j]))
                     if got != formula(i, j):
                         fails.append(f"<{b1}_{elems[i]},{b2}_{elems[j]}>")
-            _result(results, f"inner.n{n}.closed_form_{b1}{b2}", fails)
+            yield f"inner.n{n}.closed_form_{b1}{b2}", fails
 
         fails = []
         for b1, b2 in (("m", "h"), ("p", "e"), ("e", "h"), ("m", "p")):
@@ -449,7 +431,7 @@ def suite_inner(max_n: int | None = None) -> list[CheckResult]:
                     g = _basis_elem(b2, elems[j])
                     if inner(f, g) != inner(g, f):
                         fails.append(f"<{b1}_{elems[i]},{b2}_{elems[j]}>")
-        _result(results, f"inner.n{n}.symmetry", fails)
+        yield f"inner.n{n}.symmetry", fails
 
         fails = []
         for i in range(lat.size):
@@ -460,7 +442,7 @@ def suite_inner(max_n: int | None = None) -> list[CheckResult]:
                         fails.append(str(elems[i]))
                 elif got != 0:
                     fails.append(f"({elems[i]},{elems[j]})")
-        _result(results, f"inner.n{n}.power_sum_gram_diagonal_positive", fails)
+        yield f"inner.n{n}.power_sum_gram_diagonal_positive", fails
 
         fails = []
         for g in itertools.permutations(range(1, n + 1)):
@@ -471,13 +453,11 @@ def suite_inner(max_n: int | None = None) -> list[CheckResult]:
                         f2 = _basis_elem(b2, elems[j])
                         if inner(place_act(g, f1), place_act(g, f2)) != inner(f1, f2):
                             fails.append(f"g={g} <{b1}_{elems[i]},{b2}_{elems[j]}>")
-        _result(results, f"inner.n{n}.place_action_invariance", fails)
-    return results
+        yield f"inner.n{n}.place_action_invariance", fails
 
 
-def suite_projection(max_n: int | None = None) -> list[CheckResult]:
+def suite_projection(max_n: int | None = None) -> Checks:
     """Projection images, lifting as a right inverse, and the isometry."""
-    results: list[CheckResult] = []
     for n in range(_cap(5, max_n) + 1):
         fails = []
         for pi in set_partitions(n):
@@ -491,7 +471,7 @@ def suite_projection(max_n: int | None = None) -> list[CheckResult]:
             for b, want in images.items():
                 if project(_basis_elem(b, pi)) != want:
                     fails.append(f"{b}_{pi}")
-        _result(results, f"projection.n{n}.basis_images", fails)
+        yield f"projection.n{n}.basis_images", fails
 
     for n in range(_cap(6, max_n) + 1):
         fails = []
@@ -499,7 +479,7 @@ def suite_projection(max_n: int | None = None) -> list[CheckResult]:
             f = SymElement("m", {lam: 1})
             if project(lift(f)) != f:
                 fails.append(str(lam))
-        _result(results, f"projection.n{n}.project_after_lift_is_identity", fails)
+        yield f"projection.n{n}.project_after_lift_is_identity", fails
 
     for n in range(_cap(5, max_n) + 1):
         fails = []
@@ -509,7 +489,7 @@ def suite_projection(max_n: int | None = None) -> list[CheckResult]:
             for g in basis_elems:
                 if sym_inner(f, g) != inner(lift(f), lift(g)):
                     fails.append(f"<{f},{g}>")
-        _result(results, f"projection.n{n}.lift_is_isometry", fails)
+        yield f"projection.n{n}.lift_is_isometry", fails
 
         fails = []
         for mu in int_partitions(n):
@@ -520,13 +500,11 @@ def suite_projection(max_n: int | None = None) -> list[CheckResult]:
             target = lift(SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())}))
             if convert(total, "m") != target:
                 fails.append(str(mu))
-        _result(results, f"projection.n{n}.type_sum_of_h_is_lifted_h", fails)
-    return results
+        yield f"projection.n{n}.type_sum_of_h_is_lifted_h", fails
 
 
-def suite_schur(max_n: int | None = None) -> list[CheckResult]:
+def suite_schur(max_n: int | None = None) -> Checks:
     """The noncommuting Schur family: expansion, rank, projection, pairing."""
-    results: list[CheckResult] = []
     from .linalg import matrix_rank
 
     for n in range(1, _cap(5, max_n) + 1):
@@ -537,7 +515,7 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
             via_phi = phi_collect(schur_tableau_sum(lam, (1,) * n, tr))
             if schur_ncsym(lam) != via_phi:
                 fails.append(str(lam))
-        _result(results, f"schur.n{n}.monomial_expansion_matches_tableaux", fails)
+        yield f"schur.n{n}.monomial_expansion_matches_tableaux", fails
 
         elems = set_partitions(n)
         matrix = []
@@ -545,10 +523,8 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
             S = schur_ncsym(lam)
             matrix.append([S.terms.get(pi, Fraction(0)) for pi in elems])
         rank = matrix_rank(matrix)
-        _result(
-            results,
-            f"schur.n{n}.linear_independence",
-            [] if rank == len(shapes) else [f"rank {rank} of {len(shapes)}"],
+        yield f"schur.n{n}.linear_independence", (
+            [] if rank == len(shapes) else [f"rank {rank} of {len(shapes)}"]
         )
 
         fails = []
@@ -559,7 +535,7 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
                 fails.append(f"projection at {lam}")
             if lift(want) != S:
                 fails.append(f"lift at {lam}")
-        _result(results, f"schur.n{n}.projection_and_lift", fails)
+        yield f"schur.n{n}.projection_and_lift", fails
 
         fails = []
         for lam in shapes:
@@ -568,7 +544,7 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
                 want = factorial(n) ** 2 if lam == mu else 0
                 if got != want:
                     fails.append(f"<{lam},{mu}>")
-        _result(results, f"schur.n{n}.pairing_is_scaled_delta", fails)
+        yield f"schur.n{n}.pairing_is_scaled_delta", fails
 
     # symmetry of the tableau generating function under subscript swaps
     cap = _cap(4, max_n)
@@ -587,7 +563,7 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
                     }
                     if swapped != S.terms:
                         fails.append(f"{lam} {vec} swap {a}")
-    _result(results, "schur.tableau_sum_symmetric_under_subscript_swaps", fails)
+    yield "schur.tableau_sum_symmetric_under_subscript_swaps", fails
 
     # the dot-swap involution behind that symmetry, exhaustively on small shapes
     from .tableaux import dot_swap_involution
@@ -605,13 +581,11 @@ def suite_schur(max_n: int | None = None) -> list[CheckResult]:
                     for d in (1, 2):
                         if before[i, d] != after[i + 1, d] or before[i + 1, d] != after[i, d]:
                             fails.append(f"{shape} i={i} counts")
-    _result(results, "schur.dot_swap_involution", fails)
-    return results
+    yield "schur.dot_swap_involution", fails
 
 
-def suite_jacobi_trudi(max_n: int | None = None) -> list[CheckResult]:
+def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
     """Both determinants against tableau sums; one alphabet recovers the classics."""
-    results: list[CheckResult] = []
     for m in range(1, _cap(5, max_n) + 1):
         tr = Truncation(2, m, m)
         fails_h: list[str] = []
@@ -624,8 +598,8 @@ def suite_jacobi_trudi(max_n: int | None = None) -> list[CheckResult]:
                     lam.conjugate(), vec, tr
                 ):
                     fails_e.append(f"{lam} {vec}")
-        _result(results, f"jacobi_trudi.m{m}.h_determinant", fails_h)
-        _result(results, f"jacobi_trudi.m{m}.e_determinant_gives_conjugate", fails_e)
+        yield f"jacobi_trudi.m{m}.h_determinant", fails_h
+        yield f"jacobi_trudi.m{m}.e_determinant_gives_conjugate", fails_e
 
         tr1 = Truncation(1, m, m)
         fails = []
@@ -644,13 +618,11 @@ def suite_jacobi_trudi(max_n: int | None = None) -> list[CheckResult]:
             ]
             if det != MultiPolynomial(tr1, expected):
                 fails.append(f"{lam} vs classical")
-        _result(results, f"jacobi_trudi.m{m}.single_alphabet_reduces_to_classical", fails)
-    return results
+        yield f"jacobi_trudi.m{m}.single_alphabet_reduces_to_classical", fails
 
 
-def suite_rsk(max_n: int | None = None) -> list[CheckResult]:
+def suite_rsk(max_n: int | None = None) -> Checks:
     """Exhaustive bijectivity on small biwords plus the pairing identity."""
-    results: list[CheckResult] = []
     max_len = _cap(4, max_n)
     classes = 2
     max_value = 3
@@ -672,9 +644,9 @@ def suite_rsk(max_n: int | None = None) -> list[CheckResult]:
         )
         if T.undotted() != ins or U.undotted() != rec:
             fails_undot.append(str(bw.columns))
-    _result(results, "rsk.forward_shape_and_multidegree", fails_shape)
-    _result(results, "rsk.inverse_after_forward_is_identity", fails_round)
-    _result(results, "rsk.undotting_commutes_with_insertion", fails_undot)
+    yield "rsk.forward_shape_and_multidegree", fails_shape
+    yield "rsk.inverse_after_forward_is_identity", fails_round
+    yield "rsk.undotting_commutes_with_insertion", fails_undot
 
     fails = []
     for total in range(max_len + 1):
@@ -685,35 +657,31 @@ def suite_rsk(max_n: int | None = None) -> list[CheckResult]:
                     bw = rsk_inverse(T, U)
                     if rsk_forward(bw) != (T, U):
                         fails.append(f"{shape}")
-    _result(results, "rsk.forward_after_inverse_is_identity", fails)
+    yield "rsk.forward_after_inverse_is_identity", fails
 
     d = _cap(3, max_n)
     report = cauchy_check(Truncation(2, 2, d), Truncation(2, 2, d), d)
-    _result(results, f"rsk.cauchy_identity_degree_{d}", report.mismatches)
-    return results
+    yield f"rsk.cauchy_identity_degree_{d}", report.mismatches
 
 
-def suite_product(max_n: int | None = None) -> list[CheckResult]:
+def suite_product(max_n: int | None = None) -> Checks:
     """The multiplication examples, the shifted-concatenation observation and
     the closed-form product against the word oracle."""
-    results: list[CheckResult] = []
     one = SetPartition.parse("1")
     p1 = _basis_elem("p", one)
     m1 = _basis_elem("m", one)
     got = convert(multiply(p1, p1), "m")
     want = convert(_basis_elem("p", SetPartition.parse("1/2")), "m")
-    _result(results, "product.p1_times_p1", [] if got == want else [str(got)])
+    yield "product.p1_times_p1", [] if got == want else [str(got)]
     got = multiply(m1, m1)
     want = NCSymElement(
         "m", {SetPartition.parse("1/2"): 1, SetPartition.parse("12"): 1}
     )
-    _result(results, "product.m1_times_m1", [] if got == want else [str(got)])
+    yield "product.m1_times_m1", [] if got == want else [str(got)]
     unit = NCSymElement.unit()
     f = NCSymElement("m", {SetPartition.parse("13/24"): Fraction(3, 2)})
-    _result(
-        results,
-        "product.unit_is_neutral",
-        [] if multiply(unit, f) == f and multiply(f, unit) == f else ["unit failed"],
+    yield "product.unit_is_neutral", (
+        [] if multiply(unit, f) == f and multiply(f, unit) == f else ["unit failed"]
     )
 
     fails = []
@@ -729,7 +697,7 @@ def suite_product(max_n: int | None = None) -> list[CheckResult]:
                     got = convert(multiply(_basis_elem("p", pi), _basis_elem("p", sg)), "m")
                     if got != convert(_basis_elem("p", concat), "m"):
                         fails.append(f"{pi} | {sg}")
-    _result(results, "product.power_sums_concatenate_with_shift", fails)
+    yield "product.power_sums_concatenate_with_shift", fails
 
     fails = []
     cap = _cap(4, max_n)
@@ -741,8 +709,7 @@ def suite_product(max_n: int | None = None) -> list[CheckResult]:
                         f, g = _basis_elem(basis, pi), _basis_elem(basis, sg)
                         if convert(multiply(f, g), "m") != oracle_product(f, g):
                             fails.append(f"{basis}[{pi}] * {basis}[{sg}]")
-    _result(results, "product.closed_form_matches_word_oracle", fails)
-    return results
+    yield "product.closed_form_matches_word_oracle", fails
 
 
 SUITES = {
@@ -761,7 +728,8 @@ SUITES = {
 
 
 def run(names: list[str], max_n: int | None = None) -> list[CheckResult]:
-    """Run the named suites ("all" expands to every suite) and collect results."""
+    """Run the named suites ("all" expands to every suite) and collect results;
+    a check passes when it has no failures, and its detail is the first three."""
     expanded: list[str] = []
     for name in names:
         if name == "all":
@@ -772,7 +740,8 @@ def run(names: list[str], max_n: int | None = None) -> list[CheckResult]:
             raise ValueError(
                 f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"
             )
-    results: list[CheckResult] = []
+    results = []
     for name in expanded:
-        results.extend(SUITES[name](max_n))
+        for check, failures in SUITES[name](max_n):
+            results.append(CheckResult(check, not failures, "; ".join(failures[:3])))
     return results

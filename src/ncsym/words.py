@@ -101,7 +101,7 @@ def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
             if not tok.startswith("x"):
                 raise ValueError(f"bad word token {tok!r}")
             letters.append(int(tok[1:]))
-        terms.append((tuple(letters), coeff))
+        terms.append((tuple(letters), coeff.numerator if coeff.denominator == 1 else coeff))
     return WordPolynomial(k, terms)  # the constructor adds up repeated words
 
 

@@ -396,6 +396,22 @@ def test_unknown_suite_lists_every_suite(capsys):
     assert err == f"error: unknown suite 'bogus'; choose from {', '.join([*SUITES, 'all'])}\n"
 
 
+def test_verify_failure_exits_4_with_the_first_three_failures(capsys, monkeypatch):
+    import ncsym.verify
+
+    monkeypatch.setattr(ncsym.verify, "mobius", lambda sigma, pi: 0)
+    detail = "n=1: 0 != 1; n=2: 0 != -1; n=3: 0 != 2"
+    code, out, err = run(capsys, "verify", "examples")
+    lines = out.splitlines()
+    assert (code, err) == (4, "")
+    assert f"FAIL examples.mobius_bottom_top_formula: {detail}" in lines
+    assert lines[-1] == "7/8 checks passed"
+    code, out, err = run(capsys, "verify", "examples", "--format", "json")
+    failed = [check for check in json.loads(out) if not check["ok"]]
+    assert (code, err) == (4, "")
+    assert failed == [{"name": "examples.mobius_bottom_top_formula", "ok": False, "detail": detail}]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one command in a fresh interpreter, then prints its exit code and the

@@ -58,6 +58,14 @@ def test_parsed_integral_coefficients_stay_int():
     assert poly.terms[(((1, 1), 2),)] == 3 and poly.terms[()] == Fraction(1, 2)
 
 
+def test_parsed_word_coefficients_stay_int():
+    words = parse_word_polynomial("2 x1 x2\n-3 x2 x1\n4/2 x1 x1\n1/2 x2 x2", 2).terms
+    assert words == {(1, 2): 2, (2, 1): -3, (1, 1): 2, (2, 2): Fraction(1, 2)}
+    assert {w: type(c) for w, c in words.items()} == {
+        (1, 2): int, (2, 1): int, (1, 1): int, (2, 2): Fraction
+    }
+
+
 def test_parse_compact_and_empty_forms():
     assert parse_ncsym("m[13/24]") == NCSymElement("m", {P("13/24"): 1})
     assert parse_ncsym("m[]") == NCSymElement.unit()

@@ -406,6 +406,20 @@ def test_jacobi_trudi_validation():
         jacobi_trudi(IP((2,)), (2,), "x", Truncation(1, 2, 2))
 
 
+def test_jacobi_trudi_of_a_shape_that_cannot_fit_is_zero_up_front():
+    """More rows than variables (h), or a first row longer than the variables
+    (e, whose determinant counts tableaux of the conjugate): no column-strict
+    filling exists, so the answer is 0 and no determinant is expanded."""
+    tr = Truncation(2, 3, 6)
+    for lam, variant in ((IP((2, 2, 1, 1)), "h"), (IP((4, 2)), "e")):
+        before = _jt_determinant.cache_info()
+        got = jacobi_trudi(lam, (3, 3), variant, tr)
+        assert (got.trunc, got.terms) == (tr, {}), variant
+        assert _jt_determinant.cache_info() == before, variant
+        shape = lam if variant == "h" else lam.conjugate()
+        assert schur_tableau_sum(shape, (3, 3), tr) == got, variant
+
+
 def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
     vp, tr = VectorPartition([(1,), (1,)]), Truncation(1, 2, 1)
     with pytest.raises(TruncationError):

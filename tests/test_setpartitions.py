@@ -13,6 +13,7 @@ from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.setpartitions import (
     GroundSetError,
     SetPartition,
+    _refinements,
     bell_number,
     growth_strings,
     join_walk,
@@ -20,6 +21,7 @@ from ncsym.setpartitions import (
     lower_sums,
     meet_walk,
     mobius,
+    mobius_bottom,
     partitions_of_type,
     set_partitions,
     upper_interval,
@@ -406,3 +408,10 @@ def test_growth_strings_are_every_restricted_string_in_order():
             if all(v <= max(t[:i], default=-1) + 1 for i, v in enumerate(t))
         ]
         assert growth_strings(n) == want
+
+
+def test_refinements_read_mobius_off_the_one_block_walk():
+    """The lower walk of the one-block partition against the route it replaced:
+    mobius_bottom of every growth string, in growth-string order."""
+    for a in range(9):
+        assert _refinements(a) == tuple((r, mobius_bottom(r)) for r in growth_strings(a)), a
