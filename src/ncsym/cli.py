@@ -166,21 +166,20 @@ def _jacobi_trudi(args) -> ncsym.MultiPolynomial:
 def _cmd_lattice(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    if args.n > 7:  # n = 8 has 4140^2 = 17M cells: 22x the build time and memory of n = 7
+    if args.n > 7:  # n = 8 would print 4140^2 = 17M cells, 22x the output of n = 7
         size = ncsym.bell_number(args.n)
         raise ValueError(
             f"--n {args.n}: B_{args.n} = {size} partitions, a {size} x {size} table; n <= 7"
         )
-    lat = ncsym.lattice(args.n)
-    labels = [str(p) or "()" for p in lat.elements]
+    elements = ncsym.set_partitions(args.n)
+    labels = [str(p) or "()" for p in elements]
     if args.table == "mobius":  # mu is an int: strict adds the "/1" of format_rational
         den = "/1" if args.strict_rationals else ""
-        cells = [[f"{lat.mu(i, j)}{den}" for j in range(lat.size)] for i in range(lat.size)]
-    else:
-        table = lat.meet if args.table == "meet" else lat.join
-        cells = [
-            [labels[table[i][j]] for j in range(lat.size)] for i in range(lat.size)
-        ]
+        cells = [[f"{ncsym.mobius(p, q)}{den}" for q in elements] for p in elements]
+    else:  # a meet or join is a partition of the same degree, so it has a label
+        op = ncsym.SetPartition.meet if args.table == "meet" else ncsym.SetPartition.join
+        label_of = dict(zip(elements, labels))
+        cells = [[label_of[op(p, q)] for q in elements] for p in elements]
     if args.format == "json":
         print(json.dumps({"n": args.n, "table": args.table, "elements": labels, "rows": cells}))
     else:

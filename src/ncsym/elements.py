@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .classical import SymElement, sym_convert
 from .combination import Combination, _over_one_denominator
-from .intpartitions import IntPartition
+from .intpartitions import IntPartition, _expect
 from .setpartitions import (
     SetPartition,
     check_permutation,
@@ -77,13 +77,6 @@ class NCSymElement(Combination):
 
 
 format_ncsym = NCSymElement.to_text
-
-
-def _expect(cls: type, *args) -> None:
-    """Refuse an argument of the wrong element class with a TypeError naming cls."""
-    for x in args:
-        if not isinstance(x, cls):
-            raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
 
 
 @lru_cache(maxsize=None)

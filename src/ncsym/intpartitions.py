@@ -19,6 +19,13 @@ def _check_size(n) -> None:
         raise ValueError(f"n must be a nonnegative int, got {n!r}")
 
 
+def _expect(cls: type, *args) -> None:
+    """Refuse an argument of the wrong class with a TypeError naming cls."""
+    for x in args:
+        if not isinstance(x, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
+
+
 # parts -> their one IntPartition; filled by IntPartition._make only
 _INTERNED: dict[tuple[int, ...], "IntPartition"] = {}
 
@@ -140,13 +147,19 @@ class IntPartition:
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to total."""
+    """All tuples of `parts` nonnegative integers summing to total, in lexicographic order."""
+    _check_size(total)
+    _check_size(parts)
+    return _weak_compositions(total, parts)
+
+
+def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 0:
         if total == 0:
             yield ()
         return
     for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
+        for rest in _weak_compositions(total - first, parts - 1):
             yield (first,) + rest
 
 

@@ -22,7 +22,7 @@ from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination
-from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
+from .intpartitions import IntPartition, _expect, int_partitions, kostka, weak_compositions
 from .setpartitions import SetPartition, partitions_of_type
 from .tableaux import _fillings
 
@@ -251,6 +251,7 @@ def _check_vector(t: Sequence[int], trunc: Truncation, name: str = "vector") -> 
 
 def _check_shape(lam: IntPartition, vec_m: Sequence[int], trunc: Truncation) -> tuple[int, ...]:
     """The multidegree of a shape's tableaux, checked as a vector and against the size."""
+    _expect(IntPartition, lam)
     vec_m = _check_vector(vec_m, trunc, "multidegree")
     if lam.n != sum(vec_m):
         raise ValueError(f"shape size {lam.n} and multidegree sum {sum(vec_m)} differ")
@@ -357,6 +358,7 @@ def phi_to_set_partition(vec_lambda: VectorPartition) -> SetPartition:
 
 
 def phi_from_set_partition(pi: SetPartition) -> VectorPartition:
+    _expect(SetPartition, pi)
     return VectorPartition(
         (tuple(1 if j in block else 0 for j in range(1, pi.n + 1)) for block in pi.blocks),
         dimension=pi.n,
@@ -371,6 +373,7 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
     """
     from .words import WordPolynomial, collect  # only this and schur_ncsym reach NCSym
 
+    _expect(MultiPolynomial, P)
     n = P.trunc.alphabets
     ones = (1,) * n
     words = []
@@ -414,6 +417,7 @@ def schur_ncsym(lam: IntPartition) -> NCSymElement:
     """
     from .elements import NCSymElement
 
+    _expect(IntPartition, lam)
     coeffs = ((mu, mu.fact_parts() * kostka(lam, mu)) for mu in int_partitions(lam.n))
     return NCSymElement._make(
         "m", ((pi, c) for mu, c in coeffs if c for pi in partitions_of_type(mu))
@@ -438,7 +442,7 @@ def _jt_determinant(
     def pieces(degree: int) -> list:  # the pieces gen(t) of one entry that fit under vec_m
         return [
             (t, _packed(_mm_generator(t, variables, degree if variant == "h" else 1).terms, unit))
-            for t in weak_compositions(degree, k)
+            for t in (weak_compositions(degree, k) if degree >= 0 else ())  # below 0: none
             if all(map(le, t, vec_m))
         ]
 

@@ -15,7 +15,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable
 
-from .intpartitions import IntPartition, int_partitions
+from .intpartitions import IntPartition, _expect, int_partitions
 from .macmahon import Truncation, format_monomial
 from .macmahon import _check_truncation, _layout, _packed, _tableau_sum, _times, _unpack
 from .tableaux import DottedEntry, DottedTableau, _entry, class_counts, parse_entry
@@ -100,6 +100,7 @@ class Biword:
 
 def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
     """Insert the bottom row, record the top row; dots ride along unchanged."""
+    _expect(Biword, biword)
     rows: list[tuple[list, list]] = []  # insertion row, recording row
     for top, entry in biword.columns:
         for row, recorded in rows:
@@ -119,6 +120,7 @@ def rsk_forward(biword: Biword) -> tuple[DottedTableau, DottedTableau]:
 
 def rsk_inverse(tab: DottedTableau, rec: DottedTableau) -> Biword:
     """Reverse the insertion; errors if the pair is not a same-shape tableau pair."""
+    _expect(DottedTableau, tab, rec)
     if tab.shape != rec.shape:
         raise ValueError(f"shapes differ: {tab.shape} vs {rec.shape}")
     insertion = [list(row) for row in tab.rows]

@@ -435,54 +435,22 @@ def partitions_of_type(lam: IntPartition) -> tuple[SetPartition, ...]:
 
 
 class PartitionLattice:
-    """Precomputed order, meet, join and Mobius tables for all of one degree."""
+    """The refinement order of one degree, kept as the reference ``verify`` checks
+    against: the partitions above and below each one, in growth-string order, and the Mobius
+    function on the comparable pairs, so (a, b) in mu exactly when a <= b."""
 
     def __init__(self, n: int):
         self.n = n
         self.elements = set_partitions(n)
-        size = len(self.elements)
-        self.size = size
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.zero = self.index[SetPartition.bottom(n)]
-
-        self.leq_sets = [set() for _ in range(size)]  # i -> indices above i
-        self.above: list[tuple[int, ...]] = []
-        self.below: list[list[int]] = [[] for _ in range(size)]
-        self.meet = [[0] * size for _ in range(size)]
-        self.join = [[0] * size for _ in range(size)]
-        for i, p in enumerate(self.elements):
-            ups = []
-            for j, q in enumerate(self.elements):
+        self.above: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
+        self.below: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
+        self.mu: dict[tuple[SetPartition, SetPartition], int] = {}
+        for p in self.elements:
+            for q in self.elements:
                 if p.leq(q):
-                    ups.append(j)
-                    self.leq_sets[i].add(j)
-                    self.below[j].append(i)
-                if j < i:
-                    continue
-                mij = self.index[p.meet(q)]
-                jij = self.index[p.join(q)]
-                self.meet[i][j] = self.meet[j][i] = mij
-                self.join[i][j] = self.join[j][i] = jij
-            self.above.append(tuple(ups))
-
-        self.type_fact = [p.type.fact_parts() for p in self.elements]
-        self.signs = [p.sign for p in self.elements]
-        self._mu: dict[tuple[int, int], int] = {}
-        for i in range(size):
-            for j in self.above[i]:
-                self._mu[(i, j)] = mobius(self.elements[i], self.elements[j])
-        self.mu0 = [self._mu[(self.zero, j)] for j in range(size)]
-        self.abs_mu0 = [abs(v) for v in self.mu0]
-
-    def leq_idx(self, i: int, j: int) -> bool:
-        return j in self.leq_sets[i]
-
-    def mu(self, i: int, j: int) -> int:
-        return self._mu.get((i, j), 0)
-
-    def interval_fact(self, i: int, j: int) -> int:
-        """Factorial statistic of the interval type from element i up to j."""
-        return self.elements[i].interval_type(self.elements[j]).fact_parts()
+                    self.above[p].append(q)
+                    self.below[q].append(p)
+                    self.mu[p, q] = mobius(p, q)
 
 
 @lru_cache(maxsize=None)

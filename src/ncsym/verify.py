@@ -55,56 +55,53 @@ def _basis_elem(basis: str, pi: SetPartition) -> NCSymElement:
 # reference implementations used only for cross-checking
 
 
-def _mobius_recursive(lat) -> dict[tuple[int, int], int]:
+def _mobius_recursive(lat) -> dict[tuple[SetPartition, SetPartition], int]:
     """Mobius numbers on every interval from the defining recursion."""
-    table: dict[tuple[int, int], int] = {}
-    for i in range(lat.size):
-        order = sorted(lat.above[i], key=lambda j: len(lat.below[j]))
-        for j in order:
-            if i == j:
-                table[(i, j)] = 1
-                continue
-            total = 0
-            for c in lat.above[i]:
-                if c != j and lat.leq_idx(c, j):
-                    total += table[(i, c)]
-            table[(i, j)] = -total
+    table: dict[tuple[SetPartition, SetPartition], int] = {}
+    for a in lat.elements:
+        for b in sorted(lat.above[a], key=lambda b: len(lat.below[b])):
+            total = 0  # over a <= c < b, each sorted before b: fewer partitions lie below c
+            for c in lat.above[a]:
+                if c is not b and (c, b) in lat.mu:
+                    total += table[a, c]
+            table[a, b] = 1 if a is b else -total
     return table
 
 
 def _expansion_by_lattice_tables(basis: str, target: str, pi: SetPartition) -> tuple:
     """basis_pi in the target basis as ((sigma, coeff), ...), summed over the
-    full order, meet and Mobius tables of lattice(n)."""
+    order and Mobius tables of lattice(n), with meets and types read off the
+    partitions."""
     lat = lattice(pi.n)
-    i = lat.index[pi]
-    mu0 = lat.mu0 if "e" in (basis, target) else lat.abs_mu0  # for the pairs with m or p
-    pair = (basis, target)
+    bottom, pair = SetPartition.bottom(pi.n), (basis, target)
+    # mu(bottom, s), taken as |mu(bottom, s)| by the pairs with m or p
+    mu0 = (lambda s: lat.mu[bottom, s]) if "e" in pair else (lambda s: abs(lat.mu[bottom, s]))
     if basis == target:
-        terms = [(i, 1)]
+        terms = [(pi, 1)]
     elif pair == ("p", "m"):
-        terms = [(j, 1) for j in lat.above[i]]
+        terms = [(s, 1) for s in lat.above[pi]]
     elif pair == ("m", "p"):
-        terms = [(j, lat.mu(i, j)) for j in lat.above[i]]
+        terms = [(s, lat.mu[pi, s]) for s in lat.above[pi]]
     elif pair == ("e", "m"):
-        terms = [(j, 1) for j in range(lat.size) if lat.meet[i][j] == lat.zero]
+        terms = [(s, 1) for s in lat.elements if pi.meet(s) is bottom]
     elif pair == ("h", "m"):
-        terms = [(j, lat.type_fact[lat.meet[i][j]]) for j in range(lat.size)]
+        terms = [(s, pi.meet(s).type.fact_parts()) for s in lat.elements]
     elif basis == "m":  # to e or h: over sigma above pi, then tau below sigma
         terms = [
-            (t, Fraction(lat.mu(i, s), mu0[s]) * lat.mu(t, s))
-            for s in lat.above[i]
+            (t, Fraction(lat.mu[pi, s], mu0(s)) * lat.mu[t, s])
+            for s in lat.above[pi]
             for t in lat.below[s]
         ]
     elif target == "p":  # from e or h
-        terms = [(s, mu0[s]) for s in lat.below[i]]
+        terms = [(s, mu0(s)) for s in lat.below[pi]]
     elif basis == "p":  # to e or h
-        terms = [(s, Fraction(lat.mu(s, i), mu0[i])) for s in lat.below[i]]
+        terms = [(s, Fraction(lat.mu[s, pi], mu0(pi))) for s in lat.below[pi]]
     else:  # e -> h and h -> e
-        terms = [(s, lat.signs[s] * lat.interval_fact(s, i)) for s in lat.below[i]]
-    acc: dict[int, Fraction] = {}
-    for j, c in terms:
-        acc[j] = acc.get(j, 0) + c
-    return tuple((lat.elements[j], c) for j, c in sorted(acc.items()) if c)
+        terms = [(s, s.sign * s.interval_type(pi).fact_parts()) for s in lat.below[pi]]
+    acc: dict[SetPartition, Fraction] = {}
+    for s, c in terms:
+        acc[s] = acc.get(s, 0) + c
+    return tuple((s, c) for s, c in sorted(acc.items(), key=lambda sc: sc[0].rgs) if c)
 
 
 def _classical_insertion(bottom: list[int], top: list[int]):
@@ -313,37 +310,33 @@ def suite_mobius(max_n: int | None = None) -> Checks:
         lat = lattice(n)
         recursive = _mobius_recursive(lat)
         fails = []
-        for i in range(lat.size):
-            for j in range(lat.size):
-                want = recursive.get((i, j), 0)
-                got = lat.mu(i, j)
-                if got != want:
-                    fails.append(f"({lat.elements[i]},{lat.elements[j]})")
+        for a, b in itertools.product(lat.elements, repeat=2):
+            if lat.mu.get((a, b), 0) != recursive.get((a, b), 0):
+                fails.append(f"({a},{b})")
         yield f"mobius.n{n}.product_equals_recursive", fails
 
         fails = []
-        for i in range(lat.size):
-            for j in lat.above[i]:
-                total = sum(
-                    lat.mu(i, t) for t in lat.above[i] if lat.leq_idx(t, j)
-                )
-                if total != (1 if i == j else 0):
-                    fails.append(f"({lat.elements[i]},{lat.elements[j]})")
+        for a in lat.elements:
+            for b in lat.above[a]:
+                total = sum(lat.mu[a, t] for t in lat.above[a] if (t, b) in lat.mu)
+                if total != (1 if a is b else 0):
+                    fails.append(f"({a},{b})")
         yield f"mobius.n{n}.interval_sums_are_delta", fails
 
     for n in range(_cap(6, max_n) + 1):
         lat = lattice(n)
+        bottom = SetPartition.bottom(n)
         fails = []
-        for j in range(lat.size):
-            total = sum(lat.abs_mu0[i] for i in lat.below[j])
-            if total != lat.type_fact[j]:
-                fails.append(str(lat.elements[j]))
+        for b in lat.elements:
+            total = sum(abs(lat.mu[bottom, a]) for a in lat.below[b])
+            if total != b.type.fact_parts():
+                fails.append(str(b))
         yield f"mobius.n{n}.abs_sum_below_is_type_factorial", fails
 
         fails = []
-        for j in range(lat.size):
-            if lat.mu0[j] != lat.signs[j] * lat.abs_mu0[j]:
-                fails.append(str(lat.elements[j]))
+        for b in lat.elements:
+            if lat.mu[bottom, b] != b.sign * abs(lat.mu[bottom, b]):
+                fails.append(str(b))
         yield f"mobius.n{n}.sign_carries_mobius_sign", fails
 
 
@@ -390,69 +383,67 @@ def suite_inner(max_n: int | None = None) -> Checks:
         lat = lattice(n)
         nf = factorial(n)
         elems = lat.elements
+        bottom = SetPartition.bottom(n)
 
-        def zeta(i: int, j: int) -> int:
-            return 1 if lat.leq_idx(i, j) else 0
+        def zeta(a: SetPartition, b: SetPartition) -> int:
+            return 1 if (a, b) in lat.mu else 0
+
+        def abs_mu_bottom(a: SetPartition) -> int:
+            return abs(lat.mu[bottom, a])
 
         closed_forms = {
-            ("e", "e"): lambda i, j: nf * lat.type_fact[lat.meet[i][j]],
-            ("e", "h"): lambda i, j: nf * (1 if lat.meet[i][j] == lat.zero else 0),
-            ("e", "p"): lambda i, j: lat.signs[j] * nf * zeta(j, i),
-            ("e", "m"): lambda i, j: (
-                lat.signs[j] * nf * lat.interval_fact(j, i) * zeta(j, i)
-                if lat.leq_idx(j, i)
-                else 0
+            ("e", "e"): lambda a, b: nf * a.meet(b).type.fact_parts(),
+            ("e", "h"): lambda a, b: nf * (1 if a.meet(b) is bottom else 0),
+            ("e", "p"): lambda a, b: b.sign * nf * zeta(b, a),
+            ("e", "m"): lambda a, b: (
+                b.sign * nf * b.interval_type(a).fact_parts() if zeta(b, a) else 0
             ),
-            ("h", "h"): lambda i, j: nf * lat.type_fact[lat.meet[i][j]],
-            ("h", "p"): lambda i, j: nf * zeta(j, i),
-            ("h", "m"): lambda i, j: nf * (1 if i == j else 0),
-            ("p", "p"): lambda i, j: Fraction(nf * (1 if i == j else 0), lat.abs_mu0[i]),
-            ("p", "m"): lambda i, j: Fraction(nf * lat.mu(j, i) * zeta(j, i), lat.abs_mu0[i]),
-            ("m", "m"): lambda i, j: nf
+            ("h", "h"): lambda a, b: nf * a.meet(b).type.fact_parts(),
+            ("h", "p"): lambda a, b: nf * zeta(b, a),
+            ("h", "m"): lambda a, b: nf * (1 if a is b else 0),
+            ("p", "p"): lambda a, b: Fraction(nf * (1 if a is b else 0), abs_mu_bottom(a)),
+            ("p", "m"): lambda a, b: Fraction(nf * lat.mu.get((b, a), 0), abs_mu_bottom(a)),
+            ("m", "m"): lambda a, b: nf
             * sum(
-                Fraction(lat.mu(i, t) * lat.mu(j, t), lat.abs_mu0[t])
-                for t in lat.above[lat.join[i][j]]
+                Fraction(lat.mu[a, t] * lat.mu[b, t], abs_mu_bottom(t))
+                for t in lat.above[a.join(b)]
             ),
         }
         for (b1, b2), formula in closed_forms.items():
             fails = []
-            for i in range(lat.size):
-                for j in range(lat.size):
-                    got = inner(_basis_elem(b1, elems[i]), _basis_elem(b2, elems[j]))
-                    if got != formula(i, j):
-                        fails.append(f"<{b1}_{elems[i]},{b2}_{elems[j]}>")
+            for a, b in itertools.product(elems, repeat=2):
+                got = inner(_basis_elem(b1, a), _basis_elem(b2, b))
+                if got != formula(a, b):
+                    fails.append(f"<{b1}_{a},{b2}_{b}>")
             yield f"inner.n{n}.closed_form_{b1}{b2}", fails
 
         fails = []
         for b1, b2 in (("m", "h"), ("p", "e"), ("e", "h"), ("m", "p")):
-            for i in range(lat.size):
-                for j in range(lat.size):
-                    f = _basis_elem(b1, elems[i])
-                    g = _basis_elem(b2, elems[j])
-                    if inner(f, g) != inner(g, f):
-                        fails.append(f"<{b1}_{elems[i]},{b2}_{elems[j]}>")
+            for a, b in itertools.product(elems, repeat=2):
+                f = _basis_elem(b1, a)
+                g = _basis_elem(b2, b)
+                if inner(f, g) != inner(g, f):
+                    fails.append(f"<{b1}_{a},{b2}_{b}>")
         yield f"inner.n{n}.symmetry", fails
 
         fails = []
-        for i in range(lat.size):
-            for j in range(lat.size):
-                got = inner(_basis_elem("p", elems[i]), _basis_elem("p", elems[j]))
-                if i == j:
-                    if got <= 0 or got != Fraction(nf, lat.abs_mu0[i]):
-                        fails.append(str(elems[i]))
-                elif got != 0:
-                    fails.append(f"({elems[i]},{elems[j]})")
+        for a, b in itertools.product(elems, repeat=2):
+            got = inner(_basis_elem("p", a), _basis_elem("p", b))
+            if a is b:
+                if got <= 0 or got != Fraction(nf, abs_mu_bottom(a)):
+                    fails.append(str(a))
+            elif got != 0:
+                fails.append(f"({a},{b})")
         yield f"inner.n{n}.power_sum_gram_diagonal_positive", fails
 
         fails = []
         for g in itertools.permutations(range(1, n + 1)):
             for b1, b2 in (("m", "h"), ("p", "e")):
-                for i in range(lat.size):
-                    for j in range(lat.size):
-                        f1 = _basis_elem(b1, elems[i])
-                        f2 = _basis_elem(b2, elems[j])
-                        if inner(place_act(g, f1), place_act(g, f2)) != inner(f1, f2):
-                            fails.append(f"g={g} <{b1}_{elems[i]},{b2}_{elems[j]}>")
+                for a, b in itertools.product(elems, repeat=2):
+                    f1 = _basis_elem(b1, a)
+                    f2 = _basis_elem(b2, b)
+                    if inner(place_act(g, f1), place_act(g, f2)) != inner(f1, f2):
+                        fails.append(f"g={g} <{b1}_{a},{b2}_{b}>")
         yield f"inner.n{n}.place_action_invariance", fails
 
 
@@ -494,7 +485,7 @@ def suite_projection(max_n: int | None = None) -> Checks:
         fails = []
         for mu in int_partitions(n):
             total = NCSymElement("h")
-            for pi in lattice(n).elements:
+            for pi in set_partitions(n):
                 if pi.type == mu:
                     total = total + _basis_elem("h", pi)
             target = lift(SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())}))
@@ -730,6 +721,8 @@ SUITES = {
 def run(names: list[str], max_n: int | None = None) -> list[CheckResult]:
     """Run the named suites ("all" expands to every suite) and collect results;
     a check passes when it has no failures, and its detail is the first three."""
+    if max_n is not None and (type(max_n) is not int or max_n < 1):  # 0 would check nothing
+        raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
     expanded: list[str] = []
     for name in names:
         if name == "all":

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .combination import Combination, format_rational
 from .elements import NCSymElement
-from .intpartitions import _check_size
+from .intpartitions import _check_size, _expect
 from .setpartitions import SetPartition, check_permutation, set_partitions
 
 Word = tuple[int, ...]
@@ -121,6 +121,7 @@ def expand(f: NCSymElement, k: int) -> WordPolynomial:
     bases walk every set partition of n, so this oracle shares no interval
     enumerator with the closed forms it checks.
     """
+    _expect(NCSymElement, f)
     WordPolynomial._check_tag(k)
     kernels = (
         (sigma, c * _kernel_weight(f.basis, pi, sigma))
@@ -150,6 +151,7 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
     Requires k >= n so that degree-n kernels are all visible; words of equal
     kernel must agree, otherwise a witness pair is reported.
     """
+    _expect(WordPolynomial, P)
     _check_size(n)
     if P.k < n:
         raise ValueError(f"need at least {n} variables to collect degree {n}")
@@ -185,6 +187,7 @@ def equal(f: NCSymElement, g: NCSymElement) -> bool:
 
 def expand_position_action(perm: Sequence[int], P: WordPolynomial) -> WordPolynomial:
     """Permute the positions of every word; kernels transform by relabelling."""
+    _expect(WordPolynomial, P)
     n = len(perm)
     check_permutation(perm, n)
     for word in P.terms:

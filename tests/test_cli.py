@@ -501,3 +501,18 @@ def test_only_verify_loads_the_verify_module(tmp_path):
         assert not modules & ncsym_layer, argv
     code, modules = loaded(["verify", "product", "--max-n", "2"])
     assert code == 0 and "ncsym.verify" in modules
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_refuses_a_cap_below_one_before_any_suite_runs(capsys, cap):
+    for suite in ("oracle", "mobius", "all"):
+        code, out, err = run(capsys, "verify", suite, "--max-n", cap)
+        assert (code, out) == (3, "")
+        assert err == f"error: max_n must be an int >= 1, got {cap}\n"
+
+
+def test_verify_run_refuses_a_bool_cap():
+    from ncsym.verify import run as run_suites
+
+    with pytest.raises(ValueError, match="max_n must be an int >= 1, got True"):
+        run_suites(["all"], True)

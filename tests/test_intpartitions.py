@@ -1,10 +1,11 @@
 import copy
+import itertools
 import pickle
 import re
 
 import pytest
 
-from ncsym.intpartitions import IntPartition, int_partitions, kostka
+from ncsym.intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from ncsym.setpartitions import SetPartition, bell_number, set_partitions
 
 IP = IntPartition
@@ -26,6 +27,17 @@ def test_int_partitions_refuses_bools_non_ints_and_negatives():
         with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative int, got {n!r}")):
             int_partitions(n)
     assert int_partitions(0) == [IP(())]
+
+
+def test_weak_compositions_refuse_bad_sizes_and_keep_their_order():
+    for total, parts in ((3, -2), (2.0, 1), (-1, 2), (2, True)):
+        bad = next(v for v in (total, parts) if type(v) is not int or v < 0)
+        message = re.escape(f"n must be a nonnegative int, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            weak_compositions(total, parts)  # refused at the call, before any tuple
+    every = itertools.product(range(4), repeat=3)
+    assert list(weak_compositions(3, 3)) == sorted(t for t in every if sum(t) == 3)
+    assert list(weak_compositions(0, 0)) == [()] and list(weak_compositions(1, 0)) == []
 
 
 def test_factorial_statistics():

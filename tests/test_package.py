@@ -69,3 +69,58 @@ def test_macmahon_loads_no_ncsym_layer():
     loaded = set(json.loads(proc.stdout))
     assert "ncsym.macmahon" in loaded
     assert not loaded & {"ncsym.elements", "ncsym.words"}
+
+
+
+
+
+# public function -> a call with an argument of the wrong class, and the TypeError it raises
+WRONG_CLASS = {
+    "schur_ncsym": (lambda: ncsym.schur_ncsym((2, 1)), "expected IntPartition, got tuple"),
+    "schur_tableau_sum": (
+        lambda: ncsym.schur_tableau_sum((2, 1), (3,), ncsym.Truncation(1, 2, 3)),
+        "expected IntPartition, got tuple",
+    ),
+    "jacobi_trudi": (
+        lambda: ncsym.jacobi_trudi((2, 1), (3,), "h", ncsym.Truncation(1, 2, 3)),
+        "expected IntPartition, got tuple",
+    ),
+    "expand": (
+        lambda: ncsym.expand(ncsym.SymElement("m"), 2),
+        "expected NCSymElement, got SymElement",
+    ),
+    "equal": (
+        lambda: ncsym.equal(ncsym.NCSymElement("m"), ncsym.SymElement("m")),
+        "expected NCSymElement, got SymElement",
+    ),
+    "collect": (
+        lambda: ncsym.collect(ncsym.NCSymElement("m"), 1),
+        "expected WordPolynomial, got NCSymElement",
+    ),
+    "expand_position_action": (
+        lambda: ncsym.expand_position_action((1,), ncsym.NCSymElement("m")),
+        "expected WordPolynomial, got NCSymElement",
+    ),
+    "phi_collect": (
+        lambda: ncsym.phi_collect(ncsym.NCSymElement("m")),
+        "expected MultiPolynomial, got NCSymElement",
+    ),
+    "phi_from_set_partition": (
+        lambda: ncsym.phi_from_set_partition((1, 2)),
+        "expected SetPartition, got tuple",
+    ),
+    "rsk_inverse": (
+        lambda: ncsym.rsk_inverse(ncsym.DottedTableau([[(1, 1)]]), "x"),
+        "expected DottedTableau, got str",
+    ),
+    "rsk_forward": (lambda: ncsym.rsk_forward("x"), "expected Biword, got str"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_CLASS)
+def test_a_wrong_class_argument_is_a_type_error(name):
+    """Not an AttributeError from deep inside: the class is checked at the boundary."""
+    call, message = WRONG_CLASS[name]
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message

@@ -234,12 +234,14 @@ def test_meet_join_are_bounds():
 def test_lattice_tables_match_operations():
     lat = lattice(4)
     elems = lat.elements
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            assert elems[lat.meet[i][j]] == a.meet(b)
-            assert elems[lat.join[i][j]] == b.join(a)
-            assert lat.leq_idx(i, j) == a.leq(b)
-            assert lat.mu(i, j) == mobius(a, b)
+    assert vars(lat).keys() == {"n", "elements", "above", "below", "mu"}
+    for a in elems:
+        for b in elems:
+            assert (b in lat.above[a]) == (a in lat.below[b]) == a.leq(b)
+            assert ((a, b) in lat.mu) == a.leq(b)
+            assert lat.mu.get((a, b), 0) == mobius(a, b)
+        for group in (lat.above[a], lat.below[a]):
+            assert [p.rgs for p in group] == sorted(p.rgs for p in group)
 
 
 def _assert_canonical(p):

@@ -180,22 +180,21 @@ def test_word_polynomial_arithmetic():
 
 
 def _expand_by_lattice_tables(f, k):
-    """The earlier expand: kernel tests read off the full tables of lattice(n)."""
+    """The earlier expand: kernel tests read off the order of lattice(n) and the meets."""
     out = {}
     for pi, c in f.terms.items():
         lat = lattice(pi.n)
-        i = lat.index[pi]
-        for j, sigma in enumerate(lat.elements):
+        for sigma in lat.elements:
             if len(sigma.blocks) > k:
                 continue
             if f.basis == "m":
-                coeff = c if j == i else 0
+                coeff = c if sigma == pi else 0
             elif f.basis == "p":
-                coeff = c if lat.leq_idx(i, j) else 0
+                coeff = c if sigma in lat.above[pi] else 0
             elif f.basis == "e":
-                coeff = c if lat.meet[i][j] == lat.zero else 0
+                coeff = c if pi.meet(sigma) == SetPartition.bottom(pi.n) else 0
             else:
-                coeff = c * lat.type_fact[lat.meet[i][j]]
+                coeff = c * pi.meet(sigma).type.fact_parts()
             if coeff:
                 for letters in itertools.permutations(range(1, k + 1), len(sigma.blocks)):
                     word = tuple(letters[lab] for lab in sigma.rgs)
