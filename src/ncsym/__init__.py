@@ -23,10 +23,9 @@ _PUBLIC = {
         " phi_from_set_partition phi_to_set_partition schur_ncsym schur_tableau_sum"
     ),
     "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
-    "setpartitions": (
-        "GroundSetError PartitionLattice SetPartition bell_number lattice mobius set_partitions"
-    ),
+    "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",
     "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
+    "verify": "PartitionLattice lattice",  # the reference lattice, kept under its public names
     "words": "NotSymmetricError WordPolynomial collect equal expand expand_position_action kernel",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -7,7 +7,7 @@ exact rationals throughout.  Every conversion goes through m: the coefficient
 of m_mu in e_lam, h_lam or p_lam is the number of matrices with row sums lam
 and column sums mu whose rows take 0/1 entries, any entries, or one nonzero
 entry (Macdonald I.6); s_lam uses Kostka numbers.  The way back from m
-inverts that matrix, once per basis and degree.
+inverts that matrix by one exact row reduction, once per basis and degree.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from math import prod
 
 from .combination import Combination, _over_one_denominator
 from .intpartitions import IntPartition, int_partitions, kostka
-from .linalg import _row_reduce
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 _DUAL = {"m": "h", "h": "m", "p": "p", "s": "s"}  # b_lam pairs only with _DUAL[b]_lam
@@ -88,6 +87,28 @@ def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
         for mu in int_partitions(lam.n)
     )
     return tuple((mu, c) for mu, c in coeffs if c)
+
+
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> int:
+    """Bring the first ncols columns of rows to reduced echelon form over the
+    rationals, in place, carrying any further columns along; returns the rank
+    of those columns."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Set partitions of {1..n} and the refinement lattice.
+"""Set partitions of {1..n}: the refinement order, meets, joins, the Mobius
+function and the interval walks behind every change of basis.
 
 A partition is a value whose identity is its restricted growth string: the
 block of each element, blocks numbered by their minima.  There is one object
@@ -160,9 +161,10 @@ class SetPartition:
         return SetPartition.from_labels(zip(self.rgs, other.rgs))
 
     def join(self, other: "SetPartition") -> "SetPartition":
-        """Least upper bound: components of the union of both block relations."""
+        """Least upper bound: a union-find over self's blocks, which merges the
+        blocks of self that meet one block of other."""
         self._check_ground(other)
-        parent = list(range(self.n))
+        parent = list(range(self.length))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -170,11 +172,12 @@ class SetPartition:
                 x = parent[x]
             return x
 
-        for part in (self, other):
-            first: dict[int, int] = {}  # block -> its minimum
-            for i, v in enumerate(part.rgs):
-                parent[find(i)] = find(first.setdefault(v, i))
-        return SetPartition.from_labels([find(i) for i in range(self.n)])
+        first: dict[int, int] = {}  # block of other -> the block of self holding its first element
+        for a, b in zip(self.rgs, other.rgs):
+            r = first.setdefault(b, a)
+            if r != a:
+                parent[find(a)] = find(r)
+        return SetPartition.from_labels([find(a) for a in self.rgs])
 
     def interval_type(self, other: "SetPartition") -> IntPartition:
         """Block counts of self inside each block of other, sorted decreasingly."""
@@ -432,27 +435,3 @@ def partitions_of_type(lam: IntPartition) -> tuple[SetPartition, ...]:
     if not isinstance(lam, IntPartition):
         raise TypeError(f"expected an IntPartition, got {lam!r}")
     return tuple(map(SetPartition._from_rgs, growth_strings(lam.n, lam.parts)))
-
-
-class PartitionLattice:
-    """The refinement order of one degree, kept as the reference ``verify`` checks
-    against: the partitions above and below each one, in growth-string order, and the Mobius
-    function on the comparable pairs, so (a, b) in mu exactly when a <= b."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.elements = set_partitions(n)
-        self.above: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
-        self.below: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
-        self.mu: dict[tuple[SetPartition, SetPartition], int] = {}
-        for p in self.elements:
-            for q in self.elements:
-                if p.leq(q):
-                    self.above[p].append(q)
-                    self.below[q].append(p)
-                    self.mu[p, q] = mobius(p, q)
-
-
-@lru_cache(maxsize=None)
-def lattice(n: int) -> PartitionLattice:
-    return PartitionLattice(n)

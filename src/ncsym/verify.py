@@ -5,6 +5,11 @@ Each suite yields (check name, failures) pairs, and ``run`` alone turns them
 into CheckResults.  A size cap can lower (never raise) the default ranges, so
 ``run(["all"], max_n=4)`` is a fast smoke pass while the defaults reproduce
 the full acceptance sizes.
+
+This module is the one home of the reference routes: the partition lattice
+and every route a fast path replaced.  No production module imports it.  The
+``reference`` suite holds each fast path to its route, and
+``reference_failures`` runs one of its checks alone, as the unit tests do.
 """
 from __future__ import annotations
 
@@ -12,25 +17,31 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator
+from functools import lru_cache, partial
+from math import factorial, prod
+from typing import Callable, Iterator
 
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
+from .classical import _basis_m_coeffs, _row_reduce
 from .elements import NCSymElement, convert, inner, lift, multiply, omega, place_act, project
-from .intpartitions import IntPartition, int_partitions, weak_compositions
+from .elements import _merges
+from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .macmahon import (
     MultiPolynomial,
     Truncation,
+    _tableau_sum,
     jacobi_trudi,
+    mm_complete,
+    mm_elementary,
     monomial,
     phi_collect,
     schur_ncsym,
     schur_tableau_sum,
 )
 from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
-from .setpartitions import SetPartition, lattice, mobius, set_partitions
-from .tableaux import DottedEntry, DottedTableau, dotted_tableaux
-from .words import expand, expand_position_action, kernel, oracle_product
+from .setpartitions import SetPartition, mobius, set_partitions
+from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
+from .words import WordPolynomial, expand, expand_position_action, kernel, oracle_product
 
 
 @dataclass
@@ -53,6 +64,37 @@ def _basis_elem(basis: str, pi: SetPartition) -> NCSymElement:
 
 # ---------------------------------------------------------------------------
 # reference implementations used only for cross-checking
+
+
+class PartitionLattice:
+    """The refinement order of one degree, the reference the closed forms are
+    checked against: the partitions above and below each one, in growth-string
+    order, and the Mobius function on the comparable pairs, so (a, b) in mu
+    exactly when a <= b."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.elements = set_partitions(n)
+        self.above: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
+        self.below: dict[SetPartition, list[SetPartition]] = {p: [] for p in self.elements}
+        self.mu: dict[tuple[SetPartition, SetPartition], int] = {}
+        for p in self.elements:
+            for q in self.elements:
+                if p.leq(q):
+                    self.above[p].append(q)
+                    self.below[q].append(p)
+                    self.mu[p, q] = mobius(p, q)
+
+
+@lru_cache(maxsize=None)
+def lattice(n: int) -> PartitionLattice:
+    return PartitionLattice(n)
+
+
+def matrix_rank(matrix: list[list[Fraction]]) -> int:
+    """Rank over the rationals by row reduction."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    return _row_reduce(rows, len(rows[0]) if rows else 0)
 
 
 def _mobius_recursive(lat) -> dict[tuple[SetPartition, SetPartition], int]:
@@ -104,62 +146,298 @@ def _expansion_by_lattice_tables(basis: str, target: str, pi: SetPartition) -> t
     return tuple((s, c) for s, c in sorted(acc.items(), key=lambda sc: sc[0].rgs) if c)
 
 
-def _classical_insertion(bottom: list[int], top: list[int]):
-    """Plain integer RSK used as the reference for the undotting check."""
-    ins: list[list[int]] = []
-    rec: list[list[int]] = []
-    for t, b in zip(top, bottom):
-        r = 0
-        entry = b
-        while True:
-            if r == len(ins):
-                ins.append([entry])
-                break
-            row = ins[r]
-            spot = next((c for c, v in enumerate(row) if v > entry), None)
+def _rsk_by_linear_scan(columns, value=lambda e: e.value):
+    """Insertion and recording rows of a biword's (top, bottom) columns: each
+    bottom entry bumps, row by row, the first entry of larger value found by a
+    linear scan."""
+    insertion: list[list] = []
+    recording: list[list] = []
+    for top, entry in columns:
+        for r, row in enumerate(insertion):
+            spot = next((c for c, e in enumerate(row) if value(e) > value(entry)), None)
             if spot is None:
                 row.append(entry)
                 break
             entry, row[spot] = row[spot], entry
-            r += 1
-        if r == len(rec):
-            rec.append([])
-        rec[r].append(t)
-    return tuple(tuple(r) for r in ins), tuple(tuple(r) for r in rec)
+        else:
+            r = len(insertion)
+            insertion.append([entry])
+        if r == len(recording):
+            recording.append([])
+        recording[r].append(top)
+    return tuple(map(tuple, insertion)), tuple(map(tuple, recording))
+
+
+def _rsk_inverse_by_max_scan(tab_rows, rec_rows):
+    """The biword columns of a same-shape pair of tableau rows: each step removes
+    the recording cell found by a max scan over the row ends."""
+    insertion = [list(row) for row in tab_rows]
+    recording = [list(row) for row in rec_rows]
+    columns = []
+    for _ in range(sum(map(len, tab_rows))):
+        r = max(range(len(recording)), key=lambda r: (recording[r][-1].value, len(recording[r])))
+        top = recording[r].pop()
+        carry = insertion[r].pop()
+        if not recording[r]:
+            recording.pop()
+            insertion.pop()
+        for above in range(r - 1, -1, -1):
+            row = insertion[above]
+            spot = max(c for c, e in enumerate(row) if e.value < carry.value)
+            carry, row[spot] = row[spot], carry
+        columns.append((top, carry))
+    return tuple(reversed(columns))
+
+
+def _tableaux_by_cell_walk(lengths, max_value, classes, multidegree=None):
+    """The rows of every dotted filling of the row lengths, walked cell by cell."""
+    # entries left in each class; without a multidegree, as many as there are cells
+    budget = list(multidegree) if multidegree is not None else [sum(lengths)] * classes
+    rows: list[list[DottedEntry]] = [[] for _ in lengths]
+
+    def rec(r, c):
+        if r == len(lengths):
+            yield tuple(map(tuple, rows))
+            return
+        nr, nc = (r, c + 1) if c + 1 < lengths[r] else (r + 1, 0)
+        lo = max(rows[r][c - 1].value if c else 1, rows[r - 1][c].value + 1 if r else 1)
+        for v in range(lo, max_value + 1):
+            for cls in range(1, classes + 1):
+                if budget[cls - 1]:
+                    budget[cls - 1] -= 1
+                    rows[r].append(DottedEntry(v, cls))
+                    yield from rec(nr, nc)
+                    rows[r].pop()
+                    budget[cls - 1] += 1
+
+    yield from rec(0, 0)
+
+
+def _tableau_sum_by_cell_walk(shape, trunc, vec=None) -> dict:
+    """The tableau generating function, monomial -> count, summed over the cell walk."""
+    fillings = _tableaux_by_cell_walk(shape.parts, trunc.variables, trunc.alphabets, vec)
+    monomials = (monomial(((e.value, e.dots), 1) for row in rows for e in row) for rows in fillings)
+    return dict(Counter(monomials))
+
+
+def _dot_swap_by_column_scan(tab_rows, i):
+    """The dot-swap involution's rows: a column holding an i and an i+1 trades
+    their dot classes, and each row's free run of i's and (i+1)'s is rewritten."""
+    rows = [list(row) for row in tab_rows]
+    width = len(rows[0]) if rows else 0
+    paired = set()
+    for c in range(width):
+        hits = {row[c].value: r for r, row in enumerate(rows) if c < len(row)}
+        if i in hits and i + 1 in hits:
+            r, r1 = hits[i], hits[i + 1]
+            a, b = rows[r][c], rows[r1][c]
+            rows[r][c], rows[r1][c] = DottedEntry(i, b.dots), DottedEntry(i + 1, a.dots)
+            paired |= {(r, c), (r1, c)}
+    for r, row in enumerate(rows):
+        free_i = [c for c, e in enumerate(row) if e.value == i and (r, c) not in paired]
+        free_i1 = [c for c, e in enumerate(row) if e.value == i + 1 and (r, c) not in paired]
+        new_entries = [DottedEntry(i, row[c].dots) for c in free_i1]
+        new_entries += [DottedEntry(i + 1, row[c].dots) for c in free_i]
+        for c, e in zip(free_i + free_i1, new_entries):
+            row[c] = e
+    return tuple(map(tuple, rows))
+
+
+def _elementary_by_subscripts(t, trunc) -> dict:
+    """mm_elementary's terms by a walk over the subscripts, each taking one
+    letter of some alphabet or none."""
+    terms = {}
+
+    def rec(i, remaining, chosen):
+        if not any(remaining):
+            terms[tuple(((s, j), 1) for s, j in chosen)] = 1
+            return
+        if i > trunc.variables or sum(remaining) > trunc.variables - i + 1:
+            return
+        rec(i + 1, remaining, chosen)
+        for j in range(1, trunc.alphabets + 1):
+            if remaining[j - 1]:
+                nxt = list(remaining)
+                nxt[j - 1] -= 1
+                rec(i + 1, tuple(nxt), chosen + [(i, j)])
+
+    rec(1, tuple(t), [])
+    return terms
+
+
+def _complete_by_subscripts(t, trunc) -> dict:
+    """mm_complete's terms by a walk over the subscripts, each taking any vector
+    of letters, weighted by its multinomial coefficient."""
+    terms = {}
+    multinomial = lambda vec: factorial(sum(vec)) // prod(map(factorial, vec))
+
+    def rec(i, remaining, chosen, coeff):
+        if not any(remaining):
+            mono = monomial(((s, j), v) for s, vec in chosen for j, v in enumerate(vec, 1))
+            terms[mono] = terms.get(mono, 0) + coeff
+            return
+        if i > trunc.variables:
+            return
+        for vec in itertools.product(*(range(r + 1) for r in remaining)):
+            if any(vec):
+                rest = tuple(r - v for r, v in zip(remaining, vec))
+                rec(i + 1, rest, chosen + [(i, vec)], coeff * multinomial(vec))
+            else:
+                rec(i + 1, remaining, chosen, coeff)
+
+    rec(1, tuple(t), [], 1)
+    return terms
+
+
+def _jt_by_permutation_expansion(lam, variant, trunc) -> MultiPolynomial:
+    """The whole Jacobi-Trudi determinant, every multidegree in every entry,
+    expanded over the permutations."""
+    generator = {"h": mm_complete, "e": mm_elementary}[variant]
+    size = lam.length
+
+    def entry(degree: int):  # None below degree 0, 1 at degree 0
+        if degree <= 0:
+            return MultiPolynomial.one(trunc) if degree == 0 else None
+        pieces = (generator(t, trunc) for t in weak_compositions(degree, trunc.alphabets))
+        return sum(pieces, MultiPolynomial(trunc))
+
+    entries = [[entry(lam.parts[i] - i + j) for j in range(size)] for i in range(size)]
+    det = MultiPolynomial(trunc)
+    for perm in itertools.permutations(range(size)):
+        if any(entries[i][perm[i]] is None for i in range(size)):
+            continue
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
+        term = MultiPolynomial.one(trunc)
+        for i in range(size):
+            term = term * entries[i][perm[i]]
+        det = det + (-1) ** inversions * term
+    return det
+
+
+def _merges_by_block_assembly(pi, sigma):
+    """Every rho with rho meet (top | top) = pi | sigma: sigma's shifted blocks
+    glued onto pi's and rebuilt through the checking constructor."""
+    right = [tuple(e + pi.n for e in b) for b in sigma.blocks]
+    for r in range(min(len(pi.blocks), len(right)) + 1):
+        for chosen in itertools.combinations(range(len(right)), r):
+            rest = [b for j, b in enumerate(right) if j not in chosen]
+            for targets in itertools.permutations(range(len(pi.blocks)), r):
+                blocks = list(pi.blocks)
+                for i, j in zip(targets, chosen):
+                    blocks[i] += right[j]
+                yield SetPartition(blocks + rest)
+
+
+def _product_by_monomial_rule(f: NCSymElement, g: NCSymElement) -> NCSymElement:
+    """The product in m: both factors converted to m, their merges summed."""
+    fm, gm = convert(f, "m"), convert(g, "m")
+    out: dict[SetPartition, Fraction] = {}
+    for pi, a in fm.terms.items():
+        for sigma, b in gm.terms.items():
+            for rho in _merges(pi, sigma):
+                out[rho] = out.get(rho, 0) + a * b
+    return NCSymElement("m", out)
+
+
+def _pairs_up_to(total: int):
+    """Every pair of set partitions of total degree at most total, the empty one included."""
+    for t in range(total + 1):
+        for n in range(t + 1):
+            for pi in set_partitions(n):
+                for sigma in set_partitions(t - n):
+                    yield pi, sigma
+
+
+def _expand_by_lattice_tables(f: NCSymElement, k: int) -> WordPolynomial:
+    """The word expansion in k letters: each basis symbol in m by the lattice
+    tables, each m_sigma as the words of kernel sigma, one per injective
+    labelling of its blocks."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for pi, c in f.terms.items():
+        for sigma, coeff in _expansion_by_lattice_tables(f.basis, "m", pi):
+            for letters in itertools.permutations(range(1, k + 1), sigma.length):
+                word = tuple(letters[lab] for lab in sigma.rgs)
+                out[word] = out.get(word, 0) + c * coeff
+    return WordPolynomial(k, out)
+
+
+def _m_coeffs_by_polynomial_expansion(basis: str, lam: IntPartition) -> tuple:
+    """The classical p/e/h_lam in m as ((mu, coeff), ...): the generators
+    multiplied out in n variables, the coefficient of x^mu read off."""
+    k = max(lam.n, 1)
+    poly = {(0,) * k: 1}
+    for r in lam.parts:
+        if basis == "p":
+            gen = [tuple(r * (i == j) for j in range(k)) for i in range(k)]
+        elif basis == "e":
+            subsets = itertools.combinations(range(k), r)
+            gen = [tuple(int(j in s) for j in range(k)) for s in subsets]
+        else:
+            gen = [v for v in itertools.product(range(r + 1), repeat=k) if sum(v) == r]
+        out: dict[tuple[int, ...], int] = {}
+        for exps, c in poly.items():
+            for g in gen:
+                key = tuple(a + b for a, b in zip(exps, g))
+                out[key] = out.get(key, 0) + c
+        poly = out
+    coeffs = ((mu, poly.get(mu.parts + (0,) * (k - mu.length), 0)) for mu in int_partitions(lam.n))
+    return tuple((mu, c) for mu, c in coeffs if c)
+
+
+def _kostka_by_enumeration(lam: IntPartition, mu: IntPartition) -> int:
+    """Semistandard fillings of shape lam and content mu, filled cell by cell,
+    rows weakly and columns strictly increasing."""
+    if lam.n == 0:
+        return 1
+    shape = lam.parts
+    remaining = list(mu.parts) + [0]
+    values = len(mu.parts)
+    rows = [[0] * r for r in shape]
+
+    def fill(r, c):
+        if r == len(shape):
+            return 1
+        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
+        lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        total = 0
+        for v in range(lo, values + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            rows[r][c] = v
+            total += fill(nr, nc)
+            remaining[v - 1] += 1
+        rows[r][c] = 0
+        return total
+
+    return fill(0, 0)
 
 
 def _all_biwords(max_len: int, max_value: int, classes: int):
     """Every biword with the stated bounds; ties carry all dot patterns.
 
     The value pairs come out of ``combinations_with_replacement`` of a sorted
-    list, so the columns are sorted by construction and skip the check."""
-    value_pairs = [
-        (t, b) for t in range(1, max_value + 1) for b in range(1, max_value + 1)
+    list, so the columns are sorted by construction and skip the check.  Each
+    value pair offers its columns in every pair of dot classes, one entry
+    object per (value, class)."""
+    dots = list(itertools.product(range(1, classes + 1), repeat=2))
+    dotted = [
+        [(DottedEntry(t, a), DottedEntry(b, c)) for a, c in dots]
+        for t in range(1, max_value + 1)
+        for b in range(1, max_value + 1)
     ]
     for length in range(max_len + 1):
-        for values in itertools.combinations_with_replacement(value_pairs, length):
-            for dotting in itertools.product(
-                range(1, classes + 1), repeat=2 * length
-            ):
-                yield Biword._make(
-                    (
-                        (DottedEntry(t, dotting[2 * i]), DottedEntry(b, dotting[2 * i + 1]))
-                        for i, (t, b) in enumerate(values)
-                    )
-                )
+        for values in itertools.combinations_with_replacement(dotted, length):
+            for columns in itertools.product(*values):
+                yield Biword._make(columns)
 
 
 def _h_expansion_by_linear_orders(pi: SetPartition, k: int):
     """Count (function, block-ordering) pairs directly, word by word."""
-    n = pi.n
-    counts: dict[tuple[int, ...], int] = {}
-    for word in itertools.product(range(1, k + 1), repeat=n):
-        meet = kernel(word).meet(pi)
-        orderings = 1
-        for block in meet.blocks:
-            orderings *= factorial(len(block))
-        counts[word] = orderings
-    return counts
+    return {
+        word: prod(factorial(len(block)) for block in kernel(word).meet(pi).blocks)
+        for word in itertools.product(range(1, k + 1), repeat=pi.n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +774,6 @@ def suite_projection(max_n: int | None = None) -> Checks:
 
 def suite_schur(max_n: int | None = None) -> Checks:
     """The noncommuting Schur family: expansion, rank, projection, pairing."""
-    from .linalg import matrix_rank
-
     for n in range(1, _cap(5, max_n) + 1):
         shapes = int_partitions(n)
         fails = []
@@ -509,11 +785,7 @@ def suite_schur(max_n: int | None = None) -> Checks:
         yield f"schur.n{n}.monomial_expansion_matches_tableaux", fails
 
         elems = set_partitions(n)
-        matrix = []
-        for lam in shapes:
-            S = schur_ncsym(lam)
-            matrix.append([S.terms.get(pi, Fraction(0)) for pi in elems])
-        rank = matrix_rank(matrix)
+        rank = matrix_rank([[schur_ncsym(lam).terms.get(pi, 0) for pi in elems] for lam in shapes])
         yield f"schur.n{n}.linear_independence", (
             [] if rank == len(shapes) else [f"rank {rank} of {len(shapes)}"]
         )
@@ -557,8 +829,6 @@ def suite_schur(max_n: int | None = None) -> Checks:
     yield "schur.tableau_sum_symmetric_under_subscript_swaps", fails
 
     # the dot-swap involution behind that symmetry, exhaustively on small shapes
-    from .tableaux import dot_swap_involution
-
     fails = []
     for total in range(1, _cap(4, max_n) + 1):
         for shape in int_partitions(total):
@@ -599,7 +869,6 @@ def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
             if det != schur_tableau_sum(lam, (m,), tr1):
                 fails.append(f"{lam} vs tableaux")
             # classical expansion through Kostka numbers in the same variables
-            from .classical import _basis_m_coeffs  # type: ignore[attr-defined]
             expected = [
                 (monomial(((i + 1, 1), e) for i, e in enumerate(arrangement)), coeff)
                 for mu, coeff in _basis_m_coeffs("s", lam)
@@ -630,9 +899,8 @@ def suite_rsk(max_n: int | None = None) -> Checks:
             fails_shape.append(f"multidegree {bw.columns}")
         if rsk_inverse(T, U) != bw:
             fails_round.append(str(bw.columns))
-        ins, rec = _classical_insertion(
-            [b.value for b in bw.bottom], [t.value for t in bw.top]
-        )
+        undotted = [(t.value, b.value) for t, b in bw.columns]
+        ins, rec = _rsk_by_linear_scan(undotted, value=lambda v: v)
         if T.undotted() != ins or U.undotted() != rec:
             fails_undot.append(str(bw.columns))
     yield "rsk.forward_shape_and_multidegree", fails_shape
@@ -691,16 +959,234 @@ def suite_product(max_n: int | None = None) -> Checks:
     yield "product.power_sums_concatenate_with_shift", fails
 
     fails = []
-    cap = _cap(4, max_n)
-    for n1 in range(cap + 1):
-        for n2 in range(cap - n1 + 1):
-            for pi in set_partitions(n1):
-                for sg in set_partitions(n2):
-                    for basis in ("m", "p", "e", "h"):
-                        f, g = _basis_elem(basis, pi), _basis_elem(basis, sg)
-                        if convert(multiply(f, g), "m") != oracle_product(f, g):
-                            fails.append(f"{basis}[{pi}] * {basis}[{sg}]")
+    for pi, sg in _pairs_up_to(_cap(4, max_n)):
+        for basis in ("m", "p", "e", "h"):
+            f, g = _basis_elem(basis, pi), _basis_elem(basis, sg)
+            if convert(multiply(f, g), "m") != oracle_product(f, g):
+                fails.append(f"{basis}[{pi}] * {basis}[{sg}]")
     yield "product.closed_form_matches_word_oracle", fails
+
+
+# ---------------------------------------------------------------------------
+# the reference suite: each fast path against the independent route it replaced.
+# A case generator takes a size and yields (label, production view, reference
+# view), the label a tuple of the case's inputs, printed only for a failure.
+
+
+def _tableau_view(rows, shape):
+    """What a tableau shows: its rows, the classes of its rows and entries, its shape."""
+    classes = {type(r) for r in rows}, {type(e) for r in rows for e in r}
+    return rows, classes, shape, shape.parts, shape.n
+
+
+def _biword_view(cls, columns):
+    """What a biword shows: its class, its columns, their class and their entries' classes."""
+    return cls, type(columns), columns, {type(e) for col in columns for e in col}
+
+
+def _kostka_cases(n: int):
+    for lam, mu in itertools.product(int_partitions(n), repeat=2):
+        yield (lam, mu), kostka(lam, mu), _kostka_by_enumeration(lam, mu)
+
+
+def _sym_cases(basis: str, n: int):
+    for lam in int_partitions(n):
+        yield (lam,), _basis_m_coeffs(basis, lam), _m_coeffs_by_polynomial_expansion(basis, lam)
+
+
+def _merges_cases(size: int):
+    for pi, sigma in _pairs_up_to(size):
+        got = [(r.n, r.blocks, r.rgs, hash(r)) for r in _merges(pi, sigma)]
+        want = [(r.n, r.blocks, r.rgs, hash(r)) for r in _merges_by_block_assembly(pi, sigma)]
+        yield (pi, "|", sigma), got, want
+
+
+def _product_cases(size: int):
+    a, b = Fraction(-2, 3), Fraction(5, 7)
+    for pi, sigma in _pairs_up_to(size):
+        for left, right in itertools.product(("m", "p", "e", "h"), repeat=2):
+            f, g = NCSymElement(left, {pi: a}), NCSymElement(right, {sigma: b})
+            got = multiply(f, g)
+            want = left if left == right else "m", _product_by_monomial_rule(f, g)
+            yield (f, "*", g), (got.basis, convert(got, "m")), want
+    P = SetPartition.parse  # then a mixed pair, and sums over several degrees
+    e = NCSymElement("e", {P("13/2"): Fraction(-2, 3)})
+    p = NCSymElement("p", {P("1/2"): Fraction(5, 7)})
+    h1 = NCSymElement("h", {P(""): Fraction(1, 2), P("1"): 3, P("12"): Fraction(-1, 4)})
+    h2 = NCSymElement("h", {P("1"): Fraction(2, 5), P("1/2"): Fraction(7, 3)})
+    for f, g in ((e, p), (h1, h2)):
+        yield (f, "*", g), convert(multiply(f, g), "m"), _product_by_monomial_rule(f, g)
+
+
+def _expand_cases(basis: str, size: int):
+    for n in range(size + 1):
+        for pi in set_partitions(n):
+            f = NCSymElement(basis, {pi: Fraction(3, 2)})
+            for k in {1, max(n, 1)}:
+                yield (f, "k =", k), expand(f, k), _expand_by_lattice_tables(f, k)
+
+
+def _generator_cases(size: int):
+    for alphabets, variables in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        tr = Truncation(alphabets, variables, size)
+        for degree in range(size + 1):  # degree 0 is the zero vector
+            for t in weak_compositions(degree, alphabets):
+                got = mm_elementary(t, tr).terms, mm_complete(t, tr).terms
+                want = _elementary_by_subscripts(t, tr), _complete_by_subscripts(t, tr)
+                yield (t, tr), got, want
+
+
+def _jacobi_trudi_cases(size: int):
+    for n in range(size + 1):
+        for lam, variant in itertools.product(int_partitions(n), ("h", "e")):
+            for alphabets in (1, 2, 3) if n <= 4 else (1, 2):
+                for variables in (1, 2, 3):
+                    tr = Truncation(alphabets, variables, n)
+                    whole = _jt_by_permutation_expansion(lam, variant, tr)
+                    for vec in weak_compositions(n, alphabets):
+                        got = jacobi_trudi(lam, vec, variant, tr)
+                        yield (lam, vec, variant, tr), got, whole.extract_multidegree(vec)
+
+
+def _packed_kernel_cases(size: int):
+    for n in range(size + 1):
+        for lam in int_partitions(n):
+            for alphabets, variables in itertools.product((1, 2, 3), repeat=2):
+                tr = Truncation(alphabets, variables, n)
+                for vec in weak_compositions(n, alphabets):
+                    got = (
+                        schur_tableau_sum(lam, vec, tr).terms,
+                        jacobi_trudi(lam, vec, "h", tr).terms,
+                        jacobi_trudi(lam.conjugate(), vec, "e", tr).terms,
+                    )
+                    yield (lam, vec, tr), got, (_tableau_sum_by_cell_walk(lam, tr, vec),) * 3
+
+
+def _dotted_tableaux_cases(n: int):
+    for shape in int_partitions(n):
+        for max_value, classes in itertools.product(range(4), (1, 2)):
+            for vec in [None, *weak_compositions(n, classes)]:
+                tableaux = dotted_tableaux(shape, max_value, classes, vec)
+                got = [_tableau_view(t.rows, t.shape) for t in tableaux]
+                want = [
+                    _tableau_view(rows, shape)
+                    for rows in _tableaux_by_cell_walk(shape.parts, max_value, classes, vec)
+                ]
+                yield (shape, max_value, classes, vec), got, want
+
+
+def _tableau_sum_cases(n: int):
+    # the keys are plain ((value, dots), exponent) tuples, as monomial() makes them
+    keys = lambda terms: {type(var) for mono in terms for var, _ in mono}
+    for shape in int_partitions(n):
+        for alphabets, variables in itertools.product((1, 2), (1, 2, 3)):
+            trunc = Truncation(alphabets, variables, n)
+            every, want = _tableau_sum(shape, None, trunc), _tableau_sum_by_cell_walk(shape, trunc)
+            got = every.trunc, every.terms, keys(every.terms)
+            yield (shape, trunc), got, (trunc, want, keys(want))
+            for vec in weak_compositions(n, alphabets):
+                got = schur_tableau_sum(shape, vec, trunc)
+                want = _tableau_sum_by_cell_walk(shape, trunc, vec)
+                yield (shape, vec, trunc), (got.trunc, got.terms), (trunc, want)
+
+
+def _dot_swap_cases(size: int):
+    for n in range(size + 1):
+        for shape in int_partitions(n):
+            for tab in dotted_tableaux(shape, 4, 2):
+                for i in (1, 2, 3):
+                    image = dot_swap_involution(tab, i)
+                    want = _dot_swap_by_column_scan(tab.rows, i), shape
+                    yield (tab, "i =", i), (image.rows, image.shape), want
+
+
+def _rsk_forward_cases(size: int):
+    for bw in _all_biwords(size, 3, 2):
+        T, U = rsk_forward(bw)
+        ins, rec = _rsk_by_linear_scan(bw.columns)
+        got = _tableau_view(T.rows, T.shape), _tableau_view(U.rows, U.shape)
+        shape = IntPartition(map(len, ins))
+        yield (bw,), got, (_tableau_view(ins, shape), _tableau_view(rec, shape))
+
+
+def _rsk_inverse_cases(size: int):
+    for bw in _all_biwords(size, 3, 2):
+        back = rsk_inverse(*rsk_forward(bw))
+        want = _rsk_inverse_by_max_scan(*_rsk_by_linear_scan(bw.columns))
+        yield (bw,), _biword_view(type(back), back.columns), _biword_view(Biword, want)
+    for total in range(size + 1):
+        for shape in int_partitions(total):
+            tableaux = list(dotted_tableaux(shape, 3, 2))
+            for T, U in itertools.product(tableaux, repeat=2):
+                back = rsk_inverse(T, U)
+                want = _rsk_inverse_by_max_scan(T.rows, U.rows)
+                got = _biword_view(type(back), back.columns)
+                yield (T, U), got, _biword_view(Biword, want)
+
+
+# (name, default size, case generator, case count at the default size or None).
+# A name with {n} is one check per degree n up to the size; any other is one
+# check over every size up to it.
+_REFERENCE: list[tuple[str, int, Callable, int | None]] = [
+    ("n{n}.kostka_matches_enumeration", 8, _kostka_cases, None),
+    *(
+        (f"n{{n}}.classical_{b}_matches_polynomial_expansion", 6, partial(_sym_cases, b), None)
+        for b in ("p", "e", "h")
+    ),
+    ("merges_match_block_assembly", 6, _merges_cases, None),
+    ("product_matches_the_monomial_rule", 4, _product_cases, 66 * 16 + 2),
+    *(
+        (f"expand_{b}_matches_lattice_tables", 4, partial(_expand_cases, b), None)
+        for b in ("m", "p", "e", "h")
+    ),
+    ("generators_match_their_separate_walks", 5, _generator_cases, 4 * (6 + 21 + 56)),
+    ("jacobi_trudi_matches_the_permutation_expansion", 5, _jacobi_trudi_cases, 1368),
+    ("packed_kernels_match_the_cell_walk", 5, _packed_kernel_cases, 1125),
+    ("n{n}.dotted_tableaux_match_the_cell_walk", 5, _dotted_tableaux_cases, None),
+    ("n{n}.tableau_sums_match_the_cell_walk", 4, _tableau_sum_cases, None),
+    ("dot_swap_matches_the_column_scan", 5, _dot_swap_cases, 31803),
+    ("rsk_forward_matches_the_linear_scan", 3, _rsk_forward_cases, None),
+    ("rsk_inverse_matches_the_max_scan", 3, _rsk_inverse_cases, None),
+]
+
+
+def _mismatches(cases: Callable, size: int, count: int | None = None) -> list[str]:
+    """The labels of the cases whose production and reference views differ, and
+    a note if the cases were not as many as stated."""
+    fails, seen = [], 0
+    for label, got, want in cases(size):
+        seen += 1
+        if got != want:
+            fails.append(" ".join(map(str, label)))
+    if count is not None and seen != count:
+        fails.append(f"{seen} cases, expected {count}")
+    return fails
+
+
+def _reference_checks(max_n: int | None) -> Iterator[tuple[str, Callable[[], list[str]]]]:
+    """(check name, a call that returns its failures) for each reference check."""
+    for name, size, cases, count in _REFERENCE:
+        top = _cap(size, max_n)
+        if "{n}" in name:
+            for n in range(top + 1):
+                yield f"reference.{name.format(n=n)}", partial(_mismatches, cases, n)
+        else:
+            counted = count if top == size else None
+            yield f"reference.{name}", partial(_mismatches, cases, top, counted)
+
+
+def suite_reference(max_n: int | None = None) -> Checks:
+    """Each fast path against the independent route it replaced: Kostka numbers,
+    classical expansions, merges, products, word expansions, the MacMahon
+    generators and determinants, tableau walks, the dot swap and RSK."""
+    for name, check in _reference_checks(max_n):
+        yield name, check()
+
+
+def reference_failures(name: str) -> list[str]:
+    """The failures of one named check of the reference suite, run alone at its
+    default size."""
+    return dict(_reference_checks(None))[name]()
 
 
 SUITES = {
@@ -715,6 +1201,7 @@ SUITES = {
     "jacobi-trudi": suite_jacobi_trudi,
     "rsk": suite_rsk,
     "product": suite_product,
+    "reference": suite_reference,
 }
 
 

@@ -1,17 +1,17 @@
 from fractions import Fraction
-from itertools import combinations, product
 
 import pytest
 
 from ncsym.classical import (
     SymElement,
     _basis_m_coeffs,
+    _m_inverse,
     omega_commutative,
     sym_convert,
     sym_inner,
 )
 from ncsym.intpartitions import IntPartition, int_partitions
-from ncsym.linalg import exact_solve
+from ncsym.verify import reference_failures
 
 IP = IntPartition
 
@@ -51,47 +51,26 @@ def test_conversion_roundtrip(basis, n):
 
 @pytest.mark.parametrize("basis", ["p", "e", "h", "s"])
 def test_conversion_from_m_matches_exact_solve(basis):
-    # the cached inverse against solving the change-of-basis system afresh
+    # the forward matrix times the cached inverse is the identity: each m_mu in the
+    # basis, expanded back into m through _basis_m_coeffs, is m_mu alone.  The
+    # product reads no row reduction, so it shares no solver with _m_inverse.
     for n in range(7):
-        ps = int_partitions(n)
-        matrix = [[dict(_basis_m_coeffs(basis, lam)).get(mu, 0) for lam in ps] for mu in ps]
-        for c, mu in enumerate(ps):
-            column = exact_solve(matrix, [int(r == c) for r in range(len(ps))])
-            want = SymElement(basis, {lam: v for lam, v in zip(ps, column)})
+        inverse = _m_inverse(basis, n)
+        assert list(inverse) == int_partitions(n)
+        for mu, (pairs, den) in inverse.items():
+            back = {}
+            for lam, num in pairs:
+                for nu, c in _basis_m_coeffs(basis, lam):
+                    back[nu] = back.get(nu, 0) + Fraction(num * c, den)
+            assert {nu: c for nu, c in back.items() if c} == {mu: 1}, (basis, mu)
+            want = SymElement(basis, {lam: Fraction(num, den) for lam, num in pairs})
             assert sym_convert(one("m", mu.parts), basis) == want
-
-
-def _expand_in_variables(basis, lam):
-    """Reference: multiply the p/e/h generators out in n variables and read off
-    the coefficient of x^mu for each mu, as (mu, coeff) pairs."""
-    k = max(lam.n, 1)
-    poly = {(0,) * k: 1}
-    for r in lam.parts:
-        if basis == "p":
-            gen = [tuple(r * (i == j) for j in range(k)) for i in range(k)]
-        elif basis == "e":
-            gen = [tuple(int(j in s) for j in range(k)) for s in combinations(range(k), r)]
-        else:
-            gen = [v for v in product(range(r + 1), repeat=k) if sum(v) == r]
-        out = {}
-        for exps, c in poly.items():
-            for g in gen:
-                key = tuple(a + b for a, b in zip(exps, g))
-                out[key] = out.get(key, 0) + c
-        poly = out
-    pairs = []
-    for mu in int_partitions(lam.n):
-        coeff = poly.get(tuple(mu.parts) + (0,) * (k - mu.length), 0)
-        if coeff:
-            pairs.append((mu, Fraction(coeff)))
-    return tuple(pairs)
 
 
 @pytest.mark.parametrize("basis", ["p", "e", "h"])
 @pytest.mark.parametrize("n", range(7))
 def test_m_coefficients_match_polynomial_expansion(basis, n):
-    for lam in int_partitions(n):
-        assert _basis_m_coeffs(basis, lam) == _expand_in_variables(basis, lam), lam
+    assert not reference_failures(f"reference.n{n}.classical_{basis}_matches_polynomial_expansion")
 
 
 def test_inner_examples():

@@ -485,9 +485,7 @@ def test_lattice_commands_load_neither_elements_nor_the_parser(argv, extra):
 def test_only_verify_loads_the_verify_module(tmp_path):
     biword = tmp_path / "biword.txt"
     biword.write_text("1' 2'\n2' 1'\n", encoding="utf-8")
-    ncsym_layer = {
-        "ncsym.elements", "ncsym.words", "ncsym.classical", "ncsym.linalg", "ncsym.expressions"
-    }
+    ncsym_layer = {"ncsym.elements", "ncsym.words", "ncsym.classical", "ncsym.expressions"}
     for argv in (
         ["schur", "2,1", "--vec", "[2,1]", "--format", "json"],
         ["schur", "2,1", "--vec", "[2,1]"],

@@ -8,7 +8,6 @@ import pytest
 from ncsym.elements import NCSymElement, convert, inner, lift, project
 from ncsym.classical import SymElement, sym_convert
 from ncsym.intpartitions import IntPartition, int_partitions
-from ncsym.linalg import matrix_rank
 from ncsym.macmahon import (
     MultiPolynomial,
     Truncation,
@@ -36,6 +35,7 @@ from ncsym.macmahon import (
 from ncsym.rsk import cauchy_check
 from ncsym.setpartitions import SetPartition, set_partitions
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
+from ncsym.verify import _jt_by_permutation_expansion, matrix_rank, reference_failures
 
 IP = IntPartition
 
@@ -82,67 +82,8 @@ def test_mm_complete_examples():
         mm_complete((2, 2), Truncation(2, 2, 3))
 
 
-def reference_elementary(t, trunc):
-    """The subscript-by-subscript walk that mm_elementary used before the
-    generators shared one recursion."""
-    terms = {}
-
-    def rec(i, remaining, chosen):
-        if not any(remaining):
-            terms[tuple(((s, j), 1) for s, j in chosen)] = 1
-            return
-        if i > trunc.variables or sum(remaining) > trunc.variables - i + 1:
-            return
-        rec(i + 1, remaining, chosen)
-        for j in range(1, trunc.alphabets + 1):
-            if remaining[j - 1]:
-                nxt = list(remaining)
-                nxt[j - 1] -= 1
-                rec(i + 1, tuple(nxt), chosen + [(i, j)])
-
-    rec(1, tuple(t), [])
-    return terms
-
-
-def reference_complete(t, trunc):
-    """The walk that mm_complete used before the generators shared one recursion."""
-    terms = {}
-
-    def multinomial(vec):
-        out = factorial(sum(vec))
-        for v in vec:
-            out //= factorial(v)
-        return out
-
-    def rec(i, remaining, chosen, coeff):
-        if not any(remaining):
-            mono = monomial(((s, j), v) for s, vec in chosen for j, v in enumerate(vec, 1))
-            terms[mono] = terms.get(mono, 0) + coeff
-            return
-        if i > trunc.variables:
-            return
-        for vec in itertools.product(*(range(r + 1) for r in remaining)):
-            if any(vec):
-                rest = tuple(r - v for r, v in zip(remaining, vec))
-                rec(i + 1, rest, chosen + [(i, vec)], coeff * multinomial(vec))
-            else:
-                rec(i + 1, remaining, chosen, coeff)
-
-    rec(1, tuple(t), [], 1)
-    return terms
-
-
 def test_generators_match_their_separate_walks_to_degree_5():
-    cases = 0
-    for alphabets in (1, 2, 3):
-        for variables in (1, 2, 3, 4):
-            tr = Truncation(alphabets, variables, 5)
-            for degree in range(6):  # degree 0 is the zero vector
-                for t in weak_compositions(degree, alphabets):
-                    assert mm_elementary(t, tr).terms == reference_elementary(t, tr), (t, tr)
-                    assert mm_complete(t, tr).terms == reference_complete(t, tr), (t, tr)
-                    cases += 1
-    assert cases == 4 * (6 + 21 + 56)
+    assert not reference_failures("reference.generators_match_their_separate_walks")
 
 
 def test_mm_complete_does_not_depend_on_the_cap():
@@ -317,52 +258,8 @@ def test_jacobi_trudi_matches_tableaux(m):
             )
 
 
-def reference_jt_determinant(lam, variant, trunc):
-    """The permutation expansion of the whole determinant, every multidegree
-    in every entry, that jacobi_trudi sliced before it expanded by column subsets."""
-    generator = {"h": mm_complete, "e": mm_elementary}[variant]
-    size = lam.length
-    entries = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            degree = lam.parts[i] - i + j
-            if degree < 0:
-                row.append(None)
-            elif degree == 0:
-                row.append(MultiPolynomial.one(trunc))
-            else:
-                total = MultiPolynomial(trunc)
-                for t in weak_compositions(degree, trunc.alphabets):
-                    total = total + generator(t, trunc)
-                row.append(total)
-        entries.append(row)
-    det = MultiPolynomial(trunc)
-    for perm in itertools.permutations(range(size)):
-        if any(entries[i][perm[i]] is None for i in range(size)):
-            continue
-        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
-        prod = MultiPolynomial.one(trunc)
-        for i in range(size):
-            prod = prod * entries[i][perm[i]]
-        det = det + (-1) ** inversions * prod
-    return det
-
-
 def test_jacobi_trudi_matches_permutation_expansion_to_size_5():
-    cases = 0
-    for n in range(6):
-        for lam in int_partitions(n):
-            for variant in ("h", "e"):
-                for alphabets in (1, 2, 3) if n <= 4 else (1, 2):
-                    for variables in (1, 2, 3):
-                        tr = Truncation(alphabets, variables, n)
-                        whole = reference_jt_determinant(lam, variant, tr)
-                        for vec in weak_compositions(n, alphabets):
-                            got = jacobi_trudi(lam, vec, variant, tr)
-                            assert got == whole.extract_multidegree(vec), (lam, vec, variant, tr)
-                            cases += 1
-    assert cases == 1368
+    assert not reference_failures("reference.jacobi_trudi_matches_the_permutation_expansion")
 
 
 def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
@@ -377,7 +274,7 @@ def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
             assert above_n.terms == at_n.terms
             now = _jt_determinant.cache_info().currsize, _mm_generator.cache_info().currsize
             assert now == cached, (variant, cap)
-        reference = reference_jt_determinant(lam, variant, wider).extract_multidegree(vec)
+        reference = _jt_by_permutation_expansion(lam, variant, wider).extract_multidegree(vec)
         assert above_n == reference, variant
 
 
@@ -595,31 +492,8 @@ def test_negative_vectors_and_empty_truncations_are_refused():
     )
 
 
-def reference_tableau_sum(lam, vec, trunc):
-    """The tableau generating function read tableau by tableau through ``monomial``,
-    with no packed codes."""
-    out = {}
-    for tab in dotted_tableaux(lam, trunc.variables, trunc.alphabets, vec):
-        key = monomial(((e.value, e.dots), 1) for e in tab.entries())
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def test_packed_kernels_match_the_tableau_enumeration_to_size_5():
-    cases = 0
-    for n in range(6):
-        for lam in int_partitions(n):
-            for alphabets in (1, 2, 3):
-                for variables in (1, 2, 3):
-                    tr = Truncation(alphabets, variables, n)
-                    for vec in weak_compositions(n, alphabets):
-                        want = reference_tableau_sum(lam, vec, tr)
-                        assert schur_tableau_sum(lam, vec, tr).terms == want, (lam, vec, tr)
-                        assert jacobi_trudi(lam, vec, "h", tr).terms == want, (lam, vec, tr)
-                        got = jacobi_trudi(lam.conjugate(), vec, "e", tr).terms
-                        assert got == want, (lam, vec, tr)
-                        cases += 1
-    assert cases == 1125
+    assert not reference_failures("reference.packed_kernels_match_the_cell_walk")
 
 
 def monomials_up_to(trunc):

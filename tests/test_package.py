@@ -23,9 +23,9 @@ HOMES = {
     " mm_complete mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
     " phi_from_set_partition phi_to_set_partition schur_ncsym schur_tableau_sum",
     "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
-    "setpartitions": "GroundSetError PartitionLattice SetPartition bell_number lattice mobius"
-    " set_partitions",
+    "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",
     "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
+    "verify": "PartitionLattice lattice",
     "words": "NotSymmetricError WordPolynomial collect equal expand expand_position_action kernel",
 }
 PUBLIC = [(name, module) for module, names in HOMES.items() for name in names.split()]
@@ -57,21 +57,33 @@ def test_unknown_name_is_an_attribute_error():
         exec("from ncsym import no_such_name", {})
 
 
-def test_macmahon_loads_no_ncsym_layer():
-    """Only phi_collect and schur_ncsym reach NCSym; importing the module
-    loads neither elements nor words."""
-    probe = "import json, sys, ncsym.macmahon; print(json.dumps(sorted(sys.modules)))"
+def _modules_after(*imports: str) -> set[str]:
+    """The modules a fresh interpreter holds after these imports."""
+    probe = f"import json, sys, {', '.join(imports)}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    loaded = set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout))
+
+
+def test_macmahon_loads_no_ncsym_layer():
+    """Only phi_collect and schur_ncsym reach NCSym; importing the module
+    loads neither elements nor words."""
+    loaded = _modules_after("ncsym.macmahon")
     assert "ncsym.macmahon" in loaded
     assert not loaded & {"ncsym.elements", "ncsym.words"}
 
 
-
+def test_no_production_module_loads_verify():
+    """The reference routes live in verify alone: importing every other module,
+    the CLI included, loads none of them."""
+    stems = {path.stem for path in (SRC / "ncsym").glob("*.py")} - {"__init__", "verify"}
+    production = sorted(f"ncsym.{stem}" for stem in stems)
+    loaded = _modules_after(*production)
+    assert set(production) <= loaded and "ncsym.cli" in loaded
+    assert "ncsym.verify" not in loaded
 
 
 # public function -> a call with an argument of the wrong class, and the TypeError it raises

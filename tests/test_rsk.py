@@ -9,7 +9,7 @@ from ncsym import rsk
 from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum
 from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from ncsym.verify import _all_biwords, _classical_insertion
+from ncsym.verify import _all_biwords, _rsk_by_linear_scan
 
 E = DottedEntry
 
@@ -111,9 +111,8 @@ def test_exhaustive_small_roundtrip():
         bottom, top = bw.multidegree(2)
         assert T.multidegree(2) == bottom and U.multidegree(2) == top
         assert rsk_inverse(T, U) == bw
-        ins, rec = _classical_insertion(
-            [b.value for b in bw.bottom], [t.value for t in bw.top]
-        )
+        undotted = [(t.value, b.value) for t, b in bw.columns]
+        ins, rec = _rsk_by_linear_scan(undotted, value=lambda v: v)
         assert T.undotted() == ins and U.undotted() == rec
 
 

@@ -17,7 +17,6 @@ from ncsym.setpartitions import (
     bell_number,
     growth_strings,
     join_walk,
-    lattice,
     lower_sums,
     meet_walk,
     mobius,
@@ -26,6 +25,7 @@ from ncsym.setpartitions import (
     set_partitions,
     upper_interval,
 )
+from ncsym.verify import lattice
 
 P = SetPartition.parse
 
