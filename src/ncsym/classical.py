@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import prod
 
 from .combination import Combination, _over_one_denominator
-from .intpartitions import IntPartition, int_partitions, kostka
+from .intpartitions import IntPartition, _expect, int_partitions, kostka
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 _DUAL = {"m": "h", "h": "m", "p": "p", "s": "s"}  # b_lam pairs only with _DUAL[b]_lam
@@ -128,6 +128,7 @@ def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
 
 def sym_convert(f: SymElement, target: str) -> SymElement:
     """Re-express an element in another basis, exactly."""
+    _expect(SymElement, f)
     if target not in SYM_BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:
@@ -147,6 +148,7 @@ def sym_inner(f: SymElement, g: SymElement) -> Fraction:
     Only g changes basis, into the dual of f's: m with h, s with s, p with p
     (weight z_lam); an e factor goes through omega or trades places, as in ``inner``.
     """
+    _expect(SymElement, f, g)
     if f.basis == "e":
         f, g = (omega_commutative(f), omega_commutative(g)) if g.basis == "e" else (g, f)
     dual = sym_convert(g, _DUAL[f.basis]).terms
@@ -156,6 +158,7 @@ def sym_inner(f: SymElement, g: SymElement) -> Fraction:
 
 def omega_commutative(f: SymElement) -> SymElement:
     """The involution swapping e and h, applied in whatever basis f uses."""
+    _expect(SymElement, f)
     if f.basis in ("e", "h"):
         return SymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":

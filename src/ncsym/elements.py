@@ -167,7 +167,9 @@ def lift(f: SymElement) -> NCSymElement:
         (lam, c * Fraction(lam.fact_parts(), factorial(lam.n)))
         for lam, c in sym_convert(f, "m").terms.items()
     )
-    return NCSymElement._make("m", ((pi, s) for lam, s in scaled for pi in partitions_of_type(lam)))
+    # one share per type, kept int when integral, as convert keeps its coefficients
+    shares = ((lam, s.numerator if s.denominator == 1 else s) for lam, s in scaled)
+    return NCSymElement._make("m", ((pi, s) for lam, s in shares for pi in partitions_of_type(lam)))
 
 
 def inner(f: NCSymElement, g: NCSymElement) -> Fraction:

@@ -8,8 +8,7 @@ the full acceptance sizes.
 
 This module is the one home of the reference routes: the partition lattice
 and every route a fast path replaced.  No production module imports it.  The
-``reference`` suite holds each fast path to its route, and
-``reference_failures`` runs one of its checks alone, as the unit tests do.
+``reference`` suite holds each fast path to its route.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from .macmahon import (
 from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, mobius, set_partitions
 from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from .words import WordPolynomial, expand, expand_position_action, kernel, oracle_product
+from .words import WordPolynomial, collect, expand, expand_position_action, kernel
 
 
 @dataclass
@@ -337,6 +336,13 @@ def _product_by_monomial_rule(f: NCSymElement, g: NCSymElement) -> NCSymElement:
             for rho in _merges(pi, sigma):
                 out[rho] = out.get(rho, 0) + a * b
     return NCSymElement("m", out)
+
+
+def oracle_product(f: NCSymElement, g: NCSymElement) -> NCSymElement:
+    """The product by brute force: the word expansions multiplied, collected into m."""
+    total = f.degree() + g.degree()
+    k = max(total, 1)
+    return collect(expand(f, k) * expand(g, k), total)
 
 
 def _pairs_up_to(total: int):
@@ -1163,30 +1169,17 @@ def _mismatches(cases: Callable, size: int, count: int | None = None) -> list[st
     return fails
 
 
-def _reference_checks(max_n: int | None) -> Iterator[tuple[str, Callable[[], list[str]]]]:
-    """(check name, a call that returns its failures) for each reference check."""
-    for name, size, cases, count in _REFERENCE:
-        top = _cap(size, max_n)
-        if "{n}" in name:
-            for n in range(top + 1):
-                yield f"reference.{name.format(n=n)}", partial(_mismatches, cases, n)
-        else:
-            counted = count if top == size else None
-            yield f"reference.{name}", partial(_mismatches, cases, top, counted)
-
-
 def suite_reference(max_n: int | None = None) -> Checks:
     """Each fast path against the independent route it replaced: Kostka numbers,
     classical expansions, merges, products, word expansions, the MacMahon
     generators and determinants, tableau walks, the dot swap and RSK."""
-    for name, check in _reference_checks(max_n):
-        yield name, check()
-
-
-def reference_failures(name: str) -> list[str]:
-    """The failures of one named check of the reference suite, run alone at its
-    default size."""
-    return dict(_reference_checks(None))[name]()
+    for name, size, cases, count in _REFERENCE:
+        top = _cap(size, max_n)
+        if "{n}" in name:
+            for n in range(top + 1):
+                yield f"reference.{name.format(n=n)}", _mismatches(cases, n)
+        else:
+            yield f"reference.{name}", _mismatches(cases, top, count if top == size else None)
 
 
 SUITES = {

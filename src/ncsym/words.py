@@ -169,16 +169,6 @@ def collect(P: WordPolynomial, n: int) -> NCSymElement:
     return NCSymElement._make("m", ((kern, P.terms[w]) for kern, w in seen.items()))
 
 
-def oracle_product(f: NCSymElement, g: NCSymElement) -> NCSymElement:
-    """Product by brute force: multiply the word expansions, collect into m.
-
-    The reference that the closed-form ``elements.multiply`` is checked against.
-    """
-    total = f.degree() + g.degree()
-    k = max(total, 1)
-    return collect(expand(f, k) * expand(g, k), total)
-
-
 def equal(f: NCSymElement, g: NCSymElement) -> bool:
     """Decide equality in the algebra by expanding both at the joint degree."""
     k = max(f.degree(), g.degree(), 1)

@@ -11,7 +11,6 @@ from ncsym.classical import (
     sym_inner,
 )
 from ncsym.intpartitions import IntPartition, int_partitions
-from ncsym.verify import reference_failures
 
 IP = IntPartition
 
@@ -69,8 +68,9 @@ def test_conversion_from_m_matches_exact_solve(basis):
 
 @pytest.mark.parametrize("basis", ["p", "e", "h"])
 @pytest.mark.parametrize("n", range(7))
-def test_m_coefficients_match_polynomial_expansion(basis, n):
-    assert not reference_failures(f"reference.n{n}.classical_{basis}_matches_polynomial_expansion")
+def test_m_coefficients_match_polynomial_expansion(basis, n, verify_all):
+    name = f"reference.n{n}.classical_{basis}_matches_polynomial_expansion"
+    assert verify_all.checks[name] == (True, "")
 
 
 def test_inner_examples():

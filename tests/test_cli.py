@@ -205,6 +205,8 @@ def test_lattice_refuses_large_n(capsys):
     code, out, err = run(capsys, "lattice", "--n", "8", "--table", "meet")
     assert code == 3 and out == ""
     assert "B_8 = 4140" in err and "4140 x 4140" in err
+    code, out, err = run(capsys, "lattice", "--n", "-1", "--table", "meet")
+    assert code == 3 and out == "" and "--n must be nonnegative" in err
 
 
 def test_schur_and_jacobi_trudi(capsys):

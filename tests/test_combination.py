@@ -58,7 +58,8 @@ from ncsym.macmahon import (
     schur_tableau_sum,
 )
 from ncsym.setpartitions import SetPartition, set_partitions
-from ncsym.words import WordPolynomial, collect, expand, expand_position_action, oracle_product
+from ncsym.verify import oracle_product
+from ncsym.words import WordPolynomial, collect, expand, expand_position_action
 
 
 def assert_canonical(r):
@@ -204,6 +205,9 @@ def test_integral_coefficients_stay_int():
     assert {type(c) for c in f.terms.values()} == {int}
     g = NCSymElement("m", {pi: Fraction(c) for pi, c in f.terms.items()})
     assert f == g and hash(f) == hash(g)
+    lifted = lift(SymElement("s", {IntPartition((2, 1)): 6}))
+    assert lifted == schur_ncsym(IntPartition((2, 1)))
+    assert {type(c) for c in lifted.terms.values()} == {int}
 
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)

@@ -91,6 +91,20 @@ def test_parse_errors_carry_positions():
         parse_ncsym("")
     with pytest.raises(ParseError):
         parse_ncsym("m[1,3]")  # not a partition of {1,2}
+    multi = lambda text: parse_multipolynomial(text, Truncation(2, 2, 2))
+    for parse, text, position in [
+        (parse_ncsym, "+m[1]", 0),
+        (parse_ncsym, "m[1] m[1]", 5),
+        (parse_ncsym, "m(1)", 1),
+        (parse_ncsym, "1/*m[1]", 2),
+        (multi, "x1' 2", 4),
+        (multi, "x1", 2),
+        (multi, "+", 1),
+        (multi, "x'", 1),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
 
 
 def test_print_parse_roundtrip_ncsym():

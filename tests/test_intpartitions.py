@@ -7,7 +7,6 @@ import pytest
 
 from ncsym.intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from ncsym.setpartitions import SetPartition, bell_number, set_partitions
-from ncsym.verify import reference_failures
 
 IP = IntPartition
 
@@ -143,8 +142,8 @@ def test_kostka_examples():
 
 
 @pytest.mark.parametrize("n", range(9))
-def test_kostka_matches_tableau_enumeration(n):
-    assert not reference_failures(f"reference.n{n}.kostka_matches_enumeration")
+def test_kostka_matches_tableau_enumeration(n, verify_all):
+    assert verify_all.checks[f"reference.n{n}.kostka_matches_enumeration"] == (True, "")
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -35,7 +35,7 @@ from ncsym.macmahon import (
 from ncsym.rsk import cauchy_check
 from ncsym.setpartitions import SetPartition, set_partitions
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from ncsym.verify import _jt_by_permutation_expansion, matrix_rank, reference_failures
+from ncsym.verify import _jt_by_permutation_expansion, matrix_rank
 
 IP = IntPartition
 
@@ -82,8 +82,8 @@ def test_mm_complete_examples():
         mm_complete((2, 2), Truncation(2, 2, 3))
 
 
-def test_generators_match_their_separate_walks_to_degree_5():
-    assert not reference_failures("reference.generators_match_their_separate_walks")
+def test_generators_match_their_separate_walks_to_degree_5(verify_all):
+    assert verify_all.checks["reference.generators_match_their_separate_walks"] == (True, "")
 
 
 def test_mm_complete_does_not_depend_on_the_cap():
@@ -113,6 +113,8 @@ def test_phi_examples():
         assert phi_to_set_partition(phi_from_set_partition(pi)) == pi
     with pytest.raises(ValueError):
         phi_to_set_partition(VectorPartition([(1, 1), (1, 0)]))
+    with pytest.raises(ValueError, match="does not have all-ones multidegree"):
+        phi_collect(mm_power((2,), Truncation(1, 1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -258,8 +260,9 @@ def test_jacobi_trudi_matches_tableaux(m):
             )
 
 
-def test_jacobi_trudi_matches_permutation_expansion_to_size_5():
-    assert not reference_failures("reference.jacobi_trudi_matches_the_permutation_expansion")
+def test_jacobi_trudi_matches_permutation_expansion_to_size_5(verify_all):
+    name = "reference.jacobi_trudi_matches_the_permutation_expansion"
+    assert verify_all.checks[name] == (True, "")
 
 
 def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
@@ -324,6 +327,14 @@ def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
     for basis in ("p", "e", "h"):
         with pytest.raises(TruncationError):
             mm_multiplicative(basis, vp, tr)
+
+
+def test_generators_refuse_a_wrong_dimension_or_basis():
+    tr = Truncation(1, 2, 2)
+    with pytest.raises(ValueError, match="vector dimension 2 does not match 1 alphabets"):
+        mm_elementary((1, 0), tr)
+    with pytest.raises(ValueError, match="no multiplicative basis 'm'"):
+        mm_multiplicative("m", VectorPartition([(1,)]), tr)
 
 
 @pytest.mark.parametrize(
@@ -427,6 +438,12 @@ def test_vector_partition_parse_and_str():
         VectorPartition([(0, 0)])
     with pytest.raises(ValueError):
         VectorPartition([(1,), (1, 0)])
+    with pytest.raises(ValueError, match="dimension required"):
+        VectorPartition([])
+    with pytest.raises(ValueError, match="do not match the stated dimension"):
+        VectorPartition([(1,)], dimension=2)
+    with pytest.raises(ValueError, match="cannot parse vector partition"):
+        VectorPartition.parse("1,2")
 
 
 def test_multipolynomial_truncation_rules():
@@ -492,8 +509,8 @@ def test_negative_vectors_and_empty_truncations_are_refused():
     )
 
 
-def test_packed_kernels_match_the_tableau_enumeration_to_size_5():
-    assert not reference_failures("reference.packed_kernels_match_the_cell_walk")
+def test_packed_kernels_match_the_tableau_enumeration_to_size_5(verify_all):
+    assert verify_all.checks["reference.packed_kernels_match_the_cell_walk"] == (True, "")
 
 
 def monomials_up_to(trunc):

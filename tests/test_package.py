@@ -126,6 +126,18 @@ WRONG_CLASS = {
         "expected DottedTableau, got str",
     ),
     "rsk_forward": (lambda: ncsym.rsk_forward("x"), "expected Biword, got str"),
+    "sym_convert": (
+        lambda: ncsym.sym_convert(ncsym.parse_ncsym("m[1/2]"), "p"),
+        "expected SymElement, got NCSymElement",
+    ),
+    "sym_inner": (
+        lambda: ncsym.sym_inner(ncsym.parse_ncsym("m[1/2]"), ncsym.parse_sym("m[2,1]")),
+        "expected SymElement, got NCSymElement",
+    ),
+    "omega_commutative": (
+        lambda: ncsym.omega_commutative(ncsym.parse_ncsym("m[1/2]")),
+        "expected SymElement, got NCSymElement",
+    ),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ncsym.elements import NCSymElement, convert
 from ncsym.setpartitions import SetPartition, set_partitions
-from ncsym.verify import _expand_by_lattice_tables, lattice, reference_failures
+from ncsym.verify import _expand_by_lattice_tables, lattice
 from ncsym.words import (
     NotSymmetricError,
     WordPolynomial,
@@ -16,6 +16,7 @@ from ncsym.words import (
     expand,
     expand_position_action,
     kernel,
+    parse_word_polynomial,
 )
 
 P = SetPartition.parse
@@ -100,6 +101,8 @@ def test_word_oracle_refuses_non_int_sizes_and_letters():
     for letter in (1.0, True, 0, 3):
         with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} in ({letter!r},)")):
             WordPolynomial(2, {(letter,): 1})
+    with pytest.raises(ValueError, match="bad word token 'y1'"):
+        parse_word_polynomial("1 y1", 2)
     assert WordPolynomial(2, {(1, 2): 1}).terms == {(1, 2): 1}
 
 
@@ -122,6 +125,8 @@ def test_collect_rejects_asymmetric_input():
     assert set(err.value.witness) == {(1, 2), (2, 1)}
     with pytest.raises(ValueError):
         collect(WordPolynomial(1, {(1, 1): Fraction(1)}), 2)  # k < n
+    with pytest.raises(ValueError, match=re.escape("word (1, 2, 3) exceeds stated degree 2")):
+        collect(WordPolynomial(3, {(1, 2, 3): 1}), 2)
 
 
 def test_collect_refuses_a_bad_degree_before_the_symmetry_check():
@@ -181,8 +186,8 @@ def test_word_polynomial_arithmetic():
 
 
 @pytest.mark.parametrize("basis", ["m", "p", "e", "h"])
-def test_expand_matches_lattice_table_expansion(basis):
-    assert not reference_failures(f"reference.expand_{basis}_matches_lattice_tables")
+def test_expand_matches_lattice_table_expansion(basis, verify_all):
+    assert verify_all.checks[f"reference.expand_{basis}_matches_lattice_tables"] == (True, "")
 
 
 def test_expand_builds_no_lattice():
