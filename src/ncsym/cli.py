@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 # The namespace is lazy: a name loads its home submodule on first use, so each
 # command loads only the layers it calls, and mobius and lattice never load the
@@ -34,84 +35,71 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncsym",
         description="Symmetric functions in noncommuting variables, exactly.",
     )
+    output = argparse.ArgumentParser(add_help=False)  # the output flags every command takes
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument(
+        "--strict-rationals",
+        action="store_true",
+        help="print integers as p/1 instead of bare integers",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, parents=[output])
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--strict-rationals",
-            action="store_true",
-            help="print integers as p/1 instead of bare integers",
-        )
-
-    p = sub.add_parser("convert", help="change the basis of an element")
+    p = command("convert", help="change the basis of an element")
     p.add_argument("expr")
     p.add_argument("--to", required=True, choices=("m", "p", "e", "h"))
-    add_format(p)
 
-    p = sub.add_parser("mobius", help="Mobius function between two set partitions")
+    p = command("mobius", help="Mobius function between two set partitions")
     p.add_argument("sigma")
     p.add_argument("pi")
-    add_format(p)
 
-    p = sub.add_parser("lattice", help="tables over the whole partition lattice")
+    p = command("lattice", help="tables over the whole partition lattice")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", choices=("mobius", "meet", "join"), required=True)
-    add_format(p)
 
-    p = sub.add_parser("inner", help="inner product of two elements")
+    p = command("inner", help="inner product of two elements")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    add_format(p)
 
-    p = sub.add_parser("multiply", help="product of two elements, in their shared basis, else m")
+    p = command("multiply", help="product of two elements, in their shared basis, else m")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    add_format(p)
 
-    p = sub.add_parser("omega", help="apply the e/h involution")
+    p = command("omega", help="apply the e/h involution")
     p.add_argument("expr")
-    add_format(p)
 
-    p = sub.add_parser("project", help="let the variables commute")
+    p = command("project", help="let the variables commute")
     p.add_argument("expr")
-    add_format(p)
 
-    p = sub.add_parser("lift", help="lift a commutative element")
+    p = command("lift", help="lift a commutative element")
     p.add_argument("expr")
-    add_format(p)
 
-    p = sub.add_parser("schur", help="Schur analogue of an integer partition")
+    p = command("schur", help="Schur analogue of an integer partition")
     p.add_argument("shape")
     p.add_argument("--vec", help="multidegree vector, e.g. [2,2]")
     p.add_argument("--expand", type=int, metavar="K", help="variables per alphabet")
-    add_format(p)
 
-    p = sub.add_parser("jacobi-trudi", help="determinant form of a Schur function")
+    p = command("jacobi-trudi", help="determinant form of a Schur function")
     p.add_argument("shape")
     p.add_argument("--vec", required=True)
     p.add_argument("--variant", choices=("h", "e"), default="h")
     p.add_argument("--vars", type=int, metavar="K", help="variables per alphabet")
-    add_format(p)
 
-    p = sub.add_parser("rsk", help="row insertion of a biword file, or its inverse")
+    p = command("rsk", help="row insertion of a biword file, or its inverse")
     p.add_argument("path")
     p.add_argument(
         "--inverse",
         action="store_true",
         help="the file holds two tableaux separated by a blank line",
     )
-    add_format(p)
 
-    p = sub.add_parser("expand", help="truncated word expansion of an element")
+    p = command("expand", help="truncated word expansion of an element")
     p.add_argument("expr")
     p.add_argument("--vars", type=int, required=True)
-    add_format(p)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", help="run a verification suite")
     p.add_argument("suite", help="a suite name or all; an unknown name lists the suites")
     p.add_argument("--max-n", type=int, default=None)
-    add_format(p)
 
     return parser
 

@@ -119,8 +119,6 @@ class MultiPolynomial(Combination):
 
     @staticmethod
     def _check_tag(trunc) -> None:
-        if not isinstance(trunc, Truncation):
-            raise TypeError(f"{trunc!r} is not a Truncation")
         _check_truncation(trunc)
 
     @staticmethod
@@ -151,7 +149,7 @@ class MultiPolynomial(Combination):
         return self._make(self.trunc, ((_unpack(m, layout), c) for m, c in product.items()))
 
     def extract_multidegree(self, vec: Sequence[int]) -> "MultiPolynomial":
-        vec, k = tuple(vec), self.trunc.alphabets
+        vec, k = _check_vector(vec, self.trunc, "multidegree"), self.trunc.alphabets
         return self._make(
             self.trunc, ((m, c) for m, c in self.terms.items() if mono_multidegree(m, k) == vec)
         )
@@ -228,8 +226,9 @@ def parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _check_truncation(trunc: Truncation, degree: int = 0) -> None:
-    """Nonnegative int fields (a bool is none), at least one variable per
-    alphabet, and a cap that reaches degree."""
+    """A Truncation of nonnegative int fields (a bool is none), at least one
+    variable per alphabet, and a cap that reaches degree."""
+    _expect(Truncation, trunc)
     if not all(type(v) is int for v in trunc) or trunc.alphabets < 0 or trunc.degree < 0:
         raise ValueError(f"truncation fields must be nonnegative ints: {trunc!r}")
     if trunc.variables < 1:
@@ -260,6 +259,7 @@ def _check_shape(lam: IntPartition, vec_m: Sequence[int], trunc: Truncation) -> 
 
 def mm_monomial(vec_lambda: VectorPartition, trunc: Truncation) -> MultiPolynomial:
     """Sum of the distinct monomials whose multiexponent is the given multiset."""
+    _expect(VectorPartition, vec_lambda)
     _check_vector(vec_lambda.multidegree(), trunc)
     parts = vec_lambda.parts
     monos = (
@@ -337,6 +337,7 @@ def mm_multiplicative(
     """Product extension b_{veclambda} = prod_i b_{lambda^i} for p, e, h."""
     if basis not in _MM_GENERATORS:
         raise ValueError(f"no multiplicative basis {basis!r}")
+    _expect(VectorPartition, vec_lambda)
     _check_vector(vec_lambda.multidegree(), trunc)
     out = MultiPolynomial.one(trunc)
     for part in vec_lambda.parts:
@@ -346,6 +347,7 @@ def mm_multiplicative(
 
 def phi_to_set_partition(vec_lambda: VectorPartition) -> SetPartition:
     """Characteristic vectors summing to all-ones become blocks (their supports)."""
+    _expect(VectorPartition, vec_lambda)
     n = vec_lambda.dimension
     if vec_lambda.multidegree() != (1,) * n:
         raise ValueError(

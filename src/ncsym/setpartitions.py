@@ -149,11 +149,19 @@ class SetPartition:
                 f"partitions of different ground sets: n={self.n} vs n={other.n}"
             )
 
+    def _outer(self, other: "SetPartition") -> dict[int, int] | None:
+        """Block of self -> the block of other holding it, in one pass over both
+        growth strings; None at the first block of self that meets two of other."""
+        self._check_ground(other)
+        outer: dict[int, int] = {}
+        for a, b in zip(self.rgs, other.rgs):
+            if outer.setdefault(a, b) != b:
+                return None
+        return outer
+
     def leq(self, other: "SetPartition") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
-        self._check_ground(other)
-        image: dict[int, int] = {}  # block of self -> the block of other holding it
-        return all(image.setdefault(a, b) == b for a, b in zip(self.rgs, other.rgs))
+        return self._outer(other) is not None
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Greatest lower bound: nonempty pairwise intersections of blocks."""
@@ -181,11 +189,10 @@ class SetPartition:
 
     def interval_type(self, other: "SetPartition") -> IntPartition:
         """Block counts of self inside each block of other, sorted decreasingly."""
-        self._check_ground(other)
-        if not self.leq(other):
+        outer = self._outer(other)
+        if outer is None:
             raise ValueError(f"{self} is not a refinement of {other}")
-        outer = dict(zip(self.rgs, other.rgs))  # block of self -> the block of other holding it
-        return IntPartition(Counter(outer.values()).values())
+        return IntPartition._make(tuple(sorted(Counter(outer.values()).values(), reverse=True)))
 
     def act(self, perm: Sequence[int]) -> "SetPartition":
         """Relabel elements through a permutation of {1..n} (perm[i-1] = image of i)."""
@@ -259,11 +266,10 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
     On an interval it is the product over interval-type parts a of
     (-1)^(a-1) * (a-1)!.
     """
-    if not isinstance(sigma, SetPartition):  # leq checks pi and the ground sets
+    if not isinstance(sigma, SetPartition):  # _outer checks pi and the ground sets
         raise TypeError(f"expected a SetPartition, got {sigma!r}")
-    if not sigma.leq(pi):
-        return 0
-    return prod(map(mobius_bottom_top, sigma.interval_type(pi).parts))
+    outer = sigma._outer(pi)
+    return 0 if outer is None else prod(map(mobius_bottom_top, Counter(outer.values()).values()))
 
 
 def mobius_bottom_top(a: int) -> int:

@@ -11,7 +11,7 @@ import re
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .intpartitions import IntPartition
+from .intpartitions import IntPartition, _expect
 
 
 _PRIME = "'"
@@ -169,7 +169,8 @@ def dotted_tableaux(
     multidegree: Sequence[int] | None = None,
 ) -> Iterator[DottedTableau]:
     """All fillings of the shape with values <= max_value, optionally with a
-    prescribed per-class entry count."""
+    prescribed per-class entry count.  The arguments are checked on the call."""
+    _expect(IntPartition, shape)
     budget = tuple(multidegree) if multidegree is not None else None
     counts = (max_value, classes, *(budget or ()))
     if not all(type(v) is int and v >= 0 for v in counts) or (  # no bools
@@ -180,8 +181,10 @@ def dotted_tableaux(
             f" a multidegree of {classes} nonnegative ints summing to {shape.n}, got {budget!r}"
         )
     spans = list(zip(shape.parts, accumulate(shape.parts)))
-    for cells in _fillings(shape.parts, max_value, classes, budget, DottedEntry):
-        yield DottedTableau._make([cells[end - length : end] for length, end in spans], shape)
+    return (
+        DottedTableau._make([cells[end - length : end] for length, end in spans], shape)
+        for cells in _fillings(shape.parts, max_value, classes, budget, DottedEntry)
+    )
 
 
 def dot_swap_involution(tab: DottedTableau, i: int) -> DottedTableau:
@@ -194,6 +197,7 @@ def dot_swap_involution(tab: DottedTableau, i: int) -> DottedTableau:
     row order, so the run of r free i's followed by s free (i+1)'s becomes s
     i's followed by r (i+1)'s, the dot sequences moving across unchanged.
     """
+    _expect(DottedTableau, tab)
     if type(i) is not int or i < 1:  # a bool or a float is no value
         raise ValueError(f"value must be a positive int, got {i!r}")
     rows, out = tab.rows, []

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsym.classical import SymElement, sym_inner
+from ncsym.classical import SymElement
 from ncsym.elements import (
     NCSymElement,
     _merges,
@@ -79,21 +79,14 @@ def test_convert_top_monomial_to_power_sum():
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_roundtrips_all_basis_pairs(n):
-    for pi in set_partitions(n):
-        for b1 in BASES:
-            f = NCSymElement(b1, {pi: Fraction(1)})
-            for b2 in BASES:
-                if b1 != b2:
-                    assert convert(convert(f, b2), b1) == f, (b1, b2, pi)
+def test_roundtrips_all_basis_pairs(n, verify_all):
+    for b1, b2 in itertools.permutations(BASES, 2):
+        assert verify_all.checks[f"roundtrip.n{n}.{b1}->{b2}->{b1}"] == (True, "")
 
 
-def test_route_independence_through_p():
+def test_route_independence_through_p(verify_all):
     for n in range(1, 5):
-        for pi in set_partitions(n):
-            f = NCSymElement("m", {pi: Fraction(1)})
-            for target in ("e", "h"):
-                assert convert(f, target) == convert(convert(f, "p"), target)
+        assert verify_all.checks[f"roundtrip.n{n}.double_sum_matches_route_via_p"] == (True, "")
 
 
 @given(elements())
@@ -136,10 +129,8 @@ def test_lift_examples():
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_project_lift_identity(n):
-    for lam in int_partitions(n):
-        f = SymElement("m", {lam: 1})
-        assert project(lift(f)) == f
+def test_project_lift_identity(n, verify_all):
+    assert verify_all.checks[f"projection.n{n}.project_after_lift_is_identity"] == (True, "")
 
 
 def test_inner_examples():
@@ -198,15 +189,8 @@ def test_multiply_examples():
     assert convert(multiply(f, unit), "m") == convert(f, "m")
 
 
-def test_multiply_power_sums_concatenate():
-    for a in set_partitions(2):
-        for b in set_partitions(2):
-            shifted = [tuple(e + 2 for e in blk) for blk in b.blocks]
-            concat = SetPartition(list(a.blocks) + shifted)
-            got = multiply(
-                NCSymElement("p", {a: 1}), NCSymElement("p", {b: 1})
-            )
-            assert convert(got, "m") == convert(NCSymElement("p", {concat: 1}), "m")
+def test_multiply_power_sums_concatenate(verify_all):
+    assert verify_all.checks["product.power_sums_concatenate_with_shift"] == (True, "")
 
 
 def test_multiply_distributes_over_sums():
@@ -250,17 +234,10 @@ def test_multiply_same_basis_p_e_h_symbols_is_one_slash_term():
             assert got == NCSymElement(basis, {_slash(pi, sigma): a * b}), (basis, pi, sigma)
 
 
-def test_multiply_matches_word_oracle_up_to_degree_4():
-    # every basis, every pair of set partitions of total degree <= 4,
-    # the empty partition included
-    pairs = 0
-    for a, b in _pairs_up_to(4):
-        for basis in BASES:
-            f = NCSymElement(basis, {a: 1})
-            g = NCSymElement(basis, {b: 1})
-            assert convert(multiply(f, g), "m") == oracle_product(f, g), (basis, a, b)
-            pairs += 1
-    assert pairs == 264
+def test_multiply_matches_word_oracle_up_to_degree_4(verify_all):
+    # every basis, every pair of set partitions of total degree <= 4, the empty
+    # partition included; the reference check states the count of those pairs
+    assert verify_all.checks["product.closed_form_matches_word_oracle"] == (True, "")
 
 
 def test_multiply_mixed_and_inhomogeneous_match_word_oracle():
@@ -292,26 +269,15 @@ def test_inexact_coefficients_are_refused():
     assert NCSymElement("m", {P("1/2"): "3/4"}).terms == {P("1/2"): Fraction(3, 4)}
 
 
-def test_type_sum_of_h_lifts_commutative_h():
+def test_type_sum_of_h_lifts_commutative_h(verify_all):
     # the sum of h over one type equals the lift of n!/type-multiplicities * h
     for n in range(1, 5):
-        for mu in int_partitions(n):
-            total = NCSymElement("h")
-            for pi in partitions_of_type(mu):
-                total = total + NCSymElement("h", {pi: 1})
-            target = lift(
-                SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())})
-            )
-            assert convert(total, "m") == target
+        assert verify_all.checks[f"projection.n{n}.type_sum_of_h_is_lifted_h"] == (True, "")
 
 
-def test_lift_is_isometry_on_basis_pairs():
+def test_lift_is_isometry_on_basis_pairs(verify_all):
     for n in range(1, 5):
-        ms = [SymElement("m", {lam: 1}) for lam in int_partitions(n)]
-        hs = [SymElement("h", {lam: 1}) for lam in int_partitions(n)]
-        for f in ms + hs:
-            for g in ms + hs:
-                assert sym_inner(f, g) == inner(lift(f), lift(g))
+        assert verify_all.checks[f"projection.n{n}.lift_is_isometry"] == (True, "")
 
 
 def test_oracle_agrees_with_convert():

@@ -1,12 +1,10 @@
 import itertools
 import re
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from ncsym.elements import NCSymElement, convert, inner, lift, project
-from ncsym.classical import SymElement, sym_convert
+from ncsym.elements import NCSymElement, convert
 from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.macmahon import (
     MultiPolynomial,
@@ -34,8 +32,8 @@ from ncsym.macmahon import (
 )
 from ncsym.rsk import cauchy_check
 from ncsym.setpartitions import SetPartition, set_partitions
-from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from ncsym.verify import _jt_by_permutation_expansion, matrix_rank
+from ncsym.tableaux import DottedTableau, dot_swap_involution, dotted_tableaux
+from ncsym.verify import _jt_by_permutation_expansion
 
 IP = IntPartition
 
@@ -182,26 +180,9 @@ def test_dot_swap_involution_examples():
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
-def test_dot_swap_is_involution_and_trades_counts(size):
-    for shape in int_partitions(size):
-        for tab in dotted_tableaux(shape, 3, 2):
-            for i in (1, 2):
-                image = dot_swap_involution(tab, i)
-                assert image.shape == tab.shape
-                assert dot_swap_involution(image, i) == tab
-                before: dict = {}
-                after: dict = {}
-                for e in tab.entries():
-                    before[e] = before.get(e, 0) + 1
-                for e in image.entries():
-                    after[e] = after.get(e, 0) + 1
-                for cls in (1, 2):
-                    assert before.get(DottedEntry(i, cls), 0) == after.get(
-                        DottedEntry(i + 1, cls), 0
-                    )
-                    assert before.get(DottedEntry(i + 1, cls), 0) == after.get(
-                        DottedEntry(i, cls), 0
-                    )
+def test_dot_swap_is_involution_and_trades_counts(size, verify_all):
+    # the check walks every size up to 4; the shapes are pinned by the column-scan reference
+    assert verify_all.checks["schur.dot_swap_involution"] == (True, "")
 
 
 def test_subscript_swap_fixes_tableau_sums():
@@ -231,33 +212,20 @@ def test_schur_ncsym_examples():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_schur_ncsym_properties(n):
-    shapes = int_partitions(n)
-    elems = set_partitions(n)
-    for lam in shapes:
-        S = schur_ncsym(lam)
-        tr = Truncation(n, n, n)
-        assert S == phi_collect(schur_tableau_sum(lam, (1,) * n, tr))
-        scaled = SymElement("s", {lam: factorial(n)})
-        assert sym_convert(project(S), "m") == sym_convert(scaled, "m")
-        assert lift(scaled) == S
-    matrix = [[schur_ncsym(lam).terms.get(pi, Fraction(0)) for pi in elems] for lam in shapes]
-    assert matrix_rank(matrix) == len(shapes)
-    for lam in shapes:
-        for mu in shapes:
-            want = factorial(n) ** 2 if lam == mu else 0
-            assert inner(schur_ncsym(lam), schur_ncsym(mu)) == want
+def test_schur_ncsym_properties(n, verify_all):
+    for prop in (
+        "monomial_expansion_matches_tableaux",
+        "linear_independence",
+        "projection_and_lift",
+        "pairing_is_scaled_delta",
+    ):
+        assert verify_all.checks[f"schur.n{n}.{prop}"] == (True, "")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_jacobi_trudi_matches_tableaux(m):
-    tr = Truncation(2, m, m)
-    for lam in int_partitions(m):
-        for vec in weak_compositions(m, 2):
-            assert jacobi_trudi(lam, vec, "h", tr) == schur_tableau_sum(lam, vec, tr)
-            assert jacobi_trudi(lam, vec, "e", tr) == schur_tableau_sum(
-                lam.conjugate(), vec, tr
-            )
+def test_jacobi_trudi_matches_tableaux(m, verify_all):
+    for variant in ("h_determinant", "e_determinant_gives_conjugate"):
+        assert verify_all.checks[f"jacobi_trudi.m{m}.{variant}"] == (True, "")
 
 
 def test_jacobi_trudi_matches_permutation_expansion_to_size_5(verify_all):
@@ -457,6 +425,12 @@ def test_multipolynomial_truncation_rules():
         MultiPolynomial(tr, {mono((1, 1, 3)): Fraction(1)})
     with pytest.raises(TruncationError):
         MultiPolynomial(tr, {mono((3, 1, 1)): Fraction(1)})
+    # a multidegree to extract is checked like every other one
+    assert prod.extract_multidegree((2,)) == prod
+    with pytest.raises(ValueError, match="multidegree dimension 2 does not match 1 alphabets"):
+        prod.extract_multidegree((1, 1))
+    with pytest.raises(TruncationError, match="degree 3 exceeds cap 2"):
+        prod.extract_multidegree((3,))
 
 
 def test_repeated_variable_exponents_add_up():

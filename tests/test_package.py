@@ -138,6 +138,48 @@ WRONG_CLASS = {
         lambda: ncsym.omega_commutative(ncsym.parse_ncsym("m[1/2]")),
         "expected SymElement, got NCSymElement",
     ),
+    # a plain tuple in place of a Truncation
+    "MultiPolynomial": (lambda: ncsym.MultiPolynomial((1, 2, 2)), "expected Truncation, got tuple"),
+    "mm_power": (lambda: ncsym.mm_power((1, 0), (2, 2, 2)), "expected Truncation, got tuple"),
+    "mm_elementary": (
+        lambda: ncsym.mm_elementary((1, 0), (2, 2, 2)),
+        "expected Truncation, got tuple",
+    ),
+    "mm_complete": (lambda: ncsym.mm_complete((1, 0), (2, 2, 2)), "expected Truncation, got tuple"),
+    "schur_tableau_sum.trunc": (
+        lambda: ncsym.schur_tableau_sum(ncsym.IntPartition((2, 1)), (3,), (1, 2, 3)),
+        "expected Truncation, got tuple",
+    ),
+    "jacobi_trudi.trunc": (
+        lambda: ncsym.jacobi_trudi(ncsym.IntPartition((2, 1)), (3,), "h", (1, 2, 3)),
+        "expected Truncation, got tuple",
+    ),
+    "cauchy_check": (
+        lambda: ncsym.cauchy_check((2, 2, 3), ncsym.Truncation(2, 2, 3), 3),
+        "expected Truncation, got tuple",
+    ),
+    # a tuple in place of a VectorPartition
+    "mm_monomial": (
+        lambda: ncsym.mm_monomial(((1, 0),), ncsym.Truncation(2, 2, 2)),
+        "expected VectorPartition, got tuple",
+    ),
+    "mm_multiplicative": (
+        lambda: ncsym.mm_multiplicative("p", ((1, 0),), ncsym.Truncation(2, 2, 2)),
+        "expected VectorPartition, got tuple",
+    ),
+    "phi_to_set_partition": (
+        lambda: ncsym.phi_to_set_partition(((1, 0), (0, 1))),
+        "expected VectorPartition, got tuple",
+    ),
+    # checked on the call, before any tableau is asked for
+    "dotted_tableaux": (
+        lambda: ncsym.dotted_tableaux((2, 1), 2, 1),
+        "expected IntPartition, got tuple",
+    ),
+    "dot_swap_involution": (
+        lambda: ncsym.dot_swap_involution("x", 1),
+        "expected DottedTableau, got str",
+    ),
 }
 
 

@@ -9,7 +9,7 @@ from ncsym import rsk
 from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum
 from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
-from ncsym.verify import _all_biwords, _rsk_by_linear_scan
+from ncsym.verify import _all_biwords
 
 E = DottedEntry
 
@@ -104,25 +104,19 @@ def test_tie_dot_orders_stay_distinct():
     assert rsk_inverse(*rsk_forward(b)) == b
 
 
-def test_exhaustive_small_roundtrip():
-    for bw in _all_biwords(3, 3, 2):
-        T, U = rsk_forward(bw)
-        assert T.shape == U.shape
-        bottom, top = bw.multidegree(2)
-        assert T.multidegree(2) == bottom and U.multidegree(2) == top
-        assert rsk_inverse(T, U) == bw
-        undotted = [(t.value, b.value) for t, b in bw.columns]
-        ins, rec = _rsk_by_linear_scan(undotted, value=lambda v: v)
-        assert T.undotted() == ins and U.undotted() == rec
+def test_exhaustive_small_roundtrip(verify_all):
+    # every biword of length <= 4 over values <= 3 and two dot classes
+    for name in (
+        "forward_shape_and_multidegree",
+        "inverse_after_forward_is_identity",
+        "undotting_commutes_with_insertion",
+    ):
+        assert verify_all.checks[f"rsk.{name}"] == (True, "")
 
 
-def test_exhaustive_pairs_roundtrip():
-    for total in range(4):
-        for shape in int_partitions(total):
-            tableaux = list(dotted_tableaux(shape, 2, 2))
-            for T in tableaux:
-                for U in tableaux:
-                    assert rsk_forward(rsk_inverse(T, U)) == (T, U)
+def test_exhaustive_pairs_roundtrip(verify_all):
+    # every pair of same-shape dotted tableaux of size <= 4 over values <= 3
+    assert verify_all.checks["rsk.forward_after_inverse_is_identity"] == (True, "")
 
 
 def test_inverse_validation():
