@@ -16,44 +16,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .combination import Combination, _over_one_denominator
+from .combination import BasisElement, _over_one_denominator
 from .intpartitions import IntPartition, _expect, int_partitions, kostka
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 _DUAL = {"m": "h", "h": "m", "p": "p", "s": "s"}  # b_lam pairs only with _DUAL[b]_lam
 
 
-class SymElement(Combination):
+class SymElement(BasisElement):
     """Linear combination of one basis, sparse over integer partitions."""
 
     __slots__ = ()
-    basis = Combination.tag  # the tag under its public name
+    BASES, KEY = SYM_BASES, IntPartition
     _order = staticmethod(lambda lam: (lam.n, lam.parts))
     _field = "parts"
     _encode = staticmethod(lambda lam: list(lam.parts))
 
     def _show(self, lam: IntPartition) -> str:
         return f"{self.tag}[{','.join(str(p) for p in lam.parts)}]"
-
-    @staticmethod
-    def _check_tag(basis) -> None:
-        if basis not in SYM_BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-
-    @staticmethod
-    def _check_key(basis, lam) -> IntPartition:
-        if not isinstance(lam, IntPartition):
-            raise TypeError(f"key {lam!r} is not an IntPartition")
-        return lam
-
-    def degrees(self) -> list[int]:
-        return sorted({lam.n for lam in self.terms})
-
-    def degree(self) -> int:
-        return max((lam.n for lam in self.terms), default=0)
-
-    def homogeneous_component(self, n: int) -> "SymElement":
-        return self._make(self.basis, ((lam, c) for lam, c in self.terms.items() if lam.n == n))
 
 
 format_sym = SymElement.to_text
@@ -129,8 +109,7 @@ def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
 def sym_convert(f: SymElement, target: str) -> SymElement:
     """Re-express an element in another basis, exactly."""
     _expect(SymElement, f)
-    if target not in SYM_BASES:
-        raise ValueError(f"unknown basis {target!r}")
+    SymElement._check_tag(target)
     if target == f.basis:
         return SymElement._make(f.basis, f.terms.items())
     in_m = ((c, _basis_m_coeffs(f.basis, lam), 1) for lam, c in f.terms.items())

@@ -105,7 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(value, args) -> int:
-    """Print the value a command computed, in the chosen format; exit code 0."""
+    """Print what a command computed, in the chosen format; return the exit code.
+    A table command hands over (JSON payload, text lines printed one by one, code)."""
+    if isinstance(value, tuple):
+        payload, lines, code = value
+        for line in [json.dumps(payload)] if args.format == "json" else lines:
+            print(line)
+        return code
     strict = args.strict_rationals
     if isinstance(value, (int, Fraction)):  # elements and polynomials print themselves
         from .combination import format_rational
@@ -151,7 +157,7 @@ def _jacobi_trudi(args) -> ncsym.MultiPolynomial:
     return ncsym.jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
 
 
-def _cmd_lattice(args) -> int:
+def _lattice(args) -> tuple:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if args.n > 7:  # n = 8 would print 4140^2 = 17M cells, 22x the output of n = 7
@@ -168,13 +174,10 @@ def _cmd_lattice(args) -> int:
         op = ncsym.SetPartition.meet if args.table == "meet" else ncsym.SetPartition.join
         label_of = dict(zip(elements, labels))
         cells = [[label_of[op(p, q)] for q in elements] for p in elements]
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "table": args.table, "elements": labels, "rows": cells}))
-    else:
-        print("\t".join(["*"] + labels))
-        for label, row in zip(labels, cells):
-            print("\t".join([label] + row))
-    return 0
+    payload = {"n": args.n, "table": args.table, "elements": labels, "rows": cells}
+    # the header, then one row per partition, each joined only as it prints
+    rows = ("\t".join([label] + row) for label, row in zip(["*"] + labels, [labels] + cells))
+    return payload, rows, 0
 
 
 def _tableau_pair(text: str) -> tuple[ncsym.DottedTableau, ncsym.DottedTableau]:
@@ -185,7 +188,7 @@ def _tableau_pair(text: str) -> tuple[ncsym.DottedTableau, ncsym.DottedTableau]:
     return ncsym.DottedTableau.parse(chunks[0]), ncsym.DottedTableau.parse(chunks[1])
 
 
-def _cmd_rsk(args) -> int:
+def _rsk(args) -> tuple:
     with open(args.path, encoding="utf-8") as handle:
         text = handle.read()
     if args.inverse:
@@ -197,57 +200,40 @@ def _cmd_rsk(args) -> int:
         payload = {"insertion": insertion.rows, "recording": recording.rows}
         shown = f"{insertion}\n\n{recording}"
     # entries are (value, dots) named tuples, so JSON writes them as [value, dots]
-    print(json.dumps(payload) if args.format == "json" else shown)
-    return 0
+    return payload, [shown], 0
 
 
-def _cmd_verify(args) -> int:
+def _verify(args) -> tuple:
     from .verify import run
 
-    results = run([args.suite], args.max_n)
-    ok = all(r.ok for r in results)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-            )
-        )
-    else:
-        for r in results:
-            line = f"{'PASS' if r.ok else 'FAIL'} {r.name}"
-            if not r.ok and r.detail:
-                line += f": {r.detail}"
-            print(line)
-        passed = sum(1 for r in results if r.ok)
-        print(f"{passed}/{len(results)} checks passed")
-    return 0 if ok else VERIFY_ERROR
+    records = run([args.suite], args.max_n)  # a passing check's detail is ""
+    lines = [
+        f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}" + (f": {r['detail']}" if r["detail"] else "")
+        for r in records
+    ]
+    passed = sum(r["ok"] for r in records)
+    lines.append(f"{passed}/{len(records)} checks passed")
+    return records, lines, 0 if passed == len(records) else VERIFY_ERROR
 
 
-# Each command maps parsed arguments to an exit code.  Those that compute one
-# value hand it to _emit; lattice, rsk and verify print their own tables.
+# Each command maps parsed arguments to what it computed, and main hands that
+# to _emit: an element, a polynomial or a rational, or a table command's triple.
 _COMMANDS = {
-    "convert": lambda a: _emit(ncsym.convert(ncsym.parse_ncsym(a.expr), a.to), a),
-    "mobius": lambda a: _emit(
-        ncsym.mobius(
-            *(_read(ncsym.SetPartition.parse, t, "set partition") for t in (a.sigma, a.pi))
-        ),
-        a,
+    "convert": lambda a: ncsym.convert(ncsym.parse_ncsym(a.expr), a.to),
+    "mobius": lambda a: ncsym.mobius(
+        *(_read(ncsym.SetPartition.parse, t, "set partition") for t in (a.sigma, a.pi))
     ),
-    "lattice": _cmd_lattice,
-    "inner": lambda a: _emit(
-        ncsym.inner(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)), a
-    ),
-    "multiply": lambda a: _emit(
-        ncsym.multiply(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)), a
-    ),
-    "omega": lambda a: _emit(ncsym.omega(ncsym.parse_ncsym(a.expr)), a),
-    "project": lambda a: _emit(ncsym.project(ncsym.parse_ncsym(a.expr)), a),
-    "lift": lambda a: _emit(ncsym.lift(ncsym.parse_sym(a.expr)), a),
-    "schur": lambda a: _emit(_schur(a), a),
-    "jacobi-trudi": lambda a: _emit(_jacobi_trudi(a), a),
-    "rsk": _cmd_rsk,
-    "expand": lambda a: _emit(ncsym.expand(ncsym.parse_ncsym(a.expr), a.vars), a),
-    "verify": _cmd_verify,
+    "lattice": _lattice,
+    "inner": lambda a: ncsym.inner(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)),
+    "multiply": lambda a: ncsym.multiply(ncsym.parse_ncsym(a.expr1), ncsym.parse_ncsym(a.expr2)),
+    "omega": lambda a: ncsym.omega(ncsym.parse_ncsym(a.expr)),
+    "project": lambda a: ncsym.project(ncsym.parse_ncsym(a.expr)),
+    "lift": lambda a: ncsym.lift(ncsym.parse_sym(a.expr)),
+    "schur": _schur,
+    "jacobi-trudi": _jacobi_trudi,
+    "rsk": _rsk,
+    "expand": lambda a: ncsym.expand(ncsym.parse_ncsym(a.expr), a.vars),
+    "verify": _verify,
 }
 
 
@@ -261,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _emit(_COMMANDS[args.command](args), args)
     # ParseError, GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
     except (ValueError, TypeError, OSError) as exc:  # only a failed command pays for the parser
         if isinstance(exc, ncsym.ParseError):

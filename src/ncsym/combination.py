@@ -10,7 +10,8 @@ Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
 compare and hash alike.  A change of basis adds integer numerators over one
 common denominator (``_over_one_denominator``) and divides once per key.
 The one text writer and the one JSON writer live here too: each walks the
-terms in the subclass's display order.
+terms in the subclass's display order.  ``BasisElement`` is the shared body
+of the two element layers.
 """
 from __future__ import annotations
 
@@ -155,6 +156,36 @@ class Combination:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
+
+
+class BasisElement(Combination):
+    """The one body of the two element layers: a combination in one named basis,
+    keyed by partitions of any degree.  A subclass names its ``BASES`` and its
+    key class ``KEY``, whose values carry their degree as ``n``."""
+
+    __slots__ = ()
+    basis = Combination.tag  # the tag under its public name
+
+    @classmethod
+    def _check_tag(cls, basis) -> None:
+        if basis not in cls.BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+
+    @classmethod
+    def _check_key(cls, basis, key):
+        if not isinstance(key, cls.KEY):
+            name = cls.KEY.__name__
+            raise TypeError(f"key {key!r} is not {'an' if name[0] in 'AEIOU' else 'a'} {name}")
+        return key
+
+    def degrees(self) -> list[int]:
+        return sorted({key.n for key in self.terms})
+
+    def degree(self) -> int:
+        return max((key.n for key in self.terms), default=0)
+
+    def homogeneous_component(self, n: int):
+        return self._make(self.tag, ((key, c) for key, c in self.terms.items() if key.n == n))
 
 
 def format_rational(c, strict: bool = False) -> str:

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Sequence
 
 from .classical import SymElement, sym_convert
-from .combination import Combination, _over_one_denominator
+from .combination import BasisElement, _over_one_denominator
 from .intpartitions import IntPartition, _expect
 from .setpartitions import (
     SetPartition,
@@ -35,11 +35,11 @@ NC_BASES = ("m", "p", "e", "h")
 _DUAL = {"m": "h", "h": "m", "p": "p"}  # b_pi pairs only with _DUAL[b]_pi
 
 
-class NCSymElement(Combination):
+class NCSymElement(BasisElement):
     """Sparse rational combination of one basis, indexed by set partitions."""
 
     __slots__ = ()
-    basis = Combination.tag  # the tag under its public name
+    BASES, KEY = NC_BASES, SetPartition
     _order = staticmethod(SetPartition.sort_key)  # degree, type, growth string
     _field = "blocks"
     _encode = staticmethod(lambda pi: [list(b) for b in pi.blocks])
@@ -47,33 +47,13 @@ class NCSymElement(Combination):
     def _show(self, pi: SetPartition) -> str:
         return f"{self.tag}[{pi}]"
 
-    @staticmethod
-    def _check_tag(basis) -> None:
-        if basis not in NC_BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-
-    @staticmethod
-    def _check_key(basis, pi) -> SetPartition:
-        if not isinstance(pi, SetPartition):
-            raise TypeError(f"key {pi!r} is not a SetPartition")
-        return pi
-
     @classmethod
     def unit(cls, basis: str = "m") -> "NCSymElement":
         """The empty-partition symbol, the multiplicative identity."""
         return cls(basis, {SetPartition(): 1})
 
-    def degrees(self) -> list[int]:
-        return sorted({pi.n for pi in self.terms})
-
-    def degree(self) -> int:
-        return max((pi.n for pi in self.terms), default=0)
-
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
-
-    def homogeneous_component(self, n: int) -> "NCSymElement":
-        return self._make(self.basis, ((pi, c) for pi, c in self.terms.items() if pi.n == n))
 
 
 format_ncsym = NCSymElement.to_text
@@ -129,8 +109,7 @@ def _numerators(f: NCSymElement, target: str) -> tuple:
 def convert(f: NCSymElement, target: str) -> NCSymElement:
     """Re-express an element in another of the m/p/e/h bases, exactly."""
     _expect(NCSymElement, f)
-    if target not in NC_BASES:
-        raise ValueError(f"unknown basis {target!r}")
+    NCSymElement._check_tag(target)
     if target == f.basis:
         return NCSymElement._make(f.basis, f.terms.items())
     return NCSymElement._make(target, *_numerators(f, target))

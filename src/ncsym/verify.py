@@ -2,9 +2,9 @@
 exhaustively at desk scale with exact arithmetic.
 
 Each suite yields (check name, failures) pairs, and ``run`` alone turns them
-into CheckResults.  A size cap can lower (never raise) the default ranges, so
-``run(["all"], max_n=4)`` is a fast smoke pass while the defaults reproduce
-the full acceptance sizes.
+into the JSON records {"name", "ok", "detail"}.  A size cap can lower (never
+raise) the default ranges, so ``run(["all"], max_n=4)`` is a fast smoke pass
+while the defaults reproduce the full acceptance sizes.
 
 This module is the one home of the reference routes: the partition lattice
 and every route a fast path replaced.  No production module imports it.  The
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, prod
@@ -41,13 +40,6 @@ from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, mobius, set_partitions
 from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 from .words import WordPolynomial, collect, expand, expand_position_action, kernel
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 Checks = Iterator[tuple[str, list[str]]]  # what a suite yields: (check name, failures)
@@ -841,6 +833,13 @@ def suite_schur(max_n: int | None = None) -> Checks:
             for tab in dotted_tableaux(shape, 3, 2):
                 for i in (1, 2):
                     image = dot_swap_involution(tab, i)
+                    try:  # the swap builds its image unchecked; the constructor checks it
+                        valid = DottedTableau(image.rows).shape == image.shape == tab.shape
+                    except ValueError:
+                        valid = False
+                    if not valid:
+                        fails.append(f"{shape} i={i} not a tableau of its shape")
+                        continue
                     if dot_swap_involution(image, i) != tab:
                         fails.append(f"{shape} i={i} not an involution")
                         continue
@@ -1198,23 +1197,18 @@ SUITES = {
 }
 
 
-def run(names: list[str], max_n: int | None = None) -> list[CheckResult]:
-    """Run the named suites ("all" expands to every suite) and collect results;
-    a check passes when it has no failures, and its detail is the first three."""
+def run(names: list[str], max_n: int | None = None) -> list[dict]:
+    """Run the named suites ("all" expands to every suite) and return one
+    {"name", "ok", "detail"} record per check: a check passes when it has no
+    failures, and its detail is the first three ("" when it passes)."""
     if max_n is not None and (type(max_n) is not int or max_n < 1):  # 0 would check nothing
         raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
-    expanded: list[str] = []
     for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        elif name in SUITES:
-            expanded.append(name)
-        else:
-            raise ValueError(
-                f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"
-            )
-    results = []
-    for name in expanded:
-        for check, failures in SUITES[name](max_n):
-            results.append(CheckResult(check, not failures, "; ".join(failures[:3])))
-    return results
+        if name != "all" and name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
+    suites = [SUITES[s] for name in names for s in (SUITES if name == "all" else [name])]
+    return [
+        {"name": check, "ok": not failures, "detail": "; ".join(failures[:3])}
+        for suite in suites
+        for check, failures in suite(max_n)
+    ]

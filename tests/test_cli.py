@@ -183,6 +183,11 @@ def test_lattice_table(capsys):
     assert lines[0].split("\t") == ["*", "1,2", "1/2"]
     assert lines[1].split("\t") == ["1,2", "1,2", "1,2"]
     assert lines[2].split("\t") == ["1/2", "1,2", "1/2"]
+    code, out, _ = run(capsys, "lattice", "--n", "2", "--table", "join", "--format", "json")
+    assert (code, out) == (0, (
+        '{"n": 2, "table": "join", "elements": ["1,2", "1/2"],'
+        ' "rows": [["1,2", "1,2"], ["1,2", "1/2"]]}\n'
+    ))
     code, out, _ = run(capsys, "lattice", "--n", "3", "--table", "mobius", "--format", "json")
     payload = json.loads(out)
     assert payload["n"] == 3 and len(payload["rows"]) == 5
@@ -259,6 +264,23 @@ def test_rsk_files(tmp_path, capsys):
 
     code, _, err = run(capsys, "rsk", str(tmp_path / "missing.txt"))
     assert code == 3
+
+
+def test_golden_rsk_json(tmp_path, capsys):
+    biword_file = tmp_path / "tied_tops.txt"
+    biword_file.write_text("1' 1'' 2' 2' 3''\n1'' 2' 1' 3'' 2'\n")
+    code, out, _ = run(capsys, "rsk", str(biword_file), "--format", "json")
+    assert (code, out) == (0, (
+        '{"insertion": [[[1, 2], [1, 1], [2, 1]], [[2, 1], [3, 2]]],'
+        ' "recording": [[[1, 1], [1, 2], [2, 1]], [[2, 1], [3, 2]]]}\n'
+    ))
+    pair_file = tmp_path / "tied_tops_pair.txt"
+    pair_file.write_text(run(capsys, "rsk", str(biword_file))[1])
+    code, out, _ = run(capsys, "rsk", "--inverse", str(pair_file), "--format", "json")
+    assert (code, out) == (0, (
+        '{"top": [[1, 1], [1, 2], [2, 1], [2, 1], [3, 2]],'
+        ' "bottom": [[1, 2], [2, 1], [1, 1], [3, 2], [2, 1]]}\n'
+    ))
 
 
 def test_rsk_files_treat_whitespace_only_lines_as_blank(tmp_path, capsys):

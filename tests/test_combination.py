@@ -194,10 +194,15 @@ def test_bool_coefficients_are_refused():
 
 
 def test_keys_of_the_wrong_type_are_refused():
-    with pytest.raises(TypeError, match="'1/2'"):
-        NCSymElement("m", {"1/2": 1})
-    with pytest.raises(TypeError, match=r"\(2, 1\)"):
-        SymElement("m", {(2, 1): 1})
+    cases = [
+        (NCSymElement, "1/2", "key '1/2' is not a SetPartition"),
+        (NCSymElement, IntPartition((1,)), "is not a SetPartition"),
+        (SymElement, (2, 1), "key (2, 1) is not an IntPartition"),
+        (SymElement, SetPartition.parse("1"), "is not an IntPartition"),
+    ]
+    for cls, key, message in cases:
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls("m", {key: 1})
 
 
 def test_integral_coefficients_stay_int():

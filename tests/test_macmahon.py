@@ -181,7 +181,8 @@ def test_dot_swap_involution_examples():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_dot_swap_is_involution_and_trades_counts(size, verify_all):
-    # the check walks every size up to 4; the shapes are pinned by the column-scan reference
+    # the check walks every size up to 4 and holds each image to the tableau
+    # constructor; the shapes are pinned by the column-scan reference
     assert verify_all.checks["schur.dot_swap_involution"] == (True, "")
 
 
