@@ -169,7 +169,9 @@ def _lattice(args) -> tuple:
     labels = [str(p) or "()" for p in elements]
     if args.table == "mobius":  # mu is an int: strict adds the "/1" of format_rational
         den = "/1" if args.strict_rationals else ""
-        cells = [[f"{ncsym.mobius(p, q)}{den}" for q in elements] for p in elements]
+        shown = {}  # one string per mu value, shared by every cell that holds it
+        mus = ((ncsym.mobius(p, q) for q in elements) for p in elements)
+        cells = [[shown.get(mu) or shown.setdefault(mu, f"{mu}{den}") for mu in row] for row in mus]
     else:  # a meet or join is a partition of the same degree, so it has a label
         op = ncsym.SetPartition.meet if args.table == "meet" else ncsym.SetPartition.join
         label_of = dict(zip(elements, labels))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 from typing import Sequence
 
 from .classical import SymElement, sym_convert
@@ -206,18 +207,36 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     return NCSymElement._make(f.basis, pairs)
 
 
+@lru_cache(maxsize=256)  # one small table per pair of block counts, rebuilt in microseconds
+def _matchings(ell: int, k: int) -> tuple:
+    """The partial injective matchings of k blocks into ell, in ``_merges``' order.
+
+    One (r, fresh, slot) per r and each r blocks chosen, in ``combinations``
+    order: block j reads slot[j] of fresh + targets, where fresh numbers the
+    k - r unmatched blocks ell, ell + 1, ... in order and targets are the
+    blocks of pi that the chosen ones merge into.
+    """
+    table = []
+    for r in range(min(ell, k) + 1):
+        fresh = tuple(range(ell, ell + k - r))
+        for chosen in combinations(range(k), r):
+            order = [j for j in range(k) if j not in chosen] + list(chosen)  # slot -> block
+            table.append((r, fresh, tuple(sorted(range(k), key=order.__getitem__))))  # its inverse
+    return tuple(table)
+
+
 def _merges(pi: SetPartition, sigma: SetPartition):
     """Every rho with rho meet (top | top) = pi | sigma, each exactly once.
 
     A rho is a partial injective matching of sigma's blocks (shifted by pi.n)
     into pi's blocks; matched blocks merge, the rest stay apart, numbered ell, ell + 1, ...
+    Each rho is one gather of sigma's labels from fresh + targets.
     """
-    ell, k = pi.length, sigma.length
-    for r in range(min(ell, k) + 1):
-        for chosen in combinations(range(k), r):
-            base = [ell + j - sum(c < j for c in chosen) for j in range(k)]
-            for targets in permutations(range(ell), r):
-                label = base.copy()
-                for i, j in zip(targets, chosen):
-                    label[j] = i
-                yield SetPartition._from_rgs(pi.rgs + tuple([label[v] for v in sigma.rgs]))
+    ell, head, make = pi.length, pi.rgs, SetPartition._from_rgs
+    for r, fresh, slot in _matchings(ell, sigma.length):
+        idx = [slot[v] for v in sigma.rgs]
+        # itemgetter gives a scalar for one index and fails on none, so those take a slice
+        start = idx[0] if idx else 0
+        pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(start, start + len(idx)))
+        for targets in permutations(range(ell), r):
+            yield make(head + pick(fresh + targets))

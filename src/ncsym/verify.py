@@ -320,12 +320,13 @@ def _merges_by_block_assembly(pi, sigma):
 
 
 def _product_by_monomial_rule(f: NCSymElement, g: NCSymElement) -> NCSymElement:
-    """The product in m: both factors converted to m, their merges summed."""
+    """The product in m: both factors converted to m, their merges summed, each
+    merge assembled from blocks, so the check shares no code with ``_merges``."""
     fm, gm = convert(f, "m"), convert(g, "m")
     out: dict[SetPartition, Fraction] = {}
     for pi, a in fm.terms.items():
         for sigma, b in gm.terms.items():
-            for rho in _merges(pi, sigma):
+            for rho in _merges_by_block_assembly(pi, sigma):
                 out[rho] = out.get(rho, 0) + a * b
     return NCSymElement("m", out)
 

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ncsym.classical import SymElement
 from ncsym.elements import (
     NCSymElement,
+    _matchings,
     _merges,
     _symbol_expansion,
     convert,
@@ -215,6 +216,34 @@ def test_slash_and_merges_build_canonical_growth_strings_to_degree_7():
                     slash = multiply(NCSymElement("p", {pi: 1}), NCSymElement("p", {sigma: 1}))
                     for r in itertools.chain(slash.terms, _merges(pi, sigma)):
                         assert SetPartition.from_labels(r.rgs).rgs == r.rgs, (pi, sigma)
+
+
+def test_merges_to_total_degree_8_are_exactly_the_rhos_meeting_the_two_tops_in_the_slash():
+    # sum over r of C(k, r) l!/(l - r)! merges, none repeated, each meeting the
+    # two tops in pi | sigma: exactly the set the monomial rule sums over
+    pairs = merges = 0
+    for n1 in range(9):
+        for n2 in range(9 - n1):
+            tops = SetPartition.from_labels([0] * n1 + [1] * n2)
+            for pi in set_partitions(n1):
+                for sigma in set_partitions(n2):
+                    rhos = list(_merges(pi, sigma))
+                    ell, k = pi.length, sigma.length
+                    assert len(rhos) == sum(comb(k, r) * perm(ell, r) for r in range(min(ell, k) + 1))
+                    assert len(set(rhos)) == len(rhos), (pi, sigma)
+                    slash = _slash(pi, sigma)
+                    assert all(rho.meet(tops) is slash for rho in rhos), (pi, sigma)
+                    pairs, merges = pairs + 1, merges + len(rhos)
+    assert (pairs, merges) == (14924, 46113)
+
+
+def test_matchings_table_cache_stays_within_its_maxsize():
+    _matchings.cache_clear()
+    size = _matchings.cache_info().maxsize
+    assert size is not None
+    for ell in range(size + 10):  # k = 0 keys cost one one-entry table each
+        _matchings(ell, 0)
+    assert _matchings.cache_info().currsize == size
 
 
 def _slash(pi, sigma):
