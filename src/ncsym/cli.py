@@ -17,6 +17,7 @@ from functools import partial
 # command loads only the layers it calls, and mobius and lattice never load the
 # element layers or the expression parser.
 import ncsym
+from ncsym.intpartitions import ascii_int  # every command loads this layer anyway
 
 USAGE_ERROR, PARSE_ERROR, SEMANTIC_ERROR, VERIFY_ERROR = 1, 2, 3, 4
 
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pi")
 
     p = command("lattice", help="tables over the whole partition lattice")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=ascii_int, required=True)
     p.add_argument("--table", choices=("mobius", "meet", "join"), required=True)
 
     p = command("inner", help="inner product of two elements")
@@ -77,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("schur", help="Schur analogue of an integer partition")
     p.add_argument("shape")
     p.add_argument("--vec", help="multidegree vector, e.g. [2,2]")
-    p.add_argument("--expand", type=int, metavar="K", help="variables per alphabet")
+    p.add_argument("--expand", type=ascii_int, metavar="K", help="variables per alphabet")
 
     p = command("jacobi-trudi", help="determinant form of a Schur function")
     p.add_argument("shape")
     p.add_argument("--vec", required=True)
     p.add_argument("--variant", choices=("h", "e"), default="h")
-    p.add_argument("--vars", type=int, metavar="K", help="variables per alphabet")
+    p.add_argument("--vars", type=ascii_int, metavar="K", help="variables per alphabet")
 
     p = command("rsk", help="row insertion of a biword file, or its inverse")
     p.add_argument("path")
@@ -95,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("expand", help="truncated word expansion of an element")
     p.add_argument("expr")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=ascii_int, required=True)
 
     p = command("verify", help="run a verification suite")
     p.add_argument("suite", help="a suite name or all; an unknown name lists the suites")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=ascii_int, default=None)
 
     return parser
 

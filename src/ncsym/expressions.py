@@ -20,7 +20,7 @@ from itertools import chain
 from .classical import SYM_BASES, SymElement, sym_convert
 from .combination import exact
 from .elements import NC_BASES, NCSymElement, convert
-from .intpartitions import IntPartition
+from .intpartitions import IntPartition, ascii_int
 from .setpartitions import SetPartition
 
 
@@ -58,9 +58,10 @@ class _Scanner:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:  # the scan takes any script's digits; the integer must be ASCII
+            return ascii_int(self.text[start : self.pos])
+        except ValueError:
+            raise ParseError("expected an integer", start) from None
 
     def rational(self) -> int | Fraction:
         num = self.integer()

@@ -19,6 +19,17 @@ def _check_size(n) -> None:
         raise ValueError(f"n must be a nonnegative int, got {n!r}")
 
 
+def ascii_int(text: str) -> int:
+    """The int that text writes in ASCII digits, with an optional leading "-" and
+    surrounding whitespace.  Unlike int(), it refuses any other script's digits,
+    a "+" and a "_", so every reader takes the integers it prints, and only those."""
+    s = text.strip()
+    digits = s[1:] if s.startswith("-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(s)
+
+
 def _expect(cls: type, *args) -> None:
     """Refuse an argument of the wrong class with a TypeError naming cls."""
     for x in args:
@@ -67,7 +78,7 @@ class IntPartition:
         if not s:
             return cls()
         try:
-            return cls(int(tok) for tok in s.split(","))
+            return cls(ascii_int(tok) for tok in s.split(","))
         except ValueError:
             raise ValueError(f"cannot parse integer partition from {text!r}") from None
 

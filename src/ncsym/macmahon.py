@@ -22,7 +22,8 @@ from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination
-from .intpartitions import IntPartition, _expect, int_partitions, kostka, weak_compositions
+from .intpartitions import IntPartition, _expect, ascii_int, int_partitions, kostka
+from .intpartitions import weak_compositions
 from .setpartitions import SetPartition, partitions_of_type
 from .tableaux import _fillings
 
@@ -194,7 +195,7 @@ class VectorPartition:
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"cannot parse vector partition from {text!r}")
         chunks = (chunk.strip().strip("[]") for chunk in s[1:-1].split("],["))
-        return cls((tuple(int(tok) for tok in chunk.split(",")) for chunk in chunks), dimension)
+        return cls((tuple(map(ascii_int, chunk.split(","))) for chunk in chunks), dimension)
 
     def multidegree(self) -> tuple[int, ...]:
         return tuple(map(sum, zip((0,) * self.dimension, *self.parts)))
@@ -222,7 +223,7 @@ class VectorPartition:
 def parse_vector(text: str) -> tuple[int, ...]:
     s = text.strip()
     s = (s[1:-1] if s.startswith("[") and s.endswith("]") else s).strip()
-    return tuple(int(tok) for tok in s.split(",")) if s else ()
+    return tuple(map(ascii_int, s.split(","))) if s else ()
 
 
 def _check_truncation(trunc: Truncation, degree: int = 0) -> None:

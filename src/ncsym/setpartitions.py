@@ -19,7 +19,7 @@ from itertools import compress, product
 from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
-from .intpartitions import IntPartition, _check_size
+from .intpartitions import IntPartition, _check_size, ascii_int
 
 
 class GroundSetError(ValueError):
@@ -105,11 +105,11 @@ class SetPartition:
         block_texts = s.split("/")
         if "," in s:
             try:
-                return cls([int(tok) for tok in bt.split(",")] for bt in block_texts)
+                return cls([ascii_int(tok) for tok in bt.split(",")] for bt in block_texts)
             except ValueError:
                 raise ValueError(f"cannot parse set partition from {text!r}") from None
         digits = [bt.strip() for bt in block_texts]
-        if not all(d.isdigit() for d in digits):
+        if not all(d.isascii() and d.isdigit() for d in digits):
             raise ValueError(f"cannot parse set partition from {text!r}")
         if sum(map(len, digits)) <= 9:
             return cls([int(ch) for ch in d] for d in digits)

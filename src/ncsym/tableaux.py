@@ -25,7 +25,7 @@ class DottedEntry(NamedTuple):
         return str(self.value) + _PRIME * self.dots
 
 
-_ENTRY_RE = re.compile(r"^(\d+)('+)$")
+_ENTRY_RE = re.compile(r"^([0-9]+)('+)$")  # ASCII digits only: \d takes any script's
 
 
 def _entry(pair) -> DottedEntry:

@@ -1,8 +1,12 @@
 """Named verification suites: every identity the library promises, checked
 exhaustively at desk scale with exact arithmetic.
 
-Each suite yields (check name, failures) pairs, and ``run`` alone turns them
-into the JSON records {"name", "ok", "detail"}.  A size cap can lower (never
+Every check has one shape: a suite yields (check name, cases), where each
+case is (label, production view, reference view), and ``run`` alone compares
+the views and turns each check into the JSON record {"name", "ok", "detail"}.
+The label is a tuple of the case's inputs, joined into text only when the case
+fails.  One pass may serve several checks: then the name is a tuple of names
+and each side of a case holds one view per name.  A size cap can lower (never
 raise) the default ranges, so ``run(["all"], max_n=4)`` is a fast smoke pass
 while the defaults reproduce the full acceptance sizes.
 
@@ -17,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
 from .classical import _basis_m_coeffs, _row_reduce
@@ -42,7 +46,10 @@ from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_ta
 from .words import WordPolynomial, collect, expand, expand_position_action, kernel
 
 
-Checks = Iterator[tuple[str, list[str]]]  # what a suite yields: (check name, failures)
+Case = tuple[tuple, object, object]  # (label, production view, reference view)
+Checks = Iterator[tuple[str | tuple[str, ...], Iterable[Case]]]  # what a suite yields
+
+_BASES = ("m", "p", "e", "h")
 
 
 def _cap(default: int, max_n: int | None) -> int:
@@ -460,67 +467,62 @@ def suite_examples(max_n: int | None = None) -> Checks:
     for basis, expected in (("p", expected_p), ("e", expected_e), ("h", expected_h)):
         got = convert(_basis_elem(basis, pi), "m").terms
         want = {SetPartition.parse(k): Fraction(v) for k, v in expected.items()}
-        yield f"examples.{basis}_13/24_monomial_expansion", (
-            [] if got == want else [f"got {len(got)} terms, mismatch"]
-        )
+        label = "got", len(got), "terms, mismatch"
+        yield f"examples.{basis}_13/24_monomial_expansion", [(label, got, want)]
 
     value = inner(_basis_elem("m", pi), _basis_elem("h", pi))
-    yield "examples.inner_m_h_13/24_is_24", [] if value == 24 else [f"got {value}"]
+    yield "examples.inner_m_h_13/24_is_24", [(("got", value), value, 24)]
 
-    fails = []
-    for n in range(1, _cap(6, max_n) + 1):
-        got = mobius(SetPartition.bottom(n), SetPartition.top(n))
-        want = (-1) ** (n - 1) * factorial(n - 1)
-        if got != want:
-            fails.append(f"n={n}: {got} != {want}")
-    yield "examples.mobius_bottom_top_formula", fails
+    def bottom_top(top):
+        for n in range(1, top + 1):
+            got = mobius(SetPartition.bottom(n), SetPartition.top(n))
+            want = (-1) ** (n - 1) * factorial(n - 1)
+            yield (f"n={n}:", got, "!=", want), got, want
+
+    yield "examples.mobius_bottom_top_formula", bottom_top(_cap(6, max_n))
 
     S = schur_tableau_sum(IntPartition((3, 1)), (2, 2), Truncation(2, 4, 4))
     coeff = S.coefficient((((1, 1), 2), ((1, 2), 1), ((2, 2), 1)))
-    yield "examples.macmahon_schur_31_22_coefficient_3", [] if coeff == 3 else [f"got {coeff}"]
+    yield "examples.macmahon_schur_31_22_coefficient_3", [(("got", coeff), coeff, 3)]
 
     biword = Biword.parse("1' 2' 2'' 2' 3'' 4'\n2' 1'' 3'' 3' 2'' 1'")
     T, U = rsk_forward(biword)
     want_T = DottedTableau([[(1, 2), (1, 1), (3, 1)], [(2, 1), (2, 2)], [(3, 2)]])
     # the recording dots come verbatim from the biword's top row
     want_U = DottedTableau([[(1, 1), (2, 2), (2, 1)], [(2, 1), (3, 2)], [(4, 1)]])
-    yield "examples.rsk_insertion_tableau", [] if T == want_T else [f"got\n{T}"]
-    yield "examples.rsk_recording_tableau", [] if U == want_U else [f"got\n{U}"]
+    yield "examples.rsk_insertion_tableau", [(("got", T), T, want_T)]
+    yield "examples.rsk_recording_tableau", [(("got", U), U, want_U)]
 
 
 def suite_roundtrip(max_n: int | None = None) -> Checks:
     """Every ordered pair of bases converts there and back to the identity."""
-    bases = ("m", "p", "e", "h")
     for n in range(_cap(5, max_n) + 1):
         elems = set_partitions(n)
-        for b1 in bases:
-            for b2 in bases:
-                if b1 == b2:
-                    continue
-                fails = []
-                for pi in elems:
-                    f = _basis_elem(b1, pi)
-                    if convert(convert(f, b2), b1) != f:
-                        fails.append(f"{b1}->{b2}->{b1} at {pi}")
-                yield f"roundtrip.n{n}.{b1}->{b2}->{b1}", fails
+        for b1, b2 in itertools.permutations(_BASES, 2):
+            route = f"{b1}->{b2}->{b1}"
+            yield f"roundtrip.n{n}.{route}", (
+                ((route, "at", pi), convert(convert(f, b2), b1), f)
+                for pi in elems
+                for f in [_basis_elem(b1, pi)]
+            )
         # production's join walk for m -> e and m -> h against the route through p
-        fails = []
-        for pi in elems:
-            f = _basis_elem("m", pi)
-            for target in ("e", "h"):
-                direct = convert(f, target)
-                routed = convert(convert(f, "p"), target)
-                if direct != routed:
-                    fails.append(f"m->{target} vs m->p->{target} at {pi}")
-        yield f"roundtrip.n{n}.double_sum_matches_route_via_p", fails
-        fails = []
-        for pi in elems:
-            for b1 in bases:
-                for b2 in bases:
-                    want = NCSymElement(b2, _expansion_by_lattice_tables(b1, b2, pi))
-                    if convert(_basis_elem(b1, pi), b2) != want:
-                        fails.append(f"{b1}->{b2} at {pi}")
-        yield f"roundtrip.n{n}.convert_matches_lattice_tables", fails
+        yield f"roundtrip.n{n}.double_sum_matches_route_via_p", (
+            ((f, "->", target), convert(f, target), convert(convert(f, "p"), target))
+            for pi in elems
+            for f in [_basis_elem("m", pi)]
+            for target in ("e", "h")
+        )
+        yield f"roundtrip.n{n}.convert_matches_lattice_tables", (
+            (
+                (f, "->", b2),
+                convert(f, b2),
+                NCSymElement(b2, _expansion_by_lattice_tables(b1, b2, pi)),
+            )
+            for pi in elems
+            for b1 in _BASES
+            for f in [_basis_elem(b1, pi)]
+            for b2 in _BASES
+        )
 
 
 def suite_oracle(max_n: int | None = None) -> Checks:
@@ -544,41 +546,36 @@ def suite_oracle(max_n: int | None = None) -> Checks:
     for n in range(1, _cap(4, max_n) + 1):
         elems = set_partitions(n)
         k = n
-        exp = {
-            (b, pi): expand(_basis_elem(b, pi), k) for b in ("m", "p", "e", "h") for pi in elems
-        }
-        for label, (basis, target) in identities.items():
-            fails = []
-            for pi in elems:
-                rhs = 0 * exp[(target, pi)]
-                for sigma, c in _expansion_by_lattice_tables(basis, target, pi):
-                    rhs = rhs + c * exp[(target, sigma)]
-                if exp[(basis, pi)] != rhs:
-                    fails.append(str(pi))
-            yield f"oracle.n{n}.{label}", fails
+        exp = {(b, pi): expand(_basis_elem(b, pi), k) for b in _BASES for pi in elems}
+
+        def by_table(basis, target, pi):
+            """basis_pi as the table's combination of the target symbols' expansions."""
+            terms = _expansion_by_lattice_tables(basis, target, pi)
+            return sum((c * exp[target, sigma] for sigma, c in terms), 0 * exp[target, pi])
+
+        for identity, (basis, target) in identities.items():
+            yield f"oracle.n{n}.{identity}", (
+                ((pi,), exp[basis, pi], by_table(basis, target, pi)) for pi in elems
+            )
 
         if n <= 3:
-            fails = []
-            for pi in elems:
-                counts = _h_expansion_by_linear_orders(pi, k)
-                if exp[("h", pi)].terms != {w: Fraction(c) for w, c in counts.items() if c}:
-                    fails.append(str(pi))
-            yield f"oracle.n{n}.h_matches_linear_order_count", fails
+            yield f"oracle.n{n}.h_matches_linear_order_count", (
+                ((pi,), exp["h", pi].terms, {w: Fraction(c) for w, c in counts.items() if c})
+                for pi in elems
+                for counts in [_h_expansion_by_linear_orders(pi, k)]
+            )
 
-        fails = []
-        for pi in elems:
-            if {kernel(w) for w in exp[("m", pi)].terms} != {pi}:
-                fails.append(str(pi))
-        yield f"oracle.n{n}.kernel_constant_on_m_expansion", fails
+        yield f"oracle.n{n}.kernel_constant_on_m_expansion", (
+            ((pi,), {kernel(w) for w in exp["m", pi].terms}, {pi}) for pi in elems
+        )
 
-        fails = []
-        for g in itertools.permutations(range(1, n + 1)):
-            for pi in elems:
-                for b in ("m", "p", "e", "h"):
-                    lhs = expand(place_act(g, _basis_elem(b, pi)), k)
-                    if lhs != expand_position_action(g, exp[(b, pi)]):
-                        fails.append(f"g={g} {b}_{pi}")
-        yield f"oracle.n{n}.place_action_commutes_with_expansion", fails
+        yield f"oracle.n{n}.place_action_commutes_with_expansion", (
+            (("g =", g, f), expand(place_act(g, f), k), expand_position_action(g, exp[b, pi]))
+            for g in itertools.permutations(range(1, n + 1))
+            for pi in elems
+            for b in _BASES
+            for f in [_basis_elem(b, pi)]
+        )
 
 
 def suite_mobius(max_n: int | None = None) -> Checks:
@@ -586,72 +583,49 @@ def suite_mobius(max_n: int | None = None) -> Checks:
     for n in range(_cap(5, max_n) + 1):
         lat = lattice(n)
         recursive = _mobius_recursive(lat)
-        fails = []
-        for a, b in itertools.product(lat.elements, repeat=2):
-            if lat.mu.get((a, b), 0) != recursive.get((a, b), 0):
-                fails.append(f"({a},{b})")
-        yield f"mobius.n{n}.product_equals_recursive", fails
-
-        fails = []
-        for a in lat.elements:
-            for b in lat.above[a]:
-                total = sum(lat.mu[a, t] for t in lat.above[a] if (t, b) in lat.mu)
-                if total != (1 if a is b else 0):
-                    fails.append(f"({a},{b})")
-        yield f"mobius.n{n}.interval_sums_are_delta", fails
+        yield f"mobius.n{n}.product_equals_recursive", (
+            ((a, b), lat.mu.get((a, b), 0), recursive.get((a, b), 0))
+            for a, b in itertools.product(lat.elements, repeat=2)
+        )
+        yield f"mobius.n{n}.interval_sums_are_delta", (
+            ((a, b), sum(lat.mu[a, t] for t in lat.above[a] if (t, b) in lat.mu), int(a is b))
+            for a in lat.elements
+            for b in lat.above[a]
+        )
 
     for n in range(_cap(6, max_n) + 1):
         lat = lattice(n)
         bottom = SetPartition.bottom(n)
-        fails = []
-        for b in lat.elements:
-            total = sum(abs(lat.mu[bottom, a]) for a in lat.below[b])
-            if total != b.type.fact_parts():
-                fails.append(str(b))
-        yield f"mobius.n{n}.abs_sum_below_is_type_factorial", fails
-
-        fails = []
-        for b in lat.elements:
-            if lat.mu[bottom, b] != b.sign * abs(lat.mu[bottom, b]):
-                fails.append(str(b))
-        yield f"mobius.n{n}.sign_carries_mobius_sign", fails
+        yield f"mobius.n{n}.abs_sum_below_is_type_factorial", (
+            ((b,), sum(abs(lat.mu[bottom, a]) for a in lat.below[b]), b.type.fact_parts())
+            for b in lat.elements
+        )
+        yield f"mobius.n{n}.sign_carries_mobius_sign", (
+            ((b,), lat.mu[bottom, b], b.sign * abs(lat.mu[bottom, b])) for b in lat.elements
+        )
 
 
 def suite_omega(max_n: int | None = None) -> Checks:
     """The e/h involution: order two, power-sum eigenvectors, projection."""
     for n in range(_cap(5, max_n) + 1):
         elems = set_partitions(n)
-        fails = []
-        for b in ("m", "p", "e", "h"):
-            for pi in elems:
-                f = _basis_elem(b, pi)
-                if omega(omega(f)) != f:
-                    fails.append(f"{b}_{pi}")
-        yield f"omega.n{n}.involution", fails
-
-        fails = []
-        for pi in elems:
-            f = _basis_elem("p", pi)
-            if omega(f) != pi.sign * f:
-                fails.append(str(pi))
-        yield f"omega.n{n}.power_sum_eigenvectors", fails
-
-        fails = []
-        for b in ("m", "p", "e", "h"):
-            for pi in elems:
-                f = _basis_elem(b, pi)
-                lhs = sym_convert(project(omega(f)), "m")
-                rhs = sym_convert(omega_commutative(project(f)), "m")
-                if lhs != rhs:
-                    fails.append(f"{b}_{pi}")
-        yield f"omega.n{n}.commutes_with_projection", fails
-
-        fails = []
-        for lam in int_partitions(n):
-            lhs = convert(omega(schur_ncsym(lam)), "m")
-            if lhs != schur_ncsym(lam.conjugate()):
-                fails.append(str(lam))
-        yield f"omega.n{n}.schur_conjugation", fails
+        basis_elems = [_basis_elem(b, pi) for b in _BASES for pi in elems]
+        yield f"omega.n{n}.involution", (((f,), omega(omega(f)), f) for f in basis_elems)
+        yield f"omega.n{n}.power_sum_eigenvectors", (
+            ((f,), omega(f), pi.sign * f) for pi in elems for f in [_basis_elem("p", pi)]
+        )
+        yield f"omega.n{n}.commutes_with_projection", (
+            (
+                (f,),
+                sym_convert(project(omega(f)), "m"),
+                sym_convert(omega_commutative(project(f)), "m"),
+            )
+            for f in basis_elems
+        )
+        yield f"omega.n{n}.schur_conjugation", (
+            ((lam,), convert(omega(schur_ncsym(lam)), "m"), schur_ncsym(lam.conjugate()))
+            for lam in int_partitions(n)
+        )
 
 
 def suite_inner(max_n: int | None = None) -> Checks:
@@ -667,6 +641,12 @@ def suite_inner(max_n: int | None = None) -> Checks:
 
         def abs_mu_bottom(a: SetPartition) -> int:
             return abs(lat.mu[bottom, a])
+
+        def pairs(*bases):
+            """(a, b, b1_a, b2_b) for each (b1, b2) of bases and each pair (a, b)."""
+            for b1, b2 in bases:
+                for a, b in itertools.product(elems, repeat=2):
+                    yield a, b, _basis_elem(b1, a), _basis_elem(b2, b)
 
         closed_forms = {
             ("e", "e"): lambda a, b: nf * a.meet(b).type.fact_parts(),
@@ -687,193 +667,169 @@ def suite_inner(max_n: int | None = None) -> Checks:
             ),
         }
         for (b1, b2), formula in closed_forms.items():
-            fails = []
-            for a, b in itertools.product(elems, repeat=2):
-                got = inner(_basis_elem(b1, a), _basis_elem(b2, b))
-                if got != formula(a, b):
-                    fails.append(f"<{b1}_{a},{b2}_{b}>")
-            yield f"inner.n{n}.closed_form_{b1}{b2}", fails
+            yield f"inner.n{n}.closed_form_{b1}{b2}", (
+                ((f, g), inner(f, g), formula(a, b)) for a, b, f, g in pairs((b1, b2))
+            )
 
-        fails = []
-        for b1, b2 in (("m", "h"), ("p", "e"), ("e", "h"), ("m", "p")):
-            for a, b in itertools.product(elems, repeat=2):
-                f = _basis_elem(b1, a)
-                g = _basis_elem(b2, b)
-                if inner(f, g) != inner(g, f):
-                    fails.append(f"<{b1}_{a},{b2}_{b}>")
-        yield f"inner.n{n}.symmetry", fails
+        yield f"inner.n{n}.symmetry", (
+            ((f, g), inner(f, g), inner(g, f))
+            for _, _, f, g in pairs(("m", "h"), ("p", "e"), ("e", "h"), ("m", "p"))
+        )
 
-        fails = []
-        for a, b in itertools.product(elems, repeat=2):
-            got = inner(_basis_elem("p", a), _basis_elem("p", b))
-            if a is b:
-                if got <= 0 or got != Fraction(nf, abs_mu_bottom(a)):
-                    fails.append(str(a))
-            elif got != 0:
-                fails.append(f"({a},{b})")
-        yield f"inner.n{n}.power_sum_gram_diagonal_positive", fails
+        def gram():
+            """<p_a, p_b>: positive and nf / |mu(bottom, a)| on the diagonal, 0 off it."""
+            for a, b, f, g in pairs(("p", "p")):
+                got = inner(f, g)
+                if a is b:
+                    yield (a,), (got > 0, got), (True, Fraction(nf, abs_mu_bottom(a)))
+                else:
+                    yield (a, b), got, 0
 
-        fails = []
-        for g in itertools.permutations(range(1, n + 1)):
-            for b1, b2 in (("m", "h"), ("p", "e")):
-                for a, b in itertools.product(elems, repeat=2):
-                    f1 = _basis_elem(b1, a)
-                    f2 = _basis_elem(b2, b)
-                    if inner(place_act(g, f1), place_act(g, f2)) != inner(f1, f2):
-                        fails.append(f"g={g} <{b1}_{a},{b2}_{b}>")
-        yield f"inner.n{n}.place_action_invariance", fails
+        yield f"inner.n{n}.power_sum_gram_diagonal_positive", gram()
+
+        yield f"inner.n{n}.place_action_invariance", (
+            (("g =", g, f1, f2), inner(place_act(g, f1), place_act(g, f2)), inner(f1, f2))
+            for g in itertools.permutations(range(1, n + 1))
+            for _, _, f1, f2 in pairs(("m", "h"), ("p", "e"))
+        )
 
 
 def suite_projection(max_n: int | None = None) -> Checks:
     """Projection images, lifting as a right inverse, and the isometry."""
-    for n in range(_cap(5, max_n) + 1):
-        fails = []
+
+    def images(n):
         for pi in set_partitions(n):
             lam = pi.type
-            images = {
+            want = {
                 "m": SymElement("m", {lam: lam.fact_mults()}),
                 "p": SymElement("p", {lam: 1}),
                 "e": SymElement("e", {lam: lam.fact_parts()}),
                 "h": SymElement("h", {lam: lam.fact_parts()}),
             }
-            for b, want in images.items():
-                if project(_basis_elem(b, pi)) != want:
-                    fails.append(f"{b}_{pi}")
-        yield f"projection.n{n}.basis_images", fails
-
-    for n in range(_cap(6, max_n) + 1):
-        fails = []
-        for lam in int_partitions(n):
-            f = SymElement("m", {lam: 1})
-            if project(lift(f)) != f:
-                fails.append(str(lam))
-        yield f"projection.n{n}.project_after_lift_is_identity", fails
+            for b, image in want.items():
+                f = _basis_elem(b, pi)
+                yield (f,), project(f), image
 
     for n in range(_cap(5, max_n) + 1):
-        fails = []
+        yield f"projection.n{n}.basis_images", images(n)
+
+    for n in range(_cap(6, max_n) + 1):
+        yield f"projection.n{n}.project_after_lift_is_identity", (
+            ((lam,), project(lift(f)), f)
+            for lam in int_partitions(n)
+            for f in [SymElement("m", {lam: 1})]
+        )
+
+    for n in range(_cap(5, max_n) + 1):
         basis_elems = [SymElement("m", {lam: 1}) for lam in int_partitions(n)]
         basis_elems += [SymElement("h", {lam: 1}) for lam in int_partitions(n)]
-        for f in basis_elems:
-            for g in basis_elems:
-                if sym_inner(f, g) != inner(lift(f), lift(g)):
-                    fails.append(f"<{f},{g}>")
-        yield f"projection.n{n}.lift_is_isometry", fails
-
-        fails = []
-        for mu in int_partitions(n):
-            total = NCSymElement("h")
-            for pi in set_partitions(n):
-                if pi.type == mu:
-                    total = total + _basis_elem("h", pi)
-            target = lift(SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())}))
-            if convert(total, "m") != target:
-                fails.append(str(mu))
-        yield f"projection.n{n}.type_sum_of_h_is_lifted_h", fails
+        yield f"projection.n{n}.lift_is_isometry", (
+            ((f, g), sym_inner(f, g), inner(lift(f), lift(g)))
+            for f in basis_elems
+            for g in basis_elems
+        )
+        yield f"projection.n{n}.type_sum_of_h_is_lifted_h", (
+            (
+                (mu,),
+                convert(
+                    sum(
+                        (_basis_elem("h", pi) for pi in set_partitions(n) if pi.type == mu),
+                        NCSymElement("h"),
+                    ),
+                    "m",
+                ),
+                lift(SymElement("h", {mu: Fraction(factorial(n), mu.fact_mults())})),
+            )
+            for mu in int_partitions(n)
+        )
 
 
 def suite_schur(max_n: int | None = None) -> Checks:
     """The noncommuting Schur family: expansion, rank, projection, pairing."""
     for n in range(1, _cap(5, max_n) + 1):
         shapes = int_partitions(n)
-        fails = []
-        for lam in shapes:
-            tr = Truncation(n, n, n)
-            via_phi = phi_collect(schur_tableau_sum(lam, (1,) * n, tr))
-            if schur_ncsym(lam) != via_phi:
-                fails.append(str(lam))
-        yield f"schur.n{n}.monomial_expansion_matches_tableaux", fails
+        tr = Truncation(n, n, n)
+        yield f"schur.n{n}.monomial_expansion_matches_tableaux", (
+            ((lam,), schur_ncsym(lam), phi_collect(schur_tableau_sum(lam, (1,) * n, tr)))
+            for lam in shapes
+        )
 
         elems = set_partitions(n)
         rank = matrix_rank([[schur_ncsym(lam).terms.get(pi, 0) for pi in elems] for lam in shapes])
-        yield f"schur.n{n}.linear_independence", (
-            [] if rank == len(shapes) else [f"rank {rank} of {len(shapes)}"]
+        yield f"schur.n{n}.linear_independence", [
+            (("rank", rank, "of", len(shapes)), rank, len(shapes))
+        ]
+
+        yield f"schur.n{n}.projection_and_lift", (
+            ((lam,), (sym_convert(project(S), "m"), lift(s)), (sym_convert(s, "m"), S))
+            for lam in shapes
+            for S, s in [(schur_ncsym(lam), SymElement("s", {lam: factorial(n)}))]
         )
 
-        fails = []
-        for lam in shapes:
-            S = schur_ncsym(lam)
-            want = SymElement("s", {lam: factorial(n)})
-            if sym_convert(project(S), "m") != sym_convert(want, "m"):
-                fails.append(f"projection at {lam}")
-            if lift(want) != S:
-                fails.append(f"lift at {lam}")
-        yield f"schur.n{n}.projection_and_lift", fails
+        yield f"schur.n{n}.pairing_is_scaled_delta", (
+            (
+                (lam, mu),
+                inner(schur_ncsym(lam), schur_ncsym(mu)),
+                factorial(n) ** 2 if lam == mu else 0,
+            )
+            for lam in shapes
+            for mu in shapes
+        )
 
-        fails = []
-        for lam in shapes:
-            for mu in shapes:
-                got = inner(schur_ncsym(lam), schur_ncsym(mu))
-                want = factorial(n) ** 2 if lam == mu else 0
-                if got != want:
-                    fails.append(f"<{lam},{mu}>")
-        yield f"schur.n{n}.pairing_is_scaled_delta", fails
+    def subscript_swaps(top, k=4):
+        """The tableau sum of each shape and vector, and its image under each swap."""
+        for m in range(1, top + 1):
+            tr = Truncation(2, k, m)
+            for lam in int_partitions(m):
+                for vec in weak_compositions(m, 2):
+                    S = schur_tableau_sum(lam, vec, tr)
+                    for a in range(1, k):
+                        swap = {a: a + 1, a + 1: a}
+                        swapped = {
+                            monomial(((swap.get(i, i), j), e) for (i, j), e in mono): c
+                            for mono, c in S.terms.items()
+                        }
+                        yield (lam, vec, "swap", a), swapped, S.terms
 
     # symmetry of the tableau generating function under subscript swaps
-    cap = _cap(4, max_n)
-    fails = []
-    k = 4
-    for m in range(1, cap + 1):
-        tr = Truncation(2, k, m)
-        for lam in int_partitions(m):
-            for vec in weak_compositions(m, 2):
-                S = schur_tableau_sum(lam, vec, tr)
-                for a in range(1, k):
-                    swap = {a: a + 1, a + 1: a}
-                    swapped = {
-                        monomial(((swap.get(i, i), j), e) for (i, j), e in mono): c
-                        for mono, c in S.terms.items()
-                    }
-                    if swapped != S.terms:
-                        fails.append(f"{lam} {vec} swap {a}")
-    yield "schur.tableau_sum_symmetric_under_subscript_swaps", fails
+    yield "schur.tableau_sum_symmetric_under_subscript_swaps", subscript_swaps(_cap(4, max_n))
+
+    def dot_swaps(top):
+        """Each swap's image: a tableau of the same shape, sent back by the swap,
+        with the counts of i and i+1 traded in each dot class."""
+        for total in range(1, top + 1):
+            for shape in int_partitions(total):
+                for tab in dotted_tableaux(shape, 3, 2):
+                    for i in (1, 2):
+                        image = dot_swap_involution(tab, i)
+                        try:  # the swap builds its image unchecked; the constructor checks it
+                            valid = DottedTableau(image.rows).shape == image.shape == tab.shape
+                        except ValueError:
+                            valid = False
+                        yield (shape, "i =", i, "not a tableau of its shape"), valid, True
+                        if not valid:
+                            continue
+                        back = dot_swap_involution(image, i)
+                        yield (shape, "i =", i, "not an involution"), back, tab
+                        if back != tab:
+                            continue
+                        before, after = Counter(tab.entries()), Counter(image.entries())
+                        got = [(after[i + 1, d], after[i, d]) for d in (1, 2)]
+                        want = [(before[i, d], before[i + 1, d]) for d in (1, 2)]
+                        yield (shape, "i =", i, "counts"), got, want
 
     # the dot-swap involution behind that symmetry, exhaustively on small shapes
-    fails = []
-    for total in range(1, _cap(4, max_n) + 1):
-        for shape in int_partitions(total):
-            for tab in dotted_tableaux(shape, 3, 2):
-                for i in (1, 2):
-                    image = dot_swap_involution(tab, i)
-                    try:  # the swap builds its image unchecked; the constructor checks it
-                        valid = DottedTableau(image.rows).shape == image.shape == tab.shape
-                    except ValueError:
-                        valid = False
-                    if not valid:
-                        fails.append(f"{shape} i={i} not a tableau of its shape")
-                        continue
-                    if dot_swap_involution(image, i) != tab:
-                        fails.append(f"{shape} i={i} not an involution")
-                        continue
-                    before, after = Counter(tab.entries()), Counter(image.entries())
-                    for d in (1, 2):
-                        if before[i, d] != after[i + 1, d] or before[i + 1, d] != after[i, d]:
-                            fails.append(f"{shape} i={i} counts")
-    yield "schur.dot_swap_involution", fails
+    yield "schur.dot_swap_involution", dot_swaps(_cap(4, max_n))
 
 
 def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
     """Both determinants against tableau sums; one alphabet recovers the classics."""
-    for m in range(1, _cap(5, max_n) + 1):
-        tr = Truncation(2, m, m)
-        fails_h: list[str] = []
-        fails_e: list[str] = []
-        for lam in int_partitions(m):
-            for vec in weak_compositions(m, 2):
-                if jacobi_trudi(lam, vec, "h", tr) != schur_tableau_sum(lam, vec, tr):
-                    fails_h.append(f"{lam} {vec}")
-                if jacobi_trudi(lam, vec, "e", tr) != schur_tableau_sum(
-                    lam.conjugate(), vec, tr
-                ):
-                    fails_e.append(f"{lam} {vec}")
-        yield f"jacobi_trudi.m{m}.h_determinant", fails_h
-        yield f"jacobi_trudi.m{m}.e_determinant_gives_conjugate", fails_e
 
+    def single_alphabet(m):
         tr1 = Truncation(1, m, m)
-        fails = []
         for lam in int_partitions(m):
             det = jacobi_trudi(lam, (m,), "h", tr1)
-            if det != schur_tableau_sum(lam, (m,), tr1):
-                fails.append(f"{lam} vs tableaux")
+            yield (lam, "vs tableaux"), det, schur_tableau_sum(lam, (m,), tr1)
             # classical expansion through Kostka numbers in the same variables
             expected = [
                 (monomial(((i + 1, 1), e) for i, e in enumerate(arrangement)), coeff)
@@ -882,9 +838,25 @@ def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
                     itertools.permutations(tuple(mu.parts) + (0,) * (m - mu.length))
                 )
             ]
-            if det != MultiPolynomial(tr1, expected):
-                fails.append(f"{lam} vs classical")
-        yield f"jacobi_trudi.m{m}.single_alphabet_reduces_to_classical", fails
+            yield (lam, "vs classical"), det, MultiPolynomial(tr1, expected)
+
+    for m in range(1, _cap(5, max_n) + 1):
+        tr = Truncation(2, m, m)
+        # one pass serves both determinants: a case holds the h view, then the e view
+        both = (
+            f"jacobi_trudi.m{m}.h_determinant",
+            f"jacobi_trudi.m{m}.e_determinant_gives_conjugate",
+        )
+        yield both, (
+            (
+                (lam, vec),
+                (jacobi_trudi(lam, vec, "h", tr), jacobi_trudi(lam, vec, "e", tr)),
+                (schur_tableau_sum(lam, vec, tr), schur_tableau_sum(lam.conjugate(), vec, tr)),
+            )
+            for lam in int_partitions(m)
+            for vec in weak_compositions(m, 2)
+        )
+        yield f"jacobi_trudi.m{m}.single_alphabet_reduces_to_classical", single_alphabet(m)
 
 
 def suite_rsk(max_n: int | None = None) -> Checks:
@@ -893,40 +865,40 @@ def suite_rsk(max_n: int | None = None) -> Checks:
     classes = 2
     max_value = 3
 
-    fails_shape: list[str] = []
-    fails_round: list[str] = []
-    fails_undot: list[str] = []
-    for bw in _all_biwords(max_len, max_value, classes):
-        T, U = rsk_forward(bw)
-        if T.shape != U.shape:
-            fails_shape.append(str(bw.columns))
-        bottom_deg, top_deg = bw.multidegree(classes)
-        if T.multidegree(classes) != bottom_deg or U.multidegree(classes) != top_deg:
-            fails_shape.append(f"multidegree {bw.columns}")
-        if rsk_inverse(T, U) != bw:
-            fails_round.append(str(bw.columns))
-        undotted = [(t.value, b.value) for t, b in bw.columns]
-        ins, rec = _rsk_by_linear_scan(undotted, value=lambda v: v)
-        if T.undotted() != ins or U.undotted() != rec:
-            fails_undot.append(str(bw.columns))
-    yield "rsk.forward_shape_and_multidegree", fails_shape
-    yield "rsk.inverse_after_forward_is_identity", fails_round
-    yield "rsk.undotting_commutes_with_insertion", fails_undot
+    def biwords():
+        """Each biword's (shape and multidegrees, round trip, undotted rows) views.
+        Every dotting of a value sequence shares the sequence's undotted scan, so
+        each of the 715 sequences at full size is scanned once."""
+        scans: dict[tuple, tuple] = {}  # value sequence -> undotted insertion and recording rows
+        for bw in _all_biwords(max_len, max_value, classes):
+            T, U = rsk_forward(bw)
+            values = tuple((t.value, b.value) for t, b in bw.columns)
+            scan = scans.get(values)
+            if scan is None:
+                scan = scans[values] = _rsk_by_linear_scan(values, value=lambda v: v)
+            shape = T.shape, T.multidegree(classes), U.multidegree(classes)
+            got = shape, rsk_inverse(T, U), (T.undotted(), U.undotted())
+            yield (bw.columns,), got, ((U.shape, *bw.multidegree(classes)), bw, scan)
 
-    fails = []
-    for total in range(max_len + 1):
-        for shape in int_partitions(total):
-            tableaux = list(dotted_tableaux(shape, max_value, classes))
-            for T in tableaux:
-                for U in tableaux:
-                    bw = rsk_inverse(T, U)
-                    if rsk_forward(bw) != (T, U):
-                        fails.append(f"{shape}")
-    yield "rsk.forward_after_inverse_is_identity", fails
+    yield (
+        "rsk.forward_shape_and_multidegree",
+        "rsk.inverse_after_forward_is_identity",
+        "rsk.undotting_commutes_with_insertion",
+    ), biwords()
+
+    def pairs():
+        for total in range(max_len + 1):
+            for shape in int_partitions(total):
+                tableaux = list(dotted_tableaux(shape, max_value, classes))
+                for T, U in itertools.product(tableaux, repeat=2):
+                    yield (shape,), rsk_forward(rsk_inverse(T, U)), (T, U)
+
+    yield "rsk.forward_after_inverse_is_identity", pairs()
 
     d = _cap(3, max_n)
     report = cauchy_check(Truncation(2, 2, d), Truncation(2, 2, d), d)
-    yield f"rsk.cauchy_identity_degree_{d}", report.mismatches
+    # the report lists the monomials whose two sides differ: each is a failing case
+    yield f"rsk.cauchy_identity_degree_{d}", [((line,), line, "") for line in report.mismatches]
 
 
 def suite_product(max_n: int | None = None) -> Checks:
@@ -937,46 +909,42 @@ def suite_product(max_n: int | None = None) -> Checks:
     m1 = _basis_elem("m", one)
     got = convert(multiply(p1, p1), "m")
     want = convert(_basis_elem("p", SetPartition.parse("1/2")), "m")
-    yield "product.p1_times_p1", [] if got == want else [str(got)]
+    yield "product.p1_times_p1", [((got,), got, want)]
     got = multiply(m1, m1)
     want = NCSymElement(
         "m", {SetPartition.parse("1/2"): 1, SetPartition.parse("12"): 1}
     )
-    yield "product.m1_times_m1", [] if got == want else [str(got)]
+    yield "product.m1_times_m1", [((got,), got, want)]
     unit = NCSymElement.unit()
     f = NCSymElement("m", {SetPartition.parse("13/24"): Fraction(3, 2)})
-    yield "product.unit_is_neutral", (
-        [] if multiply(unit, f) == f and multiply(f, unit) == f else ["unit failed"]
+    both = multiply(unit, f), multiply(f, unit)
+    yield "product.unit_is_neutral", [(("unit failed",), both, (f, f))]
+
+    cap = _cap(2, max_n)
+    yield "product.power_sums_concatenate_with_shift", (
+        (
+            (pi, "|", sg),
+            convert(multiply(_basis_elem("p", pi), _basis_elem("p", sg)), "m"),
+            convert(_basis_elem("p", SetPartition([*pi.blocks, *shifted])), "m"),
+        )
+        for n1 in range(1, cap + 1)
+        for n2 in range(1, cap + 1)
+        for pi in set_partitions(n1)
+        for sg in set_partitions(n2)
+        for shifted in [[tuple(e + n1 for e in block) for block in sg.blocks]]
     )
 
-    fails = []
-    cap = _cap(2, max_n)
-    for n1 in range(1, cap + 1):
-        for n2 in range(1, cap + 1):
-            for pi in set_partitions(n1):
-                for sg in set_partitions(n2):
-                    shifted = [
-                        tuple(e + n1 for e in block) for block in sg.blocks
-                    ]
-                    concat = SetPartition(list(pi.blocks) + shifted)
-                    got = convert(multiply(_basis_elem("p", pi), _basis_elem("p", sg)), "m")
-                    if got != convert(_basis_elem("p", concat), "m"):
-                        fails.append(f"{pi} | {sg}")
-    yield "product.power_sums_concatenate_with_shift", fails
-
-    fails = []
-    for pi, sg in _pairs_up_to(_cap(4, max_n)):
-        for basis in ("m", "p", "e", "h"):
-            f, g = _basis_elem(basis, pi), _basis_elem(basis, sg)
-            if convert(multiply(f, g), "m") != oracle_product(f, g):
-                fails.append(f"{basis}[{pi}] * {basis}[{sg}]")
-    yield "product.closed_form_matches_word_oracle", fails
+    yield "product.closed_form_matches_word_oracle", (
+        ((f, "*", g), convert(multiply(f, g), "m"), oracle_product(f, g))
+        for pi, sg in _pairs_up_to(_cap(4, max_n))
+        for basis in _BASES
+        for f, g in [(_basis_elem(basis, pi), _basis_elem(basis, sg))]
+    )
 
 
 # ---------------------------------------------------------------------------
 # the reference suite: each fast path against the independent route it replaced.
-# A case generator takes a size and yields (label, production view, reference
-# view), the label a tuple of the case's inputs, printed only for a failure.
+# A case generator takes a size and yields that check's cases.
 
 
 def _tableau_view(rows, shape):
@@ -1010,7 +978,7 @@ def _merges_cases(size: int):
 def _product_cases(size: int):
     a, b = Fraction(-2, 3), Fraction(5, 7)
     for pi, sigma in _pairs_up_to(size):
-        for left, right in itertools.product(("m", "p", "e", "h"), repeat=2):
+        for left, right in itertools.product(_BASES, repeat=2):
             f, g = NCSymElement(left, {pi: a}), NCSymElement(right, {sigma: b})
             got = multiply(f, g)
             want = left if left == right else "m", _product_by_monomial_rule(f, g)
@@ -1143,7 +1111,7 @@ _REFERENCE: list[tuple[str, int, Callable, int | None]] = [
     ("product_matches_the_monomial_rule", 4, _product_cases, 66 * 16 + 2),
     *(
         (f"expand_{b}_matches_lattice_tables", 4, partial(_expand_cases, b), None)
-        for b in ("m", "p", "e", "h")
+        for b in _BASES
     ),
     ("generators_match_their_separate_walks", 5, _generator_cases, 4 * (6 + 21 + 56)),
     ("jacobi_trudi_matches_the_permutation_expansion", 5, _jacobi_trudi_cases, 1368),
@@ -1156,17 +1124,13 @@ _REFERENCE: list[tuple[str, int, Callable, int | None]] = [
 ]
 
 
-def _mismatches(cases: Callable, size: int, count: int | None = None) -> list[str]:
-    """The labels of the cases whose production and reference views differ, and
-    a note if the cases were not as many as stated."""
-    fails, seen = [], 0
-    for label, got, want in cases(size):
-        seen += 1
-        if got != want:
-            fails.append(" ".join(map(str, label)))
-    if count is not None and seen != count:
-        fails.append(f"{seen} cases, expected {count}")
-    return fails
+
+def _counted(cases: Iterable[Case], count: int) -> Iterator[Case]:
+    """The cases, then one more that holds their number to the stated count."""
+    seen = 0
+    for seen, case in enumerate(cases, 1):
+        yield case
+    yield (seen, "cases, expected", count), seen, count
 
 
 def suite_reference(max_n: int | None = None) -> Checks:
@@ -1177,9 +1141,11 @@ def suite_reference(max_n: int | None = None) -> Checks:
         top = _cap(size, max_n)
         if "{n}" in name:
             for n in range(top + 1):
-                yield f"reference.{name.format(n=n)}", _mismatches(cases, n)
+                yield f"reference.{name.format(n=n)}", cases(n)
+        elif count is None or top < size:
+            yield f"reference.{name}", cases(top)
         else:
-            yield f"reference.{name}", _mismatches(cases, top, count if top == size else None)
+            yield f"reference.{name}", _counted(cases(top), count)
 
 
 SUITES = {
@@ -1198,10 +1164,25 @@ SUITES = {
 }
 
 
+def _failures(check: str | tuple[str, ...], cases: Iterable[Case]) -> list[tuple[str, list[str]]]:
+    """Each name of the check with the labels, joined, of its cases whose production
+    and reference views differ.  A check of one name has one view on each side of a
+    case; a tuple of names has a tuple of views on each side, one per name."""
+    if isinstance(check, str):
+        return [(check, [" ".join(map(str, label)) for label, got, want in cases if got != want])]
+    fails: list[list[str]] = [[] for _ in check]
+    for label, got, want in cases:
+        for fail, g, w in zip(fails, got, want, strict=True):
+            if g != w:
+                fail.append(" ".join(map(str, label)))
+    return list(zip(check, fails))
+
+
 def run(names: list[str], max_n: int | None = None) -> list[dict]:
     """Run the named suites ("all" expands to every suite) and return one
-    {"name", "ok", "detail"} record per check: a check passes when it has no
-    failures, and its detail is the first three ("" when it passes)."""
+    {"name", "ok", "detail"} record per check: a check passes when none of its
+    cases fails, and its detail is the first three failing labels ("" when it
+    passes).  Each stream of cases runs out before its suite goes on."""
     if max_n is not None and (type(max_n) is not int or max_n < 1):  # 0 would check nothing
         raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
     for name in names:
@@ -1209,7 +1190,8 @@ def run(names: list[str], max_n: int | None = None) -> list[dict]:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     suites = [SUITES[s] for name in names for s in (SUITES if name == "all" else [name])]
     return [
-        {"name": check, "ok": not failures, "detail": "; ".join(failures[:3])}
+        {"name": name, "ok": not failures, "detail": "; ".join(failures[:3])}
         for suite in suites
-        for check, failures in suite(max_n)
+        for check, cases in suite(max_n)
+        for name, failures in _failures(check, cases)
     ]

@@ -5,6 +5,7 @@ full-size ``ncsym verify all`` (the ``verify_all`` fixture) and prints one
 PASS/FAIL line (visible under ``pytest -s``).  All comparisons are exact;
 there are no tolerances anywhere.
 """
+import hashlib
 from collections import Counter
 
 from ncsym.cli import main
@@ -110,3 +111,10 @@ def test_criterion_11_cli_golden_and_verify(capsys, verify_all):
 def test_multiplication_examples(verify_all):
     # supplementary: the closed-form product, checked against the word oracle
     _check_criterion(verify_all, 12, "closed-form products against the word oracle", "product")
+
+
+def test_check_names_keep_their_order(verify_all):
+    # the 366 check names in run order, joined by newlines; a change to how verify
+    # runs its checks keeps every name and the order they come in
+    names = "\n".join(verify_all.checks).encode()
+    assert hashlib.md5(names).hexdigest() == "c73ad70f5d3a56787743085b0bb35e28"

@@ -8,8 +8,11 @@ import pytest
 
 from ncsym.cli import main
 from ncsym.elements import NCSymElement
-from ncsym.expressions import ncsym_from_json
+from ncsym.expressions import ncsym_from_json, parse_multipolynomial
+from ncsym.intpartitions import IntPartition
+from ncsym.macmahon import Truncation, VectorPartition
 from ncsym.setpartitions import SetPartition
+from ncsym.words import parse_word_polynomial
 
 
 def run(capsys, *argv):
@@ -145,6 +148,53 @@ def test_malformed_text_arguments_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: "), argv
+
+
+TWO = "\u0662"  # ARABIC-INDIC DIGIT TWO: int(), str.isdigit and \d all read it as 2
+
+
+@pytest.mark.parametrize(
+    "read, code",
+    [
+        pytest.param(["convert", f"m[1,{TWO}]", "--to", "p"], 2, id="set partition blocks"),
+        pytest.param(["convert", f"m[1/{TWO}]", "--to", "p"], 2, id="set partition compact"),
+        pytest.param(["convert", f"{TWO}*m[1]", "--to", "p"], 2, id="expression coefficient"),
+        pytest.param(["mobius", "1,+2", "12"], 2, id="set partition plus"),
+        pytest.param(["lift", f"m[{TWO}]"], 2, id="integer partition"),
+        pytest.param(["schur", "+2"], 2, id="integer partition plus"),
+        pytest.param(["schur", "2", "--vec", f"[{TWO}]"], 2, id="vector"),
+        pytest.param(["jacobi-trudi", "2", "--vec", "[+2]"], 2, id="vector plus"),
+        pytest.param(["rsk", f"1' {TWO}'\n1' 1'\n"], 2, id="biword file"),
+        pytest.param(["rsk", "--inverse", f"{TWO}'\n\n1'\n"], 2, id="tableau pair file"),
+        pytest.param(["lattice", "--n", TWO, "--table", "meet"], 1, id="--n"),
+        pytest.param(["verify", "mobius", "--max-n", "+1"], 1, id="--max-n"),
+        pytest.param(["expand", "m[1]", "--vars", TWO], 1, id="expand --vars"),
+        pytest.param(["jacobi-trudi", "1", "--vec", "[1]", "--vars", "+1"], 1, id="jt --vars"),
+        pytest.param(["schur", "1", "--expand", TWO], 1, id="--expand"),
+        # readers that no command calls raise; "_" needs two digits, so it is read here only
+        pytest.param(lambda: IntPartition.parse("1_0"), None, id="integer partition underscore"),
+        pytest.param(lambda: VectorPartition.parse(f"{{[{TWO},1]}}"), None, id="vector partition"),
+        pytest.param(lambda: parse_word_polynomial(f"{TWO} x1", 1), None, id="word coefficient"),
+        pytest.param(lambda: parse_word_polynomial(f"1 x{TWO}", 2), None, id="word letter"),
+        pytest.param(
+            lambda: parse_multipolynomial(f"x{TWO}'", Truncation(1, 2, 1)), None, id="subscript"
+        ),
+    ],
+)
+def test_readers_take_ascii_digits_only(tmp_path, capsys, read, code):
+    """Each reader refuses a one-digit text that int() or str.isdigit would take:
+    a bad text argument or file exits 2, a bad option exits 1."""
+    if callable(read):
+        with pytest.raises(ValueError):
+            read()
+        return
+    if read[0] == "rsk":  # the last argument is the file's text
+        path = tmp_path / "input.txt"
+        path.write_text(read[-1], encoding="utf-8")
+        read = [*read[:-1], str(path)]
+    code_got, out, err = run(capsys, *read)
+    assert (code_got, out) == (code, "")
+    assert err.startswith("parse error: " if code == 2 else "usage error: ")
 
 
 def test_float_json_coefficient_is_a_clean_error(capsys):
@@ -434,6 +484,30 @@ def test_verify_failure_exits_4_with_the_first_three_failures(capsys, monkeypatc
     failed = [check for check in json.loads(out) if not check["ok"]]
     assert (code, err) == (4, "")
     assert failed == [{"name": "examples.mobius_bottom_top_formula", "ok": False, "detail": detail}]
+
+
+def test_verify_one_pass_fails_only_the_checks_whose_views_differ(monkeypatch):
+    import ncsym.verify
+    from ncsym.rsk import Biword
+
+    # the biword pass serves three checks; only the round trip's views change
+    monkeypatch.setattr(ncsym.verify, "rsk_inverse", lambda T, U: Biword())
+    records = ncsym.verify.run(["rsk"], 2)
+    assert [r["name"] for r in records if not r["ok"]] == [
+        "rsk.inverse_after_forward_is_identity",
+        "rsk.forward_after_inverse_is_identity",
+    ]
+    assert len(records) == 5
+
+
+def test_verify_reference_row_reports_a_short_case_count(monkeypatch):
+    import ncsym.verify
+
+    row = ("one_case", 1, lambda size: iter([(("only",), 1, 1)]), 2)  # states 2, yields 1
+    monkeypatch.setattr(ncsym.verify, "_REFERENCE", [row])
+    assert ncsym.verify.run(["reference"]) == [
+        {"name": "reference.one_case", "ok": False, "detail": "1 cases, expected 2"}
+    ]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
