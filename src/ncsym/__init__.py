@@ -11,6 +11,7 @@ _PUBLIC = {
     "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
     "elements": (
         "NC_BASES NCSymElement convert format_ncsym inner lift multiply omega place_act project"
+        " schur_ncsym"
     ),
     "expressions": (
         "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym parse_sym"
@@ -20,7 +21,7 @@ _PUBLIC = {
     "macmahon": (
         "MultiPolynomial Truncation TruncationError VectorPartition jacobi_trudi mm_complete"
         " mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
-        " phi_from_set_partition phi_to_set_partition schur_ncsym schur_tableau_sum"
+        " phi_from_set_partition phi_to_set_partition schur_tableau_sum"
     ),
     "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
     "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",

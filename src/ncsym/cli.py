@@ -140,10 +140,10 @@ def _truncation(
 
 
 def _schur(args):
-    from .macmahon import parse_vector
-
     shape = _read(ncsym.IntPartition.parse, args.shape, "shape")
-    if args.vec is not None:
+    if args.vec is not None:  # only the tableau sum loads the MacMahon layer
+        from .macmahon import parse_vector
+
         vec = _read(parse_vector, args.vec, "--vec")
         return ncsym.schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
     element = ncsym.schur_ncsym(shape)

@@ -21,22 +21,26 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping
 
+from .intpartitions import ascii_int
+
 
 def exact(c):
     """A coefficient as an exact rational; floats, complex numbers and bools are refused.
-
-    ``int`` and ``Fraction`` pass through unchanged; anything else, such as a
-    'p/q' string, goes through ``Fraction``.
-    """
+    ``int`` and ``Fraction`` pass unchanged, other numbers go through ``Fraction``, and
+    text, read here alone, is ASCII ``p`` or ``p/q`` with q >= 1, an ``int`` when integral."""
     if type(c) is int or isinstance(c, Fraction):
         return c
     if isinstance(c, bool):
         raise TypeError(f"coefficient {c!r} is a bool, not a number")
     if isinstance(c, (float, complex)):
-        raise TypeError(
-            f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string"
-        )
-    return Fraction(c)
+        raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string")
+    if not isinstance(c, str):
+        return Fraction(c)
+    num, slash, den = c.partition("/")
+    num, den = ascii_int(num), ascii_int(den) if slash else 1
+    if den < 1:
+        raise ValueError(f"coefficient {c!r}: the denominator must be at least 1")
+    return Fraction(num, den) if num % den else num // den
 
 
 def _over_one_denominator(expansions: Iterable[tuple]) -> tuple:

@@ -152,6 +152,13 @@ def lift(f: SymElement) -> NCSymElement:
     return NCSymElement._make("m", ((pi, s) for lam, s in shares for pi in partitions_of_type(lam)))
 
 
+def schur_ncsym(lam: IntPartition) -> NCSymElement:
+    """Noncommuting Schur analogue: the lift of n! s_lam, so every m_sigma of
+    type mu has coefficient mu! times the Kostka number K_{lam,mu}."""
+    _expect(IntPartition, lam)
+    return lift(SymElement._make("s", ((lam, factorial(lam.n)),)))
+
+
 def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
     """Bilinear form with <m_pi, h_sigma> = n! delta; grades pair to zero.
 

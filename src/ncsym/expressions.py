@@ -158,7 +158,7 @@ def _from_json(data, cls, index):
             raise ParseError(f'term {number}: bad "coeff": not a number or a "p/q" string', 0)
         try:
             pairs.append((key, exact(entry["coeff"])))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f'term {number}: bad "coeff": {exc}', 0) from None
     return cls(data["basis"], pairs)
 

@@ -22,9 +22,8 @@ from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination
-from .intpartitions import IntPartition, _expect, ascii_int, int_partitions, kostka
-from .intpartitions import weak_compositions
-from .setpartitions import SetPartition, partitions_of_type
+from .intpartitions import IntPartition, _expect, ascii_int, weak_compositions
+from .setpartitions import SetPartition
 from .tableaux import _fillings
 
 Monomial = tuple[tuple[tuple[int, int], int], ...]
@@ -374,7 +373,7 @@ def phi_collect(P: MultiPolynomial) -> NCSymElement:
     Alphabet positions become word positions: the subscript used by alphabet j
     becomes the j-th letter.
     """
-    from .words import WordPolynomial, collect  # only this and schur_ncsym reach NCSym
+    from .words import WordPolynomial, collect  # the one function that reaches NCSym
 
     _expect(MultiPolynomial, P)
     n = P.trunc.alphabets
@@ -410,21 +409,6 @@ def _tableau_sum(lam: IntPartition, vec_m: tuple | None, trunc: Truncation) -> M
     cell = lambda *v: unit.get(v, 0)  # value 0 and class 0 are in the walk's table too
     counts = Counter(map(sum, _fillings(lam.parts, trunc.variables, trunc.alphabets, vec_m, cell)))
     return MultiPolynomial._make(trunc, ((_unpack(m, layout), c) for m, c in counts.items()))
-
-
-def schur_ncsym(lam: IntPartition) -> NCSymElement:
-    """Noncommuting Schur analogue, expanded in the monomial basis.
-
-    The coefficient on every m_sigma of type mu is mu! times the Kostka
-    number for the shape, and vanishes unless mu is dominated by the shape.
-    """
-    from .elements import NCSymElement
-
-    _expect(IntPartition, lam)
-    coeffs = ((mu, mu.fact_parts() * kostka(lam, mu)) for mu in int_partitions(lam.n))
-    return NCSymElement._make(
-        "m", ((pi, c) for mu, c in coeffs if c for pi in partitions_of_type(mu))
-    )
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
 from .classical import _basis_m_coeffs, _row_reduce
 from .elements import NCSymElement, convert, inner, lift, multiply, omega, place_act, project
-from .elements import _merges
+from .elements import _merges, schur_ncsym
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
 from .macmahon import (
     MultiPolynomial,
@@ -37,7 +37,6 @@ from .macmahon import (
     mm_elementary,
     monomial,
     phi_collect,
-    schur_ncsym,
     schur_tableau_sum,
 )
 from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
@@ -760,8 +759,14 @@ def suite_schur(max_n: int | None = None) -> Checks:
             (("rank", rank, "of", len(shapes)), rank, len(shapes))
         ]
 
+        def by_kostka(lam):
+            """S_lam by its definition: mu! K_{lam,mu} on each m_sigma of type mu."""
+            weights = ((pi, pi.type.fact_parts() * kostka(lam, pi.type)) for pi in elems)
+            return NCSymElement("m", {pi: c for pi, c in weights if c})
+
+        # schur_ncsym is the lift of n! s_lam, so its reference is the Kostka grouping
         yield f"schur.n{n}.projection_and_lift", (
-            ((lam,), (sym_convert(project(S), "m"), lift(s)), (sym_convert(s, "m"), S))
+            ((lam,), (sym_convert(project(S), "m"), lift(s)), (sym_convert(s, "m"), by_kostka(lam)))
             for lam in shapes
             for S, s in [(schur_ncsym(lam), SymElement("s", {lam: factorial(n)}))]
         )

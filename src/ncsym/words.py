@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .combination import Combination, format_rational
+from .combination import Combination, exact, format_rational
 from .elements import NCSymElement
 from .intpartitions import _check_size, _expect, ascii_int
 from .setpartitions import SetPartition, check_permutation, set_partitions
@@ -93,8 +93,6 @@ def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
         if not line or line == "0":
             continue
         toks = line.split()
-        num, slash, den = toks[0].partition("/")
-        coeff = Fraction(ascii_int(num), ascii_int(den) if slash else 1)
         letters = []
         for tok in toks[1:]:
             if tok == "1" and len(toks) == 2:
@@ -102,7 +100,7 @@ def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
             if not tok.startswith("x"):
                 raise ValueError(f"bad word token {tok!r}")
             letters.append(ascii_int(tok[1:]))
-        terms.append((tuple(letters), coeff.numerator if coeff.denominator == 1 else coeff))
+        terms.append((tuple(letters), exact(toks[0])))
     return WordPolynomial(k, terms)  # the constructor adds up repeated words
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,8 @@ def test_malformed_text_arguments_exit_2(tmp_path, capsys):
 
 
 TWO = "\u0662"  # ARABIC-INDIC DIGIT TWO: int(), str.isdigit and \d all read it as 2
+ONE = "\u0661"
+JSON_COEFF = '{"basis": "m", "terms": [{"blocks": [[1]], "coeff": "%s"}]}'
 
 
 @pytest.mark.parametrize(
@@ -159,6 +162,11 @@ TWO = "\u0662"  # ARABIC-INDIC DIGIT TWO: int(), str.isdigit and \d all read it 
         pytest.param(["convert", f"m[1,{TWO}]", "--to", "p"], 2, id="set partition blocks"),
         pytest.param(["convert", f"m[1/{TWO}]", "--to", "p"], 2, id="set partition compact"),
         pytest.param(["convert", f"{TWO}*m[1]", "--to", "p"], 2, id="expression coefficient"),
+        # Fraction() would read each of these JSON coefficient strings
+        pytest.param(["convert", JSON_COEFF % f"{ONE}/{TWO}", "--to", "p"], 2, id="json digits"),
+        pytest.param(["convert", JSON_COEFF % "1_0", "--to", "p"], 2, id="json underscore"),
+        pytest.param(["convert", JSON_COEFF % "0.5", "--to", "p"], 2, id="json decimal"),
+        pytest.param(["convert", JSON_COEFF % "1e2", "--to", "p"], 2, id="json exponent"),
         pytest.param(["mobius", "1,+2", "12"], 2, id="set partition plus"),
         pytest.param(["lift", f"m[{TWO}]"], 2, id="integer partition"),
         pytest.param(["schur", "+2"], 2, id="integer partition plus"),
@@ -176,14 +184,16 @@ TWO = "\u0662"  # ARABIC-INDIC DIGIT TWO: int(), str.isdigit and \d all read it 
         pytest.param(lambda: VectorPartition.parse(f"{{[{TWO},1]}}"), None, id="vector partition"),
         pytest.param(lambda: parse_word_polynomial(f"{TWO} x1", 1), None, id="word coefficient"),
         pytest.param(lambda: parse_word_polynomial(f"1 x{TWO}", 2), None, id="word letter"),
+        pytest.param(lambda: parse_word_polynomial("1/-2 x1", 1), None, id="word negative den"),
+        pytest.param(lambda: parse_word_polynomial("1/0 x1", 1), None, id="word zero den"),
         pytest.param(
             lambda: parse_multipolynomial(f"x{TWO}'", Truncation(1, 2, 1)), None, id="subscript"
         ),
     ],
 )
 def test_readers_take_ascii_digits_only(tmp_path, capsys, read, code):
-    """Each reader refuses a one-digit text that int() or str.isdigit would take:
-    a bad text argument or file exits 2, a bad option exits 1."""
+    """Each reader refuses a short text that int(), str.isdigit or Fraction would
+    take: a bad text argument or file exits 2, a bad option exits 1."""
     if callable(read):
         with pytest.raises(ValueError):
             read()
@@ -195,6 +205,14 @@ def test_readers_take_ascii_digits_only(tmp_path, capsys, read, code):
     code_got, out, err = run(capsys, *read)
     assert (code_got, out) == (code, "")
     assert err.startswith("parse error: " if code == 2 else "usage error: ")
+
+
+def test_json_coefficient_strings_read_as_int_when_integral():
+    """A JSON "3" reads as the int 3, as JSON 3 and the text 3*m[1] do."""
+    for coeff in ('"3"', "3", '"6/2"'):
+        f = ncsym_from_json(JSON_COEFF.replace('"%s"', coeff))
+        assert [type(c) for c in f.terms.values()] == [int], coeff
+    assert ncsym_from_json(JSON_COEFF % "-1/2").terms == {SetPartition.parse("1"): Fraction(-1, 2)}
 
 
 def test_float_json_coefficient_is_a_clean_error(capsys):
@@ -553,6 +571,7 @@ BASIS_COMMANDS = [
     ["mobius", "1/2/3/4", "1,2,3,4"],
     ["lattice", "--n", "3", "--table", "meet"],
     ["expand", "m[1/2]", "--vars", "2", "--format", "json"],
+    ["schur", "3,1"],
 ]
 
 

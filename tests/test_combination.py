@@ -30,6 +30,7 @@ from ncsym.elements import (
     omega,
     place_act,
     project,
+    schur_ncsym,
 )
 from ncsym.expressions import (
     ncsym_from_json,
@@ -54,7 +55,6 @@ from ncsym.macmahon import (
     mm_power,
     phi_collect,
     phi_from_set_partition,
-    schur_ncsym,
     schur_tableau_sum,
 )
 from ncsym.setpartitions import SetPartition, set_partitions

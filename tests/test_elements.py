@@ -18,9 +18,10 @@ from ncsym.elements import (
     omega,
     place_act,
     project,
+    schur_ncsym,
 )
 from ncsym.intpartitions import IntPartition, int_partitions, kostka
-from ncsym.macmahon import MultiPolynomial, Truncation, schur_ncsym
+from ncsym.macmahon import MultiPolynomial, Truncation
 from ncsym.setpartitions import SetPartition, partitions_of_type, set_partitions
 from ncsym.verify import _expansion_by_lattice_tables, _pairs_up_to, lattice, oracle_product
 from ncsym.words import WordPolynomial, equal

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncsym.elements import NCSymElement, convert
+from ncsym.elements import NCSymElement, convert, schur_ncsym
 from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.macmahon import (
     MultiPolynomial,
@@ -26,7 +26,6 @@ from ncsym.macmahon import (
     phi_collect,
     phi_from_set_partition,
     phi_to_set_partition,
-    schur_ncsym,
     schur_tableau_sum,
     weak_compositions,
 )
