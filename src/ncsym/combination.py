@@ -8,7 +8,11 @@ one accumulator: every closed operation hands it (key, coefficient) pairs,
 and it adds up equal keys, drops zero sums and trusts the keys.
 Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
 compare and hash alike.  A change of basis adds integer numerators over one
-common denominator (``_over_one_denominator``) and divides once per key.
+common denominator (``_over_one_denominator``); ``_make_distinct`` drops the
+zero sums while they are still integers and divides each distinct sum once,
+so keys with equal coefficients share one quotient.  Where the keys are
+distinct already (a one-symbol change of basis, a one-pair monomial
+product), the dict is built in one pass and goes to ``_make_distinct`` alone.
 The one text writer and the one JSON writer live here too: each walks the
 terms in the subclass's display order.  ``BasisElement`` is the shared body
 of the two element layers.
@@ -75,18 +79,34 @@ class Combination:
     def _make(cls, tag, pairs: Iterable[tuple], den: int = 1):
         """The one accumulator: adds up the coefficients of equal keys and
         drops the zero sums.  Keys and coefficients are trusted; with ``den``
-        they are integer numerators, and each sum is divided by den once."""
+        they are integer numerators, and the sums go to ``_make_distinct``."""
         out: dict = {}
         for key, c in pairs:
             if key in out:
                 out[key] += c
             else:
                 out[key] = c
+        if den != 1:
+            return cls._make_distinct(tag, out, den)
         self = object.__new__(cls)
         self.tag = tag
-        if den != 1:
-            out = {key: Fraction(c, den) if c % den else c // den for key, c in out.items()}
         self.terms = out if all(out.values()) else {key: c for key, c in out.items() if c}
+        return self
+
+    @classmethod
+    def _make_distinct(cls, tag, terms: dict, den: int = 1):
+        """Build from a dict whose keys are already distinct, so nothing is summed;
+        the dict is kept when no value is zero.  With ``den`` the values are integer
+        numerators: the zeros go first, then each distinct value is divided by den
+        once and the keys that share it share the quotient."""
+        if not all(terms.values()):
+            terms = {key: c for key, c in terms.items() if c}
+        if den != 1:
+            quotient = {c: Fraction(c, den) if c % den else c // den for c in set(terms.values())}
+            terms = dict(zip(terms, map(quotient.__getitem__, terms.values())))
+        self = object.__new__(cls)
+        self.tag = tag
+        self.terms = terms
         return self
 
     @staticmethod

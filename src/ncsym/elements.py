@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, compress, permutations
+from math import factorial, prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -22,6 +22,7 @@ from .combination import BasisElement, _over_one_denominator
 from .intpartitions import IntPartition, _expect
 from .setpartitions import (
     SetPartition,
+    _refinements,
     check_permutation,
     join_walk,
     lower_sums,
@@ -65,40 +66,61 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     """Expansion of basis_pi in the target basis as (sigmas, integer numerators,
     one denominator).
 
-    Each ordered pair of distinct bases has its own direct summation formula,
-    so no conversion routes through an intermediate basis; agreement between
-    alternative routes is checked by the verification suites instead.  The
-    sums run over intervals above or below pi, or over every sigma with its
-    meet or join statistic, on growth strings and without lattice tables;
-    ``verify`` keeps the same sums over the tables as the reference.
+    The twelve ordered pairs share seven walks per pi, each a direct summation
+    formula, so no conversion routes through an intermediate basis; agreement
+    between alternative routes is checked by the verification suites instead.
+    m->p, e->m, h->m, e->p, p->e and e->h each walk an interval above or below
+    pi or every sigma with its meet statistic, and one join walk gives m->e and
+    m->h together.  The other four are read off a sibling in one pass and share
+    its keys: p->m is m->p with every numerator 1, h->p is e->p with |mu|, p->h
+    is p->e over |mu(bottom, pi)|, and h->e is e->h.  The sums run on growth
+    strings without lattice tables; ``verify`` keeps the same sums over the
+    tables as the reference.
     """
     if basis == target:
         return (pi,), (1,), 1
-    scale = 1  # the numerators below are the coefficients times scale
-
     pair = (basis, target)
     if pair == ("p", "m"):
-        pairs = [(s, 1) for s, _ in upper_interval(pi.rgs)]
-    elif pair == ("m", "p"):
+        keys = _symbol_expansion("m", "p", pi)[0]
+        return keys, (1,) * len(keys), 1
+    if pair == ("h", "p"):
+        keys, nums, scale = _symbol_expansion("e", "p", pi)
+        return keys, tuple(map(abs, nums)), scale
+    if pair == ("p", "h"):
+        keys, nums, scale = _symbol_expansion("p", "e", pi)
+        return keys, nums, abs(scale)
+    if pair == ("h", "e"):
+        return _symbol_expansion("e", "h", pi)
+    if pair in (("m", "e"), ("m", "h")):
+        taus, signed, nums = _join_leaves(pi)
+        if target == "e":  # the taus with a nonzero signed numerator
+            taus, nums = compress(taus, signed), filter(None, signed)
+        return tuple(map(SetPartition._from_rgs, taus)), tuple(nums), factorial(max(pi.n - 1, 0))
+
+    scale = 1  # the numerators below are the coefficients times scale
+    if pair == ("m", "p"):
         pairs = upper_interval(pi.rgs)
     elif pair in (("e", "m"), ("h", "m")):
         pairs = meet_walk(pi.rgs, bottom_only=basis == "e")
-    elif pair in (("m", "e"), ("m", "h")):
-        scale = factorial(max(pi.n - 1, 0))
-        pairs = join_walk(pi.rgs, signed=target == "e")
-    elif pair in (("e", "p"), ("h", "p")):
-        pairs = lower_sums(pi.rgs, lambda _, mu: mu if basis == "e" else abs(mu))
-    elif pair in (("p", "e"), ("p", "h")):
-        mu0 = mobius_bottom(pi.rgs)
-        scale = mu0 if target == "e" else abs(mu0)
+    elif pair == ("e", "p"):
+        pairs = lower_sums(pi.rgs, lambda _, mu: mu)
+    elif pair == ("p", "e"):
+        scale = mobius_bottom(pi.rgs)
         pairs = lower_sums(pi.rgs, lambda k, _: mobius_bottom_top(k))
-    elif pair in (("e", "h"), ("h", "e")):
+    elif pair == ("e", "h"):
         # sign(tau) * lam(tau, pi)!; sign(tau) is the sign of mu(bottom, tau)
         pairs = lower_sums(pi.rgs, lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
     else:  # pragma: no cover - the pairs above are exhaustive
         raise ValueError(f"no conversion from {basis!r} to {target!r}")
     keys, nums = zip(*pairs)  # growth strings, canonical and ascending
     return tuple(map(SetPartition._from_rgs, keys)), nums, scale
+
+
+@lru_cache(maxsize=1)  # the last pi's walk: a session converts one symbol to e and to h in turn
+def _join_leaves(pi: SetPartition) -> tuple:
+    """One join walk for pi: the growth strings of every tau, with its signed and its
+    unsigned numerator, as three parallel lists."""
+    return join_walk(pi.rgs)
 
 
 def _numerators(f: NCSymElement, target: str) -> tuple:
@@ -113,17 +135,34 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     NCSymElement._check_tag(target)
     if target == f.basis:
         return NCSymElement._make(f.basis, f.terms.items())
+    if len(f.terms) == 1:  # one symbol: its expansion's keys are distinct, so nothing is summed
+        ((pi, c),) = f.terms.items()
+        keys, nums, den = _symbol_expansion(f.basis, target, pi)
+        a = c.numerator
+        terms = dict(zip(keys, nums if a == 1 else map(a.__mul__, nums)))
+        return NCSymElement._make_distinct(target, terms, den * c.denominator)
     return NCSymElement._make(target, *_numerators(f, target))
 
 
 def omega(f: NCSymElement) -> NCSymElement:
-    """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi)."""
+    """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi),
+    and m_pi goes to sign(pi) * sum over tau >= pi of lam(pi, tau)! m_tau."""
     _expect(NCSymElement, f)
     if f.basis in ("e", "h"):
         return NCSymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":
         return NCSymElement._make("p", ((pi, c * pi.sign) for pi, c in f.terms.items()))
-    return convert(omega(convert(f, "p")), "m")
+    expansions = ((c, _omega_monomial(pi), 1) for pi, c in f.terms.items())
+    return NCSymElement._make("m", *_over_one_denominator(expansions))
+
+
+def _omega_monomial(pi: SetPartition):
+    """omega(m_pi) = sign(pi) * sum over tau >= pi of lam(pi, tau)! m_tau, as (tau,
+    integer) pairs: tau merges pi's blocks by a partition r of them, and lam(pi, tau)!
+    is the product of the factorials of r's block sizes."""
+    sign, rgs, make = pi.sign, pi.rgs, SetPartition._from_rgs
+    for r, _ in _refinements(pi.length):
+        yield make(tuple([r[x] for x in rgs])), sign * prod(factorial(r.count(v)) for v in set(r))
 
 
 def project(f: NCSymElement) -> SymElement:
@@ -201,6 +240,9 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     _expect(NCSymElement, f, g)
     if f.basis != g.basis:
         f, g = convert(f, "m"), convert(g, "m")
+    if f.basis == "m" and len(f.terms) == len(g.terms) == 1:  # one pair: its rho are distinct
+        ((pi, a),), ((sigma, b),) = f.terms.items(), g.terms.items()
+        return NCSymElement._make_distinct("m", dict.fromkeys(_merges(pi, sigma), a * b))
     pairs = []
     for pi, a in f.terms.items():
         ell = pi.length

@@ -367,18 +367,20 @@ def meet_walk(rgs: Sequence[int], bottom_only: bool) -> Pairs:
     return out
 
 
-def join_walk(rgs: Sequence[int], signed: bool) -> Pairs:
-    """(growth string of tau, numerator over (n-1)!), taus ascending, for each nonzero
-    sum over sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) / mu(bottom, sigma),
-    |mu(bottom, sigma)| unless ``signed``.  One walk keeps pi join tau as a union-find
-    over pi's blocks; each root's code (a*B + b)*B + c counts its blocks of pi and of
-    tau and its elements, B = n + 1, so merged codes add and sorted codes key a sum."""
+def join_walk(rgs: Sequence[int]) -> tuple[list, list, list]:
+    """(growth strings of tau, signed, unsigned) as three parallel lists over every tau
+    of pi's degree, taus ascending, pi given by its growth string: the numerators over
+    (n-1)! of the sum over sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) /
+    mu(bottom, sigma), and of the same sum over |mu(bottom, sigma)|, zeros included.
+    One walk keeps pi join tau as a union-find over pi's blocks; each root's code
+    (a*B + b)*B + c counts its blocks of pi and of tau and its elements, B = n + 1, so
+    merged codes add and sorted codes key both sums, read at each leaf from one table."""
     n, base = len(rgs), len(rgs) + 1
     parent = list(range(max(rgs, default=-1) + 1))
     code = [base * base + rgs.count(v) for v in parent]
     codes = sorted(code)
     tau, owner = [0] * n, []  # owner[v]: pi's block holding the first element of tau's block v
-    out: Pairs = []
+    taus, signed, unsigned = [], [], []  # one entry per leaf in each
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -392,8 +394,10 @@ def join_walk(rgs: Sequence[int], signed: bool) -> Pairs:
 
     def walk(i: int) -> None:
         if i == n:
-            if w := _join_weight(tuple(codes), base, signed):
-                out.append((tuple(tau), w))
+            taus.append(tuple(tau))
+            s, u = _join_weight(tuple(codes), base)
+            signed.append(s)
+            unsigned.append(u)
             return
         r = find(rgs[i])
         for v, o in enumerate(owner):  # i joins block v of tau
@@ -415,24 +419,26 @@ def join_walk(rgs: Sequence[int], signed: bool) -> Pairs:
         owner.pop()
 
     walk(0)
-    return out
+    return taus, signed, unsigned
 
 
 @lru_cache(maxsize=None)
-def _join_weight(codes: tuple[int, ...], base: int, signed: bool) -> int:
+def _join_weight(codes: tuple[int, ...], base: int) -> tuple[int, int]:
     """(base - 2)! times the sum over the partitions s of the blocks coded in ``codes``
     (see ``join_walk``) of the product over S in s of mu(sum a) mu(sum b) / mu(sum c),
-    |mu(sum c)| unless ``signed``; an integer, as each product of (c_S - 1)! divides (base - 2)!."""
+    then of the same product over |mu(sum c)|: two integers, as each product of
+    (c_S - 1)! divides (base - 2)!."""
     if not codes:
-        return factorial(max(base - 2, 0))
-    total = 0
+        return (factorial(max(base - 2, 0)),) * 2
+    signed = unsigned = 0
     for picked in product((False, True), repeat=len(codes) - 1):  # blocks joining the first
         block = codes[0] + sum(compress(codes[1:], picked))
         a, b, c = block // base**2, block // base % base, block % base
-        rest = _join_weight(tuple(x for x, p in zip(codes[1:], picked) if not p), base, signed)
-        mu_c = mobius_bottom_top(c) if signed else factorial(c - 1)
-        total += mobius_bottom_top(a) * mobius_bottom_top(b) * rest // mu_c
-    return total
+        rest = _join_weight(tuple(x for x, p in zip(codes[1:], picked) if not p), base)
+        mu_ab, mu_c = mobius_bottom_top(a) * mobius_bottom_top(b), mobius_bottom_top(c)
+        signed += mu_ab * rest[0] // mu_c
+        unsigned += mu_ab * rest[1] // abs(mu_c)
+    return signed, unsigned
 
 
 @lru_cache(maxsize=None)

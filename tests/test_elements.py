@@ -5,9 +5,11 @@ from math import comb, factorial, perm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncsym.elements
 from ncsym.classical import SymElement
 from ncsym.elements import (
     NCSymElement,
+    _join_leaves,
     _matchings,
     _merges,
     _symbol_expansion,
@@ -22,7 +24,7 @@ from ncsym.elements import (
 )
 from ncsym.intpartitions import IntPartition, int_partitions, kostka
 from ncsym.macmahon import MultiPolynomial, Truncation
-from ncsym.setpartitions import SetPartition, partitions_of_type, set_partitions
+from ncsym.setpartitions import SetPartition, join_walk, partitions_of_type, set_partitions
 from ncsym.verify import _expansion_by_lattice_tables, _pairs_up_to, lattice, oracle_product
 from ncsym.words import WordPolynomial, equal
 
@@ -112,6 +114,18 @@ def test_omega_power_sum_eigenvector():
 @settings(deadline=None, max_examples=40)
 def test_omega_is_an_involution(f):
     assert omega(omega(f)) == f
+
+
+def test_omega_on_m_matches_the_route_through_p():
+    # the closed form sign(pi) * sum of lam(pi, tau)! m_tau against m -> p -> omega -> m
+    for n in range(7):
+        for pi in set_partitions(n):
+            for c in (1, Fraction(-3, 2), Fraction(1, 6)):
+                f = NCSymElement("m", {pi: c})
+                got, want = omega(f), convert(omega(convert(f, "p")), "m")
+                assert got == want, (pi, c)
+                types = [{k: type(v) for k, v in g.terms.items()} for g in (got, want)]
+                assert types[0] == types[1], (pi, c)
 
 
 def test_project_paper_images():
@@ -407,6 +421,23 @@ def test_monomial_to_e_and_h_match_route_via_p_at_degree_7():
         f = NCSymElement("m", {partitions_of_type(lam)[0]: 1})
         for t in ("e", "h"):
             assert convert(f, t) == convert(convert(f, "p"), t), (lam, t)
+
+
+def test_monomial_to_e_and_h_walk_the_join_once(monkeypatch):
+    # one join walk serves both targets, and each matches the route through p
+    walks = []
+
+    def counted(rgs):
+        walks.append(rgs)
+        return join_walk(rgs)
+
+    monkeypatch.setattr(ncsym.elements, "join_walk", counted)
+    _symbol_expansion.cache_clear()
+    _join_leaves.cache_clear()
+    f = elem("m", "13/24")
+    e, h = convert(f, "e"), convert(f, "h")
+    assert walks == [P("13/24").rgs]
+    assert (e, h) == (convert(convert(f, "p"), "e"), convert(convert(f, "p"), "h"))
 
 
 def test_bottom_monomial_is_top_elementary_to_degree_9():

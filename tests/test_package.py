@@ -1,4 +1,5 @@
 """The package namespace: its public names, where they live, and what fails."""
+import doctest
 import json
 import os
 import subprocess
@@ -66,6 +67,11 @@ def _modules_after(*imports: str) -> set[str]:
         capture_output=True, text=True, check=True, timeout=120,
     )
     return set(json.loads(proc.stdout))
+
+
+def test_readme_session_runs_as_a_doctest():
+    result = doctest.testfile(str(SRC.parent / "README.md"), module_relative=False)
+    assert (result.failed, result.attempted) == (0, 15)
 
 
 def test_macmahon_loads_no_ncsym_layer():

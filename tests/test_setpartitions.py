@@ -284,12 +284,14 @@ def test_enumerators_yield_canonical_growth_strings_in_order():
     checked = set()
     for n in range(7):
         for p in set_partitions(n):
+            taus, signed, unsigned = join_walk(p.rgs)
             walks = {
                 "upper_interval": list(upper_interval(p.rgs)),
                 "meet_walk": meet_walk(p.rgs, bottom_only=False),
                 "meet_walk bottom_only": meet_walk(p.rgs, bottom_only=True),
                 "lower_sums": lower_sums(p.rgs, lambda k, mu: k * mu),
-                "join_walk": join_walk(p.rgs, signed=True),
+                "join_walk": list(zip(taus, signed)),
+                "join_walk unsigned": list(zip(taus, unsigned)),
             }
             for name, pairs in walks.items():
                 strings = [s for s, _ in pairs]
