@@ -19,11 +19,11 @@ _PUBLIC = {
     ),
     "intpartitions": "IntPartition int_partitions kostka weak_compositions",
     "macmahon": (
-        "MultiPolynomial Truncation TruncationError VectorPartition jacobi_trudi mm_complete"
-        " mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
-        " phi_from_set_partition phi_to_set_partition schur_tableau_sum"
+        "CauchyReport MultiPolynomial Truncation TruncationError VectorPartition cauchy_check"
+        " jacobi_trudi mm_complete mm_elementary mm_monomial mm_multiplicative mm_power"
+        " phi_collect phi_from_set_partition phi_to_set_partition schur_tableau_sum"
     ),
-    "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
+    "rsk": "Biword rsk_forward rsk_inverse",
     "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",
     "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
     "verify": "PartitionLattice lattice",  # the reference lattice, kept under its public names

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import prod
 
 from .combination import BasisElement, _over_one_denominator
-from .intpartitions import IntPartition, _expect, int_partitions, kostka
+from .intpartitions import IntPartition, _expect, _kostka, int_partitions
 
 SYM_BASES = ("m", "p", "e", "h", "s")
 _DUAL = {"m": "h", "h": "m", "p": "p", "s": "s"}  # b_lam pairs only with _DUAL[b]_lam
@@ -62,8 +62,9 @@ def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
     """Expansion of basis_lam into monomial symmetric functions, by integer counts."""
     if basis == "m":
         return ((lam, 1),)
+    rows = lam.parts  # each mu is built here with the size of lam: kostka's checks would repeat
     coeffs = (
-        (mu, kostka(lam, mu) if basis == "s" else _matrix_count(basis, lam.parts, mu.parts))
+        (mu, _kostka(rows, mu.parts) if basis == "s" else _matrix_count(basis, rows, mu.parts))
         for mu in int_partitions(lam.n)
     )
     return tuple((mu, c) for mu, c in coeffs if c)

@@ -10,6 +10,8 @@ function that brings (variable, exponent) pairs into that form, and
 is one int packed by ``_layout``, so a product is one integer addition.
 The degree-n slice of multidegree [1,...,1] maps onto words in noncommuting
 variables by reading, for each alphabet in order, the subscript it uses.
+``cauchy_check`` compares the two sides of the pairing (Cauchy-type) identity
+as packed codes, so the packed layout is known to this module alone.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination
-from .intpartitions import IntPartition, _expect, ascii_int, weak_compositions
+from .intpartitions import IntPartition, _expect, ascii_int, int_partitions, weak_compositions
 from .setpartitions import SetPartition
 from .tableaux import _fillings
 
@@ -479,3 +481,69 @@ def jacobi_trudi(
         return MultiPolynomial._make(trunc, ())  # a column outgrows the subscripts: no tableau
     terms = _jt_determinant(lam, variant, trunc.variables, vec_m).terms
     return MultiPolynomial._make(trunc, terms.items())  # the slice's terms, under the caller's cap
+
+
+class CauchyReport(NamedTuple):
+    """Outcome of comparing the tableau pairing sum with the product side."""
+
+    ok: bool
+    degree: int
+    mismatches: list[str]
+
+
+def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> CauchyReport:
+    """Compare, degree by degree, the two sides of the pairing identity.
+
+    Left side: over each x-degree m <= degree, the sum over shapes of the
+    tableau generating function in the x variables times the one in the y
+    variables.  Right side: the product over subscript pairs (i, j) of the
+    geometric series in z_ij = sum_{k,l} x_i^(k) y_j^(l), up to z_ij^degree.
+
+    Both sides are packed polynomials in one joint truncation: x keeps its
+    alphabets 1..a, y moves to a+1..a+b, each alphabet has as many subscripts
+    as the larger of the two, and the cap is 2 * degree.  That cap cuts
+    exactly at x-degree <= degree, because every term on either side has
+    equal x- and y-degree: each tableau pair has one shape, each z_ij one x
+    and one y variable.  The caps of x_trunc and y_trunc must reach degree.
+    """
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
+    _check_truncation(x_trunc, degree)
+    _check_truncation(y_trunc, degree)
+    a = x_trunc.alphabets
+    joint = Truncation(
+        a + y_trunc.alphabets, max(x_trunc.variables, y_trunc.variables), 2 * degree
+    )
+
+    layout = unit, top, _ = _layout(*joint)
+    lhs: Counter = Counter()  # both sides keep packed codes; only mismatches are decoded
+    walk_y = x_trunc[:2] != y_trunc[:2]  # a shape's sum depends only on alphabets and variables
+    for m in range(degree + 1):
+        for lam in int_partitions(m):
+            fx = _tableau_sum(lam, None, x_trunc).terms
+            fy = _tableau_sum(lam, None, y_trunc).terms if walk_y else fx
+            lhs.update(_times(_packed(fx, unit), _packed(fy, unit, a), top, joint.degree))
+
+    rhs = {0: 1}
+    for i in range(1, x_trunc.variables + 1):
+        for j in range(1, y_trunc.variables + 1):
+            pairs = product(range(1, a + 1), range(a + 1, joint.alphabets + 1))
+            z = {unit[i, k] + unit[j, l]: 1 for k, l in pairs}  # each x_i^(k) y_j^(l)
+            series = power = {0: 1}
+            for _ in range(degree):  # z has degree 2: at degree 0 it is outside the cap
+                power = _times(power, z, top, joint.degree)
+                series = {**series, **power}  # the powers have distinct degrees
+            rhs = _times(rhs, series, top, joint.degree)
+
+    def split(mono):
+        """The x part, and the y part moved back to alphabets 1..b, of a joint monomial."""
+        x = tuple(((i, j), e) for (i, j), e in mono if j <= a)
+        return x, tuple(((i, j - a), e) for (i, j), e in mono if j > a)
+
+    differ = (code for code in lhs.keys() | rhs.keys() if lhs[code] != rhs.get(code, 0))
+    mismatches = [
+        f"x:[{format_monomial(x)}] y:[{format_monomial(y)}]: "
+        f"tableau side {lhs[code]}, product side {rhs.get(code, 0)}"
+        for (x, y), code in sorted((split(_unpack(code, layout)), code) for code in differ)
+    ]
+    return CauchyReport(not mismatches, degree, mismatches)

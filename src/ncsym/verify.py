@@ -32,6 +32,7 @@ from .macmahon import (
     MultiPolynomial,
     Truncation,
     _tableau_sum,
+    cauchy_check,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -39,7 +40,7 @@ from .macmahon import (
     phi_collect,
     schur_tableau_sum,
 )
-from .rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
+from .rsk import Biword, rsk_forward, rsk_inverse
 from .setpartitions import SetPartition, mobius, set_partitions
 from .tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 from .words import WordPolynomial, collect, expand, expand_position_action, kernel
@@ -1089,10 +1090,6 @@ def _rsk_forward_cases(size: int):
 
 
 def _rsk_inverse_cases(size: int):
-    for bw in _all_biwords(size, 3, 2):
-        back = rsk_inverse(*rsk_forward(bw))
-        want = _rsk_inverse_by_max_scan(*_rsk_by_linear_scan(bw.columns))
-        yield (bw,), _biword_view(type(back), back.columns), _biword_view(Biword, want)
     for total in range(size + 1):
         for shape in int_partitions(total):
             tableaux = list(dotted_tableaux(shape, 3, 2))

@@ -599,23 +599,30 @@ def test_lattice_commands_load_neither_elements_nor_the_parser(argv, extra):
     assert loaded(argv) == (0, lattice_layer | extra)
 
 
-def test_only_verify_loads_the_verify_module(tmp_path):
-    biword = tmp_path / "biword.txt"
-    biword.write_text("1' 2'\n2' 1'\n", encoding="utf-8")
+def test_only_verify_loads_the_verify_module():
     ncsym_layer = {"ncsym.elements", "ncsym.words", "ncsym.classical", "ncsym.expressions"}
     for argv in (
         ["schur", "2,1", "--vec", "[2,1]", "--format", "json"],
         ["schur", "2,1", "--vec", "[2,1]"],
         ["jacobi-trudi", "2,1", "--vec", "[2,1]", "--format", "json"],
         ["jacobi-trudi", "2,1", "--vec", "[2,1]"],
-        ["rsk", str(biword)],
-    ):
+    ):  # rsk's exact module set is pinned by test_rsk_loads_the_dotted_layer_alone
         code, modules = loaded(argv)
         assert code == 0 and "ncsym.macmahon" in modules, argv
         assert "ncsym.verify" not in modules, argv
         assert not modules & ncsym_layer, argv
     code, modules = loaded(["verify", "product", "--max-n", "2"])
     assert code == 0 and "ncsym.verify" in modules
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_rsk_loads_the_dotted_layer_alone(tmp_path, inverse, fmt):
+    path = tmp_path / "input.txt"
+    path.write_text("1'\n2'\n\n1'\n2'\n" if inverse else "1' 2'\n2' 1'\n", encoding="utf-8")
+    argv = ["rsk", str(path), *(["--inverse"] if inverse else []), "--format", fmt]
+    dotted_layer = {"ncsym.cli", "ncsym.intpartitions", "ncsym.rsk", "ncsym.tableaux"}
+    assert loaded(argv) == (0, dotted_layer)
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -16,6 +16,7 @@ from ncsym.macmahon import (
     _letter_vectors,
     _mm_generator,
     _unpack,
+    cauchy_check,
     jacobi_trudi,
     mm_complete,
     mm_elementary,
@@ -29,7 +30,6 @@ from ncsym.macmahon import (
     schur_tableau_sum,
     weak_compositions,
 )
-from ncsym.rsk import cauchy_check
 from ncsym.setpartitions import SetPartition, set_partitions
 from ncsym.tableaux import DottedTableau, dot_swap_involution, dotted_tableaux
 from ncsym.verify import _jt_by_permutation_expansion

@@ -20,10 +20,10 @@ HOMES = {
     "expressions": "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym"
     " parse_sym sym_from_json sym_to_json",
     "intpartitions": "IntPartition int_partitions kostka weak_compositions",
-    "macmahon": "MultiPolynomial Truncation TruncationError VectorPartition jacobi_trudi"
-    " mm_complete mm_elementary mm_monomial mm_multiplicative mm_power phi_collect"
-    " phi_from_set_partition phi_to_set_partition schur_tableau_sum",
-    "rsk": "Biword CauchyReport cauchy_check rsk_forward rsk_inverse",
+    "macmahon": "CauchyReport MultiPolynomial Truncation TruncationError VectorPartition"
+    " cauchy_check jacobi_trudi mm_complete mm_elementary mm_monomial mm_multiplicative"
+    " mm_power phi_collect phi_from_set_partition phi_to_set_partition schur_tableau_sum",
+    "rsk": "Biword rsk_forward rsk_inverse",
     "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",
     "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
     "verify": "PartitionLattice lattice",

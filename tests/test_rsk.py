@@ -5,9 +5,9 @@ import time
 import pytest
 
 from ncsym.intpartitions import int_partitions
-from ncsym import rsk
-from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum
-from ncsym.rsk import Biword, cauchy_check, rsk_forward, rsk_inverse
+from ncsym import macmahon
+from ncsym.macmahon import Truncation, _tableau_sum as tableau_sum, cauchy_check
+from ncsym.rsk import Biword, rsk_forward, rsk_inverse
 from ncsym.tableaux import DottedEntry, DottedTableau, dot_swap_involution, dotted_tableaux
 from ncsym.verify import _all_biwords
 
@@ -141,7 +141,7 @@ def test_cauchy_walks_each_shape_once_when_x_and_y_share_alphabets_and_variables
         walked.append((lam, trunc))
         return tableau_sum(lam, vec_m, trunc)
 
-    monkeypatch.setattr(rsk, "_tableau_sum", counting_sum)
+    monkeypatch.setattr(macmahon, "_tableau_sum", counting_sum)
     shapes = sum(len(int_partitions(m)) for m in range(4))
     assert cauchy_check(Truncation(2, 2, 3), Truncation(2, 2, 5), 3).ok
     assert len(walked) == shapes
@@ -245,7 +245,7 @@ def test_cauchy_reports_each_mismatch_decoded_and_sorted(monkeypatch):
     def doubled(lam, vec_m, trunc):  # a wrong tableau side: twice each degree-1 sum
         return tableau_sum(lam, vec_m, trunc) * (2 if lam.n == 1 else 1)
 
-    monkeypatch.setattr(rsk, "_tableau_sum", doubled)
+    monkeypatch.setattr(macmahon, "_tableau_sum", doubled)
     report = cauchy_check(Truncation(1, 2, 1), Truncation(1, 2, 1), 1)
     assert not report.ok and report.degree == 1
     assert report.mismatches == [
