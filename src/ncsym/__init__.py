@@ -8,20 +8,21 @@ from importlib import import_module
 
 # home submodule -> the public names it defines
 _PUBLIC = {
-    "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
-    "elements": (
-        "NC_BASES NCSymElement convert format_ncsym inner lift multiply omega place_act project"
-        " schur_ncsym"
+    "classical": (
+        "SYM_BASES SymElement format_sym omega_commutative parse_sym sym_convert sym_from_json"
+        " sym_inner sym_to_json"
     ),
-    "expressions": (
-        "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym parse_sym"
-        " sym_from_json sym_to_json"
+    "combination": "ParseError",
+    "elements": (
+        "NC_BASES NCSymElement convert format_ncsym inner lift multiply ncsym_from_json"
+        " ncsym_to_json omega parse_ncsym place_act project schur_ncsym"
     ),
     "intpartitions": "IntPartition int_partitions kostka weak_compositions",
     "macmahon": (
         "CauchyReport MultiPolynomial Truncation TruncationError VectorPartition cauchy_check"
         " jacobi_trudi mm_complete mm_elementary mm_monomial mm_multiplicative mm_power"
-        " phi_collect phi_from_set_partition phi_to_set_partition schur_tableau_sum"
+        " parse_multipolynomial phi_collect phi_from_set_partition phi_to_set_partition"
+        " schur_tableau_sum"
     ),
     "rsk": "Biword rsk_forward rsk_inverse",
     "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",

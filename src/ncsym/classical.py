@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .combination import BasisElement, _over_one_denominator
+from .combination import BasisElement, _from_json, _json_list, _over_one_denominator, _parse_element
 from .intpartitions import IntPartition, _expect, _kostka, int_partitions
 
 SYM_BASES = ("m", "p", "e", "h", "s")
@@ -31,12 +31,23 @@ class SymElement(BasisElement):
     _order = staticmethod(lambda lam: (lam.n, lam.parts))
     _field = "parts"
     _encode = staticmethod(lambda lam: list(lam.parts))
+    _decode = staticmethod(lambda v: IntPartition(_json_list(v)))
 
     def _show(self, lam: IntPartition) -> str:
         return f"{self.tag}[{','.join(str(p) for p in lam.parts)}]"
 
 
 format_sym = SymElement.to_text
+sym_to_json = SymElement.to_json
+
+
+def parse_sym(text: str) -> SymElement:
+    """Parse an expression over the m/p/e/h/s bases indexed by integer partitions, or JSON."""
+    return _parse_element(text, SymElement, sym_convert)
+
+
+def sym_from_json(data) -> SymElement:
+    return _from_json(data, SymElement)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from functools import partial
 
 # The namespace is lazy: a name loads its home submodule on first use, so each
 # command loads only the layers it calls, and mobius and lattice never load the
-# element layers or the expression parser.
+# element layers.
 import ncsym
 from ncsym.intpartitions import ascii_int  # every command loads this layer anyway
 
@@ -128,8 +128,15 @@ def _read(reader, text: str, what: str):
     """An argument or file read by its reader; a malformed one is a parse error."""
     try:
         return reader(text)
-    except ValueError as exc:  # only a failed read pays for the parser
+    except ValueError as exc:  # only a failed read loads ParseError's module, combination
         raise ncsym.ParseError(f"bad {what}: {exc}", 0) from None
+
+
+def _vector(text: str) -> tuple[int, ...]:
+    """A --vec argument, "[2,1]" or "2,1"."""
+    s = text.strip()
+    s = (s[1:-1] if s.startswith("[") and s.endswith("]") else s).strip()
+    return tuple(map(ascii_int, s.split(","))) if s else ()
 
 
 def _truncation(
@@ -142,19 +149,15 @@ def _truncation(
 def _schur(args):
     shape = _read(ncsym.IntPartition.parse, args.shape, "shape")
     if args.vec is not None:  # only the tableau sum loads the MacMahon layer
-        from .macmahon import parse_vector
-
-        vec = _read(parse_vector, args.vec, "--vec")
+        vec = _read(_vector, args.vec, "--vec")
         return ncsym.schur_tableau_sum(shape, vec, _truncation(shape, vec, args.expand))
     element = ncsym.schur_ncsym(shape)
     return element if args.expand is None else ncsym.expand(element, args.expand)
 
 
 def _jacobi_trudi(args) -> ncsym.MultiPolynomial:
-    from .macmahon import parse_vector
-
     shape = _read(ncsym.IntPartition.parse, args.shape, "shape")
-    vec = _read(parse_vector, args.vec, "--vec")
+    vec = _read(_vector, args.vec, "--vec")
     return ncsym.jacobi_trudi(shape, vec, args.variant, _truncation(shape, vec, args.vars))
 
 
@@ -252,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _emit(_COMMANDS[args.command](args), args)
     # ParseError, GroundSetError, TruncationError and NotSymmetricError are ValueErrors too
-    except (ValueError, TypeError, OSError) as exc:  # only a failed command pays for the parser
+    except (ValueError, TypeError, OSError) as exc:  # a failure loads combination alone
         if isinstance(exc, ncsym.ParseError):
             print(f"parse error: {exc}", file=sys.stderr)
             return PARSE_ERROR

@@ -15,7 +15,8 @@ distinct already (a one-symbol change of basis, a one-pair monomial
 product), the dict is built in one pass and goes to ``_make_distinct`` alone.
 The one text writer and the one JSON writer live here too: each walks the
 terms in the subclass's display order.  ``BasisElement`` is the shared body
-of the two element layers.
+of the two element layers.  Beside the writers sit the parts that every reader
+shares: ``ParseError``, the scanner, the term grammar and the one JSON reader.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ import json
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from numbers import Number
 from typing import Iterable, Mapping
 
-from .intpartitions import ascii_int
+from .intpartitions import _expect, ascii_int
 
 
 def exact(c):
@@ -39,11 +41,18 @@ def exact(c):
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string")
     if not isinstance(c, str):
+        if not isinstance(c, Number):
+            raise TypeError(f"coefficient {c!r} is not a number")
         return Fraction(c)
     num, slash, den = c.partition("/")
     num, den = ascii_int(num), ascii_int(den) if slash else 1
     if den < 1:
         raise ValueError(f"coefficient {c!r}: the denominator must be at least 1")
+    return _quotient(num, den)
+
+
+def _quotient(num: int, den: int):
+    """num / den for a positive den: an ``int`` when integral, else a ``Fraction``."""
     return Fraction(num, den) if num % den else num // den
 
 
@@ -64,6 +73,7 @@ class Combination:
     it supplies ``_order`` (the display sort key of a key), ``_show`` (the
     text of a term's body), ``_field`` and ``_encode`` (the JSON name and
     value of a key), and ``_header`` when its JSON header is not the basis.
+    A class that ``_from_json`` reads adds ``_decode``, the inverse of ``_encode``.
     """
 
     __slots__ = ("tag", "terms")
@@ -102,7 +112,7 @@ class Combination:
         if not all(terms.values()):
             terms = {key: c for key, c in terms.items() if c}
         if den != 1:
-            quotient = {c: Fraction(c, den) if c % den else c // den for c in set(terms.values())}
+            quotient = {c: _quotient(c, den) for c in set(terms.values())}
             terms = dict(zip(terms, map(quotient.__getitem__, terms.values())))
         self = object.__new__(cls)
         self.tag = tag
@@ -239,3 +249,168 @@ def format_terms(terms: Iterable[tuple], strict: bool = False) -> str:
         else:
             out = f"-{text}" if c < 0 else text
     return out or "0"
+
+
+class ParseError(ValueError):
+    """Malformed input text; carries the offending position."""
+
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(f"{message} (at position {position})")
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        try:  # the scan takes any script's digits; the integer must be ASCII
+            return ascii_int(self.text[start : self.pos])
+        except ValueError:
+            raise ParseError("expected an integer", start) from None
+
+    def rational(self) -> int | Fraction:
+        num = self.integer()
+        self.skip_ws()
+        if self.peek() == "/":
+            self.take()
+            den = self.integer()
+            if not den:
+                raise ParseError("zero denominator", self.pos)
+            return _quotient(num, den)
+        return num
+
+
+def _parse_terms(text: str, bases: tuple[str, ...], index_parser):
+    """Each basis letter's (index, coefficient) pairs, in the order of the text, read by
+    the grammar  expr := [sign] term ((+|-) term)*,  term := [int[/int] *] letter[index],
+    with each index read by ``index_parser``."""
+    sc = _Scanner(text)
+    collected: dict[str, list] = {}
+    first = True
+    while not sc.at_end():
+        sc.skip_ws()
+        sign = 1
+        if sc.peek() in "+-":
+            if first and sc.peek() == "+":
+                raise ParseError("unexpected leading '+'", sc.pos)
+            sign = -1 if sc.take() == "-" else 1
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms", sc.pos)
+        sc.skip_ws()
+        coeff = 1
+        if sc.peek().isdigit():
+            coeff = sc.rational()
+            sc.skip_ws()
+            if sc.peek() != "*":
+                raise ParseError("expected '*' after a coefficient", sc.pos)
+            sc.take()
+            sc.skip_ws()
+        letter = sc.peek()
+        if letter not in bases:
+            raise ParseError(
+                f"expected a basis letter among {''.join(bases)!r}", sc.pos
+            )
+        sc.take()
+        sc.skip_ws()
+        if sc.peek() != "[":
+            raise ParseError("expected '[' after the basis letter", sc.pos)
+        open_pos = sc.pos
+        sc.take()
+        close = sc.text.find("]", sc.pos)
+        if close < 0:
+            raise ParseError("unclosed '['", open_pos)
+        inner = sc.text[sc.pos : close]
+        sc.pos = close + 1
+        try:
+            index = index_parser(inner)
+        except ValueError as exc:
+            raise ParseError(str(exc), open_pos + 1) from None
+        collected.setdefault(letter, []).append((index, sign * coeff))
+        first = False
+    if first:
+        raise ParseError("empty expression", 0)
+    return collected
+
+
+def _parse_element(text: str, cls, to_m):
+    """One expression (or JSON object) in the BasisElement subclass cls, over
+    its ``BASES`` and read by its ``KEY.parse``; a mixed sum comes back in m."""
+    _expect(str, text)
+    stripped = text.strip()
+    if stripped.startswith("{"):
+        return _from_json(stripped, cls)
+    if stripped == "0":
+        return cls("m")
+    collected = _parse_terms(text, cls.BASES, cls.KEY.parse)
+    parts = [cls(b, terms) for b, terms in collected.items()]
+    parts = [p for p in parts if not p.is_zero()]
+    if len(parts) == 1:
+        return parts[0]
+    return cls._make("m", chain.from_iterable(to_m(p, "m").terms.items() for p in parts))
+
+
+def _json_list(value, item=int) -> list:
+    """A JSON list whose items all have the type ``item``; a bool is no int."""
+    if not (isinstance(value, list) and all(type(v) is item for v in value)):
+        raise ValueError(f"expected a list of {item.__name__}s, got {json.dumps(value)}")
+    return value
+
+
+def _from_json(data, cls):
+    """Read {"basis": b, "terms": [{cls._field: ..., "coeff": c}, ...]} into cls.
+
+    ``data`` is JSON text or an already decoded object.  A malformed shape,
+    an unknown basis, a bad key, a null, list or object coefficient or a
+    coefficient string that is no rational is a ParseError naming the term
+    and the field; a float or bool coefficient is a TypeError from ``exact``.
+    """
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    if not isinstance(data, dict) or "basis" not in data:
+        raise ParseError('expected a JSON object with "basis" and "terms"', 0)
+    if not isinstance(data.get("terms"), list):
+        raise ParseError('"terms" must be a list of terms', 0)
+    try:
+        cls._check_tag(data["basis"])
+    except ValueError as exc:
+        raise ParseError(f'bad "basis": {exc}', 0) from None
+    field, pairs = cls._field, []
+    for number, entry in enumerate(data["terms"], start=1):
+        if not isinstance(entry, dict) or field not in entry or "coeff" not in entry:
+            raise ParseError(f'term {number} needs "{field}" and "coeff"', 0)
+        try:
+            key = cls._decode(entry[field])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f'term {number}: bad "{field}": {exc}', 0) from None
+        if entry["coeff"] is None or isinstance(entry["coeff"], (list, dict)):
+            raise ParseError(f'term {number}: bad "coeff": not a number or a "p/q" string', 0)
+        try:
+            pairs.append((key, exact(entry["coeff"])))
+        except ValueError as exc:
+            raise ParseError(f'term {number}: bad "coeff": {exc}', 0) from None
+    return cls(data["basis"], pairs)

@@ -18,7 +18,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .classical import SymElement, sym_convert
-from .combination import BasisElement, _over_one_denominator
+from .combination import (
+    BasisElement, _from_json, _json_list, _over_one_denominator, _parse_element, _quotient
+)
 from .intpartitions import IntPartition, _expect
 from .setpartitions import (
     SetPartition,
@@ -45,6 +47,7 @@ class NCSymElement(BasisElement):
     _order = staticmethod(SetPartition.sort_key)  # degree, type, growth string
     _field = "blocks"
     _encode = staticmethod(lambda pi: [list(b) for b in pi.blocks])
+    _decode = staticmethod(lambda v: SetPartition(map(_json_list, _json_list(v, list))))
 
     def _show(self, pi: SetPartition) -> str:
         return f"{self.tag}[{pi}]"
@@ -59,6 +62,16 @@ class NCSymElement(BasisElement):
 
 
 format_ncsym = NCSymElement.to_text
+ncsym_to_json = NCSymElement.to_json
+
+
+def parse_ncsym(text: str) -> NCSymElement:
+    """Parse an expression over the m/p/e/h bases indexed by set partitions, or JSON."""
+    return _parse_element(text, NCSymElement, convert)
+
+
+def ncsym_from_json(data) -> NCSymElement:
+    return _from_json(data, NCSymElement)
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +195,11 @@ def project(f: NCSymElement) -> SymElement:
 def lift(f: SymElement) -> NCSymElement:
     """Right inverse of projection: spread each m_lam over its set partitions."""
     _expect(SymElement, f)
-    scaled = (
-        (lam, c * Fraction(lam.fact_parts(), factorial(lam.n)))
+    # one share per type, kept int when integral, as convert keeps its coefficients
+    shares = (
+        (lam, _quotient(c.numerator * lam.fact_parts(), c.denominator * factorial(lam.n)))
         for lam, c in sym_convert(f, "m").terms.items()
     )
-    # one share per type, kept int when integral, as convert keeps its coefficients
-    shares = ((lam, s.numerator if s.denominator == 1 else s) for lam, s in scaled)
     return NCSymElement._make("m", ((pi, s) for lam, s in shares for pi in partitions_of_type(lam)))
 
 
@@ -220,9 +232,7 @@ def place_act(perm: Sequence[int], f: NCSymElement) -> NCSymElement:
     _expect(NCSymElement, f)
     if not f.is_homogeneous():
         raise ValueError("place action needs a homogeneous element")
-    if f.is_zero():
-        return NCSymElement._make(f.basis, ())
-    check_permutation(perm, f.degree())
+    check_permutation(perm, f.degree() if f.terms else len(perm))  # zero takes any permutation
     return NCSymElement._make(f.basis, ((pi.act(perm), c) for pi, c in f.terms.items()))
 
 

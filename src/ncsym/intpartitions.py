@@ -70,6 +70,7 @@ class IntPartition:
 
     @classmethod
     def parse(cls, text: str) -> "IntPartition":
+        _expect(str, text)
         s = text.strip()
         for opener, closer in (("(", ")"), ("[", "]")):
             if s.startswith(opener) and s.endswith(closer):

@@ -15,6 +15,7 @@ as packed codes, so the packed layout is known to this module alone.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ from math import factorial
 from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
-from .combination import Combination
+from .combination import Combination, ParseError, _Scanner
 from .intpartitions import IntPartition, _expect, ascii_int, int_partitions, weak_compositions
 from .setpartitions import SetPartition
 from .tableaux import _fillings
@@ -104,6 +105,52 @@ def format_monomial(mono: Monomial) -> str:
     return " ".join(f"x{i}{chr(39) * j}" + (f"^{e}" if e > 1 else "") for (i, j), e in mono) or "1"
 
 
+def parse_multipolynomial(text: str, trunc: Truncation) -> MultiPolynomial:
+    """Parse the dotted-monomial text form, e.g. "x1'^2 x1'' + 2*x2''^3"."""
+    _expect(str, text)
+    sc = _Scanner(text)
+    terms = []
+    first = True
+    while not sc.at_end():
+        sc.skip_ws()
+        sign = 1
+        if sc.peek() in "+-":
+            sign = -1 if sc.take() == "-" else 1
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms", sc.pos)
+        sc.skip_ws()
+        coeff = 1
+        explicit_coeff = False
+        if sc.peek().isdigit():
+            coeff = sc.rational()
+            explicit_coeff = True
+            sc.skip_ws()
+            if sc.peek() == "*":
+                sc.take()
+                sc.skip_ws()
+        factors = []
+        while sc.peek() == "x":
+            sc.take()
+            subscript = sc.integer()
+            dots = 0
+            while sc.peek() == "'":
+                sc.take()
+                dots += 1
+            if dots == 0:
+                raise ParseError("dotted variable needs at least one prime", sc.pos)
+            power = 1
+            if sc.peek() == "^":
+                sc.take()
+                power = sc.integer()
+            factors.append(((subscript, dots), power))
+            sc.skip_ws()
+        if not factors and not explicit_coeff:
+            raise ParseError("expected a term", sc.pos)
+        terms.append((factors, sign * coeff))  # the constructor normalizes and adds up
+        first = False
+    return MultiPolynomial(trunc, terms)
+
+
 class MultiPolynomial(Combination):
     """Sparse rational polynomial inside a fixed truncation."""
 
@@ -163,6 +210,10 @@ class MultiPolynomial(Combination):
         return f"<MultiPolynomial {self.trunc}, {len(self.terms)} terms>"
 
 
+_VECTOR = re.compile(r"\[([^][]*)\]")  # one bracketed vector, its entries captured
+_VECTORS = re.compile(r"\[[^][]*\](\s*,\s*\[[^][]*\])*")
+
+
 class VectorPartition:
     """Multiset of nonzero nonnegative-integer vectors of one dimension."""
 
@@ -188,14 +239,16 @@ class VectorPartition:
 
     @classmethod
     def parse(cls, text: str, dimension: int | None = None) -> "VectorPartition":
+        """Read what ``str`` writes, "{[1,0],[0,1]}"; whitespace may go around each vector."""
+        _expect(str, text)
         s = text.strip()
         if s.startswith("{") and s.endswith("}"):
             s = s[1:-1].strip()
         if not s:
             return cls((), dimension)
-        if not (s.startswith("[") and s.endswith("]")):
+        if not _VECTORS.fullmatch(s):
             raise ValueError(f"cannot parse vector partition from {text!r}")
-        chunks = (chunk.strip().strip("[]") for chunk in s[1:-1].split("],["))
+        chunks = _VECTOR.findall(s)
         return cls((tuple(map(ascii_int, chunk.split(","))) for chunk in chunks), dimension)
 
     def multidegree(self) -> tuple[int, ...]:
@@ -219,12 +272,6 @@ class VectorPartition:
 
     def __repr__(self) -> str:
         return f"VectorPartition({self.parts!r})"
-
-
-def parse_vector(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    s = (s[1:-1] if s.startswith("[") and s.endswith("]") else s).strip()
-    return tuple(map(ascii_int, s.split(","))) if s else ()
 
 
 def _check_truncation(trunc: Truncation, degree: int = 0) -> None:

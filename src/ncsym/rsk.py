@@ -51,6 +51,7 @@ class Biword:
     @classmethod
     def parse(cls, text: str) -> "Biword":
         """Top row, then bottom row; blank or whitespace-only lines are skipped."""
+        _expect(str, text)
         lines = [line.split() for line in text.splitlines() if line.strip()]
         if not lines:
             return cls()

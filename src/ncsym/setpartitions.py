@@ -19,7 +19,7 @@ from itertools import compress, product
 from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
-from .intpartitions import IntPartition, _check_size, ascii_int
+from .intpartitions import IntPartition, _check_size, _expect, ascii_int
 
 
 class GroundSetError(ValueError):
@@ -99,6 +99,7 @@ class SetPartition:
         """Parse "1,3/2,4".  Comma-free text of at most 9 digits is the compact
         form "13/24", one digit per element; longer comma-free text, such as
         "1/2/.../10", has one element per block."""
+        _expect(str, text)
         s = text.strip()
         if not s:
             return cls()

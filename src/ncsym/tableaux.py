@@ -92,6 +92,7 @@ class DottedTableau:
 
     @classmethod
     def parse(cls, text: str) -> "DottedTableau":
+        _expect(str, text)
         rows = []
         for line in text.splitlines():
             line = line.strip()

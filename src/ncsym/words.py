@@ -87,6 +87,7 @@ class WordPolynomial(Combination):
 
 
 def parse_word_polynomial(text: str, k: int) -> WordPolynomial:
+    _expect(str, text)
     terms = []
     for raw in text.splitlines():
         line = raw.strip()

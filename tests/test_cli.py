@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 
 from ncsym.cli import main
-from ncsym.elements import NCSymElement
-from ncsym.expressions import ncsym_from_json, parse_multipolynomial
+from ncsym.elements import NCSymElement, ncsym_from_json
 from ncsym.intpartitions import IntPartition
-from ncsym.macmahon import Truncation, VectorPartition
+from ncsym.macmahon import Truncation, VectorPartition, parse_multipolynomial
 from ncsym.setpartitions import SetPartition
 from ncsym.words import parse_word_polynomial
 
@@ -599,8 +598,32 @@ def test_lattice_commands_load_neither_elements_nor_the_parser(argv, extra):
     assert loaded(argv) == (0, lattice_layer | extra)
 
 
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["schur", "2,x"], 2, {"combination", "intpartitions"}),
+        (["mobius", "1,x", "1,2"], 2, {"combination", "intpartitions", "setpartitions"}),
+        (
+            ["lattice", "--n", "8", "--table", "meet"],
+            3,
+            {"combination", "intpartitions", "setpartitions"},
+        ),
+        (
+            ["convert", "p[1,3/2,4]", "--to", "m"],
+            0,
+            {"classical", "combination", "elements", "intpartitions", "setpartitions"},
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_failed_and_element_commands_load_only_what_they_use(argv, code, modules):
+    """ParseError lives in combination, so telling a parse error from another failure
+    loads no element layer; an element command loads those layers and no reader module."""
+    assert loaded(argv) == (code, {"ncsym.cli"} | {f"ncsym.{m}" for m in modules})
+
+
 def test_only_verify_loads_the_verify_module():
-    ncsym_layer = {"ncsym.elements", "ncsym.words", "ncsym.classical", "ncsym.expressions"}
+    ncsym_layer = {"ncsym.elements", "ncsym.words", "ncsym.classical"}
     for argv in (
         ["schur", "2,1", "--vec", "[2,1]", "--format", "json"],
         ["schur", "2,1", "--vec", "[2,1]"],

@@ -6,6 +6,7 @@ tag and terms must give the same element, with no zero coefficient stored.
 """
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,7 +18,10 @@ from ncsym.classical import (
     SymElement,
     format_sym,
     omega_commutative,
+    parse_sym,
     sym_convert,
+    sym_from_json,
+    sym_to_json,
 )
 from ncsym.combination import exact
 from ncsym.elements import (
@@ -27,19 +31,13 @@ from ncsym.elements import (
     format_ncsym,
     lift,
     multiply,
+    ncsym_from_json,
+    ncsym_to_json,
     omega,
+    parse_ncsym,
     place_act,
     project,
     schur_ncsym,
-)
-from ncsym.expressions import (
-    ncsym_from_json,
-    ncsym_to_json,
-    parse_multipolynomial,
-    parse_ncsym,
-    parse_sym,
-    sym_from_json,
-    sym_to_json,
 )
 from ncsym.intpartitions import IntPartition, int_partitions, weak_compositions
 from ncsym.macmahon import (
@@ -53,6 +51,7 @@ from ncsym.macmahon import (
     mm_monomial,
     mm_multiplicative,
     mm_power,
+    parse_multipolynomial,
     phi_collect,
     phi_from_set_partition,
     schur_tableau_sum,
@@ -193,6 +192,27 @@ def test_bool_coefficients_are_refused():
         NCSymElement("m", {SetPartition.parse("1"): False})
 
 
+def test_coefficients_that_are_no_number_are_refused():
+    pi = SetPartition.parse("1")
+    f = NCSymElement("m", {pi: 1})
+    for call, shown in (
+        (lambda: NCSymElement("m", {pi: [1]}), "[1]"),
+        (lambda: exact(None), "None"),
+        (lambda: f * f, "<NCSymElement m[1]>"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"coefficient {shown} is not a number")):
+            call()
+    assert NCSymElement("m", {pi: Decimal("1.5")}).terms == {pi: Fraction(3, 2)}
+
+
+def test_adding_or_subtracting_another_class_is_a_type_error():
+    f = NCSymElement("m", {SetPartition.parse("1"): 1})
+    g = SymElement("m", {IntPartition((1,)): 1})
+    for call in (lambda: f + g, lambda: f - g, lambda: g - f):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            call()
+
+
 def test_keys_of_the_wrong_type_are_refused():
     cases = [
         (NCSymElement, "1/2", "key '1/2' is not a SetPartition"),
@@ -213,6 +233,11 @@ def test_integral_coefficients_stay_int():
     lifted = lift(SymElement("s", {IntPartition((2, 1)): 6}))
     assert lifted == schur_ncsym(IntPartition((2, 1)))
     assert {type(c) for c in lifted.terms.values()} == {int}
+    shares = lift(SymElement("m", {IntPartition((2, 1)): 1, IntPartition((3,)): 2})).terms
+    third = Fraction(1, 3)  # 2! 1! / 3! of m[2,1] on each of its three set partitions
+    expected = {"12/3": third, "13/2": third, "1/23": third, "123": 2}
+    assert shares == {SetPartition.parse(text): c for text, c in expected.items()}
+    assert type(shares[SetPartition.parse("123")]) is int
 
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)

@@ -176,6 +176,10 @@ def test_place_act_examples():
     assert place_act((2, 1, 3, 4), f) == NCSymElement("m", {pi.act((2, 1, 3, 4)): 1})
     with pytest.raises(ValueError):
         place_act((1, 2), NCSymElement("m", {P("1"): 1, P("12"): 1}))
+    zero = NCSymElement("h")
+    assert place_act((2, 1), zero) == place_act((), zero) == zero
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.1: \(5,\)"):
+        place_act((5,), zero)  # zero takes any permutation, and only a permutation
 
 
 def test_place_act_refuses_non_int_entries():

@@ -2,23 +2,29 @@ from fractions import Fraction
 
 import pytest
 
-from ncsym.classical import SymElement, format_sym, sym_convert
-from ncsym.elements import NCSymElement, convert, format_ncsym
-from ncsym.expressions import (
-    ParseError,
-    ncsym_from_json,
-    ncsym_to_json,
-    parse_multipolynomial,
-    parse_ncsym,
+from ncsym.classical import (
+    SymElement,
+    format_sym,
     parse_sym,
+    sym_convert,
     sym_from_json,
     sym_to_json,
+)
+from ncsym.combination import ParseError
+from ncsym.elements import (
+    NCSymElement,
+    convert,
+    format_ncsym,
+    ncsym_from_json,
+    ncsym_to_json,
+    parse_ncsym,
 )
 from ncsym.intpartitions import IntPartition
 from ncsym.macmahon import (
     MultiPolynomial,
     Truncation,
     mm_complete,
+    parse_multipolynomial,
     schur_tableau_sum,
 )
 from ncsym.rsk import Biword

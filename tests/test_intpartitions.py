@@ -16,6 +16,8 @@ def test_canonical_and_parse():
     assert IP.parse("(3,1)").parts == (3, 1)
     assert IP.parse("[2,2]").parts == (2, 2)
     assert IP.parse("()").parts == ()
+    assert list(IP((3, 1, 1))) == [3, 1, 1] and len(IP((3, 1, 1))) == 3
+    assert list(IP(())) == [] and len(IP(())) == 0
     with pytest.raises(ValueError):
         IP((0, 1))
     with pytest.raises(ValueError):

@@ -400,6 +400,19 @@ def test_vector_partition_parse_and_str():
     vp = VectorPartition.parse("{[1,0],[0,1]}")
     assert vp.parts == ((1, 0), (0, 1))
     assert str(vp) == "{[1,0],[0,1]}"
+    # whitespace around the brackets and commas is allowed, as in every other reader
+    for text in ("{[1,0] , [0,1]}", "{ [1,0], [0,1] }"):
+        assert VectorPartition.parse(text) == vp
+        assert hash(VectorPartition.parse(text)) == hash(vp)
+    # only what str writes: no stray or doubled brackets
+    for text in ("[[[1,0]]]", "[1,0]]"):
+        with pytest.raises(ValueError, match="cannot parse vector partition"):
+            VectorPartition.parse(text)
+    assert VectorPartition.parse("{[1,0]}") != vp
+    assert VectorPartition.parse("{[1,0]}") != ((1, 0),)
+    empty = VectorPartition((), dimension=2)
+    assert VectorPartition.parse("{}", 2) == VectorPartition.parse("", 2) == empty
+    assert str(empty) == "{}" and empty.degree() == 0
     assert vp.multidegree() == (1, 1)
     assert vp.degree() == 2
     with pytest.raises(ValueError):
@@ -454,6 +467,11 @@ def test_monomial_is_the_one_normal_form():
     for bad in ((((1, 1), -1),), (((1, 1), 0.5),), (((1.0, 1), 1),), (((1, True), 1),)):
         with pytest.raises(ValueError, match="need ints"):
             MultiPolynomial(tr, {bad: 1})
+
+
+def test_power_sum_of_the_zero_vector_is_one():
+    tr = Truncation(2, 2, 3)
+    assert mm_power((0, 0), tr) == MultiPolynomial.one(tr)
 
 
 def test_negative_vectors_and_empty_truncations_are_refused():

@@ -14,15 +14,16 @@ import ncsym
 SRC = Path(__file__).resolve().parents[1] / "src"
 # every public name with its home submodule
 HOMES = {
-    "classical": "SYM_BASES SymElement format_sym omega_commutative sym_convert sym_inner",
-    "elements": "NC_BASES NCSymElement convert format_ncsym inner lift multiply omega place_act"
-    " project schur_ncsym",
-    "expressions": "ParseError ncsym_from_json ncsym_to_json parse_multipolynomial parse_ncsym"
-    " parse_sym sym_from_json sym_to_json",
+    "classical": "SYM_BASES SymElement format_sym omega_commutative parse_sym sym_convert"
+    " sym_from_json sym_inner sym_to_json",
+    "combination": "ParseError",
+    "elements": "NC_BASES NCSymElement convert format_ncsym inner lift multiply ncsym_from_json"
+    " ncsym_to_json omega parse_ncsym place_act project schur_ncsym",
     "intpartitions": "IntPartition int_partitions kostka weak_compositions",
     "macmahon": "CauchyReport MultiPolynomial Truncation TruncationError VectorPartition"
     " cauchy_check jacobi_trudi mm_complete mm_elementary mm_monomial mm_multiplicative"
-    " mm_power phi_collect phi_from_set_partition phi_to_set_partition schur_tableau_sum",
+    " mm_power parse_multipolynomial phi_collect phi_from_set_partition phi_to_set_partition"
+    " schur_tableau_sum",
     "rsk": "Biword rsk_forward rsk_inverse",
     "setpartitions": "GroundSetError SetPartition bell_number mobius set_partitions",
     "tableaux": "DottedEntry DottedTableau dot_swap_involution dotted_tableaux",
@@ -186,6 +187,25 @@ WRONG_CLASS = {
         lambda: ncsym.dot_swap_involution("x", 1),
         "expected DottedTableau, got str",
     ),
+    # every text reader refuses what is not text
+    "parse_ncsym": (lambda: ncsym.parse_ncsym(None), "expected str, got NoneType"),
+    "parse_sym": (lambda: ncsym.parse_sym(3), "expected str, got int"),
+    "parse_multipolynomial": (
+        lambda: ncsym.parse_multipolynomial(b"x1'", ncsym.Truncation(1, 1, 1)),
+        "expected str, got bytes",
+    ),
+    "parse_word_polynomial": (
+        lambda: import_module("ncsym.words").parse_word_polynomial(None, 2),
+        "expected str, got NoneType",
+    ),
+    "SetPartition.parse": (lambda: ncsym.SetPartition.parse(None), "expected str, got NoneType"),
+    "IntPartition.parse": (lambda: ncsym.IntPartition.parse(3), "expected str, got int"),
+    "VectorPartition.parse": (
+        lambda: ncsym.VectorPartition.parse(None, 2),
+        "expected str, got NoneType",
+    ),
+    "Biword.parse": (lambda: ncsym.Biword.parse(3), "expected str, got int"),
+    "DottedTableau.parse": (lambda: ncsym.DottedTableau.parse(None), "expected str, got NoneType"),
 }
 
 

@@ -42,6 +42,10 @@ def test_biword_validation_and_text_forms():
     bw = Biword.parse("1' 1''\n1'' 2'")
     assert str(bw) == "1' 1''\n1'' 2'"
     assert Biword.parse(str(bw)) == bw
+    assert len(bw) == 2 and len(Biword()) == 0
+    assert {bw, Biword.parse(str(bw)), Biword()} == {bw, Biword()}  # equal biwords hash alike
+    T, U = rsk_forward(bw)
+    assert {T, DottedTableau.parse(str(T)), U} == {T, U}  # and so do equal tableaux
     with pytest.raises(ValueError):
         Biword.parse("1'\n")  # rows of unequal length
     with pytest.raises(ValueError):

@@ -172,8 +172,18 @@ def test_word_polynomial_arithmetic():
     assert (a - a).is_zero()
     assert (a * b).terms == {(1, 2): Fraction(3, 2)}
     assert (2 * a).terms == {(1,): Fraction(2)}
+    assert (b * Fraction(2, 3)).terms == {(2,): 1}
     with pytest.raises(ValueError):
         WordPolynomial(1, {(2,): Fraction(1)})
+
+
+def test_word_polynomial_text_skips_blank_and_zero_lines():
+    zero = WordPolynomial(2)
+    assert zero.to_text() == "0"
+    assert parse_word_polynomial(zero.to_text(), 2) == zero
+    f = parse_word_polynomial("\n  \n3/2 x1 x2\n0\n-1 1\n\n", 2)
+    assert f.terms == {(1, 2): Fraction(3, 2), (): -1}
+    assert parse_word_polynomial(f.to_text(), 2) == f
 
 
 @pytest.mark.parametrize("basis", ["m", "p", "e", "h"])
