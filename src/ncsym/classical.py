@@ -6,8 +6,9 @@ integer partitions, conversions between them, the standard inner product
 exact rationals throughout.  Every conversion goes through m: the coefficient
 of m_mu in e_lam, h_lam or p_lam is the number of matrices with row sums lam
 and column sums mu whose rows take 0/1 entries, any entries, or one nonzero
-entry (Macdonald I.6); s_lam uses Kostka numbers.  The way back from m
-inverts that matrix by one exact row reduction, once per basis and degree.
+entry (Macdonald I.6); s_lam uses Kostka numbers.  Back from m, p and s are one
+back substitution each, being triangular against m, and m in h or e is a sum over
+m in s, since M(h, m) = K^T K and M(e, m) = K^T J K for K = M(s, m) and J conjugation.
 """
 from __future__ import annotations
 
@@ -81,40 +82,35 @@ def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
     return tuple((mu, c) for mu, c in coeffs if c)
 
 
-def _row_reduce(rows: list[list[Fraction]], ncols: int) -> int:
-    """Bring the first ncols columns of rows to reduced echelon form over the
-    rationals, in place, carrying any further columns along; returns the rank
-    of those columns."""
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _triangular_inverse(basis: str, ps: list[IntPartition]) -> dict[IntPartition, dict]:
+    """m_lam in the basis for each lam of ps, by back substitution: basis_lam must be a
+    nonzero multiple of m_lam plus m_nu for nu earlier in ps only."""
+    inverse: dict[IntPartition, dict] = {}
+    for lam in ps:
+        col = dict(_basis_m_coeffs(basis, lam))
+        diag, row = col.pop(lam), {lam: 1}
+        for nu, c in col.items():
+            for key, v in inverse[nu].items():
+                row[key] = row.get(key, 0) - c * v
+        inverse[lam] = row if diag == 1 else {key: Fraction(v, diag) for key, v in row.items()}
+    return inverse
 
 
 @lru_cache(maxsize=None)
 def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
-    """Each m_mu of degree n in the given basis, as mu -> (((lam, numerator), ...),
-    denominator): the columns of the inverse of the matrix whose column lam is
-    basis_lam in m, all from one row reduction of [matrix | identity]."""
+    """Each m_mu of degree n in the basis, as mu -> (((lam, numerator), ...), denominator).
+    p_lam is prod m_i(lam)! m_lam plus coarser m_nu, listed first by int_partitions, and
+    s_lam is m_lam plus finer m_nu, listed last.  With k = m in s, the coefficient of h_nu
+    in m_mu is sum_lam k[mu][lam] k[nu][lam], and of e_nu the same with k[nu][lam']."""
     ps = int_partitions(n)
-    columns = [{mu: Fraction(c) for mu, c in _basis_m_coeffs(basis, lam)} for lam in ps]
-    aug = [[col.get(mu, 0) for col in columns] + [Fraction(mu == nu) for nu in ps] for mu in ps]
-    if _row_reduce(aug, len(ps)) < len(ps):
-        raise ValueError(f"singular {basis}-to-m matrix at degree {n}")
-    inverse = zip(*(row[len(ps):] for row in aug))  # column mu: m_mu in the basis
-    cols = ([(v, ((lam, 1),), 1) for lam, v in zip(ps, col) if v] for col in inverse)
+    if basis in ("e", "h"):
+        k = {mu: dict(pairs) for mu, (pairs, _) in _m_inverse("s", n).items()}
+        flip = {lam: lam if basis == "h" else lam.conjugate() for lam in ps}
+        gram = lambda mu, nu: sum(v * k[nu].get(flip[lam], 0) for lam, v in k[mu].items())
+        inverse = {mu: {nu: gram(mu, nu) for nu in ps} for mu in ps}
+    else:
+        inverse = _triangular_inverse(basis, ps[::-1] if basis == "s" else ps)
+    cols = ([(v, ((lam, 1),), 1) for lam in ps if (v := inverse[mu].get(lam))] for mu in ps)
     return {mu: (tuple(p), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
 
 

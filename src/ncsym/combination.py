@@ -384,13 +384,16 @@ def _from_json(data, cls):
     ``data`` is JSON text or an already decoded object.  A malformed shape,
     an unknown basis, a bad key, a null, list or object coefficient or a
     coefficient string that is no rational is a ParseError naming the term
-    and the field; a float or bool coefficient is a TypeError from ``exact``.
+    and the field, and so is text nested too deeply to decode; a float or bool
+    coefficient is a TypeError from ``exact``.
     """
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", 0) from None
     if not isinstance(data, dict) or "basis" not in data:
         raise ParseError('expected a JSON object with "basis" and "terms"', 0)
     if not isinstance(data.get("terms"), list):

@@ -24,7 +24,8 @@ from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .classical import SymElement, omega_commutative, sym_convert, sym_inner
-from .classical import _basis_m_coeffs, _row_reduce
+from .classical import _basis_m_coeffs, _m_inverse
+from .combination import _over_one_denominator
 from .elements import NCSymElement, convert, inner, lift, multiply, omega, place_act, project
 from .elements import _merges, schur_ncsym
 from .intpartitions import IntPartition, int_partitions, kostka, weak_compositions
@@ -87,6 +88,28 @@ class PartitionLattice:
 @lru_cache(maxsize=None)
 def lattice(n: int) -> PartitionLattice:
     return PartitionLattice(n)
+
+
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> int:
+    """Bring the first ncols columns of rows to reduced echelon form over the
+    rationals, in place, carrying any further columns along; returns the rank
+    of those columns."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def matrix_rank(matrix: list[list[Fraction]]) -> int:
@@ -388,6 +411,19 @@ def _m_coeffs_by_polynomial_expansion(basis: str, lam: IntPartition) -> tuple:
         poly = out
     coeffs = ((mu, poly.get(mu.parts + (0,) * (k - mu.length), 0)) for mu in int_partitions(lam.n))
     return tuple((mu, c) for mu, c in coeffs if c)
+
+
+def _m_inverse_by_gauss_jordan(basis: str, n: int) -> tuple[int, dict]:
+    """The rank of the degree-n matrix whose column lam is basis_lam in m, and
+    each m_mu in the basis as ``_m_inverse`` gives it: one row reduction of
+    [matrix | identity], its right half read off as columns over one denominator."""
+    ps = int_partitions(n)
+    columns = [{mu: Fraction(c) for mu, c in _basis_m_coeffs(basis, lam)} for lam in ps]
+    aug = [[col.get(mu, 0) for col in columns] + [Fraction(mu == nu) for nu in ps] for mu in ps]
+    rank = _row_reduce(aug, len(ps))
+    inverse = zip(*(row[len(ps):] for row in aug))  # column mu: m_mu in the basis
+    cols = ([(v, ((lam, 1),), 1) for lam, v in zip(ps, col) if v] for col in inverse)
+    return rank, {mu: (tuple(p), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
 
 
 def _kostka_by_enumeration(lam: IntPartition, mu: IntPartition) -> int:
@@ -974,6 +1010,13 @@ def _sym_cases(basis: str, n: int):
         yield (lam,), _basis_m_coeffs(basis, lam), _m_coeffs_by_polynomial_expansion(basis, lam)
 
 
+def _inverse_cases(size: int):
+    for n, basis in itertools.product(range(size + 1), ("p", "e", "h", "s")):
+        got = len(int_partitions(n)), list(_m_inverse(basis, n).items())  # it assumes full rank
+        rank, want = _m_inverse_by_gauss_jordan(basis, n)
+        yield (basis, "n =", n), got, (rank, list(want.items()))
+
+
 def _merges_cases(size: int):
     for pi, sigma in _pairs_up_to(size):
         got = [(r.n, r.blocks, r.rgs, hash(r)) for r in _merges(pi, sigma)]
@@ -1123,6 +1166,7 @@ _REFERENCE: list[tuple[str, int, Callable, int | None]] = [
     ("dot_swap_matches_the_column_scan", 5, _dot_swap_cases, 31803),
     ("rsk_forward_matches_the_linear_scan", 3, _rsk_forward_cases, None),
     ("rsk_inverse_matches_the_max_scan", 3, _rsk_inverse_cases, None),
+    ("classical_inverses_match_gauss_jordan", 8, _inverse_cases, None),
 ]
 
 
@@ -1138,7 +1182,8 @@ def _counted(cases: Iterable[Case], count: int) -> Iterator[Case]:
 def suite_reference(max_n: int | None = None) -> Checks:
     """Each fast path against the independent route it replaced: Kostka numbers,
     classical expansions, merges, products, word expansions, the MacMahon
-    generators and determinants, tableau walks, the dot swap and RSK."""
+    generators and determinants, tableau walks, the dot swap, RSK, and the
+    commutative inverses from m against Gauss–Jordan row reduction."""
     for name, size, cases, count in _REFERENCE:
         top = _cap(size, max_n)
         if "{n}" in name:

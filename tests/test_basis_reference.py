@@ -20,13 +20,13 @@ from ncsym.classical import (
     _basis_m_coeffs,
     _m_inverse,
     _matrix_count,
-    _row_reduce,
     sym_convert,
     sym_inner,
 )
 from ncsym.elements import NC_BASES, NCSymElement, _symbol_expansion, convert, inner
 from ncsym.intpartitions import int_partitions, kostka
 from ncsym.setpartitions import set_partitions
+from ncsym.verify import _row_reduce
 
 from test_combination import assert_canonical
 

@@ -52,7 +52,7 @@ def test_conversion_roundtrip(basis, n):
 def test_conversion_from_m_matches_exact_solve(basis):
     # the forward matrix times the cached inverse is the identity: each m_mu in the
     # basis, expanded back into m through _basis_m_coeffs, is m_mu alone.  The
-    # product reads no row reduction, so it shares no solver with _m_inverse.
+    # product reads no solve, so it shares no solver with _m_inverse.
     for n in range(7):
         inverse = _m_inverse(basis, n)
         assert list(inverse) == int_partitions(n)
@@ -71,6 +71,11 @@ def test_conversion_from_m_matches_exact_solve(basis):
 def test_m_coefficients_match_polynomial_expansion(basis, n, verify_all):
     name = f"reference.n{n}.classical_{basis}_matches_polynomial_expansion"
     assert verify_all.checks[name] == (True, "")
+
+
+def test_m_inverses_match_gauss_jordan_to_degree_8(verify_all):
+    # p, e, h and s: keys, order, numerators and denominators of every column
+    assert verify_all.checks["reference.classical_inverses_match_gauss_jordan"] == (True, "")
 
 
 def test_inner_examples():

@@ -479,6 +479,26 @@ def test_malformed_json_is_a_parse_error(capsys):
         assert err.startswith("parse error: ") and field in err, (argv, err)
 
 
+_DEEP = "[" * 20000 + "]" * 20000  # far past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "cmd, text",
+    [
+        ("convert", '{"basis": "m", "terms": %s}' % _DEEP),
+        ("convert", '{"basis": "m", "terms": [{"blocks": %s, "coeff": "1"}]}' % _DEEP),
+        ("lift", '{"basis": "m", "terms": %s}' % _DEEP),
+        ("lift", '{"basis": "m", "terms": [{"parts": %s, "coeff": "1"}]}' % _DEEP),
+    ],
+    ids=["convert-terms", "convert-blocks", "lift-terms", "lift-parts"],
+)
+def test_deeply_nested_json_is_a_parse_error(capsys, cmd, text):
+    argv = (cmd, text, "--to", "h") if cmd == "convert" else (cmd, text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "parse error: invalid JSON: nested too deeply (at position 0)\n"
+
+
 def test_unknown_suite_lists_every_suite(capsys):
     from ncsym.verify import SUITES
 
