@@ -3,16 +3,14 @@
 Only what the noncommuting side needs: the m, p, e, h, s bases indexed by
 integer partitions, conversions between them, the standard inner product
 <m_lam, h_mu> = delta, and the e/h-swapping involution.  Coefficients are
-exact rationals throughout.  Every conversion goes through m: the coefficient
-of m_mu in e_lam, h_lam or p_lam is the number of matrices with row sums lam
-and column sums mu whose rows take 0/1 entries, any entries, or one nonzero
-entry (Macdonald I.6); s_lam uses Kostka numbers.  Back from m, p and s are one
-back substitution each, being triangular against m, and m in h or e is a sum over
-m in s, since M(h, m) = K^T K and M(e, m) = K^T J K for K = M(s, m) and J conjugation.
+exact rationals throughout.  Every conversion goes through m: p_lam counts the
+matrices with row sums lam and one nonzero entry per row (Macdonald I.6), and s, h
+and e read the Kostka numbers K = M(s, m), as M(h, m) = K^T K and M(e, m) = K^T J K
+for J conjugation.  Back from m, p and s are one back substitution each, being
+triangular against m, and m in h or e is the same Gram sum over m in s.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -52,33 +50,34 @@ def sym_from_json(data) -> SymElement:
 
 
 @lru_cache(maxsize=None)
-def _matrix_count(basis: str, rows: tuple, cols: tuple) -> int:
-    """Matrices with these row and column sums whose rows take 0/1 entries (e),
-    any entries (h) or one nonzero entry (p): the coefficient of m_cols in
-    basis_rows.  Filled row by row; the remaining column sums stay sorted, so
-    permuted states share one memo entry."""
+def _matrix_count(rows: tuple, cols: tuple) -> int:
+    """Matrices with these row and column sums and one nonzero entry per row: the
+    coefficient of m_cols in p_rows.  The first row puts its sum in one column;
+    the remaining column sums stay sorted, so permuted states share one memo entry."""
     if not rows:
         return 1  # row and column sums have equal totals, so no column is left
-    r = rows[0]
-    entries = {"e": (0, 1), "h": range(r + 1), "p": (0, r)}[basis]
-    total = 0
-    for row in itertools.product(*([x for x in entries if x <= c] for c in cols)):
-        if sum(row) == r:
-            left = sorted((c - x for c, x in zip(cols, row) if c > x), reverse=True)
-            total += _matrix_count(basis, rows[1:], tuple(left))
+    r, total = rows[0], 0
+    for j, c in enumerate(cols):
+        if c >= r:
+            left = sorted((x for x in cols[:j] + (c - r,) + cols[j + 1 :] if x), reverse=True)
+            total += _matrix_count(rows[1:], tuple(left))
     return total
 
 
 @lru_cache(maxsize=None)
 def _basis_m_coeffs(basis: str, lam: IntPartition) -> tuple:
-    """Expansion of basis_lam into monomial symmetric functions, by integer counts."""
+    """Expansion of basis_lam into monomial symmetric functions, by integer counts:
+    p by ``_matrix_count``, s by the Kostka numbers K, and h_lam and e_lam as the sums
+    of K[nu][lam] s_nu and of K[nu'][lam] s_nu."""
     if basis == "m":
         return ((lam, 1),)
-    rows = lam.parts  # each mu is built here with the size of lam: kostka's checks would repeat
-    coeffs = (
-        (mu, _kostka(rows, mu.parts) if basis == "s" else _matrix_count(basis, rows, mu.parts))
-        for mu in int_partitions(lam.n)
-    )
+    rows, ps = lam.parts, int_partitions(lam.n)  # each mu has lam's size: no checks to repeat
+    if basis in ("p", "s"):
+        count = _matrix_count if basis == "p" else _kostka
+        return tuple((mu, c) for mu in ps if (c := count(rows, mu.parts)))
+    flip = IntPartition.conjugate if basis == "e" else (lambda nu: nu)
+    s_nu = [(nu.parts, k) for nu in ps if (k := _kostka(flip(nu).parts, rows))]
+    coeffs = ((mu, sum(k * _kostka(nu, mu.parts) for nu, k in s_nu)) for mu in ps)
     return tuple((mu, c) for mu, c in coeffs if c)
 
 
@@ -111,7 +110,7 @@ def _m_inverse(basis: str, n: int) -> dict[IntPartition, tuple]:
     else:
         inverse = _triangular_inverse(basis, ps[::-1] if basis == "s" else ps)
     cols = ([(v, ((lam, 1),), 1) for lam in ps if (v := inverse[mu].get(lam))] for mu in ps)
-    return {mu: (tuple(p), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
+    return {mu: (tuple(p.items()), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
 
 
 def sym_convert(f: SymElement, target: str) -> SymElement:
@@ -121,12 +120,12 @@ def sym_convert(f: SymElement, target: str) -> SymElement:
     if target == f.basis:
         return SymElement._make(f.basis, f.terms.items())
     in_m = ((c, _basis_m_coeffs(f.basis, lam), 1) for lam, c in f.terms.items())
-    pairs, den = _over_one_denominator(in_m)
+    in_m, den = _over_one_denominator(in_m)
     if target == "m":
-        return SymElement._make("m", pairs, den)
-    in_m = SymElement._make("m", pairs).terms.items()  # integer numerators over den
-    pairs, back = _over_one_denominator((v, *_m_inverse(target, mu.n)[mu]) for mu, v in in_m)
-    return SymElement._make(target, pairs, den * back)
+        return SymElement._make_distinct("m", in_m, den)
+    inverse = ((v, *_m_inverse(target, mu.n)[mu]) for mu, v in in_m.items() if v)
+    out, back = _over_one_denominator(inverse)  # integer numerators over den * back
+    return SymElement._make_distinct(target, out, den * back)
 
 
 def sym_inner(f: SymElement, g: SymElement) -> Fraction:

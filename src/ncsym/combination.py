@@ -4,15 +4,15 @@ An element is a tag (a basis letter, a variable count or a truncation) and a
 dict of terms from keys (set partitions, integer partitions, words, monomials)
 to nonzero exact rationals.  The public constructor validates the tag, every
 key and every coefficient, then builds through ``_make``.  ``_make`` is the
-one accumulator: every closed operation hands it (key, coefficient) pairs,
-and it adds up equal keys, drops zero sums and trusts the keys.
+one accumulator of (key, coefficient) pairs: it adds up equal keys, drops zero
+sums and trusts the keys.
 Coefficients are ``int`` or ``Fraction``: both are exact, and equal values
-compare and hash alike.  A change of basis adds integer numerators over one
-common denominator (``_over_one_denominator``); ``_make_distinct`` drops the
-zero sums while they are still integers and divides each distinct sum once,
-so keys with equal coefficients share one quotient.  Where the keys are
-distinct already (a one-symbol change of basis, a one-pair monomial
-product), the dict is built in one pass and goes to ``_make_distinct`` alone.
+compare and hash alike.  A change of basis instead adds integer numerators over
+one common denominator into one dict (``_over_one_denominator``); ``_make_distinct``
+drops its zero sums while they are still integers and divides each distinct sum
+once, so keys with equal coefficients share one quotient.  Where the keys are
+distinct already (a one-symbol change of basis, a one-pair monomial product),
+the dict is built in one pass and goes to ``_make_distinct`` alone.
 The one text writer and the one JSON writer live here too: each walks the
 terms in the subclass's display order.  ``BasisElement`` is the shared body
 of the two element layers.  Beside the writers sit the parts that every reader
@@ -56,13 +56,17 @@ def _quotient(num: int, den: int):
     return Fraction(num, den) if num % den else num // den
 
 
-def _over_one_denominator(expansions: Iterable[tuple]) -> tuple:
-    """(pairs, D) for items (c, pairs, den), each c times (key, integer) pairs over den:
-    the pairs scaled to integers over D, the lcm of the c.denominator * den."""
+def _over_one_denominator(expansions: Iterable[tuple]) -> tuple[dict, int]:
+    """(sums, D) for items (c, pairs, den), each c times (key, integer) pairs over den: key ->
+    its integers scaled over D, the lcm of the c.denominator * den, added up in one pass."""
     expansions = [(c.numerator, c.denominator * den, pairs) for c, pairs, den in expansions]
-    common = lcm(*(den for _, den, _ in expansions))
-    scaled = [(a * (common // den), pairs) for a, den, pairs in expansions]
-    return ((key, a * v) for a, pairs in scaled for key, v in pairs), common
+    common, out = lcm(*(den for _, den, _ in expansions)), {}
+    get = out.get
+    for a, den, pairs in expansions:
+        a *= common // den
+        for key, v in pairs:
+            out[key] = get(key, 0) + a * v
+    return out, common
 
 
 class Combination:
@@ -86,18 +90,15 @@ class Combination:
         return cls._make(tag, ((cls._check_key(tag, key), exact(c)) for key, c in terms))
 
     @classmethod
-    def _make(cls, tag, pairs: Iterable[tuple], den: int = 1):
+    def _make(cls, tag, pairs: Iterable[tuple]):
         """The one accumulator: adds up the coefficients of equal keys and
-        drops the zero sums.  Keys and coefficients are trusted; with ``den``
-        they are integer numerators, and the sums go to ``_make_distinct``."""
+        drops the zero sums.  Keys and coefficients are trusted."""
         out: dict = {}
         for key, c in pairs:
             if key in out:
                 out[key] += c
             else:
                 out[key] = c
-        if den != 1:
-            return cls._make_distinct(tag, out, den)
         self = object.__new__(cls)
         self.tag = tag
         self.terms = out if all(out.values()) else {key: c for key, c in out.items() if c}

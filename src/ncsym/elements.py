@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 from operator import itemgetter
 from typing import Sequence
@@ -28,10 +28,12 @@ from .setpartitions import (
     check_permutation,
     join_walk,
     lower_sums,
+    meet_bottom_walk,
     meet_walk,
     mobius_bottom,
     mobius_bottom_top,
     partitions_of_type,
+    set_partitions,
     upper_interval,
 )
 
@@ -84,15 +86,15 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     between alternative routes is checked by the verification suites instead.
     m->p, e->m, h->m, e->p, p->e and e->h each walk an interval above or below
     pi or every sigma with its meet statistic, and one join walk gives m->e and
-    m->h together.  The other four are read off a sibling in one pass and share
-    its keys: p->m is m->p with every numerator 1, h->p is e->p with |mu|, p->h
-    is p->e over |mu(bottom, pi)|, and h->e is e->h.  The sums run on growth
-    strings without lattice tables; ``verify`` keeps the same sums over the
-    tables as the reference.
+    m->h together; h->m and m->h, over every partition of [n], share one key tuple.
+    The other four are read off a sibling in one pass and share its keys: p->m is
+    m->p with every numerator 1, h->p is e->p with |mu|, p->h is p->e over
+    |mu(bottom, pi)|, and h->e is e->h.  The sums run on growth strings without
+    lattice tables; ``verify`` keeps the same sums over the tables as the reference.
     """
     if basis == target:
         return (pi,), (1,), 1
-    pair = (basis, target)
+    pair, make = (basis, target), SetPartition._from_rgs
     if pair == ("p", "m"):
         keys = _symbol_expansion("m", "p", pi)[0]
         return keys, (1,) * len(keys), 1
@@ -104,40 +106,42 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
         return keys, nums, abs(scale)
     if pair == ("h", "e"):
         return _symbol_expansion("e", "h", pi)
-    if pair in (("m", "e"), ("m", "h")):
-        taus, signed, nums = _join_leaves(pi)
-        if target == "e":  # the taus with a nonzero signed numerator
-            taus, nums = compress(taus, signed), filter(None, signed)
-        return tuple(map(SetPartition._from_rgs, taus)), tuple(nums), factorial(max(pi.n - 1, 0))
+    if pair == ("h", "m"):
+        return _every_partition(pi.n), tuple(meet_walk(pi.rgs)), 1
+    if pair == ("e", "m"):  # every numerator is 1
+        keys = tuple(map(make, meet_bottom_walk(pi.rgs)))
+        return keys, (1,) * len(keys), 1
+    if pair in (("m", "e"), ("m", "h")):  # e keeps the taus with a nonzero signed numerator
+        taus, signed, unsigned = _join_leaves(pi)
+        keys = tuple(map(make, taus)) if target == "e" else _every_partition(pi.n)
+        return keys, tuple(signed if target == "e" else unsigned), factorial(max(pi.n - 1, 0))
 
     scale = 1  # the numerators below are the coefficients times scale
     if pair == ("m", "p"):
         pairs = upper_interval(pi.rgs)
-    elif pair in (("e", "m"), ("h", "m")):
-        pairs = meet_walk(pi.rgs, bottom_only=basis == "e")
     elif pair == ("e", "p"):
         pairs = lower_sums(pi.rgs, lambda _, mu: mu)
     elif pair == ("p", "e"):
         scale = mobius_bottom(pi.rgs)
         pairs = lower_sums(pi.rgs, lambda k, _: mobius_bottom_top(k))
-    elif pair == ("e", "h"):
-        # sign(tau) * lam(tau, pi)!; sign(tau) is the sign of mu(bottom, tau)
+    else:  # e->h, the last pair: sign(tau) * lam(tau, pi)!, sign(tau) that of mu(bottom, tau)
         pairs = lower_sums(pi.rgs, lambda k, mu: factorial(k) if mu > 0 else -factorial(k))
-    else:  # pragma: no cover - the pairs above are exhaustive
-        raise ValueError(f"no conversion from {basis!r} to {target!r}")
     keys, nums = zip(*pairs)  # growth strings, canonical and ascending
-    return tuple(map(SetPartition._from_rgs, keys)), nums, scale
+    return tuple(map(make, keys)), nums, scale
+
+
+# the keys of h->m and m->h; bounded, since each partition outlives it in the intern table
+_every_partition = lru_cache(maxsize=8)(lambda n: tuple(set_partitions(n)))
 
 
 @lru_cache(maxsize=1)  # the last pi's walk: a session converts one symbol to e and to h in turn
 def _join_leaves(pi: SetPartition) -> tuple:
-    """One join walk for pi: the growth strings of every tau, with its signed and its
-    unsigned numerator, as three parallel lists."""
+    """One join walk for pi, as ``join_walk`` returns it."""
     return join_walk(pi.rgs)
 
 
-def _numerators(f: NCSymElement, target: str) -> tuple:
-    """f in the target basis as (sigma, integer numerator) pairs over one denominator."""
+def _numerators(f: NCSymElement, target: str) -> tuple[dict, int]:
+    """f in the target basis as sigma -> integer numerator over one denominator."""
     expansions = ((c, _symbol_expansion(f.basis, target, pi)) for pi, c in f.terms.items())
     return _over_one_denominator((c, zip(keys, nums), den) for c, (keys, nums, den) in expansions)
 
@@ -154,7 +158,7 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
         a = c.numerator
         terms = dict(zip(keys, nums if a == 1 else map(a.__mul__, nums)))
         return NCSymElement._make_distinct(target, terms, den * c.denominator)
-    return NCSymElement._make(target, *_numerators(f, target))
+    return NCSymElement._make_distinct(target, *_numerators(f, target))
 
 
 def omega(f: NCSymElement) -> NCSymElement:
@@ -166,7 +170,7 @@ def omega(f: NCSymElement) -> NCSymElement:
     if f.basis == "p":
         return NCSymElement._make("p", ((pi, c * pi.sign) for pi, c in f.terms.items()))
     expansions = ((c, _omega_monomial(pi), 1) for pi, c in f.terms.items())
-    return NCSymElement._make("m", *_over_one_denominator(expansions))
+    return NCSymElement._make_distinct("m", *_over_one_denominator(expansions))
 
 
 def _omega_monomial(pi: SetPartition):
@@ -220,8 +224,7 @@ def inner(f: NCSymElement, g: NCSymElement) -> Fraction:
     _expect(NCSymElement, f, g)
     if f.basis == "e":
         f, g = (omega(f), omega(g)) if g.basis == "e" else (g, f)
-    pairs, den = _numerators(g, _DUAL[f.basis])
-    dual = NCSymElement._make(_DUAL[f.basis], pairs).terms  # integer numerators over den
+    dual, den = _numerators(g, _DUAL[f.basis])  # integer numerators over den
     mu = (lambda pi: abs(mobius_bottom(pi.rgs))) if f.basis == "p" else (lambda pi: 1)
     pairing = (c * (factorial(p.n) // mu(p)) * dual[p] for p, c in f.terms.items() if p in dual)
     return Fraction(sum(pairing), den)

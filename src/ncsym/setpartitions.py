@@ -283,8 +283,8 @@ def mobius_bottom(rgs: Sequence[int]) -> int:
     return prod(mobius_bottom_top(rgs.count(v)) for v in range(max(rgs, default=-1) + 1))
 
 
-# What the interval enumerators below return: (growth string, integer) pairs, the
-# strings canonical and strictly ascending, so callers hand them to _from_rgs as they are.
+# The enumerators below return (growth string, integer) pairs, the strings canonical and
+# strictly ascending for _from_rgs as they are: integers alone over all of [n], strings if all 1.
 Pairs = list[tuple[tuple[int, ...], int]]
 
 
@@ -337,42 +337,61 @@ def lower_sums(rgs: Sequence[int], weight: Callable[[int, int], int]) -> Pairs:
     return out
 
 
-def meet_walk(rgs: Sequence[int], bottom_only: bool) -> Pairs:
-    """(growth string of sigma, lam(sigma meet pi)!) for every sigma of pi's degree,
-    sigmas ascending, pi given by its growth string; with ``bottom_only``, only the
-    sigma meeting pi in the bottom.  One backtracking walk keeps the size of each
-    block intersection: placing an element where c others lie multiplies the
-    weight by c + 1."""
+def meet_walk(rgs: Sequence[int]) -> list[int]:
+    """lam(sigma meet pi)! for every sigma of pi's degree, ascending, pi given by its
+    growth string.  One backtracking walk keeps the size of each block intersection:
+    an element placed where c others lie multiplies the weight by c + 1."""
     n, ell = len(rgs), max(rgs, default=-1) + 1
-    counts: list[list[int]] = []  # counts[v][b]: |block v of sigma meet block b of pi|
-    sigma = [0] * n
-    out: Pairs = []
+    counts, out = [], []  # counts[v][b]: |block v of sigma meet block b of pi|
 
     def walk(i: int, weight: int) -> None:
         if i == n:
-            out.append((tuple(sigma), weight))
+            out.append(weight)
             return
         b = rgs[i]
-        for v in range(len(counts) + 1):
-            if v == len(counts):  # open a new block of sigma at i
-                counts.append([0] * ell)
-            row = counts[v]
+        for row in counts:  # i joins a block of sigma; each call leaves counts as it was
             c = row[b]
-            if not (bottom_only and c):
-                row[b], sigma[i] = c + 1, v
-                walk(i + 1, weight * (c + 1))
-                row[b] = c
+            row[b] = c + 1
+            walk(i + 1, weight * (c + 1))
+            row[b] = c
+        counts.append([int(b == x) for x in range(ell)])  # i opens a block of sigma
+        walk(i + 1, weight)
         counts.pop()
 
     walk(0, 1)
     return out
 
 
+def meet_bottom_walk(rgs: Sequence[int]) -> list[tuple[int, ...]]:
+    """The growth strings of the sigma meeting pi in the bottom, ascending, pi given by
+    its growth string: an element joins only the blocks of sigma that miss its block of pi."""
+    sigma, met, out = [0] * len(rgs), [], []  # met[v]: the blocks of pi block v meets, as bits
+
+    def walk(i: int) -> None:
+        if i == len(rgs):
+            out.append(tuple(sigma))
+            return
+        bit = 1 << rgs[i]
+        for v, mask in enumerate(met):  # i joins a block of sigma
+            if not mask & bit:
+                sigma[i], met[v] = v, mask | bit
+                walk(i + 1)
+                met[v] = mask
+        sigma[i] = len(met)  # i opens a block of sigma
+        met.append(bit)
+        walk(i + 1)
+        met.pop()
+
+    walk(0)
+    return out
+
+
 def join_walk(rgs: Sequence[int]) -> tuple[list, list, list]:
-    """(growth strings of tau, signed, unsigned) as three parallel lists over every tau
-    of pi's degree, taus ascending, pi given by its growth string: the numerators over
-    (n-1)! of the sum over sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) /
-    mu(bottom, sigma), and of the same sum over |mu(bottom, sigma)|, zeros included.
+    """(growth strings, signed, unsigned) over the taus of pi's degree, taus ascending,
+    pi given by its growth string: the numerators over (n-1)! of the sum over
+    sigma >= pi join tau of mu(pi, sigma) mu(tau, sigma) / mu(bottom, sigma), and of
+    the same sum over |mu(bottom, sigma)|.  Only a tau with a nonzero signed numerator
+    keeps its string and that numerator; ``unsigned`` holds every tau's, zeros included.
     One walk keeps pi join tau as a union-find over pi's blocks; each root's code
     (a*B + b)*B + c counts its blocks of pi and of tau and its elements, B = n + 1, so
     merged codes add and sorted codes key both sums, read at each leaf from one table."""
@@ -381,7 +400,7 @@ def join_walk(rgs: Sequence[int]) -> tuple[list, list, list]:
     code = [base * base + rgs.count(v) for v in parent]
     codes = sorted(code)
     tau, owner = [0] * n, []  # owner[v]: pi's block holding the first element of tau's block v
-    taus, signed, unsigned = [], [], []  # one entry per leaf in each
+    taus, signed, unsigned = [], [], []  # one string per nonzero signed leaf
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -395,9 +414,10 @@ def join_walk(rgs: Sequence[int]) -> tuple[list, list, list]:
 
     def walk(i: int) -> None:
         if i == n:
-            taus.append(tuple(tau))
             s, u = _join_weight(tuple(codes), base)
-            signed.append(s)
+            if s:
+                taus.append(tuple(tau))
+                signed.append(s)
             unsigned.append(u)
             return
         r = find(rgs[i])

@@ -423,7 +423,8 @@ def _m_inverse_by_gauss_jordan(basis: str, n: int) -> tuple[int, dict]:
     rank = _row_reduce(aug, len(ps))
     inverse = zip(*(row[len(ps):] for row in aug))  # column mu: m_mu in the basis
     cols = ([(v, ((lam, 1),), 1) for lam, v in zip(ps, col) if v] for col in inverse)
-    return rank, {mu: (tuple(p), d) for mu, (p, d) in zip(ps, map(_over_one_denominator, cols))}
+    solved = zip(ps, map(_over_one_denominator, cols))
+    return rank, {mu: (tuple(p.items()), d) for mu, (p, d) in solved}
 
 
 def _kostka_by_enumeration(lam: IntPartition, mu: IntPartition) -> int:

@@ -8,6 +8,7 @@ m against h.  The production code must give equal results, in canonical form
 (int or Fraction coefficients, no zeros), on every input up to the sizes below.
 """
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -19,7 +20,6 @@ from ncsym.classical import (
     SymElement,
     _basis_m_coeffs,
     _m_inverse,
-    _matrix_count,
     sym_convert,
     sym_inner,
 )
@@ -59,13 +59,28 @@ def reference_pair_m_h(fm, gh):
 
 
 @lru_cache(maxsize=None)
+def reference_matrix_count(basis, rows, cols):
+    """Matrices with these row and column sums whose rows take 0/1 entries (e), any
+    entries (h) or one nonzero entry (p), filled row by row: the coefficient of m_cols
+    in basis_rows, which production reads off the Kostka numbers for e and h."""
+    if not rows:
+        return 1
+    r = rows[0]
+    entries = {"e": (0, 1), "h": range(r + 1), "p": (0, r)}[basis]
+    total = 0
+    for row in itertools.product(*([x for x in entries if x <= c] for c in cols)):
+        if sum(row) == r:
+            left = sorted((c - x for c, x in zip(cols, row) if c > x), reverse=True)
+            total += reference_matrix_count(basis, rows[1:], tuple(left))
+    return total
+
+
+@lru_cache(maxsize=None)
 def reference_basis_m_coeffs(basis, lam):
     if basis == "m":
         return ((lam, Fraction(1)),)
-    coeffs = (
-        (mu, kostka(lam, mu) if basis == "s" else _matrix_count(basis, lam.parts, mu.parts))
-        for mu in int_partitions(lam.n)
-    )
+    count = lambda mu: reference_matrix_count(basis, lam.parts, mu.parts)
+    coeffs = ((mu, kostka(lam, mu) if basis == "s" else count(mu)) for mu in int_partitions(lam.n))
     return tuple((mu, Fraction(c)) for mu, c in coeffs if c)
 
 
@@ -161,6 +176,44 @@ def test_inner_matches_the_two_sided_route_on_mixed_elements():
         assert inner(elements[i], elements[j]) == reference_pair_m_h(in_m[i], in_h[j])
 
 
+def canonical_sum(elements):
+    """key -> the sum of the elements' coefficients, zeros dropped, an int when integral."""
+    total = {}
+    for g in elements:
+        for key, c in g.terms.items():
+            total[key] = total.get(key, Fraction(0)) + c
+    return {key: c.numerator if c.denominator == 1 else c for key, c in total.items() if c}
+
+
+def test_multi_term_conversions_and_pairings_are_sums_over_single_symbols():
+    """The summing pass against the one-symbol path: seeded 1-5-term elements of
+    each degree n <= 6 in every basis, for all 12 ordered pairs."""
+    rng = random.Random(2002)
+    for n in range(7):
+        pool = set_partitions(n)
+
+        def element(basis, size):
+            picks = rng.sample(pool, min(size, len(pool)))
+            coeffs = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in picks)
+            return NCSymElement(basis, dict(zip(picks, coeffs)))
+
+        for b, t in PAIRS:
+            for size in range(1, 6):
+                f, g = element(b, size), element(t, size)
+                got = convert(f, t).terms
+                singles = (convert(NCSymElement(b, {pi: c}), t) for pi, c in f.terms.items())
+                want = canonical_sum(singles)
+                assert got == want, (f, t)
+                assert [type(got[key]) for key in want] == list(map(type, want.values())), (f, t)
+                pairings = (
+                    c * d * inner(NCSymElement(b, {pi: 1}), NCSymElement(t, {sigma: 1}))
+                    for pi, c in f.terms.items()
+                    for sigma, d in g.terms.items()
+                )
+                value = inner(f, g)
+                assert value == sum(pairings, Fraction(0)) and type(value) is Fraction, (f, g)
+
+
 def sym_symbols(n):
     return [SymElement(b, {lam: 1}) for b in SYM_BASES for lam in int_partitions(n)]
 
@@ -199,6 +252,15 @@ def test_sym_inner_matches_the_two_sided_route_on_every_symbol_pair(n):
         got = sym_inner(f, g)
         assert got == reference_sym_inner(f, g), (f, g)
         assert type(got) is Fraction
+
+
+def test_forward_columns_match_the_matrix_counts_to_degree_9():
+    # e and h come from the Kostka numbers, p from its own count: each against the full count
+    for n in range(10):
+        for b, lam in itertools.product("peh", int_partitions(n)):
+            want = tuple((mu, int(c)) for mu, c in reference_basis_m_coeffs(b, lam))
+            got = _basis_m_coeffs(b, lam)
+            assert got == want and all(type(c) is int for _, c in got), (b, lam)
 
 
 def test_commutative_tables_hold_integer_numerators():

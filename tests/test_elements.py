@@ -9,6 +9,7 @@ import ncsym.elements
 from ncsym.classical import SymElement
 from ncsym.elements import (
     NCSymElement,
+    _every_partition,
     _join_leaves,
     _matchings,
     _merges,
@@ -442,6 +443,23 @@ def test_monomial_to_e_and_h_walk_the_join_once(monkeypatch):
     e, h = convert(f, "e"), convert(f, "h")
     assert walks == [P("13/24").rgs]
     assert (e, h) == (convert(convert(f, "p"), "e"), convert(convert(f, "p"), "h"))
+
+
+def test_h_to_m_and_m_to_h_share_one_key_tuple_per_degree():
+    # both sum over every partition of [n], so every expansion of one degree holds one tuple
+    _symbol_expansion.cache_clear()
+    for n in range(6):
+        pool = set_partitions(n)
+        keys = _symbol_expansion("h", "m", pool[0])[0]
+        assert keys == tuple(pool)
+        for pi, sigma in itertools.product(pool, repeat=2):
+            assert _symbol_expansion("h", "m", pi)[0] is _symbol_expansion("m", "h", sigma)[0]
+    size = _every_partition.cache_info().maxsize
+    assert size is not None
+    _every_partition.cache_clear()
+    for n in range(size + 1):  # one degree past the budget; degree 9 stays unbuilt for others
+        _every_partition(n)
+    assert _every_partition.cache_info().currsize == size
 
 
 def test_bottom_monomial_is_top_elementary_to_degree_9():

@@ -18,6 +18,7 @@ from ncsym.setpartitions import (
     growth_strings,
     join_walk,
     lower_sums,
+    meet_bottom_walk,
     meet_walk,
     mobius,
     mobius_bottom,
@@ -280,19 +281,23 @@ def test_computed_partitions_are_canonical():
 
 def test_enumerators_yield_canonical_growth_strings_in_order():
     """Every basis-change walk hands its strings straight to the trusted
-    builder, so each must be canonical and the strings strictly ascending."""
+    builder, so each must be canonical and the strings strictly ascending; a
+    walk over every partition of [n] returns one int numerator per partition."""
     checked = set()
     for n in range(7):
         for p in set_partitions(n):
             taus, signed, unsigned = join_walk(p.rgs)
+            assert len(taus) == len(signed) and all(signed), p
             walks = {
                 "upper_interval": list(upper_interval(p.rgs)),
-                "meet_walk": meet_walk(p.rgs, bottom_only=False),
-                "meet_walk bottom_only": meet_walk(p.rgs, bottom_only=True),
+                "meet_bottom_walk": [(s, 1) for s in meet_bottom_walk(p.rgs)],
                 "lower_sums": lower_sums(p.rgs, lambda k, mu: k * mu),
                 "join_walk": list(zip(taus, signed)),
-                "join_walk unsigned": list(zip(taus, unsigned)),
             }
+            every = {"meet_walk": meet_walk(p.rgs), "join_walk unsigned": unsigned}
+            for name, nums in every.items():
+                assert len(nums) == bell_number(n), (name, p)
+                assert all(type(c) is int for c in nums), (name, p)
             for name, pairs in walks.items():
                 strings = [s for s, _ in pairs]
                 assert strings and all(type(c) is int for _, c in pairs), (name, p)
@@ -302,6 +307,13 @@ def test_enumerators_yield_canonical_growth_strings_in_order():
                     assert type(s) is tuple and SetPartition.from_labels(s).rgs == s, (name, p, s)
                     _assert_canonical(SetPartition._from_rgs(s))
                     checked.add(s)
+
+
+def test_join_walk_keeps_strings_only_for_nonzero_signed_numerators():
+    # m of the bottom is e of the top alone: one string, yet every tau's unsigned numerator
+    taus, signed, unsigned = join_walk(SetPartition.bottom(8).rgs)
+    assert (taus, signed) == ([(0,) * 8], [5040])
+    assert len(unsigned) == bell_number(8) == 4140
 
 
 def test_sizes_must_be_nonnegative_ints():
