@@ -3,17 +3,17 @@
 An element is a sparse rational linear combination of basis symbols b_pi,
 one basis tag among m/p/e/h, with set partitions of possibly several sizes
 (the element is a finite sum of homogeneous components).  Basis changes sum
-over the interval above a partition, the interval below it, or every partition
-with its meet or join with it, on restricted growth strings with Mobius numbers
-in closed form; no lattice tables are built.  All coefficients are exact
-rationals; floats are never introduced.
+over the interval below a partition or every partition with its meet or join
+with it, on growth strings with Mobius numbers in closed form, and read the
+interval above pi, the partitions of its blocks, off one-block expansions; no
+lattice tables are built.  Coefficients are exact rationals, never floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import factorial
 from operator import itemgetter
 from typing import Sequence
 
@@ -24,7 +24,6 @@ from .combination import (
 from .intpartitions import IntPartition, _expect
 from .setpartitions import (
     SetPartition,
-    _refinements,
     check_permutation,
     join_walk,
     lower_sums,
@@ -34,7 +33,6 @@ from .setpartitions import (
     mobius_bottom_top,
     partitions_of_type,
     set_partitions,
-    upper_interval,
 )
 
 NC_BASES = ("m", "p", "e", "h")
@@ -81,12 +79,12 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     """Expansion of basis_pi in the target basis as (sigmas, integer numerators,
     one denominator).
 
-    The twelve ordered pairs share seven walks per pi, each a direct summation
-    formula, so no conversion routes through an intermediate basis; agreement
-    between alternative routes is checked by the verification suites instead.
-    m->p, e->m, h->m, e->p, p->e and e->h each walk an interval above or below
-    pi or every sigma with its meet statistic, and one join walk gives m->e and
-    m->h together; h->m and m->h, over every partition of [n], share one key tuple.
+    The twelve ordered pairs share six walks per pi, each a direct summation
+    formula; the verification suites check that alternative routes agree.  e->m,
+    h->m, e->p, p->e and e->h each walk the interval below pi or every sigma with
+    its meet statistic; one join walk gives m->e and m->h; h->m and m->h share one
+    key tuple.  m->p relabels e->p of the one-block partition of degree l(pi) through
+    pi's blocks: sigma >= pi merges them by a partition r, and mu(pi, sigma) = mu(bottom, r).
     The other four are read off a sibling in one pass and share its keys: p->m is
     m->p with every numerator 1, h->p is e->p with |mu|, p->h is p->e over
     |mu(bottom, pi)|, and h->e is e->h.  The sums run on growth strings without
@@ -111,15 +109,16 @@ def _symbol_expansion(basis: str, target: str, pi: SetPartition) -> tuple:
     if pair == ("e", "m"):  # every numerator is 1
         keys = tuple(map(make, meet_bottom_walk(pi.rgs)))
         return keys, (1,) * len(keys), 1
+    if pair == ("m", "p"):  # r runs over the partitions of pi's blocks, ascending
+        rs, mus, _ = _symbol_expansion("e", "p", make((0,) * pi.length))
+        return tuple([make(tuple([r.rgs[x] for x in pi.rgs])) for r in rs]), mus, 1
     if pair in (("m", "e"), ("m", "h")):  # e keeps the taus with a nonzero signed numerator
         taus, signed, unsigned = _join_leaves(pi)
         keys = tuple(map(make, taus)) if target == "e" else _every_partition(pi.n)
         return keys, tuple(signed if target == "e" else unsigned), factorial(max(pi.n - 1, 0))
 
     scale = 1  # the numerators below are the coefficients times scale
-    if pair == ("m", "p"):
-        pairs = upper_interval(pi.rgs)
-    elif pair == ("e", "p"):
+    if pair == ("e", "p"):
         pairs = lower_sums(pi.rgs, lambda _, mu: mu)
     elif pair == ("p", "e"):
         scale = mobius_bottom(pi.rgs)
@@ -163,23 +162,19 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
 
 def omega(f: NCSymElement) -> NCSymElement:
     """The involution with omega(e_pi) = h_pi; p_pi is an eigenvector of sign(pi),
-    and m_pi goes to sign(pi) * sum over tau >= pi of lam(pi, tau)! m_tau."""
+    and m_pi goes to sign(pi) * sum over tau >= pi of lam(pi, tau)! m_tau: tau merges
+    pi's blocks by a partition r, m->p's keys, and lam(pi, tau)! is h->m's numerator
+    of r under the one-block partition of degree l(pi), in the same order."""
     _expect(NCSymElement, f)
     if f.basis in ("e", "h"):
         return NCSymElement._make("h" if f.basis == "e" else "e", f.terms.items())
     if f.basis == "p":
         return NCSymElement._make("p", ((pi, c * pi.sign) for pi, c in f.terms.items()))
-    expansions = ((c, _omega_monomial(pi), 1) for pi, c in f.terms.items())
+    make, expansions = SetPartition._from_rgs, []
+    for pi, c in f.terms.items():
+        lams = _symbol_expansion("h", "m", make((0,) * pi.length))[1]
+        expansions.append((c * pi.sign, zip(_symbol_expansion("m", "p", pi)[0], lams), 1))
     return NCSymElement._make_distinct("m", *_over_one_denominator(expansions))
-
-
-def _omega_monomial(pi: SetPartition):
-    """omega(m_pi) = sign(pi) * sum over tau >= pi of lam(pi, tau)! m_tau, as (tau,
-    integer) pairs: tau merges pi's blocks by a partition r of them, and lam(pi, tau)!
-    is the product of the factorials of r's block sizes."""
-    sign, rgs, make = pi.sign, pi.rgs, SetPartition._from_rgs
-    for r, _ in _refinements(pi.length):
-        yield make(tuple([r[x] for x in rgs])), sign * prod(factorial(r.count(v)) for v in set(r))
 
 
 def project(f: NCSymElement) -> SymElement:

@@ -288,20 +288,6 @@ def mobius_bottom(rgs: Sequence[int]) -> int:
 Pairs = list[tuple[tuple[int, ...], int]]
 
 
-@lru_cache(maxsize=None)
-def _refinements(a: int) -> tuple:
-    """(r, mu(bottom, r)) per partition r of [a], ascending: the lower interval of
-    the one-block partition, whose walk already carries mu(bottom, r)."""
-    return tuple(lower_sums((0,) * a, lambda _, mu: mu))
-
-
-def upper_interval(rgs: Sequence[int]):
-    """(growth string, mu(pi, sigma)) for each sigma >= pi, pi given by its growth
-    string: sigma is a partition r of pi's blocks, and mu(pi, sigma) = mu(bottom, r)."""
-    for r, mu in _refinements(max(rgs, default=-1) + 1):
-        yield tuple([r[x] for x in rgs]), mu
-
-
 def lower_sums(rgs: Sequence[int], weight: Callable[[int, int], int]) -> Pairs:
     """(growth string of tau, the product over the blocks B of sigma of weight(blocks
     of tau in B, mu(bottom, tau restricted to B))) for every tau <= sigma, taus

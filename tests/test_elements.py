@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,14 @@ from ncsym.elements import (
 )
 from ncsym.intpartitions import IntPartition, int_partitions, kostka
 from ncsym.macmahon import MultiPolynomial, Truncation
-from ncsym.setpartitions import SetPartition, join_walk, partitions_of_type, set_partitions
+from ncsym.setpartitions import (
+    SetPartition,
+    growth_strings,
+    join_walk,
+    mobius_bottom,
+    partitions_of_type,
+    set_partitions,
+)
 from ncsym.verify import _expansion_by_lattice_tables, _pairs_up_to, lattice, oracle_product
 from ncsym.words import WordPolynomial, equal
 
@@ -127,6 +134,46 @@ def test_omega_on_m_matches_the_route_through_p():
                 assert got == want, (pi, c)
                 types = [{k: type(v) for k, v in g.terms.items()} for g in (got, want)]
                 assert types[0] == types[1], (pi, c)
+
+
+def _block_factorials(r):
+    return prod(factorial(r.count(v)) for v in set(r))
+
+
+def test_upper_interval_routes_match_the_sums_over_the_blocks():
+    """m->p and omega on m against the sums over [pi, top] they replaced, built from
+    the partitions r of pi's blocks: sigma merges them by r, mu(pi, sigma) = mu(bottom, r)
+    and lam(pi, sigma)! is the product of the factorials of r's block sizes."""
+    blocks = {}  # l -> the partitions r of l blocks, mu(bottom, r) and r's block factorials
+    for a in range(8):
+        rs = growth_strings(a)
+        blocks[a] = rs, list(map(mobius_bottom, rs)), list(map(_block_factorials, rs))
+    for n in range(8):
+        for pi in set_partitions(n):
+            rs, mus, lams = blocks[pi.length]
+            sigmas = [SetPartition._from_rgs(tuple([r[x] for x in pi.rgs])) for r in rs]
+            keys, nums, den = _symbol_expansion("m", "p", pi)
+            assert (list(keys), list(nums), den) == (sigmas, mus, 1), pi
+            assert all(type(v) is int for v in nums) and type(den) is int, pi
+            for c in (1, -3, Fraction(3, 2)):
+                want = [c * pi.sign * lam for lam in lams]
+                want = [v.numerator if v.denominator == 1 else v for v in want]
+                got = omega(NCSymElement("m", {pi: c})).terms
+                assert list(got.items()) == list(zip(sigmas, want)), (pi, c)
+                assert list(map(type, got.values())) == list(map(type, want)), (pi, c)
+
+
+def test_one_block_expansions_carry_mobius_and_block_factorials():
+    """e->p and h->m of the one-block partition, which m->p and omega on m read:
+    mobius_bottom and the block-size factorials of every growth string, in order."""
+    for a in range(9):
+        strings = growth_strings(a)
+        keys, mus, den = _symbol_expansion("e", "p", SetPartition.top(a))
+        assert [k.rgs for k in keys] == strings and den == 1, a
+        assert mus == tuple(map(mobius_bottom, strings)), a
+        keys, lams, den = _symbol_expansion("h", "m", SetPartition.top(a))
+        assert [k.rgs for k in keys] == strings and den == 1, a
+        assert lams == tuple(map(_block_factorials, strings)), a
 
 
 def test_project_paper_images():

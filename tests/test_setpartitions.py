@@ -9,11 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncsym.elements import _symbol_expansion
 from ncsym.intpartitions import IntPartition, int_partitions
 from ncsym.setpartitions import (
     GroundSetError,
     SetPartition,
-    _refinements,
     bell_number,
     growth_strings,
     join_walk,
@@ -21,10 +21,8 @@ from ncsym.setpartitions import (
     meet_bottom_walk,
     meet_walk,
     mobius,
-    mobius_bottom,
     partitions_of_type,
     set_partitions,
-    upper_interval,
 )
 from ncsym.verify import lattice
 
@@ -282,14 +280,16 @@ def test_computed_partitions_are_canonical():
 def test_enumerators_yield_canonical_growth_strings_in_order():
     """Every basis-change walk hands its strings straight to the trusted
     builder, so each must be canonical and the strings strictly ascending; a
-    walk over every partition of [n] returns one int numerator per partition."""
+    walk over every partition of [n] returns one int numerator per partition.
+    m->p builds its strings from the one-block e->p keys, so it is held the same."""
     checked = set()
     for n in range(7):
         for p in set_partitions(n):
             taus, signed, unsigned = join_walk(p.rgs)
             assert len(taus) == len(signed) and all(signed), p
+            keys, nums, _ = _symbol_expansion("m", "p", p)
             walks = {
-                "upper_interval": list(upper_interval(p.rgs)),
+                "m->p": [(k.rgs, c) for k, c in zip(keys, nums)],
                 "meet_bottom_walk": [(s, 1) for s in meet_bottom_walk(p.rgs)],
                 "lower_sums": lower_sums(p.rgs, lambda k, mu: k * mu),
                 "join_walk": list(zip(taus, signed)),
@@ -374,11 +374,12 @@ def test_copies_and_pickles_are_the_object_itself():
 
 
 def test_threads_building_the_same_new_values_get_one_object():
-    """Eight threads build the same degree-9 partitions, none built before, at once."""
+    """Eight threads build the same 4000 new partitions at once: degree-8 growth
+    strings, each followed by 22 singleton blocks, which no other code builds."""
     from ncsym.setpartitions import _INTERNED
 
-    fresh = [rgs for rgs in growth_strings(9) if rgs not in _INTERNED][:4000]
-    assert fresh
+    fresh = [r + tuple(range(max(r) + 1, max(r) + 23)) for r in growth_strings(8)[:4000]]
+    assert len(fresh) == 4000 and not any(rgs in _INTERNED for rgs in fresh)
     start = threading.Barrier(8)
 
     def build():
@@ -424,10 +425,3 @@ def test_growth_strings_are_every_restricted_string_in_order():
             if all(v <= max(t[:i], default=-1) + 1 for i, v in enumerate(t))
         ]
         assert growth_strings(n) == want
-
-
-def test_refinements_read_mobius_off_the_one_block_walk():
-    """The lower walk of the one-block partition against the route it replaced:
-    mobius_bottom of every growth string, in growth-string order."""
-    for a in range(9):
-        assert _refinements(a) == tuple((r, mobius_bottom(r)) for r in growth_strings(a)), a
