@@ -10,6 +10,8 @@ function that brings (variable, exponent) pairs into that form, and
 is one int packed by ``_layout``, so a product is one integer addition.
 The degree-n slice of multidegree [1,...,1] maps onto words in noncommuting
 variables by reading, for each alphabet in order, the subscript it uses.
+A shape's tableau sum is the complete generator with each term x^A scaled by
+the Kostka number K(lam, content(A)), content(A) being A's row sums sorted.
 ``cauchy_check`` compares the two sides of the pairing (Cauchy-type) identity
 as packed codes, so the packed layout is known to this module alone.
 """
@@ -19,15 +21,16 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial
+from itertools import chain, permutations, product
+from math import comb
 from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination, ParseError, _Scanner
-from .intpartitions import IntPartition, _expect, ascii_int, int_partitions, weak_compositions
+from .intpartitions import (
+    IntPartition, _expect, _kostka, ascii_int, int_partitions, weak_compositions
+)
 from .setpartitions import SetPartition
-from .tableaux import _fillings
 
 Monomial = tuple[tuple[tuple[int, int], int], ...]
 
@@ -326,41 +329,54 @@ def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     return mm_monomial(VectorPartition([t]), trunc)
 
 
+def _generator_groups(t: tuple[int, ...], variables: int, most: int) -> dict:
+    """``_mm_generator``'s terms as content -> [(monomial, coefficient)], a content
+    being the subscripts' nonzero letter counts, decreasing.  Each subscript takes a
+    vector v up to what t still needs, counted by its orderings, and a node steps
+    straight to each later subscript with a nonzero v, so each monomial is built sorted."""
+    groups: dict = {}
+
+    def rec(first: int, left: tuple[int, ...], size: int, mono: Monomial, coeff: int, counts):
+        if not size:
+            groups.setdefault(tuple(sorted(counts, reverse=True)), []).append((mono, coeff))
+            return
+        for i in range(first, variables + 1):
+            room = most * (variables - i)  # what the subscripts after i can hold
+            if size > room + most:
+                break
+            for letters, rest, orderings, k in _letter_vectors(left, most):
+                if size - k <= room:
+                    mono_i = mono + tuple([((i, j), x) for j, x in letters])
+                    rec(i + 1, rest, size - k, mono_i, coeff * orderings, counts + (k,))
+
+    rec(1, t, sum(t), (), 1, ())
+    return groups
+
+
+# the groups a shape's tableau sum reads: one table per (multidegree, subscripts, longest row)
+_content_groups = lru_cache(maxsize=256)(_generator_groups)
+
+
 @lru_cache(maxsize=None)
 def _mm_generator(t: tuple[int, ...], variables: int, most: int) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over vectors v
-    of at most ``most`` alphabet letters, at cap |t|: it is homogeneous, so no cap changes it.
-
-    Subscripts 1, 2, ... each take such a vector up to what t still needs,
-    the zero vector included, and v counts with its number of orderings.
-    Each monomial comes from one choice of vectors, so it is built sorted.
-    """
-    terms: list[tuple[Monomial, int]] = []
-
-    def rec(i: int, left: tuple[int, ...], mono: Monomial, coeff: int):
-        if not any(left):
-            terms.append((mono, coeff))
-        elif sum(left) <= most * (variables - i + 1):
-            for letters, rest, orderings in _letter_vectors(left, most):
-                rec(i + 1, rest, mono + tuple(((i, j), x) for j, x in letters), coeff * orderings)
-
-    rec(1, t, (), 1)
+    of at most ``most`` alphabet letters, at cap |t|: it is homogeneous, so no cap changes it."""
+    terms = chain.from_iterable(_generator_groups(t, variables, most).values())
     return MultiPolynomial._make(Truncation(len(t), variables, sum(t)), terms)
 
 
 @lru_cache(maxsize=None)
 def _letter_vectors(left: tuple[int, ...], most: int) -> tuple:
-    """Each vector v up to ``left`` with at most ``most`` letters, as its
-    (alphabet, count) pairs, left - v and the number of orderings of v."""
-    out = []
-    for v in product(*(range(min(r, most) + 1) for r in left)):
-        if sum(v) <= most:
-            orderings = factorial(sum(v))
-            for x in v:
-                orderings //= factorial(x)
-            letters = tuple((j, x) for j, x in enumerate(v, 1) if x)
-            out.append((letters, tuple(r - x for r, x in zip(left, v)), orderings))
-    return tuple(out)
+    """Each nonzero vector v up to ``left`` with at most ``most`` letters, as its
+    (alphabet, count) pairs, left - v, the number of orderings of v and |v|."""
+    out = [((), (), 1, 0)]  # one alphabet at a time, the count never passing most
+    for j, r in enumerate(left, 1):
+        out = [
+            (letters + ((j, x),) if x else letters, rest + (r - x,), ways * comb(k + x, x), k + x)
+            for letters, rest, ways, k in out
+            for x in range(min(r, most - k) + 1)
+        ]
+    return tuple(vector for vector in out if vector[3])
 
 
 def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
@@ -451,13 +467,20 @@ def schur_tableau_sum(
 
 
 def _tableau_sum(lam: IntPartition, vec_m: tuple | None, trunc: Truncation) -> MultiPolynomial:
-    """``schur_tableau_sum`` unchecked, and over every multidegree when vec_m
-    is None: one walk over the fillings, building no tableau.  A filling's
-    code is the sum of its cells' codes, and each distinct one is decoded once."""
-    layout = unit, _, _ = _layout(*trunc)
-    cell = lambda *v: unit.get(v, 0)  # value 0 and class 0 are in the walk's table too
-    counts = Counter(map(sum, _fillings(lam.parts, trunc.variables, trunc.alphabets, vec_m, cell)))
-    return MultiPolynomial._make(trunc, ((_unpack(m, layout), c) for m, c in counts.items()))
+    """``schur_tableau_sum`` unchecked, and over every multidegree when vec_m is None.
+    By value a dotted tableau is semistandard with free dots, so x^A has coefficient
+    K(lam, content(A)) times the multinomials of A's rows, its coefficient in the
+    complete generator; a value fills a horizontal strip, at most lam_1 cells."""
+    most = max(lam.parts, default=0)
+    slices = (vec_m,) if vec_m is not None else weak_compositions(lam.n, trunc.alphabets)
+    terms = (
+        (mono, k * c)
+        for t in slices
+        for mu, group in _content_groups(t, trunc.variables, most).items()
+        if (k := _kostka(lam.parts, mu))
+        for mono, c in group
+    )
+    return MultiPolynomial._make(trunc, terms)
 
 
 @lru_cache(maxsize=None)
@@ -541,9 +564,10 @@ class CauchyReport(NamedTuple):
 def cauchy_check(x_trunc: Truncation, y_trunc: Truncation, degree: int) -> CauchyReport:
     """Compare, degree by degree, the two sides of the pairing identity.
 
-    Left side: over each x-degree m <= degree, the sum over shapes of the
+    Left side: over each x-degree m <= degree, the sum over shapes lam of the
     tableau generating function in the x variables times the one in the y
-    variables.  Right side: the product over subscript pairs (i, j) of the
+    variables, each K(lam, mu) times the complete generator's terms of content mu,
+    over mu.  Right side: the product over subscript pairs (i, j) of the
     geometric series in z_ij = sum_{k,l} x_i^(k) y_j^(l), up to z_ij^degree.
 
     Both sides are packed polynomials in one joint truncation: x keeps its

@@ -129,10 +129,10 @@ class DottedTableau:
         return f"<DottedTableau {self.undotted()}>"
 
 
-def _fillings(lengths: Sequence[int], max_value: int, classes: int, budget, entry) -> Iterator:
+def _fillings(lengths: Sequence[int], max_value: int, classes: int, budget) -> Iterator:
     """The fillings ``dotted_tableaux`` walks, budget[c - 1] entries in class c
     (any number when budget is None), each as one flat row-order list of
-    ``entry(value, class)``; the list is reused, so read it before the next."""
+    entries; the list is reused, so read it before the next."""
     n = sum(lengths)
     # per cell: its left and upper neighbours (n if none: values[n] is 0), its largest value
     near, top = [], []
@@ -140,7 +140,7 @@ def _fillings(lengths: Sequence[int], max_value: int, classes: int, budget, entr
         for c in range(length):
             near.append((len(top) - 1 if c else n, len(top) - lengths[r - 1] if r else n))
             top.append(max_value - sum(1 for below in lengths[r + 1 :] if below > c))
-    table = [[entry(v, d) for d in range(classes + 1)] for v in range(max_value + 1)]
+    table = [[DottedEntry(v, d) for d in range(classes + 1)] for v in range(max_value + 1)]
     counts = list(budget) if budget is not None else [n] * classes
     cells: list = [None] * n
     values = [0] * (n + 1)
@@ -184,7 +184,7 @@ def dotted_tableaux(
     spans = list(zip(shape.parts, accumulate(shape.parts)))
     return (
         DottedTableau._make([cells[end - length : end] for length, end in spans], shape)
-        for cells in _fillings(shape.parts, max_value, classes, budget, DottedEntry)
+        for cells in _fillings(shape.parts, max_value, classes, budget)
     )
 
 

@@ -652,7 +652,7 @@ def test_only_verify_loads_the_verify_module():
     ):  # rsk's exact module set is pinned by test_rsk_loads_the_dotted_layer_alone
         code, modules = loaded(argv)
         assert code == 0 and "ncsym.macmahon" in modules, argv
-        assert "ncsym.verify" not in modules, argv
+        assert "ncsym.verify" not in modules and "ncsym.tableaux" not in modules, argv
         assert not modules & ncsym_layer, argv
     code, modules = loaded(["verify", "product", "--max-n", "2"])
     assert code == 0 and "ncsym.verify" in modules

@@ -11,10 +11,12 @@ from ncsym.macmahon import (
     Truncation,
     TruncationError,
     VectorPartition,
+    _content_groups,
     _jt_determinant,
     _layout,
     _letter_vectors,
     _mm_generator,
+    _tableau_sum,
     _unpack,
     cauchy_check,
     jacobi_trudi,
@@ -23,6 +25,7 @@ from ncsym.macmahon import (
     mm_monomial,
     mm_multiplicative,
     mm_power,
+    mono_multidegree,
     monomial,
     phi_collect,
     phi_from_set_partition,
@@ -32,7 +35,7 @@ from ncsym.macmahon import (
 )
 from ncsym.setpartitions import SetPartition, set_partitions
 from ncsym.tableaux import DottedTableau, dot_swap_involution, dotted_tableaux
-from ncsym.verify import _jt_by_permutation_expansion
+from ncsym.verify import _jt_by_permutation_expansion, _tableau_sum_by_cell_walk
 
 IP = IntPartition
 
@@ -147,6 +150,33 @@ def test_schur_tableau_sum_validation():
         schur_tableau_sum(IP((2,)), (1,), Truncation(1, 2, 2))
     with pytest.raises(TruncationError):
         schur_tableau_sum(IP((3,)), (3, 0), Truncation(2, 3, 2))
+
+
+@pytest.mark.parametrize("n", [5, 6])  # the verify check of the same name stops at n = 4
+def test_tableau_sums_match_the_cell_walk(n):
+    for lam in int_partitions(n):
+        for alphabets, variables in itertools.product(range(1, 7), repeat=2):
+            if alphabets * variables > 6:
+                continue
+            tr = Truncation(alphabets, variables, n)
+            every, want = _tableau_sum(lam, None, tr).terms, _tableau_sum_by_cell_walk(lam, tr)
+            assert every == want and {type(c) for c in every.values()} <= {int}, (lam, tr)
+            slices = {}  # the walk over every multidegree, split by multidegree
+            for m, c in want.items():
+                slices.setdefault(mono_multidegree(m, alphabets), {})[m] = c
+            for vec in weak_compositions(n, alphabets):
+                got = schur_tableau_sum(lam, vec, tr).terms
+                assert got == slices.get(vec, {}), (lam, tr, vec)
+                assert {type(c) for c in got.values()} <= {int}, (lam, tr, vec)
+
+
+def test_content_group_cache_stays_within_its_maxsize():
+    _content_groups.cache_clear()
+    size = _content_groups.cache_info().maxsize
+    assert size is not None
+    for variables in range(1, size + 11):  # the zero multidegree: one one-term table each
+        _content_groups((0,), variables, 1)
+    assert _content_groups.cache_info().currsize == size
 
 
 def test_dotted_tableau_invariants():
