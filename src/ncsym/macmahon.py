@@ -12,6 +12,8 @@ The degree-n slice of multidegree [1,...,1] maps onto words in noncommuting
 variables by reading, for each alphabet in order, the subscript it uses.
 A shape's tableau sum is the complete generator with each term x^A scaled by
 the Kostka number K(lam, content(A)), content(A) being A's row sums sorted.
+The Jacobi-Trudi determinant in h of a shape, or in e of its conjugate, is that
+tableau sum (Macdonald I.3), so ``jacobi_trudi`` reads it off the same groups.
 ``cauchy_check`` compares the two sides of the pairing (Cauchy-type) identity
 as packed codes, so the packed layout is known to this module alone.
 """
@@ -23,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import comb
-from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .combination import Combination, ParseError, _Scanner
@@ -329,11 +330,14 @@ def mm_power(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     return mm_monomial(VectorPartition([t]), trunc)
 
 
-def _generator_groups(t: tuple[int, ...], variables: int, most: int) -> dict:
-    """``_mm_generator``'s terms as content -> [(monomial, coefficient)], a content
-    being the subscripts' nonzero letter counts, decreasing.  Each subscript takes a
-    vector v up to what t still needs, counted by its orderings, and a node steps
-    straight to each later subscript with a nonzero v, so each monomial is built sorted."""
+@lru_cache(maxsize=256)  # one table per (multidegree, subscripts, letters per subscript)
+def _content_groups(t: tuple[int, ...], variables: int, most: int) -> dict:
+    """The coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over vectors v
+    of at most ``most`` letters, as content -> [(monomial, coefficient)], a content being
+    the subscripts' nonzero letter counts, decreasing; it is homogeneous, so no cap changes
+    it, and a monomial has one content, so the monomials of all groups are distinct.  Each
+    subscript takes a vector v up to what t still needs, counted by its orderings, and a node
+    steps straight to each later subscript with a nonzero v, so each monomial is built sorted."""
     groups: dict = {}
 
     def rec(first: int, left: tuple[int, ...], size: int, mono: Monomial, coeff: int, counts):
@@ -351,18 +355,6 @@ def _generator_groups(t: tuple[int, ...], variables: int, most: int) -> dict:
 
     rec(1, t, sum(t), (), 1, ())
     return groups
-
-
-# the groups a shape's tableau sum reads: one table per (multidegree, subscripts, longest row)
-_content_groups = lru_cache(maxsize=256)(_generator_groups)
-
-
-@lru_cache(maxsize=None)
-def _mm_generator(t: tuple[int, ...], variables: int, most: int) -> MultiPolynomial:
-    """Coefficient of the auxiliary degree t in prod_i sum_v x_i^v q^v, over vectors v
-    of at most ``most`` alphabet letters, at cap |t|: it is homogeneous, so no cap changes it."""
-    terms = chain.from_iterable(_generator_groups(t, variables, most).values())
-    return MultiPolynomial._make(Truncation(len(t), variables, sum(t)), terms)
 
 
 @lru_cache(maxsize=None)
@@ -383,14 +375,16 @@ def mm_elementary(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i (1 + sum_j x_i^(j) q_j):
     each subscript takes one letter or none."""
     t = _check_vector(t, trunc)
-    return MultiPolynomial._make(trunc, _mm_generator(t, trunc.variables, 1).terms.items())
+    groups = _content_groups(t, trunc.variables, 1).values()
+    return MultiPolynomial._make_distinct(trunc, dict(chain.from_iterable(groups)))
 
 
 def mm_complete(t: Sequence[int], trunc: Truncation) -> MultiPolynomial:
     """Coefficient of the auxiliary degree t in prod_i 1/(1 - sum_j x_i^(j) q_j):
     each subscript takes any number of letters (|t| bounds them all)."""
     t = _check_vector(t, trunc)
-    return MultiPolynomial._make(trunc, _mm_generator(t, trunc.variables, sum(t)).terms.items())
+    groups = _content_groups(t, trunc.variables, sum(t)).values()
+    return MultiPolynomial._make_distinct(trunc, dict(chain.from_iterable(groups)))
 
 
 _MM_GENERATORS = {"p": mm_power, "e": mm_elementary, "h": mm_complete}
@@ -470,62 +464,22 @@ def _tableau_sum(lam: IntPartition, vec_m: tuple | None, trunc: Truncation) -> M
     """``schur_tableau_sum`` unchecked, and over every multidegree when vec_m is None.
     By value a dotted tableau is semistandard with free dots, so x^A has coefficient
     K(lam, content(A)) times the multinomials of A's rows, its coefficient in the
-    complete generator; a value fills a horizontal strip, at most lam_1 cells."""
+    complete generator; a value fills a horizontal strip, at most lam_1 cells.  A
+    monomial has one multidegree and one content, so no two terms share a key; and a
+    shape with more rows than subscripts has no column-strict filling, so it is 0
+    before any group is read."""
+    if lam.length > trunc.variables:
+        return MultiPolynomial._make_distinct(trunc, {})
     most = max(lam.parts, default=0)
     slices = (vec_m,) if vec_m is not None else weak_compositions(lam.n, trunc.alphabets)
-    terms = (
-        (mono, k * c)
+    terms = {
+        mono: k * c
         for t in slices
         for mu, group in _content_groups(t, trunc.variables, most).items()
         if (k := _kostka(lam.parts, mu))
         for mono, c in group
-    )
-    return MultiPolynomial._make(trunc, terms)
-
-
-@lru_cache(maxsize=None)
-def _jt_determinant(
-    lam: IntPartition, variant: str, variables: int, vec_m: tuple[int, ...]
-) -> MultiPolynomial:
-    """The vec_m slice of the generator determinant at cap |vec_m|, one row at a time.
-
-    A state is (columns used, multidegree so far) and holds the signed sum of
-    the products over every way of reaching it, so the permutations share
-    their prefixes.  A complete state has degree |vec_m|, and a multidegree
-    that stays under vec_m with that sum is vec_m itself, so no product passes
-    the cap and the states' terms stay packed until the end.
-    """
-    size, k, trunc = lam.length, len(vec_m), Truncation(len(vec_m), variables, sum(vec_m))
-    layout = unit, _, _ = _layout(*trunc)
-
-    def pieces(degree: int) -> list:  # the pieces gen(t) of one entry that fit under vec_m
-        return [
-            (t, _packed(_mm_generator(t, variables, degree if variant == "h" else 1).terms, unit))
-            for t in (weak_compositions(degree, k) if degree >= 0 else ())  # below 0: none
-            if all(map(le, t, vec_m))
-        ]
-
-    rows = [[pieces(lam.parts[i] - i + j) for j in range(size)] for i in range(size)]
-    states = {(0, (0,) * k): {0: 1}}
-    for row in reversed(rows):  # the longest row last, where vec_m leaves one t per state
-        sums: dict = {}
-        for (used, deg), terms in states.items():
-            for j, entry in enumerate(row):
-                if used >> j & 1:
-                    continue
-                sign = -1 if bin(used % (1 << j)).count("1") % 2 else 1  # inversions below
-                for t, piece in entry:
-                    d = tuple(map(add, deg, t))
-                    if all(map(le, d, vec_m)):
-                        acc = sums.setdefault((used | 1 << j, d), {})
-                        for ma, ca in terms.items():
-                            ca *= sign
-                            for mb, cb in piece.items():
-                                m = ma + mb
-                                acc[m] = acc.get(m, 0) + ca * cb
-        states = {key: {m: c for m, c in acc.items() if c} for key, acc in sums.items()}
-    terms = ((_unpack(m, layout), c) for acc in states.values() for m, c in acc.items())
-    return MultiPolynomial._make(trunc, terms)
+    }
+    return MultiPolynomial._make_distinct(trunc, terms)
 
 
 def jacobi_trudi(
@@ -536,21 +490,16 @@ def jacobi_trudi(
 ) -> MultiPolynomial:
     """The vec_m slice of the determinant of complete (h) or elementary (e) sums.
 
-    Entry (i, j) sums the generator gen(t) over the vectors t of degree
-    lam_i - i + j; negative degree gives 0 and degree zero gives 1.  Only the
-    slice is computed: a piece with t above vec_m in some alphabet is dropped,
-    and so is a partial product whose multidegree leaves vec_m.  This is
-    exact, since multidegrees add under multiplication and never shrink.
-    The h variant produces the tableau generating function of the shape
-    itself, the e variant that of the conjugate shape.
+    Entry (i, j) is the sum of the generators gen(t) over the vectors t of
+    degree lam_i - i + j.  The h determinant is the tableau generating function
+    of the shape itself, the e determinant that of the conjugate shape
+    (Macdonald I.3), so the slice is read off ``_tableau_sum``; the literal
+    determinant stays in ``verify`` as the reference.
     """
     if variant not in ("h", "e"):
         raise ValueError(f"variant must be 'h' or 'e', got {variant!r}")
     vec_m = _check_shape(lam, vec_m, trunc)
-    if (lam if variant == "h" else lam.conjugate()).length > trunc.variables:
-        return MultiPolynomial._make(trunc, ())  # a column outgrows the subscripts: no tableau
-    terms = _jt_determinant(lam, variant, trunc.variables, vec_m).terms
-    return MultiPolynomial._make(trunc, terms.items())  # the slice's terms, under the caller's cap
+    return _tableau_sum(lam if variant == "h" else lam.conjugate(), vec_m, trunc)
 
 
 class CauchyReport(NamedTuple):

@@ -866,13 +866,14 @@ def suite_schur(max_n: int | None = None) -> Checks:
 
 
 def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
-    """Both determinants against tableau sums; one alphabet recovers the classics."""
+    """Both determinants against the cell walk's tableau sums, which share no code with
+    the Kostka route the determinants are read off; one alphabet recovers the classics."""
 
     def single_alphabet(m):
         tr1 = Truncation(1, m, m)
         for lam in int_partitions(m):
             det = jacobi_trudi(lam, (m,), "h", tr1)
-            yield (lam, "vs tableaux"), det, schur_tableau_sum(lam, (m,), tr1)
+            yield (lam, "vs tableaux"), det.terms, _tableau_sum_by_cell_walk(lam, tr1, (m,))
             # classical expansion through Kostka numbers in the same variables
             expected = [
                 (monomial(((i + 1, 1), e) for i, e in enumerate(arrangement)), coeff)
@@ -885,6 +886,9 @@ def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
 
     for m in range(1, _cap(5, max_n) + 1):
         tr = Truncation(2, m, m)
+        # each walk is the h side of its own case and the e side of its conjugate's
+        cases = list(itertools.product(int_partitions(m), weak_compositions(m, 2)))
+        walks = {(lam, vec): _tableau_sum_by_cell_walk(lam, tr, vec) for lam, vec in cases}
         # one pass serves both determinants: a case holds the h view, then the e view
         both = (
             f"jacobi_trudi.m{m}.h_determinant",
@@ -893,11 +897,10 @@ def suite_jacobi_trudi(max_n: int | None = None) -> Checks:
         yield both, (
             (
                 (lam, vec),
-                (jacobi_trudi(lam, vec, "h", tr), jacobi_trudi(lam, vec, "e", tr)),
-                (schur_tableau_sum(lam, vec, tr), schur_tableau_sum(lam.conjugate(), vec, tr)),
+                (jacobi_trudi(lam, vec, "h", tr).terms, jacobi_trudi(lam, vec, "e", tr).terms),
+                (walks[lam, vec], walks[lam.conjugate(), vec]),
             )
-            for lam in int_partitions(m)
-            for vec in weak_compositions(m, 2)
+            for lam, vec in cases
         )
         yield f"jacobi_trudi.m{m}.single_alphabet_reduces_to_classical", single_alphabet(m)
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,8 @@ from ncsym.macmahon import (
     TruncationError,
     VectorPartition,
     _content_groups,
-    _jt_determinant,
     _layout,
     _letter_vectors,
-    _mm_generator,
     _tableau_sum,
     _unpack,
     cauchy_check,
@@ -90,12 +89,12 @@ def test_mm_complete_does_not_depend_on_the_cap():
     for t in ((2, 1), (1, 1, 1), (3, 0)):
         for variables in (1, 2, 3):
             at_t = mm_complete(t, Truncation(len(t), variables, sum(t)))
-            cached = _letter_vectors.cache_info().currsize, _mm_generator.cache_info().currsize
+            cached = _letter_vectors.cache_info().currsize, _content_groups.cache_info().misses
             for cap in range(sum(t) + 1, sum(t) + 4):
                 tr = Truncation(len(t), variables, cap)
                 got = mm_complete(t, tr)
                 assert got.trunc == tr and got.terms == at_t.terms
-                now = _letter_vectors.cache_info().currsize, _mm_generator.cache_info().currsize
+                now = _letter_vectors.cache_info().currsize, _content_groups.cache_info().misses
                 assert now == cached, (t, cap)
 
 
@@ -165,9 +164,13 @@ def test_tableau_sums_match_the_cell_walk(n):
             for m, c in want.items():
                 slices.setdefault(mono_multidegree(m, alphabets), {})[m] = c
             for vec in weak_compositions(n, alphabets):
-                got = schur_tableau_sum(lam, vec, tr).terms
-                assert got == slices.get(vec, {}), (lam, tr, vec)
-                assert {type(c) for c in got.values()} <= {int}, (lam, tr, vec)
+                for got in (
+                    schur_tableau_sum(lam, vec, tr).terms,
+                    jacobi_trudi(lam, vec, "h", tr).terms,
+                    jacobi_trudi(lam.conjugate(), vec, "e", tr).terms,
+                ):
+                    assert got == slices.get(vec, {}), (lam, tr, vec)
+                    assert {type(c) for c in got.values()} <= {int}, (lam, tr, vec)
 
 
 def test_content_group_cache_stays_within_its_maxsize():
@@ -209,10 +212,17 @@ def test_dot_swap_involution_examples():
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
-def test_dot_swap_is_involution_and_trades_counts(size, verify_all):
-    # the check walks every size up to 4 and holds each image to the tableau
-    # constructor; the shapes are pinned by the column-scan reference
-    assert verify_all.checks["schur.dot_swap_involution"] == (True, "")
+def test_dot_swap_is_involution_and_trades_counts(size):
+    # every tableau of exactly this size, values <= 3 in 2 dot classes
+    for shape in int_partitions(size):
+        for tab in dotted_tableaux(shape, 3, 2):
+            for i in (1, 2):
+                image = dot_swap_involution(tab, i)
+                assert DottedTableau(image.rows).shape == image.shape == shape, (tab, i)
+                assert dot_swap_involution(image, i) == tab, (tab, i)
+                before, after = Counter(tab.entries()), Counter(image.entries())
+                for d in (1, 2):
+                    assert (after[i + 1, d], after[i, d]) == (before[i, d], before[i + 1, d])
 
 
 def test_subscript_swap_fixes_tableau_sums():
@@ -267,14 +277,13 @@ def test_jacobi_trudi_slice_does_not_depend_on_the_cap():
     lam, vec = IP((3, 2)), (3, 2)
     for variant in ("h", "e"):
         at_n = jacobi_trudi(lam, vec, variant, Truncation(2, 3, 5))
-        cached = _jt_determinant.cache_info().currsize, _mm_generator.cache_info().currsize
+        cached = _content_groups.cache_info().misses
         for cap in (6, 8):
             wider = Truncation(2, 3, cap)
             above_n = jacobi_trudi(lam, vec, variant, wider)
             assert above_n.trunc == wider
             assert above_n.terms == at_n.terms
-            now = _jt_determinant.cache_info().currsize, _mm_generator.cache_info().currsize
-            assert now == cached, (variant, cap)
+            assert _content_groups.cache_info().misses == cached, (variant, cap)
         reference = _jt_by_permutation_expansion(lam, variant, wider).extract_multidegree(vec)
         assert above_n == reference, variant
 
@@ -307,15 +316,15 @@ def test_jacobi_trudi_validation():
 def test_jacobi_trudi_of_a_shape_that_cannot_fit_is_zero_up_front():
     """More rows than variables (h), or a first row longer than the variables
     (e, whose determinant counts tableaux of the conjugate): no column-strict
-    filling exists, so the answer is 0 and no determinant is expanded."""
+    filling exists, so the answer is 0 and no content group is read."""
     tr = Truncation(2, 3, 6)
     for lam, variant in ((IP((2, 2, 1, 1)), "h"), (IP((4, 2)), "e")):
-        before = _jt_determinant.cache_info()
+        shape = lam if variant == "h" else lam.conjugate()
+        before = _content_groups.cache_info().misses
         got = jacobi_trudi(lam, (3, 3), variant, tr)
         assert (got.trunc, got.terms) == (tr, {}), variant
-        assert _jt_determinant.cache_info() == before, variant
-        shape = lam if variant == "h" else lam.conjugate()
         assert schur_tableau_sum(shape, (3, 3), tr) == got, variant
+        assert _content_groups.cache_info().misses == before, variant
 
 
 def test_mm_multiplicative_refuses_a_multidegree_past_the_cap():
